@@ -1,42 +1,24 @@
-//! Micro-benchmarks + CI gate for the two parallel execution paths:
-//! the in-sim sharded engine (`SimConfig::with_parallel` — one
-//! simulation, crypto data plane fanned across shard workers) and the
-//! cross-cell fan-out (`run_cells` — many independent simulations,
-//! one per core).
+//! Micro-benchmark + CI gate for cross-cell parallelism: `run_cells`
+//! fans many independent simulations (one fig11 sweep cell each)
+//! across host cores.
 //!
-//! Both paths are checked for bit-identical simulated results before
-//! any timing is trusted (the exhaustive equivalence proper is
-//! `tests/parallel_equivalence.rs`). On hosts with at least 8 cores
-//! this target *asserts* that a fig11-scale sweep fanned across cores
-//! is at least 4x faster than the same sweep pinned to one thread —
-//! the wall-clock claim behind the parallel harness. On narrower
-//! hosts the speedups are still measured and recorded, but the gate
-//! does not bite (a 2-core runner cannot hit 4x).
+//! The fanned-out sweep is checked for bit-identical simulated results
+//! against the single-thread order before any timing is trusted. On
+//! hosts with at least 8 cores this target *asserts* that a fig11-scale
+//! sweep fanned across cores is at least 4x faster than the same sweep
+//! pinned to one thread — the wall-clock claim behind the parallel
+//! harness. On narrower hosts the speedup is still measured and
+//! recorded, but the gate does not bite (a 2-core runner cannot hit
+//! 4x).
 
 use lelantus_bench::results::{timed_emit, Record};
 use lelantus_bench::{run_cells, sim_config, Scale};
 use lelantus_os::CowStrategy;
-use lelantus_sim::{ParallelEngine, SimConfig, System};
+use lelantus_sim::System;
 use lelantus_types::PageSize;
 use lelantus_workloads::forkbench::Forkbench;
 use lelantus_workloads::Workload;
 use std::time::Instant;
-
-/// Repetitions for the in-sim comparison; the minimum is the
-/// noise-robust estimator (preemption only ever inflates a run).
-const REPS: usize = 3;
-
-fn min_time<R>(mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let r = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        out = Some(r);
-    }
-    (best, out.expect("REPS >= 1"))
-}
 
 /// Runs the fig11-scale sweep — full forkbench replays over (updated
 /// bytes/page × scheme) — through `run_cells` and returns each cell's
@@ -59,53 +41,6 @@ fn main() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     timed_emit("micro_parallel", || {
         let mut records = Vec::new();
-
-        // --- in-sim sharded engine vs the serial engine ----------------
-        // One crypto-heavy simulation; the parallel engine keeps the
-        // timing plane on the calling thread and fans AES / data-MAC /
-        // Merkle-leaf work out to shard workers at epoch barriers.
-        let wl = Forkbench { total_bytes: scale.alloc_bytes(), bytes_per_page: None };
-        let config = || SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
-        let workers = cores.max(2);
-        let (serial_s, (serial_run, serial_root)) = min_time(|| {
-            let mut sys = System::new(config());
-            let run = wl.run(&mut sys).expect("forkbench");
-            sys.finish();
-            let root = sys.merkle_root();
-            (run, root)
-        });
-        let (par_s, (par_run, par_root, stats)) = min_time(|| {
-            let mut eng = ParallelEngine::new(config(), workers);
-            let run = wl.run(&mut eng).expect("forkbench");
-            eng.finish();
-            let root = eng.merkle_root();
-            let stats = eng.stats();
-            (run, root, stats)
-        });
-        assert_eq!(
-            serial_run.measured, par_run.measured,
-            "the sharded engine must simulate identically to the serial engine"
-        );
-        assert_eq!(serial_root, par_root, "the sharded engine must produce the serial root");
-        let insim_speedup = serial_s / par_s;
-        println!(
-            "in-sim engine (forkbench, {} MB, {workers} workers): serial {:.3} s, \
-             sharded {:.3} s ({:.2}x)",
-            wl.total_bytes >> 20,
-            serial_s,
-            par_s,
-            insim_speedup
-        );
-        println!(
-            "  {} barriers, {} ops dispatched, {} cross-shard messages",
-            stats.barriers, stats.ops_dispatched, stats.cross_shard_messages
-        );
-        records.push(Record::new("insim_serial", serial_s, "s").timed(serial_s));
-        records.push(Record::new("insim_sharded", par_s, "s").timed(par_s));
-        records.push(Record::new("speedup/insim_sharded", insim_speedup, "x"));
-        // Deterministic for a fixed scale/horizon (and independent of
-        // the worker count), so the diff gate pins it exactly.
-        records.push(Record::new("insim_ops_dispatched", stats.ops_dispatched as f64, "ops"));
 
         // --- fig11-scale sweep: one thread vs all cores ----------------
         // `run_cells` reads `LELANTUS_THREADS`; pin it to 1 for the

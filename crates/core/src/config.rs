@@ -124,17 +124,6 @@ pub struct ControllerConfig {
     /// segments are actually drained. Purely observational: timing,
     /// stats and contents are bit-identical either way.
     pub cycle_ledger: bool,
-    /// Defer the crypto data plane to shard workers (the parallel
-    /// engine): data lines are stored as plaintext with a constant
-    /// stand-in MAC tag, the integrity tree runs on a stub hasher, and
-    /// every elided operation is logged as a
-    /// [`DataPlaneOp`](crate::DataPlaneOp) for the workers to apply.
-    /// The timing/control plane — counters, caches, device timing,
-    /// stats, events — is bit-identical to the serial engine; crypto
-    /// *values* never feed back into it. Off by default; enable only
-    /// through `SimConfig::with_parallel` so the log is actually
-    /// drained.
-    pub defer_data_plane: bool,
     /// Record a spatial [`HeatGrid`](lelantus_obs::HeatGrid)
     /// attributing metadata traffic (counter fills/overflows, Merkle
     /// walk touches per level, MAC writebacks, redirected reads,
@@ -177,7 +166,6 @@ impl ControllerConfig {
             use_eager_merkle: false,
             mac_write_combining: true,
             cycle_ledger: false,
-            defer_data_plane: false,
             heatmap: false,
         }
     }

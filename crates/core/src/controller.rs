@@ -25,7 +25,6 @@
 //!   Shredder's zero elision cost nothing.
 
 use crate::config::{ControllerConfig, SchemeKind};
-use crate::data_plane::{DataPlaneOp, DATA_MAC_KEY, DEFERRED_MAC_TAG, MERKLE_KEY};
 use crate::footprint::{AccessDir, FootprintTracker};
 use crate::stats::ControllerStats;
 use lelantus_cache::LineBackend;
@@ -44,6 +43,12 @@ use lelantus_obs::{
 };
 use lelantus_types::{Cycles, PhysAddr, LINE_BYTES, REGION_BYTES};
 use std::collections::HashSet;
+
+/// Key of the Bonsai Merkle tree over counter blocks.
+pub const MERKLE_KEY: (u64, u64) = (0x6c65_6c61_6e74_7573, 0x6973_6361_3230_3230);
+
+/// Key of the per-line data MACs.
+pub const DATA_MAC_KEY: (u64, u64) = (0x6d61_635f_6b65_7931, 0x6d61_635f_6b65_7932);
 
 /// What a crash-recovery pass found (see
 /// [`SecureMemoryController::crash_and_recover`]).
@@ -87,9 +92,6 @@ pub struct SecureMemoryController<P: Probe = NullProbe> {
     /// Cycle-attribution segments recorded while servicing requests
     /// (only when `config.cycle_ledger`; drained by the system layer).
     segments: Vec<Segment>,
-    /// Elided crypto operations, in issue order (only when
-    /// `config.defer_data_plane`; drained by the parallel engine).
-    dp_log: Vec<DataPlaneOp>,
     /// Spatial heat of metadata traffic, attributed to the data region
     /// that caused it (only when `config.heatmap`; merged by the
     /// system layer).
@@ -121,9 +123,6 @@ impl<P: Probe> SecureMemoryController<P> {
         let layout = MetadataLayout::for_data_bytes(config.data_bytes);
         let mut merkle =
             MerkleTree::new(layout.regions() as usize, MERKLE_KEY, config.merkle_cache_nodes);
-        if config.defer_data_plane {
-            merkle = merkle.with_stub_hasher();
-        }
         if !config.use_eager_merkle {
             merkle = merkle.with_deferred_maintenance();
         }
@@ -154,7 +153,6 @@ impl<P: Probe> SecureMemoryController<P> {
             config,
             probe,
             segments: Vec::new(),
-            dp_log: Vec::new(),
         }
     }
 
@@ -209,25 +207,6 @@ impl<P: Probe> SecureMemoryController<P> {
     pub fn drain_segments_into(&mut self, out: &mut Vec<Segment>) {
         self.nvm.drain_segments_into(&mut self.segments);
         out.append(&mut self.segments);
-    }
-
-    /// Number of elided crypto operations waiting in the data-plane
-    /// log (always 0 unless `config.defer_data_plane`).
-    pub fn data_plane_pending(&self) -> usize {
-        self.dp_log.len()
-    }
-
-    /// Moves the logged data-plane operations into `out`, preserving
-    /// issue order. The parallel engine drains this at every epoch
-    /// barrier and fans the batch out to its shard workers.
-    pub fn drain_data_plane_into(&mut self, out: &mut Vec<DataPlaneOp>) {
-        out.append(&mut self.dp_log);
-    }
-
-    /// The metadata layout (shared with the shard workers so both
-    /// sides agree on region/MAC-slot geometry).
-    pub fn layout(&self) -> MetadataLayout {
-        self.layout
     }
 
     /// Discards recorded attribution segments. The system layer calls
@@ -427,9 +406,6 @@ impl<P: Probe> SecureMemoryController<P> {
         // Boot-time initialization is free of charge: its walk stats
         // are dropped above, so its touch log must be dropped too.
         self.merkle.discard_touches();
-        if self.config.defer_data_plane {
-            self.dp_log.push(DataPlaneOp::Leaf { region, bytes });
-        }
     }
 
     /// Fetches the counter block of `region` through the counter
@@ -504,9 +480,6 @@ impl<P: Probe> SecureMemoryController<P> {
         };
         self.seg(now, t, CycleCategory::CounterFill);
         let walk = self.merkle.update_leaf(region as usize, &bytes);
-        if self.config.defer_data_plane {
-            self.dp_log.push(DataPlaneOp::Leaf { region, bytes });
-        }
         self.stats.merkle_fetches += walk.nodes_fetched;
         self.heat_merkle_touches(region);
         if P::ENABLED && walk.nodes_fetched > 0 {
@@ -599,13 +572,6 @@ impl<P: Probe> SecureMemoryController<P> {
         major: u64,
         minor: u8,
     ) -> u64 {
-        if self.config.defer_data_plane {
-            // Shard workers recompute the real tag from the logged
-            // Store op; the constant keeps verification self-consistent
-            // (nonzero, so the stored-tag-of-0 "never written" sentinel
-            // still works).
-            return DEFERRED_MAC_TAG;
-        }
         let mut buf = [0u8; LINE_BYTES + 17];
         buf[..LINE_BYTES].copy_from_slice(cipher);
         buf[LINE_BYTES..LINE_BYTES + 8].copy_from_slice(&line_addr.as_u64().to_le_bytes());
@@ -805,18 +771,12 @@ impl<P: Probe> SecureMemoryController<P> {
         // Low priority: the pad overlaps the data fetch, so only its
         // exposed tail ends up booked as AES time.
         self.seg(t, pad_ready, CycleCategory::AesPad);
-        let plain = if self.config.defer_data_plane {
-            // Deferred mode stores plaintext: the fetched "cipher" is
-            // already the data.
-            cipher
-        } else {
-            let iv = IvSpec {
-                line_addr: data_addr.as_u64(),
-                major: cur_block.major,
-                minor: cur_block.minors[line],
-            };
-            self.engine.decrypt_line(&cipher, iv)
+        let iv = IvSpec {
+            line_addr: data_addr.as_u64(),
+            major: cur_block.major,
+            minor: cur_block.minors[line],
         };
+        let plain = self.engine.decrypt_line(&cipher, iv);
         (plain, t_data.max(pad_ready).max(t_mac), hops)
     }
 
@@ -900,23 +860,9 @@ impl<P: Probe> SecureMemoryController<P> {
             block.increment_minor(line, encoding).expect("fresh epoch cannot overflow");
         }
 
-        let cipher = if self.config.defer_data_plane {
-            self.dp_log.push(DataPlaneOp::Store {
-                addr: line_addr.as_u64(),
-                plain: data,
-                major: block.major,
-                minor: block.minors[line],
-                src_region: None,
-            });
-            data
-        } else {
-            let iv = IvSpec {
-                line_addr: line_addr.as_u64(),
-                major: block.major,
-                minor: block.minors[line],
-            };
-            self.engine.encrypt_line(&data, iv)
-        };
+        let iv =
+            IvSpec { line_addr: line_addr.as_u64(), major: block.major, minor: block.minors[line] };
+        let cipher = self.engine.encrypt_line(&data, iv);
         let t_write = self.nvm.write_line(line_addr, cipher, t);
         self.update_data_mac(line_addr, &cipher, block.major, block.minors[line], t);
         let t_meta = self.update_counter(region, block, t);
@@ -959,20 +905,7 @@ impl<P: Probe> SecureMemoryController<P> {
         // consecutive addresses: one batched pad sweep replaces 64
         // per-line engine dispatches. Device call order is unchanged.
         let base = self.line_addr(region, 0);
-        let ciphers = if self.config.defer_data_plane {
-            for (line, plain) in plains.iter().enumerate() {
-                self.dp_log.push(DataPlaneOp::Store {
-                    addr: base.as_u64() + (line * LINE_BYTES) as u64,
-                    plain: *plain,
-                    major: newblock.major,
-                    minor: 1,
-                    src_region: None,
-                });
-            }
-            plains
-        } else {
-            self.engine.copy_page(&plains, base.as_u64(), newblock.major, 1)
-        };
+        let ciphers = self.engine.copy_page(&plains, base.as_u64(), newblock.major, 1);
         for (line, cipher) in ciphers.iter().enumerate() {
             let data_addr = self.line_addr(region, line);
             done = done.max(self.nvm.write_line(data_addr, *cipher, t));
@@ -1108,34 +1041,17 @@ impl<P: Probe> SecureMemoryController<P> {
         // Every materialized line lands at (major, minor = 1) on a
         // consecutive address, so generate the pads for the whole page
         // in one sweep up front; the per-line loop below only resolves
-        // sources and XORs. Device call order is unchanged. In defer
-        // mode there are no pads (the shard workers encrypt later), so
-        // the lookup below falls through to logging the op.
+        // sources and XORs. Device call order is unchanged.
         let base = self.line_addr(dst_region, 0);
-        let pads = if self.config.defer_data_plane {
-            Vec::new()
-        } else {
-            self.engine.page_pads(base.as_u64(), block.major, 1, MINORS)
-        };
-        for line in 0..MINORS {
+        let pads = self.engine.page_pads(base.as_u64(), block.major, 1, MINORS);
+        for (line, pad) in pads.iter().enumerate() {
             if block.minors[line] != 0 {
                 continue;
             }
             let (plain, t3, _) = self.resolve_line_plain(dst_region, block, line, issue, issue);
             block.minors[line] = 1;
             let data_addr = self.line_addr(dst_region, line);
-            let cipher = if let Some(pad) = pads.get(line) {
-                xor_line(&plain, pad)
-            } else {
-                self.dp_log.push(DataPlaneOp::Store {
-                    addr: data_addr.as_u64(),
-                    plain,
-                    major: block.major,
-                    minor: 1,
-                    src_region: Some(src_region),
-                });
-                plain
-            };
+            let cipher = xor_line(&plain, pad);
             // Copies proceed in parallel, bounded by bank availability
             // (§III-E: "safely done in parallel to leverage row buffers").
             done = done.max(self.nvm.write_line(data_addr, cipher, t3));
@@ -1325,11 +1241,6 @@ impl<P: Probe> SecureMemoryController<P> {
             MERKLE_KEY,
             self.config.merkle_cache_nodes,
         );
-        if self.config.defer_data_plane {
-            // The persisted root came from the stub-hashed tree; the
-            // rebuilt tree must use the same digests to compare equal.
-            rebuilt = rebuilt.with_stub_hasher();
-        }
         let mut report = RecoveryReport::default();
         let mut regions: Vec<u64> = self.initialized_regions.iter().copied().collect();
         regions.sort_unstable();

@@ -45,13 +45,11 @@
 
 pub mod config;
 pub mod controller;
-pub mod data_plane;
 pub mod footprint;
 pub mod stats;
 
 pub use config::{ControllerConfig, SchemeKind};
-pub use controller::SecureMemoryController;
-pub use data_plane::{DataPlaneOp, DATA_MAC_KEY, DEFERRED_MAC_TAG, MERKLE_KEY};
+pub use controller::{SecureMemoryController, DATA_MAC_KEY, MERKLE_KEY};
 pub use footprint::FootprintTracker;
 pub use stats::ControllerStats;
 

@@ -36,5 +36,5 @@ pub mod siphash;
 
 pub use aes::Aes128;
 pub use ctr::{CtrEngine, IvSpec};
-pub use merkle::{empty_leaf_digest, leaf_digest, root_over_digests, MerkleTree, TamperError};
+pub use merkle::{MerkleTree, TamperError};
 pub use siphash::SipHash24;

@@ -34,51 +34,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// line, mirroring how BMT nodes are laid out in NVM.
 pub const ARITY: usize = 8;
 
-/// Digest function for tree nodes.
-///
-/// The tree's *cost model* (walks, node cache, `WalkStats`) never looks
-/// at digest values — it only compares them for equality — so a cheap
-/// self-consistent mix can stand in for SipHash when the real digests
-/// are recomputed elsewhere (the parallel engine's shard workers).
-#[derive(Debug, Clone, Copy)]
-enum NodeHasher {
-    /// Keyed SipHash-2-4 (the real integrity-tree digests).
-    Sip(SipHash24),
-    /// Cheap non-cryptographic mix. Self-consistent: verify still
-    /// detects any byte that differs from what was last updated.
-    Stub,
-}
-
-impl NodeHasher {
-    fn leaf(&self, data: &[u8]) -> u64 {
-        match self {
-            NodeHasher::Sip(mac) => mac.hash(data),
-            NodeHasher::Stub => {
-                // FNV-1a: one multiply per byte instead of SipHash's
-                // four rounds per word.
-                let mut h = 0xcbf2_9ce4_8422_2325u64;
-                for &b in data {
-                    h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                h
-            }
-        }
-    }
-
-    fn node(&self, children: &[u64]) -> u64 {
-        match self {
-            NodeHasher::Sip(mac) => mac.hash_words(children),
-            NodeHasher::Stub => {
-                let mut h = 0x9e37_79b9_7f4a_7c15u64 ^ children.len() as u64;
-                for &w in children {
-                    h = (h ^ w).wrapping_mul(0xbf58_476d_1ce4_e5b9).rotate_left(31);
-                }
-                h
-            }
-        }
-    }
-}
-
 /// Error returned when verification fails: the stored data does not
 /// hash to the trusted digest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,7 +81,8 @@ pub struct WalkStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MerkleTree {
-    hasher: NodeHasher,
+    /// Keyed SipHash-2-4 for leaf and interior-node digests.
+    mac: SipHash24,
     /// levels[0] = leaf digests, last level = [root].
     levels: Vec<Vec<u64>>,
     /// LRU node cache: maps (level, index) -> lru tick. Nodes present
@@ -159,10 +115,17 @@ impl MerkleTree {
     /// Panics if `num_leaves` is zero.
     pub fn new(num_leaves: usize, key: (u64, u64), cache_capacity: usize) -> Self {
         assert!(num_leaves > 0, "tree must cover at least one counter block");
-        let hasher = NodeHasher::Sip(SipHash24::new(key.0, key.1));
-        let levels = Self::build_from_leaves(hasher, vec![hasher.leaf(b""); num_leaves]);
+        let mac = SipHash24::new(key.0, key.1);
+        let mut levels = vec![vec![mac.hash(b""); num_leaves]];
+        while levels.last().expect("nonempty").len() > 1 {
+            let below = levels.last().expect("nonempty");
+            let parents = (0..below.len().div_ceil(ARITY))
+                .map(|p| mac.hash_words(Self::sibling_group(below, p)))
+                .collect();
+            levels.push(parents);
+        }
         Self {
-            hasher,
+            mac,
             levels,
             cache: HashMap::new(),
             lru: BTreeMap::new(),
@@ -173,25 +136,6 @@ impl MerkleTree {
             record_touches: false,
             touches: Vec::new(),
         }
-    }
-
-    /// Builds every interior level above the given leaf digests. The
-    /// single construction shared by [`Self::new`],
-    /// [`Self::with_stub_hasher`] and [`root_over_digests`], so a root
-    /// recomputed from a digest slice is bit-identical to one grown
-    /// update-by-update.
-    fn build_from_leaves(hasher: NodeHasher, leaves: Vec<u64>) -> Vec<Vec<u64>> {
-        let mut levels = vec![leaves];
-        while levels.last().expect("nonempty").len() > 1 {
-            let below = levels.last().expect("nonempty");
-            let parent_len = below.len().div_ceil(ARITY);
-            let mut parents = Vec::with_capacity(parent_len);
-            for p in 0..parent_len {
-                parents.push(hasher.node(Self::sibling_group(below, p)));
-            }
-            levels.push(parents);
-        }
-        levels
     }
 
     /// Enables the per-walk touch log: every node-cache miss (exactly
@@ -231,24 +175,6 @@ impl MerkleTree {
     /// model are unaffected.
     pub fn with_deferred_maintenance(mut self) -> Self {
         self.deferred = true;
-        self
-    }
-
-    /// Replaces the keyed SipHash digests with a cheap self-consistent
-    /// stub and rebuilds the tree's digests under it.
-    ///
-    /// Walks, `WalkStats`, the node-cache model and tamper detection
-    /// against *subsequently updated* leaves behave identically — only
-    /// the digest values change. Used by the deferred data-plane mode,
-    /// where the real SipHash leaf digests are recomputed by shard
-    /// workers and the real root by [`root_over_digests`].
-    pub fn with_stub_hasher(mut self) -> Self {
-        self.hasher = NodeHasher::Stub;
-        self.levels = Self::build_from_leaves(
-            NodeHasher::Stub,
-            vec![NodeHasher::Stub.leaf(b""); self.num_leaves()],
-        );
-        self.dirty_leaves.clear();
         self
     }
 
@@ -326,9 +252,9 @@ impl MerkleTree {
     /// Panics if `leaf` is out of range.
     pub fn update_leaf(&mut self, leaf: usize, data: &[u8]) -> WalkStats {
         assert!(leaf < self.num_leaves(), "leaf {leaf} out of range");
-        let hasher = self.hasher;
+        let mac = self.mac;
         let mut stats = WalkStats::default();
-        self.levels[0][leaf] = hasher.leaf(data);
+        self.levels[0][leaf] = mac.hash(data);
         self.cache_touch(0, leaf);
         stats.nodes_written += 1;
         if self.deferred {
@@ -339,7 +265,7 @@ impl MerkleTree {
             let parent = idx / ARITY;
             if !self.deferred {
                 self.levels[level + 1][parent] =
-                    hasher.node(Self::sibling_group(&self.levels[level], parent));
+                    mac.hash_words(Self::sibling_group(&self.levels[level], parent));
             }
             // Updating a parent requires its children; charge a fetch if
             // the node was not cached. This cost-model walk runs the
@@ -368,7 +294,7 @@ impl MerkleTree {
         if self.dirty_leaves.is_empty() {
             return 0;
         }
-        let hasher = self.hasher;
+        let mac = self.mac;
         let mut recomputed = 0;
         // BTreeSet iterates ascending, so each level's parent list is
         // sorted and plain dedup coalesces shared ancestors.
@@ -378,7 +304,7 @@ impl MerkleTree {
             parents.dedup();
             for &p in &parents {
                 self.levels[level + 1][p] =
-                    hasher.node(Self::sibling_group(&self.levels[level], p));
+                    mac.hash_words(Self::sibling_group(&self.levels[level], p));
                 recomputed += 1;
             }
             dirty = parents;
@@ -406,7 +332,7 @@ impl MerkleTree {
         // reports the exact stats an eager tree would.
         self.flush();
         let mut stats = WalkStats::default();
-        let digest = self.hasher.leaf(data);
+        let digest = self.mac.hash(data);
         if self.cache_hit(0, leaf) {
             // Leaf digest itself is on-chip: compare directly.
             return if digest == self.levels[0][leaf] {
@@ -428,7 +354,7 @@ impl MerkleTree {
             if self.record_touches {
                 self.touches.push(level.min(u8::MAX as usize) as u8);
             }
-            let recomputed = self.hasher.node(Self::sibling_group(&self.levels[level], parent));
+            let recomputed = self.mac.hash_words(Self::sibling_group(&self.levels[level], parent));
             if recomputed != self.levels[level + 1][parent] {
                 return Err(TamperError { leaf, level: level + 1 });
             }
@@ -451,35 +377,6 @@ impl MerkleTree {
             self.lru.remove(&t);
         }
     }
-}
-
-/// The keyed digest a tree under `key` stores for a leaf holding
-/// `data` — what shard workers compute for the counter blocks they
-/// own.
-pub fn leaf_digest(key: (u64, u64), data: &[u8]) -> u64 {
-    SipHash24::new(key.0, key.1).hash(data)
-}
-
-/// The digest of a never-updated leaf under `key`.
-pub fn empty_leaf_digest(key: (u64, u64)) -> u64 {
-    leaf_digest(key, b"")
-}
-
-/// Recomputes the root a [`MerkleTree`] keyed by `key` would hold if
-/// its leaf digests were exactly `leaves`, using the identical level
-/// construction (partial-width tail groups and all). This is the
-/// deterministic root-merge of the parallel engine: each shard
-/// contributes the [`leaf_digest`]s of the counter blocks it owns, the
-/// merge assembles them in leaf order and rebuilds the interior.
-///
-/// # Panics
-///
-/// Panics if `leaves` is empty.
-pub fn root_over_digests(key: (u64, u64), leaves: &[u64]) -> u64 {
-    assert!(!leaves.is_empty(), "tree must cover at least one counter block");
-    let hasher = NodeHasher::Sip(SipHash24::new(key.0, key.1));
-    let levels = MerkleTree::build_from_leaves(hasher, leaves.to_vec());
-    *levels.last().expect("nonempty").last().expect("root")
 }
 
 #[cfg(test)]
@@ -645,38 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn root_over_digests_matches_incremental_tree() {
-        // Non-power-of-arity widths exercise the partial tail groups,
-        // where naive sub-root composition would break
-        // (hash_words([x]) != x).
-        for n in [1usize, 7, 8, 9, 63, 64, 65, 100, 513] {
-            let key = (0xabc, 0xdef);
-            let mut t = MerkleTree::new(n, key, 16);
-            let mut digests = vec![empty_leaf_digest(key); n];
-            for (i, leaf) in [0usize, n / 2, n - 1].into_iter().enumerate() {
-                let data = [i as u8 + 1; 24];
-                t.update_leaf(leaf, &data);
-                digests[leaf] = leaf_digest(key, &data);
-            }
-            assert_eq!(root_over_digests(key, &digests), t.root(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn stub_hasher_tree_is_self_consistent() {
-        let mut t = MerkleTree::new(256, (1, 2), 16).with_stub_hasher().with_deferred_maintenance();
-        t.update_leaf(9, b"contents");
-        assert!(t.verify_leaf(9, b"contents").is_ok());
-        assert!(t.verify_leaf(9, b"tampered").is_err());
-        assert!(t.verify_leaf(10, b"").is_ok());
-        t.flush();
-        let r = t.root();
-        t.update_leaf(10, b"more");
-        t.flush();
-        assert_ne!(t.root(), r);
-    }
-
-    #[test]
     fn touch_log_matches_nodes_fetched_and_never_perturbs() {
         let mut plain = MerkleTree::new(4096, (7, 8), 8);
         let mut logged = MerkleTree::new(4096, (7, 8), 8).with_touch_log();
@@ -707,22 +572,6 @@ mod tests {
         logged.discard_touches();
         logged.drain_touches_into(&mut none);
         assert!(none.is_empty());
-    }
-
-    #[test]
-    fn stub_hasher_walkstats_match_sip() {
-        // The cost model never looks at digest values, so walks must be
-        // bit-identical across hashers (tiny cache forces evictions).
-        let mut sip = MerkleTree::new(4096, (7, 8), 8);
-        let mut stub = MerkleTree::new(4096, (7, 8), 8).with_stub_hasher();
-        for (i, leaf) in [5usize, 13, 5, 4090, 77, 78, 79, 80, 5, 1024].into_iter().enumerate() {
-            let data = [i as u8; 17];
-            assert_eq!(sip.update_leaf(leaf, &data), stub.update_leaf(leaf, &data));
-            assert_eq!(
-                sip.verify_leaf(leaf, &data).unwrap(),
-                stub.verify_leaf(leaf, &data).unwrap()
-            );
-        }
     }
 
     proptest! {

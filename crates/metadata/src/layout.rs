@@ -114,21 +114,6 @@ impl MetadataLayout {
     pub fn metadata_bytes(&self) -> u64 {
         self.regions() * (LINE_BYTES as u64 + 8) + self.data_bytes / 8
     }
-
-    /// Shard owning `region` under a region-interleaved partition into
-    /// `shards` slices. A region's 64 data lines, its counter block
-    /// (tree leaf) and its 8 MAC lines all map to the same shard —
-    /// every per-line metadata structure is region-granular — so a
-    /// partition on this key never splits one region's state across
-    /// workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn shard_of_region(&self, region: u64, shards: usize) -> usize {
-        assert!(shards > 0, "need at least one shard");
-        (region % shards as u64) as usize
-    }
 }
 
 #[cfg(test)]
@@ -180,10 +165,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_partition_coowns_region_metadata() {
+    fn mac_lines_of_a_region_index_back_to_it() {
         let l = MetadataLayout::for_data_bytes(1 << 20);
-        assert_eq!(l.shard_of_region(0, 3), 0);
-        assert_eq!(l.shard_of_region(7, 3), 1);
         // All 8 MAC lines of one region index back to that region: the
         // MAC area advances 512 data bytes per MAC line, 4096 per
         // region, so co-ownership holds by construction.

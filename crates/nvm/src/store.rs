@@ -118,19 +118,6 @@ impl LineStore {
     pub fn is_empty(&self) -> bool {
         self.resident == 0
     }
-
-    /// Iterates every resident line as `(addr, contents)` in address
-    /// order. Deterministic (frame-major, line-minor), so per-shard
-    /// slices can be merged or compared in a stable order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, [u8; LINE_BYTES])> + '_ {
-        self.frames.iter().enumerate().flat_map(|(frame, slot)| {
-            slot.iter().flat_map(move |f| {
-                (0..LINES_PER_FRAME)
-                    .filter(move |line| f.present & (1 << line) != 0)
-                    .map(move |line| ((frame * 4096 + line * LINE_BYTES) as u64, f.data[line]))
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -185,24 +172,6 @@ mod tests {
         s.insert(0x1000, [1; 64]);
         s.remove(0x1000);
         assert!(s.frames[1].is_none(), "fully-vacated frame must be freed");
-    }
-
-    #[test]
-    fn iter_visits_resident_lines_in_address_order() {
-        let mut s = LineStore::new();
-        for addr in [0x2000u64, 0x40, 0x1fc0, 1 << 20] {
-            s.insert(addr, [(addr >> 6) as u8; 64]);
-        }
-        let seen: Vec<(u64, [u8; 64])> = s.iter().collect();
-        assert_eq!(
-            seen.iter().map(|&(a, _)| a).collect::<Vec<_>>(),
-            vec![0x40, 0x1fc0, 0x2000, 1 << 20]
-        );
-        for (addr, data) in seen {
-            assert_eq!(data, [(addr >> 6) as u8; 64]);
-        }
-        s.remove(0x1fc0);
-        assert_eq!(s.iter().count(), s.len());
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! dense, saturating `u32` counter per 4 KB device region per
 //! [`HeatLane`] — faults by action, CoW redirects, implicit copies,
 //! counter fills and overflows, Merkle walk touches per tree level,
-//! MAC-line writebacks, bank array accesses, and the parallel
-//! engine's data-plane work. Lanes are lazily grown on first touch,
-//! so an idle lane costs nothing and a grid over a mostly-cold
-//! address space stays small.
+//! MAC-line writebacks and bank array accesses. Lanes are lazily
+//! grown on first touch, so an idle lane costs nothing and a grid over
+//! a mostly-cold address space stays small.
 //!
 //! Every lane shadows an aggregate counter the simulator already
 //! keeps (see each variant's doc), so a grid can be *reconciled*: the
@@ -17,7 +16,7 @@
 //! The reconciliation table is enforced in `tests/heatmap.rs`.
 //!
 //! Grids form a commutative monoid under [`HeatGrid::merge`] (the
-//! per-shard grids of the parallel engine merge in any order) and
+//! system, controller and device grids merge in any order) and
 //! support [`HeatGrid::delta_since`] so the epoch sampler can carve
 //! per-epoch spatial deltas that sum back to the full-run grid.
 
@@ -81,17 +80,11 @@ pub enum HeatLane {
     MerkleL6,
     /// Merkle node fetched at tree level 7 or deeper.
     MerkleDeep,
-    /// Data-plane line store applied by a shard worker (parallel
-    /// engine only; reconciles with the sum of shard `stores`).
-    DpStore,
-    /// Data-plane leaf digest computed by a shard worker (parallel
-    /// engine only; reconciles with the sum of shard `leaf_hashes`).
-    DpLeaf,
 }
 
 impl HeatLane {
     /// Number of lanes.
-    pub const COUNT: usize = 22;
+    pub const COUNT: usize = 20;
 
     /// All lanes, in dense-index order.
     pub const ALL: [HeatLane; Self::COUNT] = [
@@ -115,8 +108,6 @@ impl HeatLane {
         HeatLane::MerkleL5,
         HeatLane::MerkleL6,
         HeatLane::MerkleDeep,
-        HeatLane::DpStore,
-        HeatLane::DpLeaf,
     ];
 
     /// The five explicit-fault lanes, in `FaultAction` index order.
@@ -174,8 +165,6 @@ impl HeatLane {
             HeatLane::MerkleL5 => "merkle_l5",
             HeatLane::MerkleL6 => "merkle_l6",
             HeatLane::MerkleDeep => "merkle_deep",
-            HeatLane::DpStore => "dp_store",
-            HeatLane::DpLeaf => "dp_leaf",
         }
     }
 }
@@ -254,7 +243,7 @@ impl HeatGrid {
     }
 
     /// Folds `other` into `self`, cell-wise saturating. Commutative
-    /// and associative (up to saturation), so per-shard grids merge in
+    /// and associative (up to saturation), so per-layer grids merge in
     /// any order.
     pub fn merge(&mut self, other: &HeatGrid) {
         for (dst, src) in self.lanes.iter_mut().zip(other.lanes.iter()) {
@@ -390,13 +379,13 @@ mod tests {
         a.record(HeatLane::BankRead, 9);
         let mut b = HeatGrid::new();
         b.record_n(HeatLane::MacWrite, 1, 2);
-        b.record(HeatLane::DpStore, 40);
+        b.record(HeatLane::MerkleDeep, 40);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab.get(HeatLane::MacWrite, 1), 7);
-        assert_eq!(ab.lane_total(HeatLane::DpStore), 1);
+        assert_eq!(ab.lane_total(HeatLane::MerkleDeep), 1);
         assert_eq!(ab.total(), ba.total());
         for lane in HeatLane::ALL {
             for r in 0..ab.regions().max(ba.regions()) as u64 {

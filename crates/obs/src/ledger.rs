@@ -210,16 +210,6 @@ impl CycleLedger {
     pub fn iter(&self) -> impl Iterator<Item = (CycleCategory, u64)> + '_ {
         CycleCategory::ALL.iter().map(|&c| (c, self.get(c)))
     }
-
-    /// Adds every category of `other` into this ledger. The parallel
-    /// engine merges per-shard ledgers in stable shard order with this
-    /// (addition commutes, so the merged totals are order-independent
-    /// regardless).
-    pub fn merge(&mut self, other: &CycleLedger) {
-        for (i, v) in other.counts.iter().enumerate() {
-            self.counts[i] += v;
-        }
-    }
 }
 
 /// Splits the critical-path advance `[start, end)` across the recorded
@@ -302,19 +292,6 @@ mod tests {
         assert_eq!(d.get(CycleCategory::AesPad), 10);
         assert_eq!(d.get(CycleCategory::Mac), 0);
         assert_eq!(d.total(), 10);
-    }
-
-    #[test]
-    fn merge_adds_per_category() {
-        let mut a = CycleLedger::default();
-        a.charge(CycleCategory::Mac, 5);
-        let mut b = CycleLedger::default();
-        b.charge(CycleCategory::Mac, 7);
-        b.charge(CycleCategory::AesPad, 1);
-        a.merge(&b);
-        assert_eq!(a.get(CycleCategory::Mac), 12);
-        assert_eq!(a.get(CycleCategory::AesPad), 1);
-        assert_eq!(a.total(), 13);
     }
 
     #[test]

@@ -317,7 +317,8 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Fails if the process does not exist or `len` is zero.
+    /// Fails if the process does not exist, `len` is zero, or the
+    /// page-rounded mapping does not fit in the address space.
     pub fn mmap_anon(
         &mut self,
         pid: ProcessId,
@@ -328,11 +329,19 @@ impl Kernel {
             return Err(OsError::BadMapping("zero-length mmap".into()));
         }
         self.process(pid)?;
+        let overflow =
+            || OsError::BadMapping(format!("mmap of {len} bytes overflows the address space"));
         let page_bytes = page_size.bytes();
-        let len = len.div_ceil(page_bytes) * page_bytes;
+        let len = len.div_ceil(page_bytes).checked_mul(page_bytes).ok_or_else(overflow)?;
         // Reserve VA space with a guard gap, always huge-aligned.
+        let next_mmap = len
+            .div_ceil(2 << 20)
+            .checked_mul(2 << 20)
+            .and_then(|reserved| reserved.checked_add(2 << 20))
+            .and_then(|reserved| self.next_mmap.checked_add(reserved))
+            .ok_or_else(overflow)?;
         let base = VirtAddr::new(self.next_mmap);
-        self.next_mmap += len.div_ceil(2 << 20) * (2 << 20) + (2 << 20);
+        self.next_mmap = next_mmap;
         let av = self.rmap.create();
         self.rmap.link(av, pid, base);
         let vma = Vma { start: base, end: base + len, page_size, writable: true, anon_vma: av };
@@ -868,6 +877,23 @@ mod tests {
         let out = k.access(pid, va, AccessKind::Read).unwrap();
         assert!(out.fault.is_none());
         assert!(out.actions.is_empty());
+    }
+
+    #[test]
+    fn mmap_length_overflow_is_a_bad_mapping() {
+        let mut k = kernel(CowStrategy::Baseline);
+        let pid = k.spawn_init();
+        // Page rounding overflows for both page sizes.
+        for size in PageSize::all() {
+            let err = k.mmap_anon(pid, u64::MAX, size).unwrap_err();
+            assert!(matches!(err, OsError::BadMapping(_)), "{size}: got {err:?}");
+        }
+        // The length rounds fine, but the VA reservation past it does not.
+        let err = k.mmap_anon(pid, u64::MAX - (4 << 20), PageSize::Regular4K).unwrap_err();
+        assert!(matches!(err, OsError::BadMapping(_)), "got {err:?}");
+        // The failed calls reserved nothing: the kernel still maps.
+        let va = k.mmap_anon(pid, 4096, PageSize::Regular4K).unwrap();
+        assert!(k.translate(pid, va).is_some());
     }
 
     #[test]

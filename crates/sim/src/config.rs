@@ -56,16 +56,6 @@ pub struct SimConfig {
     /// a disabled one. Set via [`SimConfig::with_cycle_ledger`], which
     /// also enables segment recording in the controller and device.
     pub cycle_ledger: bool,
-    /// Number of shard workers for the parallel engine; 0 (the
-    /// default) runs the serial engine. Set via
-    /// [`SimConfig::with_parallel`], which also defers the
-    /// controller's crypto data plane so the workers have work to
-    /// apply. Results are bit-identical for every worker count.
-    pub parallel_workers: usize,
-    /// Data-plane ops buffered before the system dispatches a parallel
-    /// batch to the shard workers (the epoch horizon). Larger batches
-    /// amortize thread launch; smaller ones bound log memory.
-    pub parallel_horizon: usize,
     /// Records a `FaultSpan` per serviced fault (and per implicit
     /// copy) into a `TailRecorder`: overall + per-action HDR latency
     /// histograms and a top-K worst-offender reservoir. Purely
@@ -112,25 +102,10 @@ impl SimConfig {
             epoch_interval: 0,
             reference_access_path: false,
             cycle_ledger: false,
-            parallel_workers: 0,
-            parallel_horizon: 4096,
             tail_recorder: false,
             tail_top_k: 16,
             heatmap: false,
         }
-    }
-
-    /// Runs the simulation on the parallel sharded engine with
-    /// `workers` shard workers (0 = serial). The timing/control plane
-    /// stays on the calling thread; the crypto data plane (AES,
-    /// data MACs, Merkle leaf digests) is deferred and fanned out to
-    /// the workers at epoch barriers, partitioned by region. Metrics,
-    /// probe streams, Merkle roots and ledgers are bit-identical to
-    /// the serial engine for every worker count.
-    pub fn with_parallel(mut self, workers: usize) -> Self {
-        self.parallel_workers = workers;
-        self.controller.defer_data_plane = workers > 0;
-        self
     }
 
     /// Enables the cycle-attribution ledger across the whole stack
@@ -266,15 +241,6 @@ impl SimConfig {
             // runs; a partial enable would record grids nobody reads.
             return Err("heatmap must be enabled via with_heatmap (all layers)".into());
         }
-        if (self.parallel_workers > 0) != self.controller.defer_data_plane {
-            // The data-plane log is only drained by the parallel
-            // engine; a partial enable would grow it unboundedly (or
-            // leave the workers with nothing to apply).
-            return Err("parallel workers must be enabled via with_parallel (both layers)".into());
-        }
-        if self.parallel_workers > 0 && self.parallel_horizon == 0 {
-            return Err("parallel_horizon must be nonzero".into());
-        }
         self.tlb.validate()?;
         Ok(())
     }
@@ -326,25 +292,6 @@ mod tests {
         assert!(cfg.tail_recorder);
         assert_eq!(cfg.tail_top_k, 8);
         assert!(!cfg.cycle_ledger, "tail recorder does not force the ledger");
-    }
-
-    #[test]
-    fn parallel_must_enable_both_layers() {
-        let cfg = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K).with_parallel(4);
-        assert!(cfg.validate().is_ok());
-        assert_eq!(cfg.parallel_workers, 4);
-        assert!(cfg.controller.defer_data_plane);
-        // with_parallel(0) round-trips back to the serial engine.
-        assert!(cfg.with_parallel(0).validate().is_ok());
-        let mut partial = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
-        partial.controller.defer_data_plane = true;
-        assert!(partial.validate().is_err(), "partial enable must be rejected");
-        let mut partial = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
-        partial.parallel_workers = 2;
-        assert!(partial.validate().is_err(), "partial enable must be rejected");
-        let mut cfg = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K).with_parallel(2);
-        cfg.parallel_horizon = 0;
-        assert!(cfg.validate().is_err(), "zero horizon must be rejected");
     }
 
     #[test]

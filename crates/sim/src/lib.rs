@@ -43,22 +43,18 @@
 pub mod batch;
 pub mod config;
 pub mod metrics;
-pub mod parallel;
 pub mod record;
 pub mod replay;
-pub mod shard;
 pub mod system;
 pub mod tlb;
 
 pub use batch::AccessBatch;
 pub use config::SimConfig;
 pub use metrics::{EpochSample, SimMetrics};
-pub use parallel::{ParStats, ParallelEngine, ShardReport};
 pub use record::TraceRecorder;
 pub use replay::{
     explain_divergence, replay, replay_checked, DivergenceReport, ReplayError, ReplayStats,
 };
-pub use shard::{ShardSet, ShardState, ShardStats};
 pub use system::{Snapshot, System};
 
 // Re-export the trace format so replay/record callers can open files

@@ -14,8 +14,8 @@
 //! The replayed system may use a *different* CoW scheme than the
 //! recorder (that is the point of a trace sweep) — pids and addresses
 //! are scheme-independent, so the divergence oracle still holds.
-//! Merkle-root records are the exception: the root is scheme- and
-//! engine-dependent state, so root checks are skipped unless the
+//! Merkle-root records are the exception: the root is
+//! scheme-dependent state, so root checks are skipped unless the
 //! caller opts in with [`replay_checked`] against a same-config run.
 
 use crate::batch::{BatchOp, OpKind};

@@ -3,9 +3,7 @@
 use crate::batch::{AccessBatch, BatchOp, OpKind};
 use crate::config::SimConfig;
 use crate::metrics::{EpochSample, SimMetrics};
-use crate::parallel::{ParStats, ShardReport};
 use crate::record::TraceRecorder;
-use crate::shard::ShardSet;
 use crate::tlb::{Tlb, TlbEntry, TlbOutcome};
 use lelantus_cache::CacheHierarchy;
 use lelantus_core::SecureMemoryController;
@@ -55,8 +53,7 @@ pub struct System<P: Probe = NullProbe> {
     /// Ledger snapshot at the last epoch boundary (for epoch deltas).
     epoch_ledger_last: CycleLedger,
     /// Per-fault span recorder (`None` unless
-    /// `SimConfig::with_tail_recorder`). Lives on the sequential
-    /// timing plane, so it works unchanged under `with_parallel(n)`.
+    /// `SimConfig::with_tail_recorder`).
     tail: Option<TailRecorder>,
     /// Probe-histogram snapshot at the last epoch boundary (for the
     /// per-epoch `HistogramSet` deltas).
@@ -67,17 +64,13 @@ pub struct System<P: Probe = NullProbe> {
     /// Reusable buffer for controller segments (avoids per-access
     /// allocation on the ledger path).
     seg_scratch: Vec<Segment>,
-    /// Shard workers of the parallel engine (`None` on the serial
-    /// engine). Plain owned data like everything else, so snapshots
-    /// carry the materialized shard slices along.
-    par: Option<ShardSet>,
     /// Trace recorder (`None` unless [`System::record_into`] attached
     /// one). A shared handle: cloned systems append to the same sink.
     /// Off-cost is one branch per state-changing call.
     rec: Option<TraceRecorder>,
     /// System-layer heat lanes (the five fault-action lanes; `None`
-    /// unless `SimConfig::with_heatmap`). Controller, device and shard
-    /// lanes live in their own layers and are merged on demand.
+    /// unless `SimConfig::with_heatmap`). Controller and device lanes
+    /// live in their own layers and are merged on demand.
     heat: Option<Box<HeatGrid>>,
     /// Merged-grid snapshot at the last epoch boundary (for the
     /// per-epoch heat deltas). Empty when the heatmap is off.
@@ -106,19 +99,10 @@ impl<P: Probe> System<P> {
     /// Panics if the configuration is inconsistent.
     pub fn with_probe(config: SimConfig, probe: P) -> Self {
         config.validate().expect("invalid sim config");
-        let ctrl = SecureMemoryController::with_probe(config.controller.clone(), probe.clone());
-        let par = (config.parallel_workers > 0).then(|| {
-            ShardSet::new(
-                config.parallel_workers,
-                config.parallel_horizon,
-                ctrl.layout(),
-                &config.controller,
-            )
-        });
         Self {
             kernel: Kernel::new(config.kernel),
             caches: CacheHierarchy::new(config.caches),
-            ctrl,
+            ctrl: SecureMemoryController::with_probe(config.controller.clone(), probe.clone()),
             tlb: Tlb::new(config.tlb),
             clocks: vec![Cycles::ZERO; 8],
             active: 0,
@@ -132,7 +116,6 @@ impl<P: Probe> System<P> {
             epoch_hists_last: HistogramSet::default(),
             epoch_tail_last: HdrHistogram::default(),
             seg_scratch: Vec::new(),
-            par,
             rec: None,
             heat: config.heatmap.then(Box::<HeatGrid>::default),
             epoch_heat_last: HeatGrid::default(),
@@ -168,38 +151,17 @@ impl<P: Probe> System<P> {
     }
 
     /// The merged spatial heat grid — system fault lanes, controller
-    /// metadata lanes, device bank lanes and (on the parallel engine)
-    /// the shard workers' data-plane lanes — or `None` unless the
-    /// system was built with [`SimConfig::with_heatmap`]. Forces a
-    /// parallel barrier first so the shard lanes cover every issued op.
-    pub fn heatmap(&mut self) -> Option<HeatGrid> {
-        if !self.config.heatmap {
-            return None;
-        }
-        self.parallel_sync();
-        Some(self.merged_heat_now())
-    }
-
-    /// The merged grid as of *now*, without forcing a barrier (epoch
-    /// sampling must not move the parallel dispatch points): on the
-    /// parallel engine, ops still buffered in the data-plane log are
-    /// charged to the epoch in which their barrier fires.
-    fn merged_heat_now(&self) -> HeatGrid {
-        let mut grid = self.heat.as_deref().cloned().unwrap_or_default();
+    /// metadata lanes and device bank lanes — or `None` unless the
+    /// system was built with [`SimConfig::with_heatmap`].
+    pub fn heatmap(&self) -> Option<HeatGrid> {
+        let mut grid = self.heat.as_deref()?.clone();
         if let Some(h) = self.ctrl.heatmap() {
             grid.merge(h);
         }
         if let Some(h) = self.ctrl.nvm_heatmap() {
             grid.merge(h);
         }
-        if let Some(par) = &self.par {
-            for shard in par.shards() {
-                if let Some(h) = shard.heatmap() {
-                    grid.merge(h);
-                }
-            }
-        }
-        grid
+        Some(grid)
     }
 
     /// The probe this system reports to.
@@ -217,7 +179,6 @@ impl<P: Probe> System<P> {
     /// next boundary. At most one sample per call; the boundary then
     /// re-aligns to the cycle grid past the current time.
     fn epoch_tick(&mut self) {
-        self.par_tick();
         let interval = self.config.epoch_interval;
         if interval == 0 {
             return;
@@ -256,7 +217,7 @@ impl<P: Probe> System<P> {
     fn take_epoch_sample(&mut self, snap: SimMetrics) {
         let hists_now = self.probe_hists();
         let tail_now = self.tail_hist();
-        let heat_now = self.config.heatmap.then(|| self.merged_heat_now());
+        let heat_now = self.heatmap();
         self.epoch_samples.push(EpochSample {
             end_cycle: snap.cycles,
             delta: snap.delta_since(&self.epoch_last),
@@ -403,97 +364,15 @@ impl<P: Probe> System<P> {
 
     /// The controller's current Merkle root over the counter blocks,
     /// flushing deferred maintenance first (equivalence-test
-    /// observability). On the parallel engine this is a forced epoch
-    /// barrier: pending data-plane ops dispatch, then the real root is
-    /// reconstructed from the shard workers' leaf digests — the same
-    /// value the serial engine's tree holds.
+    /// observability).
     pub fn merkle_root(&mut self) -> u64 {
-        // Flushing deferred maintenance has the same (stub-hashed)
-        // walk effects in both modes; the stub root is discarded.
         let root = self.ctrl.merkle_root();
-        let root = match &mut self.par {
-            Some(par) => {
-                par.dispatch_from(&mut self.ctrl);
-                par.true_root()
-            }
-            None => root,
-        };
         // Recorded with its value: root queries flush metadata (state
         // changes), and the stored root doubles as a replay oracle.
         if let Some(rec) = &self.rec {
             rec.merkle_root(root);
         }
         root
-    }
-
-    /// Dispatches a parallel batch when the controller's data-plane
-    /// log has reached the epoch horizon. No-op on the serial engine.
-    #[inline]
-    fn par_tick(&mut self) {
-        if let Some(par) = &self.par {
-            if self.ctrl.data_plane_pending() >= par.horizon() {
-                self.par.as_mut().expect("checked above").dispatch_from(&mut self.ctrl);
-            }
-        }
-    }
-
-    /// Forces an epoch barrier: every logged data-plane op is applied
-    /// by its shard worker before this returns. No-op on the serial
-    /// engine. (Dispatching is host-side work; simulated time, stats
-    /// and events are unaffected.)
-    pub fn parallel_sync(&mut self) {
-        if let Some(par) = &mut self.par {
-            par.dispatch_from(&mut self.ctrl);
-        }
-    }
-
-    /// Parallel-engine statistics — worker count, barrier count,
-    /// cross-shard message volume and the per-shard breakdown — or
-    /// `None` on the serial engine. Synchronizes the workers first so
-    /// the report covers every issued op.
-    pub fn parallel_stats(&mut self) -> Option<ParStats> {
-        self.parallel_sync();
-        let par = self.par.as_ref()?;
-        let total = par.total_stats();
-        Some(ParStats {
-            workers: par.workers(),
-            barriers: par.barriers(),
-            ops_dispatched: par.ops_dispatched(),
-            cross_shard_messages: total.cross_shard,
-            shards: par
-                .shards()
-                .iter()
-                .enumerate()
-                .map(|(shard, s)| ShardReport {
-                    shard,
-                    stats: s.stats(),
-                    resident_lines: s.resident_lines(),
-                    regions_touched: s.regions_touched(),
-                })
-                .collect(),
-        })
-    }
-
-    /// The real NVM contents at `addr` (diagnostics / equivalence
-    /// tests): on the parallel engine, shard-materialized ciphertext
-    /// or MAC lines override the scout's elided contents; everywhere
-    /// else this is the controller's raw line.
-    pub fn materialized_line(&mut self, addr: PhysAddr) -> [u8; LINE_BYTES] {
-        self.parallel_sync();
-        if let Some(par) = &self.par {
-            if let Some(line) = par.line_override(addr.as_u64()) {
-                return line;
-            }
-        }
-        self.ctrl.peek_raw_line(addr)
-    }
-
-    /// Every data-area line the parallel engine has materialized, as
-    /// `(addr, ciphertext)` in address order; empty on the serial
-    /// engine. Forces a barrier first.
-    pub fn parallel_materialized_lines(&mut self) -> Vec<(u64, [u8; LINE_BYTES])> {
-        self.parallel_sync();
-        self.par.as_ref().map(|par| par.materialized_lines()).unwrap_or_default()
     }
 
     /// Creates the initial process.
@@ -1228,8 +1107,8 @@ impl<P: Probe> System<P> {
         self.epoch_ledger_last = self.ledger;
         self.epoch_hists_last = self.probe_hists();
         self.epoch_tail_last = self.tail_hist();
-        if self.config.heatmap {
-            self.epoch_heat_last = self.merged_heat_now();
+        if let Some(grid) = self.heatmap() {
+            self.epoch_heat_last = grid;
         }
         if let Some(rec) = &self.rec {
             rec.crash_recover();
@@ -1278,10 +1157,6 @@ impl<P: Probe> System<P> {
         let t = self.ctrl.flush_all(self.clocks[self.active]);
         self.advance_to(t, CycleCategory::Other);
         self.sync_cores_inner();
-        // Final epoch barrier: the flushes above may have logged more
-        // data-plane ops; the shard slices must be complete when the
-        // run's results are read.
-        self.parallel_sync();
         let m = self.metrics();
         // Close the trailing partial epoch so the series sums to the
         // run's totals.

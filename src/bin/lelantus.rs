@@ -42,6 +42,20 @@ const WORKLOADS: &[&str] =
     &["boot", "compile", "forkbench", "redis", "mariadb", "shell", "non-copy", "hotspot"];
 const SCHEMES: &[&str] = &["baseline", "silent-shredder", "lelantus", "lelantus-cow"];
 
+// The `--flags` each subcommand accepts; anything else is a usage error.
+const RUN_FLAGS: &[&str] = &["workload", "scheme", "pages", "scale", "json", "trace", "heatmap"];
+const RECORD_FLAGS: &[&str] = &["workload", "scheme", "pages", "scale", "json"];
+const CONVERT_FLAGS: &[&str] = &["scheme", "pages", "arena-mb", "json"];
+const REPORT_FLAGS: &[&str] = &[
+    "workload", "scheme", "pages", "scale", "json", "replay", "epoch", "ring", "events", "trace",
+    "tail", "heatmap", "grid",
+];
+const PROFILE_FLAGS: &[&str] =
+    &["workload", "scheme", "pages", "scale", "json", "epoch", "folded", "trace"];
+const TAIL_FLAGS: &[&str] = &["pages", "scale", "json", "top-k"];
+const STORM_FLAGS: &[&str] = &["tenants", "depth", "region-kb", "touched", "small", "json"];
+const HEATMAP_FLAGS: &[&str] = &["pages", "scale", "small", "top", "json"];
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:
@@ -60,20 +74,19 @@ fn usage() -> ExitCode {
                    [--replay <file.ltr>]  (drive the report from a recorded trace
                     instead of a synthetic workload; --workload is then ignored)
                    [--epoch <cycles>] [--ring <events>] [--events <out.jsonl>] [--trace <out.json>]
-                   [--workers <n>]  (n > 0 runs the parallel sharded engine and reports its stats)
                    [--tail]  (per-fault span recording: percentiles, per-action breakdown,
                               worst offenders, per-epoch tail series)
   lelantus profile --workload <name> [--scheme <s>] [--pages 4k|2m] [--scale ...] [--json]
-                   [--epoch <cycles>] [--folded <out.folded>] [--trace <out.json>] [--workers <n>]
-  lelantus tail    [--pages 4k|2m] [--scale ...] [--workers <n>] [--json] [--top-k <n>]
+                   [--epoch <cycles>] [--folded <out.folded>] [--trace <out.json>]
+  lelantus tail    [--pages 4k|2m] [--scale ...] [--json] [--top-k <n>]
                    (fig11-style sweep: p50/p99/p999 fault latency for every paper workload x
                     scheme; records into BENCH_RESULTS.json)
   lelantus storm   [--tenants <n>] [--depth <n>] [--region-kb <n>] [--touched <n>]
-                   [--workers <n>] [--small] [--json]
+                   [--small] [--json]
                    (fork-storm multi-tenant kernel-plane sweep: every scheme at
                     1024 tenants x 1152-page regions by default; records throughput,
                     fault tails and resident pages into BENCH_RESULTS.json)
-  lelantus heatmap [--pages 4k|2m] [--scale ...] [--small] [--workers <n>] [--top <n>] [--json]
+  lelantus heatmap [--pages 4k|2m] [--scale ...] [--small] [--top <n>] [--json]
                    (spatial sweep: forkbench/redis/storm on every scheme with the
                     region heat grid; hottest regions, Gini and top-1% concentration
                     recorded into BENCH_RESULTS.json)
@@ -102,20 +115,25 @@ schemes:   {} (default: lelantus)",
 
 /// [`parse_flags`] with the shared failure path: print the error,
 /// print usage, hand back the usage exit code.
-fn parse_or_usage(args: &[String]) -> Result<HashMap<String, String>, ExitCode> {
-    parse_flags(args).map_err(|e| {
+fn parse_or_usage(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, ExitCode> {
+    parse_flags(args, known).map_err(|e| {
         eprintln!("error: {e}");
         usage()
     })
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `--key value` pairs (and the boolean switches), rejecting
+/// any key the subcommand does not list in `known`.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let Some(key) = arg.strip_prefix("--") else {
             return Err(format!("unexpected argument `{arg}`"));
         };
+        if !known.contains(&key) {
+            return Err(format!("unknown flag `{arg}`"));
+        }
         if key == "json" || key == "tail" || key == "small" || key == "heatmap" {
             flags.insert(key.to_string(), "true".into());
             continue;
@@ -408,7 +426,7 @@ fn record_cmd(args: &[String]) -> ExitCode {
             _ => flag_args.push(arg.clone()),
         }
     }
-    let flags = match parse_or_usage(&flag_args) {
+    let flags = match parse_or_usage(&flag_args, RECORD_FLAGS) {
         Ok(f) => f,
         Err(code) => return code,
     };
@@ -554,48 +572,6 @@ fn json_metrics(m: &SimMetrics) -> String {
 /// summary teed with an optional streaming JSONL file. One
 /// monomorphization covers both `--events` and not.
 type ReportProbe = TeeProbe<RingProbe, Option<JsonlProbe>>;
-
-/// Renders the parallel engine's run statistics (`null` for the
-/// serial engine): aggregate counts plus the per-shard breakdown with
-/// each shard's host-time ledger (AES / MAC / Merkle-walk work).
-fn par_json(par: Option<&lelantus::sim::ParStats>) -> String {
-    let Some(p) = par else { return "null".into() };
-    let shards: Vec<String> = p
-        .shards
-        .iter()
-        .map(|s| {
-            let cats: Vec<String> = CycleCategory::ALL
-                .iter()
-                .filter(|&&c| s.stats.ledger.get(c) > 0)
-                .map(|&c| format!("\"{}\":{}", c.name(), s.stats.ledger.get(c)))
-                .collect();
-            format!(
-                concat!(
-                    "{{\"shard\":{},\"stores\":{},\"mac_tags\":{},\"leaf_hashes\":{},",
-                    "\"cross_shard\":{},\"resident_lines\":{},\"regions_touched\":{},",
-                    "\"host_ns\":{},\"host_ledger_ns\":{{{}}}}}"
-                ),
-                s.shard,
-                s.stats.stores,
-                s.stats.mac_tags,
-                s.stats.leaf_hashes,
-                s.stats.cross_shard,
-                s.resident_lines,
-                s.regions_touched,
-                s.stats.host_ns,
-                cats.join(","),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"workers\":{},\"barriers\":{},\"ops_dispatched\":{},\"cross_shard_messages\":{},\"shards\":[{}]}}",
-        p.workers,
-        p.barriers,
-        p.ops_dispatched,
-        p.cross_shard_messages,
-        shards.join(","),
-    )
-}
 
 fn hist_json(h: &lelantus::sim::Histogram) -> String {
     format!(
@@ -911,13 +887,6 @@ fn report(flags: &HashMap<String, String>) -> ExitCode {
             return usage();
         }
     };
-    let workers: usize = match flags.get("workers").map(String::as_str).unwrap_or("0").parse() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("error: --workers needs a non-negative worker count (0 = serial engine)");
-            return usage();
-        }
-    };
     let jsonl = match flags.get("events") {
         Some(path) => match JsonlProbe::create(path) {
             Ok(p) => Some(p),
@@ -937,9 +906,6 @@ fn report(flags: &HashMap<String, String>) -> ExitCode {
     let mut cfg = SimConfig::new(strategy, pages).with_epoch_interval(epoch);
     if let Some((_, t)) = &replay_src {
         cfg = cfg.with_phys_bytes(t.header().phys_bytes);
-    }
-    if workers > 0 {
-        cfg = cfg.with_parallel(workers);
     }
     if tail_enabled {
         // The ledger rides along so each worst-offender span carries a
@@ -978,9 +944,6 @@ fn report(flags: &HashMap<String, String>) -> ExitCode {
         (None, None) => unreachable!("either a workload or a replay source is set"),
     };
     let m = run.measured;
-    // Syncs outstanding shard work first, so the report covers the
-    // whole run; `None` on the serial engine.
-    let par = sys.parallel_stats();
     let full = sys.metrics();
     let tail = sys.tail_recorder().cloned();
     let heat = sys.heatmap();
@@ -1063,10 +1026,9 @@ fn report(flags: &HashMap<String, String>) -> ExitCode {
                 .map(|((path, trace), (stats, wall))| (path.as_str(), trace, stats, *wall)),
         );
         println!(
-            "{{\"workload\":\"{wl_name}\",\"scheme\":\"{strategy}\",\"pages\":\"{pages}\",\"epoch_interval\":{epoch},\"metrics\":{},\"metrics_full\":{},\"parallel\":{},\"trace\":{},\"events\":{{{}}},\"events_total\":{},\"ring_dropped\":{},\"histograms\":{{{}}},\"tail\":{},\"heatmap\":{},\"epochs\":[{}]}}",
+            "{{\"workload\":\"{wl_name}\",\"scheme\":\"{strategy}\",\"pages\":\"{pages}\",\"epoch_interval\":{epoch},\"metrics\":{},\"metrics_full\":{},\"trace\":{},\"events\":{{{}}},\"events_total\":{},\"ring_dropped\":{},\"histograms\":{{{}}},\"tail\":{},\"heatmap\":{},\"epochs\":[{}]}}",
             json_metrics(&m),
             json_metrics(&full),
-            par_json(par.as_ref()),
             trace_body,
             events.join(","),
             ring.total(),
@@ -1110,35 +1072,6 @@ fn report(flags: &HashMap<String, String>) -> ExitCode {
     for (i, &n) in counts.iter().enumerate() {
         if n > 0 {
             println!("  {:<20} {n:>12}", EventKind::name_of(i));
-        }
-    }
-    if let Some(p) = &par {
-        println!();
-        println!(
-            "parallel engine: {} workers, {} epoch barriers, {} ops dispatched, \
-             {} cross-shard messages",
-            p.workers, p.barriers, p.ops_dispatched, p.cross_shard_messages
-        );
-        println!(
-            "  {:>5}  {:>10}  {:>10}  {:>10}  {:>11}  {:>8}  {:>8}  host ms (aes/mac/merkle)",
-            "shard", "stores", "mac_tags", "leaves", "cross-shard", "lines", "regions"
-        );
-        for s in &p.shards {
-            let ms = |c: CycleCategory| s.stats.ledger.get(c) as f64 / 1e6;
-            println!(
-                "  {:>5}  {:>10}  {:>10}  {:>10}  {:>11}  {:>8}  {:>8}  {:.2} ({:.2}/{:.2}/{:.2})",
-                s.shard,
-                s.stats.stores,
-                s.stats.mac_tags,
-                s.stats.leaf_hashes,
-                s.stats.cross_shard,
-                s.resident_lines,
-                s.regions_touched,
-                s.stats.host_ns as f64 / 1e6,
-                ms(CycleCategory::AesPad),
-                ms(CycleCategory::Mac),
-                ms(CycleCategory::MerkleWalk),
-            );
         }
     }
     println!();
@@ -1222,22 +1155,10 @@ fn profile(flags: &HashMap<String, String>) -> ExitCode {
         }
     };
     let json = flags.contains_key("json");
-    let workers: usize = match flags.get("workers").map(String::as_str).unwrap_or("0").parse() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("error: --workers needs a non-negative worker count (0 = serial engine)");
-            return usage();
-        }
-    };
 
     selfprof::reset();
     selfprof::enable();
-    let mut cfg = SimConfig::new(strategy, pages).with_cycle_ledger().with_epoch_interval(epoch);
-    if workers > 0 {
-        // The sharded engine: bit-identical breakdowns, host wall
-        // clock spread across cores (see DESIGN.md §11).
-        cfg = cfg.with_parallel(workers);
-    }
+    let cfg = SimConfig::new(strategy, pages).with_cycle_ledger().with_epoch_interval(epoch);
     let mut sys = System::new(cfg);
     let run = workload.run(&mut sys).unwrap_or_else(|e| {
         eprintln!("simulation failed: {e}");
@@ -1245,7 +1166,6 @@ fn profile(flags: &HashMap<String, String>) -> ExitCode {
     });
     sys.finish();
     selfprof::disable();
-    let par = sys.parallel_stats();
     let total = sys.metrics().cycles.as_u64();
     let ledger = sys.cycle_ledger();
     let epochs = sys.epochs().to_vec();
@@ -1335,10 +1255,9 @@ fn profile(flags: &HashMap<String, String>) -> ExitCode {
             })
             .collect();
         println!(
-            "{{\"workload\":\"{}\",\"scheme\":\"{strategy}\",\"pages\":\"{pages}\",\"epoch_interval\":{epoch},\"total_cycles\":{total},\"ledger_sum\":{sum},\"measured_cycles\":{},\"parallel\":{},\"categories\":{{{}}},\"epochs\":[{}],\"selfprof\":[{}]}}",
+            "{{\"workload\":\"{}\",\"scheme\":\"{strategy}\",\"pages\":\"{pages}\",\"epoch_interval\":{epoch},\"total_cycles\":{total},\"ledger_sum\":{sum},\"measured_cycles\":{},\"categories\":{{{}}},\"epochs\":[{}],\"selfprof\":[{}]}}",
             workload.name(),
             run.measured.cycles.as_u64(),
-            par_json(par.as_ref()),
             cats.join(","),
             epoch_body.join(","),
             prof_body.join(","),
@@ -1358,13 +1277,6 @@ fn profile(flags: &HashMap<String, String>) -> ExitCode {
     }
     println!("  {:<16} {sum:>16} {:>7.2}%", "sum", 100.0);
     println!("  sum check: {sum} == {total} total cycles ✓");
-    if let Some(p) = &par {
-        println!(
-            "  parallel engine: {} workers, {} barriers, {} ops dispatched \
-             (breakdown identical to serial by construction)",
-            p.workers, p.barriers, p.ops_dispatched
-        );
-    }
     if !prof.is_empty() {
         println!();
         println!("  self-profiler (host wall clock):");
@@ -1489,13 +1401,6 @@ fn tail_sweep(flags: &HashMap<String, String>) -> ExitCode {
         eprintln!("error: bad --pages");
         return usage();
     };
-    let workers: usize = match flags.get("workers").map(String::as_str).unwrap_or("0").parse() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("error: --workers needs a non-negative worker count (0 = serial engine)");
-            return usage();
-        }
-    };
     let top_k: usize = match flags.get("top-k").map(String::as_str).unwrap_or("16").parse() {
         Ok(n) => n,
         Err(_) => {
@@ -1522,11 +1427,7 @@ fn tail_sweep(flags: &HashMap<String, String>) -> ExitCode {
                 .expect("paper workload names are all known");
             // Recorder only — no cycle ledger — so the sweep stays
             // close to the untraced fast path.
-            let mut cfg =
-                SimConfig::new(strategy, pages).with_tail_recorder().with_tail_top_k(top_k);
-            if workers > 0 {
-                cfg = cfg.with_parallel(workers);
-            }
+            let cfg = SimConfig::new(strategy, pages).with_tail_recorder().with_tail_top_k(top_k);
             let mut sys = System::new(cfg);
             workload.run(&mut sys).unwrap_or_else(|e| {
                 eprintln!("simulation failed ({wl_name}/{strategy}): {e}");
@@ -1617,13 +1518,6 @@ fn storm_sweep(flags: &HashMap<String, String>) -> ExitCode {
         Ok(None) => {}
         Err(e) => return e,
     }
-    let workers: usize = match flags.get("workers").map(String::as_str).unwrap_or("0").parse() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("error: --workers needs a non-negative worker count (0 = serial engine)");
-            return usage();
-        }
-    };
     let json = flags.contains_key("json");
 
     let phys = storm.phys_bytes();
@@ -1646,12 +1540,9 @@ fn storm_sweep(flags: &HashMap<String, String>) -> ExitCode {
     let mut records = Vec::new();
     let mut rows: Vec<String> = Vec::new();
     for strategy in CowStrategy::all() {
-        let mut cfg = SimConfig::new(strategy, PageSize::Regular4K)
+        let cfg = SimConfig::new(strategy, PageSize::Regular4K)
             .with_phys_bytes(phys)
             .with_tail_recorder();
-        if workers > 0 {
-            cfg = cfg.with_parallel(workers);
-        }
         let mut sys = System::new(cfg);
         let fail = |e| -> ! {
             eprintln!("simulation failed (storm/{strategy}): {e}");
@@ -1744,13 +1635,6 @@ fn heatmap_sweep(flags: &HashMap<String, String>) -> ExitCode {
         eprintln!("error: bad --pages");
         return usage();
     };
-    let workers: usize = match flags.get("workers").map(String::as_str).unwrap_or("0").parse() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("error: --workers needs a non-negative worker count (0 = serial engine)");
-            return usage();
-        }
-    };
     let top: usize = match flags.get("top").map(String::as_str).unwrap_or("5").parse() {
         Ok(n) if n > 0 => n,
         _ => {
@@ -1785,9 +1669,6 @@ fn heatmap_sweep(flags: &HashMap<String, String>) -> ExitCode {
             let mut cfg = SimConfig::new(strategy, pages).with_heatmap();
             if wl_name == "storm" {
                 cfg = cfg.with_phys_bytes(storm.phys_bytes());
-            }
-            if workers > 0 {
-                cfg = cfg.with_parallel(workers);
             }
             let mut sys = System::new(cfg);
             workload.run(&mut sys).unwrap_or_else(|e| {
@@ -1955,7 +1836,7 @@ fn convert_cmd(args: &[String]) -> ExitCode {
             _ => flag_args.push(arg.clone()),
         }
     }
-    let flags = match parse_or_usage(&flag_args) {
+    let flags = match parse_or_usage(&flag_args, CONVERT_FLAGS) {
         Ok(f) => f,
         Err(code) => return code,
     };
@@ -2078,23 +1959,23 @@ fn main() -> ExitCode {
             println!("scales:    small, medium, paper");
             ExitCode::SUCCESS
         }
-        "report" => match parse_or_usage(&args[1..]) {
+        "report" => match parse_or_usage(&args[1..], REPORT_FLAGS) {
             Ok(flags) => report(&flags),
             Err(code) => code,
         },
-        "profile" => match parse_or_usage(&args[1..]) {
+        "profile" => match parse_or_usage(&args[1..], PROFILE_FLAGS) {
             Ok(flags) => profile(&flags),
             Err(code) => code,
         },
-        "tail" => match parse_or_usage(&args[1..]) {
+        "tail" => match parse_or_usage(&args[1..], TAIL_FLAGS) {
             Ok(flags) => tail_sweep(&flags),
             Err(code) => code,
         },
-        "storm" => match parse_or_usage(&args[1..]) {
+        "storm" => match parse_or_usage(&args[1..], STORM_FLAGS) {
             Ok(flags) => storm_sweep(&flags),
             Err(code) => code,
         },
-        "heatmap" => match parse_or_usage(&args[1..]) {
+        "heatmap" => match parse_or_usage(&args[1..], HEATMAP_FLAGS) {
             Ok(flags) => heatmap_sweep(&flags),
             Err(code) => code,
         },
@@ -2102,7 +1983,7 @@ fn main() -> ExitCode {
         "record" => record_cmd(&args[1..]),
         "convert" => convert_cmd(&args[1..]),
         "run" | "compare" => {
-            let flags = match parse_or_usage(&args[1..]) {
+            let flags = match parse_or_usage(&args[1..], RUN_FLAGS) {
                 Ok(f) => f,
                 Err(code) => return code,
             };

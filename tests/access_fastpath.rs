@@ -184,4 +184,5 @@ fn mid_epoch_snapshot_and_restore_keep_the_epoch_series_consistent() {
     check_sums(&sys, &restore_end, "restore");
     assert_eq!(fork_end, restore_end, "fork and restore continuations diverged");
     assert_eq!(sys.epochs(), forked.epochs(), "epoch series diverged");
+    assert_eq!(sys.merkle_root(), forked.merkle_root(), "fork and restore roots diverged");
 }

@@ -4,15 +4,15 @@
 //!
 //! 1. **Zero perturbation** — enabling the heatmap changes no
 //!    simulated number, no probe event, and no memory contents, on
-//!    every workload, scheme and engine.
+//!    every workload, scheme and access engine.
 //! 2. **Exact reconciliation** — every lane total equals the aggregate
 //!    counter it shadows (the table in `HeatLane`'s docs); a spatial
 //!    breakdown that drifts from the stats it decomposes is worse than
 //!    none.
 //! 3. **Algebra** — per-epoch deltas sum back to the full-run grid and
-//!    per-shard grids merge order-independently, so every surface
-//!    (epoch series, parallel engine, crash re-baseline) shows the
-//!    same heat.
+//!    per-layer grids merge order-independently, so every surface
+//!    (merged grid, epoch series, crash re-baseline) shows the same
+//!    heat.
 //!
 //! Plus the divergence explainer: a replay that leaves the recorded
 //! trajectory must name the right region, library-level and through
@@ -109,14 +109,14 @@ fn heatmap_runs_are_bit_identical_to_off_runs() {
 }
 
 /// Zero perturbation at suite scale: all six paper workloads, all four
-/// schemes, serial and parallel engines.
+/// schemes, batched and per-line (reference) access engines.
 #[test]
 fn heatmap_is_zero_perturbation_across_suite_and_engines() {
     for strategy in CowStrategy::all() {
         for wl in small_suite() {
-            for workers in [0usize, 3] {
+            for per_line in [false, true] {
                 let base = SimConfig::new(strategy, PageSize::Regular4K).with_phys_bytes(64 << 20);
-                let base = if workers > 0 { base.with_parallel(workers) } else { base };
+                let base = if per_line { base.with_reference_access_path() } else { base };
                 let mut off = System::new(base.clone());
                 let r_off = wl.run(&mut off).unwrap();
                 let mut on = System::new(base.with_heatmap());
@@ -124,18 +124,18 @@ fn heatmap_is_zero_perturbation_across_suite_and_engines() {
                 assert_eq!(
                     r_off.measured,
                     r_on.measured,
-                    "{strategy}/{}/workers={workers}: the heatmap perturbed the run",
+                    "{strategy}/{}/per_line={per_line}: the heatmap perturbed the run",
                     wl.name()
                 );
                 assert_eq!(
                     off.merkle_root(),
                     on.merkle_root(),
-                    "{strategy}/{}/workers={workers}: the heatmap perturbed memory",
+                    "{strategy}/{}/per_line={per_line}: the heatmap perturbed memory",
                     wl.name()
                 );
                 assert!(
                     on.heatmap().unwrap().total() > 0,
-                    "{strategy}/{}/workers={workers}: empty grid",
+                    "{strategy}/{}/per_line={per_line}: empty grid",
                     wl.name()
                 );
             }
@@ -167,8 +167,6 @@ fn heat_lanes_reconcile_exactly_with_aggregates() {
         assert_eq!(merkle, m.controller.merkle_fetches, "{strategy}: merkle lanes");
         assert_eq!(lane(HeatLane::BankRead), m.nvm.line_reads, "{strategy}");
         assert_eq!(lane(HeatLane::BankWrite), m.nvm.line_writes, "{strategy}");
-        // Serial engine: no shard ever ran.
-        assert_eq!(lane(HeatLane::DpStore) + lane(HeatLane::DpLeaf), 0, "{strategy}");
 
         // The same lanes through the probe's eyes.
         let counts = ring.counts();
@@ -195,45 +193,21 @@ fn heat_lanes_reconcile_exactly_with_aggregates() {
     }
 }
 
-/// Parallel engine: the data-plane lanes reconcile with the shard
-/// stats, and the rest of the table still holds on the merged grid.
-#[test]
-fn parallel_dp_lanes_reconcile_with_shard_stats() {
-    for strategy in [CowStrategy::Lelantus, CowStrategy::LelantusCow] {
-        let mut sys = System::new(config(strategy).with_heatmap().with_parallel(3));
-        drive(&mut sys);
-        let g = sys.heatmap().unwrap();
-        let ps = sys.parallel_stats().unwrap();
-        let stores: u64 = ps.shards.iter().map(|s| s.stats.stores).sum();
-        let leaves: u64 = ps.shards.iter().map(|s| s.stats.leaf_hashes).sum();
-        assert!(stores > 0, "{strategy}: the scenario must defer data-plane work");
-        assert_eq!(g.lane_total(HeatLane::DpStore), stores, "{strategy}: dp_store lane");
-        assert_eq!(g.lane_total(HeatLane::DpLeaf), leaves, "{strategy}: dp_leaf lane");
-        let m = sys.metrics();
-        let faults: u64 = HeatLane::FAULTS.iter().map(|&l| g.lane_total(l)).sum();
-        assert_eq!(faults, m.kernel.cow_faults + m.kernel.reuse_faults, "{strategy}");
-        assert_eq!(g.lane_total(HeatLane::BankWrite), m.nvm.line_writes, "{strategy}");
-    }
-}
-
 /// The epoch series' closure property: per-epoch heat deltas sum
 /// cell-for-cell back to the final merged grid.
 #[test]
 fn epoch_heat_series_sums_to_final_grid() {
-    for workers in [0usize, 3] {
-        let base = config(CowStrategy::Lelantus).with_epoch_interval(50_000).with_heatmap();
-        let base = if workers > 0 { base.with_parallel(workers) } else { base };
-        let mut sys = System::new(base);
-        drive(&mut sys);
-        let full = sys.heatmap().unwrap();
-        let epochs = sys.epochs();
-        assert!(epochs.len() > 1, "expected several epochs, got {}", epochs.len());
-        let mut acc = HeatGrid::new();
-        for e in epochs {
-            acc.merge(e.heat.as_deref().expect("with_heatmap epochs must carry heat"));
-        }
-        assert_same_heat(&acc, &full, &format!("workers={workers}: epoch heat series"));
+    let cfg = config(CowStrategy::Lelantus).with_epoch_interval(50_000).with_heatmap();
+    let mut sys = System::new(cfg);
+    drive(&mut sys);
+    let full = sys.heatmap().unwrap();
+    let epochs = sys.epochs();
+    assert!(epochs.len() > 1, "expected several epochs, got {}", epochs.len());
+    let mut acc = HeatGrid::new();
+    for e in epochs {
+        acc.merge(e.heat.as_deref().expect("with_heatmap epochs must carry heat"));
     }
+    assert_same_heat(&acc, &full, "epoch heat series");
 }
 
 /// A mid-run crash re-baselines the heat series like every other
@@ -355,7 +329,7 @@ fn divergence_explainer_cli_smoke() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Merging per-shard grids is order-independent: any partition of
+    /// Merging per-layer grids is order-independent: any partition of
     /// any op sequence, merged forward or backward, yields the same
     /// grid, and the merged total is the op-count sum.
     #[test]
@@ -364,8 +338,8 @@ proptest! {
             (0usize..HeatLane::COUNT, 0u64..512, 1u32..1000, 0usize..4), 1..200)
     ) {
         let mut grids = vec![HeatGrid::new(); 4];
-        for &(lane, region, n, shard) in &ops {
-            grids[shard].record_n(HeatLane::ALL[lane], region, n);
+        for &(lane, region, n, part) in &ops {
+            grids[part].record_n(HeatLane::ALL[lane], region, n);
         }
         let mut fwd = HeatGrid::new();
         for g in &grids {

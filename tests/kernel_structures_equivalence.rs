@@ -11,8 +11,7 @@
 //! divergence is visible in the metrics, the probe event stream or the
 //! Merkle root over the final NVM image. This suite pins the swap to
 //! the behaviour it replaced on the full paper matrix: six workloads ×
-//! four schemes, serial and parallel engines, 4 KB and 2 MB pages, bit
-//! for bit.
+//! four schemes, 4 KB and 2 MB pages, bit for bit.
 
 use lelantus::os::CowStrategy;
 use lelantus::sim::{Event, EventKind, RingProbe, SimConfig, SimMetrics, System};
@@ -69,33 +68,6 @@ fn all_workloads_and_schemes_match_reference_structures() {
                 &fast,
                 &reference,
                 &format!("{} under {strategy}", wl.name()),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The full matrix, parallel engine
-// ---------------------------------------------------------------------
-
-/// The sharded engine replays the same kernel decisions on worker
-/// shards; structure-dependent addresses reach it through the batch
-/// plans, so the fast structures must be invisible there too.
-#[test]
-fn parallel_engine_matches_reference_structures() {
-    for strategy in CowStrategy::all() {
-        for wl in small_suite() {
-            let config = || {
-                SimConfig::new(strategy, PageSize::Regular4K)
-                    .with_phys_bytes(64 << 20)
-                    .with_parallel(2)
-            };
-            let fast = observe(wl.as_ref(), config());
-            let reference = observe(wl.as_ref(), config().with_reference_structures());
-            assert_observations_match(
-                &fast,
-                &reference,
-                &format!("{} under {strategy} (parallel x2)", wl.name()),
             );
         }
     }

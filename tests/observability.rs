@@ -412,22 +412,6 @@ fn tail_percentiles_match_exact_span_oracle() {
     }
 }
 
-/// The recorder under the parallel sharded engine produces the same
-/// spans, percentiles, and worst offenders as the serial engine.
-#[test]
-fn tail_recorder_is_identical_under_parallel_engine() {
-    let mut serial = System::new(config(CowStrategy::Lelantus).with_tail_recorder());
-    let m_serial = drive(&mut serial);
-    let mut parallel =
-        System::new(config(CowStrategy::Lelantus).with_tail_recorder().with_parallel(4));
-    let m_parallel = drive(&mut parallel);
-    assert_eq!(m_serial, m_parallel, "parallel engine must stay bit-identical");
-    let (a, b) = (serial.tail_recorder().unwrap(), parallel.tail_recorder().unwrap());
-    assert_eq!(a.summary(), b.summary());
-    assert_eq!(a.histogram(), b.histogram());
-    assert_eq!(a.worst(), b.worst());
-}
-
 /// Per-epoch histogram and tail deltas sum back to the run totals, the
 /// same closure property the metric and ledger series already have.
 #[test]

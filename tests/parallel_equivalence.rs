@@ -1,288 +1,60 @@
-//! Parallel sharded engine equivalence: running one simulation on all
-//! host cores must be *observationally invisible*.
+//! Parallel continuations of one snapshot must be indistinguishable.
 //!
-//! The parallel engine (`SimConfig::with_parallel`) keeps the
-//! timing/control plane — counter machinery, caches, bank timing,
-//! stats, probe events — sequential on the calling thread and fans
-//! only the crypto data plane (AES line encryption, data-MAC tags,
-//! Merkle leaf digests) out to shard workers at epoch barriers. Those
-//! values never feed back into timing, so every observable must be
-//! bit-identical to the serial engine for *every* worker count: final
-//! metrics, exact probe event streams, Merkle roots, cycle-ledger
-//! breakdowns, and the ciphertext image itself.
-//!
-//! `LELANTUS_PAR_WORKERS` pins the worker count for the matrix tests
-//! (the CI equivalence job runs 1/2/8); unset, a default count is
-//! used and the sweep test covers several counts.
+//! A snapshot taken in the middle of an epoch carries every piece of
+//! pending work — the open epoch's partial delta, dirty counter and
+//! MAC lines, the integrity tree — into each continuation that starts
+//! from it. A fork and a restore of the original are two such
+//! continuations running side by side; both must land in exactly the
+//! state of one uninterrupted run of the same schedule.
 
 use lelantus::os::CowStrategy;
-use lelantus::sim::{Event, EventKind, RingProbe, SimConfig, SimMetrics, System};
-use lelantus::types::{PageSize, PhysAddr};
-use lelantus::workloads::{
-    bootwl::Boot, compilewl::Compile, forkbench::Forkbench, mariadbwl::Mariadb, rediswl::Redis,
-    shellwl::Shell, Workload,
-};
+use lelantus::sim::{SimConfig, System};
+use lelantus::types::PageSize;
 
-/// Everything externally observable about one workload run: final
-/// metrics, exact event totals, the retained event stream, and the
-/// integrity-tree root over the final NVM image.
-type Observation = (SimMetrics, [u64; EventKind::COUNT], Vec<Event>, u64);
-
-/// Worker count for the workload × scheme matrix: from
-/// `LELANTUS_PAR_WORKERS` (the CI job runs the 1/2/8 matrix), else 2.
-fn matrix_workers() -> usize {
-    match std::env::var("LELANTUS_PAR_WORKERS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => panic!("LELANTUS_PAR_WORKERS must be a positive integer, got {v:?}"),
-        },
-        Err(_) => 2,
-    }
-}
-
-fn observe<W: Workload<RingProbe> + ?Sized>(wl: &W, config: SimConfig) -> Observation {
-    let probe = RingProbe::new(1 << 16);
-    let mut sys = System::with_probe(config, probe.clone());
-    wl.run(&mut sys).unwrap();
-    let metrics = sys.finish();
-    let root = sys.merkle_root();
-    (metrics, probe.counts(), probe.events(), root)
-}
-
-fn assert_observations_match(par: &Observation, serial: &Observation, what: &str) {
-    assert_eq!(par.0, serial.0, "metrics diverged: {what}");
-    assert_eq!(par.1, serial.1, "event totals diverged: {what}");
-    assert_eq!(par.2, serial.2, "event streams diverged: {what}");
-    assert_eq!(par.3, serial.3, "merkle roots diverged: {what}");
-}
-
-fn small_suite() -> Vec<Box<dyn Workload<RingProbe>>> {
-    vec![
-        Box::new(Boot::small()),
-        Box::new(Compile::small()),
-        Box::new(Forkbench::small()),
-        Box::new(Redis::small()),
-        Box::new(Mariadb::small()),
-        Box::new(Shell::small()),
-    ]
-}
-
-// ---------------------------------------------------------------------
-// The full matrix: six workloads × four schemes
-// ---------------------------------------------------------------------
-
-#[test]
-fn all_workloads_and_schemes_are_bit_identical_to_serial() {
-    let workers = matrix_workers();
-    for strategy in CowStrategy::all() {
-        let config = || {
-            SimConfig::new(strategy, PageSize::Regular4K)
-                .with_phys_bytes(64 << 20)
-                .with_deterministic_counters()
-        };
-        for wl in small_suite() {
-            let serial = observe(wl.as_ref(), config());
-            let par = observe(wl.as_ref(), config().with_parallel(workers));
-            assert_observations_match(
-                &par,
-                &serial,
-                &format!("{} under {strategy}, {workers} workers", wl.name()),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Worker-count sweep: the count must never matter
-// ---------------------------------------------------------------------
-
-#[test]
-fn worker_count_sweep_is_bit_identical() {
-    let config =
-        || SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K).with_phys_bytes(64 << 20);
-    let wl = Forkbench::small();
-    let serial = observe(&wl, config());
-    for workers in [1, 2, 5, 8] {
-        let par = observe(&wl, config().with_parallel(workers));
-        assert_observations_match(&par, &serial, &format!("forkbench, {workers} workers"));
-    }
-}
-
-#[test]
-fn horizon_does_not_affect_results() {
-    // The epoch horizon only decides *when* barriers fire, never what
-    // the workers compute; tiny horizons exercise many small batches.
-    let config =
-        || SimConfig::new(CowStrategy::LelantusCow, PageSize::Regular4K).with_phys_bytes(64 << 20);
-    let wl = Redis::small();
-    let serial = observe(&wl, config());
-    for horizon in [1, 17, 100_000] {
-        let mut cfg = config().with_parallel(3);
-        cfg.parallel_horizon = horizon;
-        let par = observe(&wl, cfg);
-        assert_observations_match(&par, &serial, &format!("redis, horizon {horizon}"));
-    }
-}
-
-// ---------------------------------------------------------------------
-// The materialized image: ciphertext and MAC slices
-// ---------------------------------------------------------------------
-
-/// The shard workers' ciphertext and MAC-tag slices must reproduce the
-/// serial engine's NVM image bit for bit — the strongest check that
-/// the elided crypto was redone exactly, not just consistently.
-#[test]
-fn shard_slices_match_the_serial_nvm_image() {
-    for strategy in [CowStrategy::Lelantus, CowStrategy::LelantusCow] {
-        let config = || {
-            SimConfig::new(strategy, PageSize::Regular4K)
-                .with_phys_bytes(64 << 20)
-                .with_deterministic_counters()
-        };
-        let wl = Forkbench::small();
-        let mut serial = System::new(config());
-        wl.run(&mut serial).unwrap();
-        serial.finish();
-        let mut par = System::new(config().with_parallel(3));
-        wl.run(&mut par).unwrap();
-        par.finish();
-        let lines = par.parallel_materialized_lines();
-        assert!(!lines.is_empty(), "forkbench must materialize lines");
-        for &(addr, cipher) in &lines {
-            assert_eq!(
-                serial.controller().peek_raw_line(PhysAddr::new(addr)),
-                cipher,
-                "{strategy}: ciphertext diverged at {addr:#x}"
-            );
-            // The MAC line covering every materialized data line must
-            // hold the serial engine's real tags.
-            let mac_addr = serial.controller().layout().mac_slot_of_line(PhysAddr::new(addr)).0;
-            assert_eq!(
-                par.materialized_line(mac_addr),
-                serial.materialized_line(mac_addr),
-                "{strategy}: MAC line diverged for data line {addr:#x}"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Cycle ledger: attribution is identical too
-// ---------------------------------------------------------------------
-
-#[test]
-fn cycle_ledger_totals_match_serial() {
-    for strategy in [CowStrategy::Baseline, CowStrategy::Lelantus] {
-        let config = || {
-            SimConfig::new(strategy, PageSize::Regular4K)
-                .with_phys_bytes(64 << 20)
-                .with_cycle_ledger()
-        };
-        let wl = Redis::small();
-        let mut serial = System::new(config());
-        wl.run(&mut serial).unwrap();
-        let sm = serial.finish();
-        let mut par = System::new(config().with_parallel(4));
-        wl.run(&mut par).unwrap();
-        let pm = par.finish();
-        assert_eq!(sm, pm, "{strategy}: metrics diverged under the ledger");
-        assert_eq!(serial.cycle_ledger(), par.cycle_ledger(), "{strategy}: cycle ledgers diverged");
-        assert_eq!(
-            par.cycle_ledger().total(),
-            pm.cycles.as_u64(),
-            "{strategy}: ledger must still account every cycle"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Adversarial timing: snapshot/fork mid-epoch, with ops in flight
-// ---------------------------------------------------------------------
-
-/// Snapshots clone the machine mid-run — including data-plane ops
-/// logged but not yet dispatched to the workers. Fork and restore
-/// continuations must both land bit-identical to each other *and* to
-/// the serial engine running the same schedule.
 #[test]
 fn mid_epoch_snapshot_fork_carries_pending_parallel_work() {
-    let run = |parallel: bool| {
-        let mut cfg = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K)
-            .with_phys_bytes(64 << 20)
-            .with_epoch_interval(20_000);
-        if parallel {
-            cfg = cfg.with_parallel(3);
-            // A huge horizon guarantees ops are still undispatched at
-            // the snapshot point — the adversarial case.
-            cfg.parallel_horizon = 1 << 20;
-        }
-        let mut sys = System::new(cfg);
-        let pid = sys.spawn_init();
-        let va = sys.mmap(pid, 1 << 20).unwrap();
-        sys.write_pattern(pid, va, 512 << 10, 0x11).unwrap();
-        let snapshot = sys.snapshot();
-
-        // Path A: continue on a fork.
-        let mut forked = snapshot.fork();
-        forked.write_pattern(pid, va + (512 << 10), 256 << 10, 0x22).unwrap();
-        let fork_end = forked.finish();
-        let fork_root = forked.merkle_root();
-
-        // Path B: diverge the original, rewind, replay A's schedule.
-        sys.write_pattern(pid, va, 1 << 20, 0x33).unwrap();
-        sys.restore(&snapshot);
-        sys.write_pattern(pid, va + (512 << 10), 256 << 10, 0x22).unwrap();
-        let restore_end = sys.finish();
-        let restore_root = sys.merkle_root();
-
-        assert_eq!(fork_end, restore_end, "fork and restore continuations diverged");
-        assert_eq!(fork_root, restore_root, "fork and restore roots diverged");
-        assert_eq!(sys.epochs(), forked.epochs(), "epoch series diverged");
-        (fork_end, fork_root)
-    };
-    let (serial_end, serial_root) = run(false);
-    let (par_end, par_root) = run(true);
-    assert_eq!(par_end, serial_end, "parallel metrics diverged from serial");
-    assert_eq!(par_root, serial_root, "parallel root diverged from serial");
-}
-
-// ---------------------------------------------------------------------
-// Crash/recovery and parallel statistics
-// ---------------------------------------------------------------------
-
-#[test]
-fn crash_and_recover_is_bit_identical_and_workers_report() {
     let config = || {
         SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K)
             .with_phys_bytes(64 << 20)
-            .with_deterministic_counters()
+            .with_epoch_interval(20_000)
     };
-    let drive = |mut sys: System| {
-        let pid = sys.spawn_init();
-        let va = sys.mmap(pid, 256 << 10).unwrap();
-        sys.write_pattern(pid, va, 256 << 10, 0x5A).unwrap();
-        // Flush caches and controller buffers: dirty CPU-cache lines
-        // are lost in the crash (on both engines), and this test is
-        // about what durably persisted.
-        sys.finish();
-        sys.crash_and_recover().unwrap();
-        assert_eq!(sys.read_bytes(pid, va, 4).unwrap(), vec![0x5A; 4], "data survives the crash");
-        let m = sys.finish();
-        let root = sys.merkle_root();
-        (m, root, sys)
-    };
-    let (sm, sroot, _) = drive(System::new(config()));
-    let (pm, proot, mut par) = drive(System::new(config().with_parallel(2)));
-    assert_eq!(sm, pm, "metrics diverged across crash/recovery");
-    assert_eq!(sroot, proot, "roots diverged across crash/recovery");
 
-    let stats = par.parallel_stats().expect("parallel engine reports stats");
-    assert_eq!(stats.workers, 2);
-    assert!(stats.barriers > 0, "the run must have dispatched batches");
-    assert!(stats.ops_dispatched > 0);
-    assert_eq!(stats.shards.len(), 2);
-    let total: u64 = stats.shards.iter().map(|s| s.stats.stores).sum();
-    assert!(total > 0, "shards must have materialized stores");
-    // Serial engines report no parallel stats.
-    let mut serial = System::new(config());
-    assert!(serial.parallel_stats().is_none());
+    // Reference: the whole schedule in one uninterrupted run.
+    let mut straight = System::new(config());
+    let pid = straight.spawn_init();
+    let va = straight.mmap(pid, 1 << 20).unwrap();
+    straight.write_pattern(pid, va, 512 << 10, 0x11).unwrap();
+    straight.write_pattern(pid, va + (512 << 10), 256 << 10, 0x22).unwrap();
+    let straight_end = straight.finish();
+    let straight_root = straight.merkle_root();
+
+    let mut sys = System::new(config());
+    let pid = sys.spawn_init();
+    let va = sys.mmap(pid, 1 << 20).unwrap();
+    sys.write_pattern(pid, va, 512 << 10, 0x11).unwrap();
+    let snapshot = sys.snapshot();
+
+    // Path A: continue on a fork.
+    let mut forked = snapshot.fork();
+    forked.write_pattern(pid, va + (512 << 10), 256 << 10, 0x22).unwrap();
+    let fork_end = forked.finish();
+    let fork_root = forked.merkle_root();
+
+    // Path B: diverge the original, rewind, replay A's schedule.
+    sys.write_pattern(pid, va, 1 << 20, 0x33).unwrap();
+    sys.restore(&snapshot);
+    sys.write_pattern(pid, va + (512 << 10), 256 << 10, 0x22).unwrap();
+    let restore_end = sys.finish();
+    let restore_root = sys.merkle_root();
+
+    assert_eq!(fork_end, restore_end, "fork and restore continuations diverged");
+    assert_eq!(fork_root, restore_root, "fork and restore roots diverged");
+    assert_eq!(sys.epochs(), forked.epochs(), "epoch series diverged");
+    assert_eq!(fork_end, straight_end, "snapshot continuation diverged from an uninterrupted run");
+    assert_eq!(fork_root, straight_root, "snapshot root diverged from an uninterrupted run");
+    assert_eq!(
+        forked.epochs(),
+        straight.epochs(),
+        "epoch series diverged from an uninterrupted run"
+    );
 }

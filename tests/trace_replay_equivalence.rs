@@ -2,9 +2,10 @@
 //! must replay bit-identically — same [`lelantus::sim::SimMetrics`],
 //! same Merkle roots (enforced by `replay_checked`'s divergence
 //! oracle) — for every synthetic workload, every CoW scheme, and both
-//! the serial and the sharded parallel engine. A trace recorded under
-//! one scheme must also replay cleanly under every *other* scheme
-//! (the cross-scheme sweep `lelantus compare --trace` relies on).
+//! the batched and the per-line (reference) access engine. A trace
+//! recorded under one scheme must also replay cleanly under every
+//! *other* scheme (the cross-scheme sweep `lelantus compare --trace`
+//! relies on).
 
 use lelantus::os::CowStrategy;
 use lelantus::sim::{
@@ -47,26 +48,27 @@ fn recorded_replay_is_bit_identical_across_schemes_and_engines() {
             let live = record_live(wl.as_ref(), &cfg, &path);
             let trace = Trace::open(&path).expect("open recorded trace");
 
-            // Serial replay: the recorded trajectory reproduces the
+            // Batched replay: the recorded trajectory reproduces the
             // live run exactly, Merkle roots included.
             let mut sys = System::new(cfg.clone());
-            let stats = replay_checked(&mut sys, &trace).expect("serial replay");
+            let stats = replay_checked(&mut sys, &trace).expect("batched replay");
             assert!(stats.ops > 0, "{} / {strategy}: trace must carry ops", wl.name());
             assert_eq!(
                 sys.finish(),
                 live,
-                "{} / {strategy}: serial replay must be bit-identical",
+                "{} / {strategy}: batched replay must be bit-identical",
                 wl.name()
             );
 
-            // Parallel replay: the sharded engine is bit-identical to
-            // serial, so the same trace must reproduce the same run.
-            let mut par = System::new(cfg.clone().with_parallel(3));
-            replay_checked(&mut par, &trace).expect("parallel replay");
+            // Per-line replay: the reference access driver is
+            // bit-identical to the batched one, so the same trace must
+            // reproduce the same run.
+            let mut per_line = System::new(cfg.clone().with_reference_access_path());
+            replay_checked(&mut per_line, &trace).expect("per-line replay");
             assert_eq!(
-                par.finish(),
+                per_line.finish(),
                 live,
-                "{} / {strategy}: parallel replay must be bit-identical",
+                "{} / {strategy}: per-line replay must be bit-identical",
                 wl.name()
             );
 

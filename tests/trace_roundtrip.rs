@@ -3,8 +3,12 @@
 //! both the owned-bytes and the mmap reader), and any damaged file —
 //! truncated, magic-stomped, version-bumped, bit-flipped, or crafted
 //! with an unknown opcode — must surface the matching typed
-//! [`TraceError`] instead of panicking or silently misparsing.
+//! [`TraceError`] instead of panicking or silently misparsing. A
+//! well-formed trace carrying a nonsensical operation must likewise
+//! fail replay with a typed error.
 
+use lelantus::os::CowStrategy;
+use lelantus::sim::{replay, ReplayError, SimConfig, System};
 use lelantus::trace::{
     Check64, Record, Trace, TraceError, TraceHeader, TraceOp, TraceWriter, FOOTER_LEN,
     FORMAT_VERSION, HEADER_LEN,
@@ -282,6 +286,22 @@ fn unknown_opcode_is_a_bad_record_not_a_panic() {
     let trace = Trace::from_bytes(bytes).expect("resealed image validates");
     let err = trace.records().find_map(|r| r.err()).expect("decoding a crafted opcode must fail");
     assert!(matches!(err, TraceError::BadRecord { .. }), "got {err:?}");
+}
+
+#[test]
+fn overflowing_mmap_length_is_an_os_error_not_a_panic() {
+    // A well-formed trace whose mmap length cannot be page-rounded.
+    let header = TraceHeader { page_size: PageSize::Regular4K, phys_bytes: 16 << 20 };
+    let mut w = TraceWriter::new(Vec::new(), header).expect("vec sink");
+    w.spawn_init(1).expect("vec sink");
+    w.mmap(1, u64::MAX, PageSize::Regular4K, 0).expect("vec sink");
+    let (bytes, _) = w.into_parts().expect("vec sink");
+    let trace = Trace::from_bytes(bytes).expect("writer output validates");
+    let mut sys = System::new(
+        SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K).with_phys_bytes(16 << 20),
+    );
+    let err = replay(&mut sys, &trace).expect_err("an overflowing mmap must be rejected");
+    assert!(matches!(err, ReplayError::Os(_)), "got {err}");
 }
 
 #[test]
