@@ -195,18 +195,25 @@ mod tests {
     fn parses_emitted_lines() {
         let text = concat!(
             "[\n",
-            "{\"schema\":3,\"git\":\"abc\",\"bench\":\"micro_crypto\",\"name\":\"ctr_encrypt\",",
-            "\"scheme\":null,\"value\":41.5,\"unit\":\"ns/iter\",\"wall_clock_s\":0.250},\n",
-            "{\"schema\":3,\"git\":\"abc\",\"bench\":\"forkbench\",\"name\":\"speedup\",",
-            "\"scheme\":\"Lelantus\",\"value\":6.2,\"unit\":\"x\",\"wall_clock_s\":7.000},\n",
-            "{\"schema\":3,\"git\":\"abc\",\"bench\":\"broken\",\"name\":\"nan\",",
-            "\"scheme\":null,\"value\":null,\"unit\":\"x\",\"wall_clock_s\":1.000}\n",
+            "{\"schema\":4,\"git\":\"abc\",\"bench\":\"micro_crypto\",\"name\":\"ctr_encrypt\",",
+            "\"scheme\":null,\"value\":41.5,\"unit\":\"ns/iter\",\"wall_clock_s\":0.250,",
+            "\"nproc\":2,\"cpu\":\"Intel(R) Xeon(R) Processor\"},\n",
+            "{\"schema\":4,\"git\":\"abc\",\"bench\":\"forkbench\",\"name\":\"speedup\",",
+            "\"scheme\":\"Lelantus\",\"value\":6.2,\"unit\":\"x\",\"wall_clock_s\":7.000,",
+            "\"nproc\":2,\"cpu\":\"Intel(R) Xeon(R) Processor\"},\n",
+            "{\"schema\":4,\"git\":\"abc\",\"bench\":\"broken\",\"name\":\"nan\",",
+            "\"scheme\":null,\"value\":null,\"unit\":\"x\",\"wall_clock_s\":1.000,",
+            "\"nproc\":2,\"cpu\":\"Intel(R) Xeon(R) Processor\"}\n",
+            // A v3 record (no host stamp) still parses.
+            "{\"schema\":3,\"git\":\"abc\",\"bench\":\"old\",\"name\":\"m\",",
+            "\"scheme\":null,\"value\":3,\"unit\":\"ns/iter\",\"wall_clock_s\":1.000}\n",
             "]\n",
         );
         let recs = parse_results(text);
-        assert_eq!(recs.len(), 2, "null-valued record must be skipped");
+        assert_eq!(recs.len(), 3, "null-valued record must be skipped");
         assert_eq!(recs[0], rec("micro_crypto", "ctr_encrypt", None, 41.5, "ns/iter"));
         assert_eq!(recs[1], rec("forkbench", "speedup", Some("Lelantus"), 6.2, "x"));
+        assert_eq!(recs[2], rec("old", "m", None, 3.0, "ns/iter"));
         assert_eq!(recs[1].key(), "forkbench/speedup [Lelantus]");
     }
 

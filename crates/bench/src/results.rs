@@ -20,24 +20,64 @@ use std::time::Instant;
 /// * v3: `wall_clock_s` is per-record — the time spent producing that
 ///   record — for records that carry their own timing; derived records
 ///   (ratios, averages) still carry the whole target's wall clock
-pub const RESULTS_SCHEMA_VERSION: u32 = 3;
+/// * v4: adds the host stamp `nproc` (`available_parallelism`) and
+///   `cpu` (the `/proc/cpuinfo` model name, `"unknown"` elsewhere) after
+///   `wall_clock_s` in every record; `git` ends in `-dirty` when the
+///   record was measured on uncommitted code
+pub const RESULTS_SCHEMA_VERSION: u32 = 4;
 
 /// Short git commit hash of the working tree, queried once per
 /// process; `"unknown"` when git is unavailable (e.g. a source
-/// tarball).
+/// tarball). The hash gains a `-dirty` suffix when any tracked file
+/// other than the root `BENCH_RESULTS.json` differs from that commit,
+/// so a record measured on uncommitted code never carries its parent's
+/// bare hash (the results file itself is left out because every
+/// [`emit`] rewrites it).
 fn git_commit() -> &'static str {
     static HASH: OnceLock<String> = OnceLock::new();
     HASH.get_or_init(|| {
-        std::process::Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .output()
-            .ok()
+        let git = |args: &[&str]| {
+            std::process::Command::new("git")
+                .args(args)
+                .current_dir(env!("CARGO_MANIFEST_DIR"))
+                .output()
+                .ok()
+        };
+        let Some(hash) = git(&["rev-parse", "--short", "HEAD"])
             .filter(|o| o.status.success())
             .and_then(|o| String::from_utf8(o.stdout).ok())
             .map(|s| s.trim().to_string())
             .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".into())
+        else {
+            return "unknown".into();
+        };
+        let dirty =
+            git(&["diff", "--quiet", "HEAD", "--", ":/", ":(top,exclude)BENCH_RESULTS.json"])
+                .is_some_and(|o| o.status.code() == Some(1));
+        if dirty {
+            format!("{hash}-dirty")
+        } else {
+            hash
+        }
+    })
+}
+
+/// The host stamp `(nproc, cpu model)`, queried once per process.
+fn host() -> &'static (usize, String) {
+    static HOST: OnceLock<(usize, String)> = OnceLock::new();
+    HOST.get_or_init(|| {
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cpu = fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|text| {
+                text.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, model)| model.trim().to_string())
+            })
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".into());
+        (nproc, cpu)
     })
 }
 
@@ -105,8 +145,9 @@ fn render(bench: &str, wall_clock_s: f64, r: &Record) -> String {
         Some(s) => format!("\"{}\"", escape(s)),
         None => "null".into(),
     };
+    let (nproc, cpu) = host();
     format!(
-        "{{\"schema\":{},\"git\":\"{}\",\"bench\":\"{}\",\"name\":\"{}\",\"scheme\":{},\"value\":{},\"unit\":\"{}\",\"wall_clock_s\":{:.3}}}",
+        "{{\"schema\":{},\"git\":\"{}\",\"bench\":\"{}\",\"name\":\"{}\",\"scheme\":{},\"value\":{},\"unit\":\"{}\",\"wall_clock_s\":{:.3},\"nproc\":{},\"cpu\":\"{}\"}}",
         RESULTS_SCHEMA_VERSION,
         escape(git_commit()),
         escape(bench),
@@ -115,6 +156,8 @@ fn render(bench: &str, wall_clock_s: f64, r: &Record) -> String {
         if r.value.is_finite() { format!("{}", r.value) } else { "null".into() },
         escape(&r.unit),
         r.wall_clock_s.unwrap_or(wall_clock_s),
+        nproc,
+        escape(cpu),
     )
 }
 
@@ -193,6 +236,9 @@ mod tests {
             // Every record carries the schema version and a git stamp.
             assert_eq!(text.matches(&format!("\"schema\":{RESULTS_SCHEMA_VERSION}")).count(), 2);
             assert_eq!(text.matches("\"git\":\"").count(), 2);
+            // ... and the host stamp.
+            assert_eq!(text.matches("\"nproc\":").count(), 2);
+            assert_eq!(text.matches("\"cpu\":\"").count(), 2);
         });
     }
 
@@ -207,17 +253,30 @@ mod tests {
             let text = fs::read_to_string(path).unwrap();
             // The measured record carries its own timing; the derived
             // one falls back to the target total.
-            assert!(text.contains("\"name\":\"fast\",\"scheme\":null,\"value\":1,\"unit\":\"ns/iter\",\"wall_clock_s\":0.250"), "{text}");
-            assert!(text.contains("\"name\":\"ratio\",\"scheme\":null,\"value\":2,\"unit\":\"x\",\"wall_clock_s\":7.000"), "{text}");
+            assert!(text.contains("\"name\":\"fast\",\"scheme\":null,\"value\":1,\"unit\":\"ns/iter\",\"wall_clock_s\":0.250,"), "{text}");
+            assert!(text.contains("\"name\":\"ratio\",\"scheme\":null,\"value\":2,\"unit\":\"x\",\"wall_clock_s\":7.000,"), "{text}");
         });
     }
 
     #[test]
     fn git_commit_is_cached_and_nonempty() {
         let a = git_commit();
-        assert!(!a.is_empty());
+        let hash = a.strip_suffix("-dirty").unwrap_or(a);
+        assert!(
+            hash == "unknown" || (!hash.is_empty() && hash.chars().all(|c| c.is_ascii_hexdigit())),
+            "{a}"
+        );
         // OnceLock: a second call returns the very same allocation.
         assert_eq!(a.as_ptr(), git_commit().as_ptr());
+    }
+
+    #[test]
+    fn host_stamp_is_sane() {
+        let (nproc, cpu) = host();
+        assert!(*nproc >= 1);
+        assert!(!cpu.is_empty());
+        let line = render("b", 0.5, &Record::new("m", 1.0, "x"));
+        assert!(line.ends_with(&format!(",\"nproc\":{nproc},\"cpu\":\"{}\"}}", escape(cpu))));
     }
 
     #[test]

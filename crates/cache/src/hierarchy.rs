@@ -190,7 +190,7 @@ impl CacheHierarchy {
         }
         let (_, fill_done) = self.fill(addr, now, backend);
         let ok = self.l1.write_hit(addr, bytes);
-        debug_assert!(ok, "line was just filled");
+        assert!(ok, "line was just filled");
         fill_done + Cycles::new(self.config.l1.latency)
     }
 

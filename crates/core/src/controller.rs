@@ -581,13 +581,13 @@ impl<P: Probe> SecureMemoryController<P> {
     }
 
     /// Applies the buffered combined MAC-line updates to the cache in
-    /// one batched access with exact LRU ticks. Must run before any
+    /// one batched access (one move to the LRU head). Must run before any
     /// other MAC-cache access.
     fn mac_wc_flush(&mut self) {
         if let Some((index, pending)) = self.mac_wc.take() {
             if !pending.is_empty() {
                 let resident = self.mac_cache.update_tags(index, &pending);
-                debug_assert!(resident, "combined MAC line evicted while buffered");
+                assert!(resident, "combined MAC line evicted while buffered");
             }
         }
     }

@@ -5,9 +5,12 @@
 //! before any other access, while Lelantus touches only the scattered
 //! lines the application actually uses. This tracker records, per 4 KB
 //! region, a 64-bit bitmap of lines physically read and written.
+//! Regions are kept in a hash map with the cheap
+//! [`lelantus_types::hash::IndexHasher`], since the simulator computes
+//! the region numbers itself.
 
+use lelantus_types::hash::IndexMap;
 use lelantus_types::{PhysAddr, LINE_BYTES, REGION_BYTES};
-use std::collections::HashMap;
 
 /// Which direction an access was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,13 +62,13 @@ impl RegionFootprint {
 #[derive(Debug, Clone, Default)]
 pub struct FootprintTracker {
     enabled: bool,
-    regions: HashMap<u64, RegionFootprint>,
+    regions: IndexMap<u64, RegionFootprint>,
 }
 
 impl FootprintTracker {
     /// Creates a tracker; a disabled tracker records nothing.
     pub fn new(enabled: bool) -> Self {
-        Self { enabled, regions: HashMap::new() }
+        Self { enabled, regions: IndexMap::default() }
     }
 
     /// Records a physical access at `addr`.

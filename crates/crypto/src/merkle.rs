@@ -11,7 +11,9 @@
 //! This module implements an 8-ary hash tree over counter-block
 //! digests, with an LRU node cache modelling the trusted on-chip
 //! copies, and reports how many node fetches each verify/update needed
-//! so the memory controller can charge the corresponding traffic.
+//! so the memory controller can charge the corresponding traffic. The
+//! node cache is a [`lelantus_types::lru::LruMap`] keyed by node
+//! number, so every touch and eviction on a walk is O(1).
 //!
 //! # Deferred maintenance (host-side write combining)
 //!
@@ -22,13 +24,15 @@
 //! its leaf dirty and ancestors are rehashed once per
 //! [`MerkleTree::flush`] point, so a page sweep that bumps 64
 //! neighbouring counters recomputes their shared ancestors once instead
-//! of 64 times. The cache-model walk (LRU ticks, hits, `WalkStats`) is
+//! of 64 times. The cache-model walk (LRU order, hits, `WalkStats`) is
 //! performed identically in both modes, and verification force-flushes
 //! pending subtrees first, so nothing simulated can observe the
 //! difference.
 
 use crate::siphash::SipHash24;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use lelantus_types::hash::BuildIndexHasher;
+use lelantus_types::lru::LruMap;
+use std::collections::BTreeSet;
 
 /// Tree fan-out. Eight 64-bit child digests fit one 64-byte metadata
 /// line, mirroring how BMT nodes are laid out in NVM.
@@ -85,15 +89,10 @@ pub struct MerkleTree {
     mac: SipHash24,
     /// levels[0] = leaf digests, last level = [root].
     levels: Vec<Vec<u64>>,
-    /// LRU node cache: maps (level, index) -> lru tick. Nodes present
-    /// here are trusted on-chip copies.
-    cache: HashMap<(usize, usize), u64>,
-    /// Reverse index tick -> node for O(log n) eviction. Ticks are
-    /// unique (strictly monotonic), so the smallest key is exactly the
-    /// node a linear min-scan would have picked.
-    lru: BTreeMap<u64, (usize, usize)>,
+    /// LRU node cache keyed by [`Self::node_key`]. Nodes present here
+    /// are trusted on-chip copies.
+    cache: LruMap<u64, (), BuildIndexHasher>,
     cache_capacity: usize,
-    tick: u64,
     /// When set, interior-node hashing is deferred to [`Self::flush`];
     /// `dirty_leaves` holds the leaves whose ancestor paths are stale.
     deferred: bool,
@@ -127,10 +126,8 @@ impl MerkleTree {
         Self {
             mac,
             levels,
-            cache: HashMap::new(),
-            lru: BTreeMap::new(),
+            cache: LruMap::default(),
             cache_capacity,
-            tick: 0,
             deferred: false,
             dirty_leaves: BTreeSet::new(),
             record_touches: false,
@@ -209,39 +206,32 @@ impl MerkleTree {
         self.dirty_leaves.len()
     }
 
-    /// Moves a node to the LRU front under a fresh tick.
-    fn lru_bump(&mut self, level: usize, idx: usize) {
-        self.tick += 1;
-        if let Some(old) = self.cache.insert((level, idx), self.tick) {
-            self.lru.remove(&old);
-        }
-        self.lru.insert(self.tick, (level, idx));
+    /// The node cache's key for node `idx` of `level`.
+    fn node_key(level: usize, idx: usize) -> u64 {
+        ((level as u64) << 56) | idx as u64
     }
 
+    /// Moves a node to the recency head, inserting it first if absent,
+    /// then evicts the least recent node if the cache is over capacity
+    /// (with capacity 0, that is the node just touched).
     fn cache_touch(&mut self, level: usize, idx: usize) {
         // The root is always trusted; do not occupy cache space for it.
         if level + 1 == self.levels.len() {
             return;
         }
-        self.lru_bump(level, idx);
+        self.cache.insert(Self::node_key(level, idx), ());
         if self.cache.len() > self.cache_capacity {
-            // Smallest tick = least recently used.
-            if let Some((_, victim)) = self.lru.pop_first() {
-                self.cache.remove(&victim);
-            }
+            self.cache.pop_lru();
         }
     }
 
+    /// Whether a node is trusted on-chip; a cached node moves to the
+    /// recency head.
     fn cache_hit(&mut self, level: usize, idx: usize) -> bool {
         if level + 1 == self.levels.len() {
             return true; // root: always on-chip
         }
-        if self.cache.contains_key(&(level, idx)) {
-            self.lru_bump(level, idx);
-            true
-        } else {
-            false
-        }
+        self.cache.get(&Self::node_key(level, idx)).is_some()
     }
 
     /// Recomputes the digest path after `data` was written to leaf
@@ -373,9 +363,7 @@ impl MerkleTree {
     /// fault-injection; models an attacker flipping NVM bits).
     pub fn corrupt_leaf_digest(&mut self, leaf: usize) {
         self.levels[0][leaf] ^= 0xdead_beef;
-        if let Some(t) = self.cache.remove(&(0, leaf)) {
-            self.lru.remove(&t);
-        }
+        self.cache.remove(&Self::node_key(0, leaf));
     }
 }
 

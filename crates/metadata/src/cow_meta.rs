@@ -12,9 +12,12 @@
 //! [`CowMetaTable`] is the *functional* table (what NVM holds);
 //! [`CowCache`] is the on-chip cache in front of it. The memory
 //! controller charges NVM traffic for table reads/writes that miss the
-//! cache.
+//! cache. Both are keyed by region numbers the simulator computes, so
+//! they hash with the cheap [`lelantus_types::hash::IndexHasher`]; the
+//! cache is a [`LruMap`], so a lookup, fill or eviction is O(1).
 
-use std::collections::HashMap;
+use lelantus_types::hash::{BuildIndexHasher, IndexMap};
+use lelantus_types::lru::LruMap;
 
 /// The in-NVM mapping `region → source region` for CoW pages.
 ///
@@ -36,7 +39,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CowMetaTable {
-    slots: HashMap<u64, u64>,
+    slots: IndexMap<u64, u64>,
 }
 
 impl CowMetaTable {
@@ -126,9 +129,8 @@ impl CowCacheStats {
 /// has no source" is as useful as the source itself.
 #[derive(Debug, Clone)]
 pub struct CowCache {
-    entries: HashMap<u64, (Option<u64>, u64)>,
+    entries: LruMap<u64, Option<u64>, BuildIndexHasher>,
     capacity: usize,
-    tick: u64,
     stats: CowCacheStats,
 }
 
@@ -140,7 +142,7 @@ impl CowCache {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "CoW cache needs capacity");
-        Self { entries: HashMap::new(), capacity, tick: 0, stats: CowCacheStats::default() }
+        Self { entries: LruMap::default(), capacity, stats: CowCacheStats::default() }
     }
 
     /// The paper's default: 32 KB of the counter cache, 8 B per entry.
@@ -156,12 +158,9 @@ impl CowCache {
     /// Looks up `region`. `Some(mapping)` on hit (the mapping itself
     /// may be `None` = "known to have no source"), `None` on miss.
     pub fn lookup(&mut self, region: u64) -> Option<Option<u64>> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((mapping, lru)) = self.entries.get_mut(&region) {
-            *lru = tick;
+        if let Some(&mut mapping) = self.entries.get(&region) {
             self.stats.hits += 1;
-            Some(*mapping)
+            Some(mapping)
         } else {
             self.stats.misses += 1;
             None
@@ -171,18 +170,14 @@ impl CowCache {
     /// Fills `region`'s mapping after an NVM table read (or updates it
     /// after a command), evicting LRU if full.
     pub fn fill(&mut self, region: u64, mapping: Option<u64>) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.get_mut(&region) {
-            *e = (mapping, tick);
+        if let Some(e) = self.entries.get(&region) {
+            *e = mapping;
             return;
         }
         if self.entries.len() >= self.capacity {
-            if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, (_, lru))| *lru) {
-                self.entries.remove(&victim);
-            }
+            self.entries.pop_lru();
         }
-        self.entries.insert(region, (mapping, tick));
+        self.entries.insert(region, mapping);
     }
 
     /// Drops `region` from the cache (e.g. on `page_free`).

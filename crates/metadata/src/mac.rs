@@ -8,8 +8,14 @@
 //! those MACs; the 8-byte tags themselves live in NVM (eight per
 //! 64-byte metadata line, placed by [`crate::MetadataLayout`]) and the
 //! memory controller computes them with its keyed hash.
+//!
+//! The cache is fully associative and LRU. It is a
+//! [`lelantus_types::lru::LruMap`] keyed by MAC-line index: a hit, a
+//! fill or a batched tag update moves the line to the recency head in
+//! O(1), and a fill into a full cache evicts the recency tail.
 
-use std::collections::{BTreeMap, HashMap};
+use lelantus_types::hash::BuildIndexHasher;
+use lelantus_types::lru::LruMap;
 
 /// Number of 8-byte MACs per 64-byte metadata line.
 pub const MACS_PER_LINE: usize = 8;
@@ -65,13 +71,9 @@ pub struct EvictedMacLine {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MacCache {
-    entries: HashMap<u64, (MacLine, bool, u64)>,
-    /// Reverse index lru-tick -> line index for O(log n) eviction.
-    /// Ticks are unique (strictly monotonic per assignment), so the
-    /// smallest key is exactly the line a linear min-scan would pick.
-    lru: BTreeMap<u64, u64>,
+    /// Line index -> (tags, dirty), in recency order.
+    lines: LruMap<u64, (MacLine, bool), BuildIndexHasher>,
     capacity: usize,
-    tick: u64,
     stats: MacCacheStats,
 }
 
@@ -83,13 +85,7 @@ impl MacCache {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MAC cache needs capacity");
-        Self {
-            entries: HashMap::new(),
-            lru: BTreeMap::new(),
-            capacity,
-            tick: 0,
-            stats: MacCacheStats::default(),
-        }
+        Self { lines: LruMap::default(), capacity, stats: MacCacheStats::default() }
     }
 
     /// Accumulated counters.
@@ -99,14 +95,8 @@ impl MacCache {
 
     /// Looks up MAC line `index`, updating LRU and hit/miss counters.
     pub fn get(&mut self, index: u64) -> Option<MacLine> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(&index) {
-            Some((line, _, lru)) => {
-                let line = *line;
-                let old = std::mem::replace(lru, tick);
-                self.lru.remove(&old);
-                self.lru.insert(tick, index);
+        match self.lines.get(&index) {
+            Some(&mut (line, _)) => {
                 self.stats.hits += 1;
                 Some(line)
             }
@@ -120,32 +110,21 @@ impl MacCache {
     /// Inserts a MAC line (fill after an NVM read, or a fresh update).
     /// Returns a dirty victim that must be written back.
     pub fn fill(&mut self, index: u64, macs: MacLine, dirty: bool) -> Option<EvictedMacLine> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.get_mut(&index) {
+        if let Some(e) = self.lines.get(&index) {
             e.0 = macs;
             e.1 |= dirty;
-            let old = std::mem::replace(&mut e.2, tick);
-            self.lru.remove(&old);
-            self.lru.insert(tick, index);
             return None;
         }
-        let victim = if self.entries.len() >= self.capacity {
-            // Smallest tick = least recently used.
-            self.lru.pop_first().and_then(|(_, k)| {
-                let (line, was_dirty, _) = self.entries.remove(&k).expect("present");
+        let mut victim = None;
+        if self.lines.len() >= self.capacity {
+            if let Some((k, (line, was_dirty))) = self.lines.pop_lru() {
                 if was_dirty {
                     self.stats.writebacks += 1;
-                    Some(EvictedMacLine { index: k, macs: line })
-                } else {
-                    None
+                    victim = Some(EvictedMacLine { index: k, macs: line });
                 }
-            })
-        } else {
-            None
-        };
-        self.entries.insert(index, (macs, dirty, tick));
-        self.lru.insert(tick, index);
+            }
+        }
+        self.lines.insert(index, (macs, dirty));
         victim
     }
 
@@ -156,24 +135,19 @@ impl MacCache {
     }
 
     /// Applies a batch of `(slot, tag)` writes to one (resident) MAC
-    /// line in order, marking it dirty. Exactly equivalent to that many
-    /// sequential [`MacCache::update_tag`] calls — the LRU tick
-    /// advances once per buffered write and the entry lands on the
-    /// final tick — which is what lets a write combiner replay its
-    /// pending updates in one cache access. Returns false (and still
-    /// advances the tick) if the line is not resident.
+    /// line in order, marking it dirty, with one move to the recency
+    /// head. Exactly equivalent to that many sequential
+    /// [`MacCache::update_tag`] calls, each of which would move the
+    /// same line to the head again — which is what lets a write
+    /// combiner replay its pending updates in one cache access.
+    /// Returns false if the line is not resident.
     pub fn update_tags(&mut self, index: u64, updates: &[(usize, u64)]) -> bool {
-        self.tick += updates.len() as u64;
-        let tick = self.tick;
-        match self.entries.get_mut(&index) {
-            Some((line, dirty, lru)) => {
+        match self.lines.get(&index) {
+            Some((line, dirty)) => {
                 for &(slot, tag) in updates {
                     line[slot] = tag;
                 }
                 *dirty = true;
-                let old = std::mem::replace(lru, tick);
-                self.lru.remove(&old);
-                self.lru.insert(tick, index);
                 true
             }
             None => false,
@@ -183,30 +157,29 @@ impl MacCache {
     /// Drains every dirty MAC line (flush / crash).
     pub fn drain_dirty(&mut self) -> Vec<EvictedMacLine> {
         let mut out = Vec::new();
-        for (&index, entry) in self.entries.iter_mut() {
-            if entry.1 {
-                entry.1 = false;
-                out.push(EvictedMacLine { index, macs: entry.0 });
+        self.lines.for_each_mut(|&index, (macs, dirty)| {
+            if *dirty {
+                *dirty = false;
+                out.push(EvictedMacLine { index, macs: *macs });
             }
-        }
+        });
         out.sort_by_key(|e| e.index);
         out
     }
 
     /// Drops all entries (power loss — MACs persist in NVM).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.lru.clear();
+        self.lines.clear();
     }
 
     /// Number of resident MAC lines.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lines.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lines.is_empty()
     }
 }
 
@@ -302,7 +275,7 @@ mod tests {
         assert_eq!(vs, vb);
         assert!(seq.get(1).is_some() && bat.get(1).is_some());
         assert_eq!(seq.stats(), bat.stats());
-        // A miss still advances the clock but reports false.
+        // A non-resident line reports false.
         assert!(!bat.update_tags(99, &[(0, 1)]));
     }
 

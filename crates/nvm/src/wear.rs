@@ -6,9 +6,14 @@
 //! write-endurance memories" (§II-D). The tracker counts writes per
 //! 4 KB region and exposes the aggregate/maximum figures that the
 //! write-reduction results (Figs 9b/9d/11) are derived from.
+//!
+//! Regions are counted in a hash map with the cheap
+//! [`lelantus_types::hash::IndexHasher`]: the keys are device region
+//! numbers the simulator computes, and only touched regions cost
+//! memory.
 
+use lelantus_types::hash::IndexMap;
 use lelantus_types::{PhysAddr, REGION_BYTES};
-use std::collections::HashMap;
 
 /// Per-region write counters plus aggregate wear statistics.
 ///
@@ -26,7 +31,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WearTracker {
-    per_region: HashMap<u64, u64>,
+    per_region: IndexMap<u64, u64>,
     total: u64,
 }
 

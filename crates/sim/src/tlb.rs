@@ -11,9 +11,15 @@
 //! page-table mutation (fork write-protection, CoW remap, KSM merge,
 //! exit) must invalidate affected entries — the [`crate::System`]
 //! wrapper performs those shootdowns.
+//!
+//! Each level is a fully-associative [`LruMap`]: a hit or a fill moves
+//! the entry to the recency head and a fill into a full level evicts
+//! the recency tail, all in O(1). Its keys hold virtual page numbers
+//! taken from the workload or a trace, so the levels keep `std`'s
+//! randomly keyed hasher.
 
+use lelantus_types::lru::LruMap;
 use lelantus_types::{PageSize, PhysAddr, VirtAddr};
-use std::collections::HashMap;
 
 /// TLB geometry and timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,43 +132,30 @@ struct Key {
     size_2m: bool,
 }
 
-/// One fully-associative LRU level (a HashMap with tick-based LRU; TLB
-/// levels are small enough that associativity conflicts are a
-/// second-order effect next to capacity).
-#[derive(Debug, Clone, Default)]
+/// One fully-associative LRU level (TLB levels are small enough that
+/// associativity conflicts are a second-order effect next to
+/// capacity).
+#[derive(Debug, Clone)]
 struct Level {
-    entries: HashMap<Key, (TlbEntry, u64)>,
+    entries: LruMap<Key, TlbEntry>,
     capacity: usize,
-    tick: u64,
 }
 
 impl Level {
     fn new(capacity: usize) -> Self {
-        Self { entries: HashMap::new(), capacity, tick: 0 }
+        Self { entries: LruMap::default(), capacity }
     }
 
     fn get(&mut self, key: Key) -> Option<TlbEntry> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(&key).map(|(e, lru)| {
-            *lru = tick;
-            *e
-        })
+        self.entries.get(&key).copied()
     }
 
     fn insert(&mut self, key: Key, entry: TlbEntry) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(slot) = self.entries.get_mut(&key) {
-            *slot = (entry, tick);
-            return;
+        if self.entries.insert(key, entry).is_none() && self.entries.len() > self.capacity {
+            // The new entry is at the head; the tail is the least
+            // recently used of the entries that were already resident.
+            self.entries.pop_lru();
         }
-        if self.entries.len() >= self.capacity {
-            if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, (_, lru))| *lru) {
-                self.entries.remove(&victim);
-            }
-        }
-        self.entries.insert(key, (entry, tick));
     }
 
     fn remove(&mut self, key: Key) -> bool {
@@ -199,7 +192,7 @@ pub struct Tlb {
     /// One-entry last-translation cache in front of the arrays: the
     /// `(pid, page base)` of the most recent successful translation.
     /// Run-shaped access streams (a batch sweeping one page) hit here
-    /// without touching the HashMap levels; charged like an L1 hit.
+    /// without touching the LRU levels; charged like an L1 hit.
     front: Option<(u64, u64, TlbEntry)>,
     stats: TlbStats,
 }

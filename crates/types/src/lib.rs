@@ -18,6 +18,8 @@
 
 pub mod addr;
 pub mod cycles;
+pub mod hash;
+pub mod lru;
 pub mod page;
 
 pub use addr::{PhysAddr, VirtAddr};
