@@ -15,9 +15,9 @@
 //! scheduled across cores via `run_cells`.
 
 use lelantus_bench::results::{timed_emit, Record};
-use lelantus_bench::{fmt_pct, fmt_x, print_table, run_cells, sim_config, Scale};
+use lelantus_bench::{fmt_pct, fmt_x, print_table, run_cells, Scale};
 use lelantus_os::CowStrategy;
-use lelantus_sim::System;
+use lelantus_sim::{SimConfig, System};
 use lelantus_types::PageSize;
 use lelantus_workloads::forkbench::Forkbench;
 
@@ -42,7 +42,7 @@ fn main() {
             // on `bytes_per_page`, so its snapshot seeds every point.
             let warm = run_cells(strategies.len(), |strat_i| {
                 let wl = Forkbench { total_bytes, bytes_per_page: None };
-                let mut sys = System::new(sim_config(strategies[strat_i], page));
+                let mut sys = System::new(SimConfig::new(strategies[strat_i], page));
                 let state = wl.setup(&mut sys).expect("forkbench setup");
                 (sys.snapshot(), state)
             });

@@ -1,13 +1,13 @@
-//! Micro-benchmarks for the access-engine fast path: the batched
-//! run-cached driver against the per-line reference path, and
-//! snapshot-forked sweep measurement against warm-up replay.
+//! Micro-benchmarks for the access engine: the batched run-cached
+//! driver's cost per line, and snapshot-forked sweep measurement
+//! against warm-up replay.
 //!
-//! This target is also the performance gate for the fast path: it
-//! *asserts* that forking a sweep point from a warm snapshot is at
-//! least 3x faster than replaying the warm-up — the mechanism behind
-//! the fig11 sweep's wall-clock win. Both comparisons are checked for
-//! bit-identical simulated metrics before timing is trusted (the
-//! equivalence proper is `tests/access_fastpath.rs`).
+//! This target is also a performance gate: it *asserts* that forking a
+//! sweep point from a warm snapshot is at least 3x faster than
+//! replaying the warm-up — the mechanism behind the fig11 sweep's
+//! wall-clock win. The fork is checked for bit-identical simulated
+//! metrics before timing is trusted (the equivalence proper is
+//! `tests/access_fastpath.rs`).
 
 use lelantus_bench::results::{timed_emit, Record};
 use lelantus_bench::Scale;
@@ -34,13 +34,8 @@ fn min_time<R>(mut f: impl FnMut() -> R) -> (f64, R) {
     (best, out.expect("REPS >= 1"))
 }
 
-fn config(reference_access: bool) -> SimConfig {
-    let cfg = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
-    if reference_access {
-        cfg.with_reference_access_path()
-    } else {
-        cfg
-    }
+fn config() -> SimConfig {
+    SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K)
 }
 
 fn main() {
@@ -53,31 +48,17 @@ fn main() {
         let total_lines = wl.total_bytes / LINE_BYTES as u64
             + (wl.total_bytes / PageSize::Regular4K.bytes()) * 32;
 
-        // --- batched driver vs per-line reference ----------------------
-        let (ref_s, ref_run) = min_time(|| {
-            let mut sys = System::new(config(true));
+        // --- batched driver ------------------------------------------
+        let (fast_s, _) = min_time(|| {
+            let mut sys = System::new(config());
             wl.run(&mut sys).unwrap()
         });
-        let (fast_s, fast_run) = min_time(|| {
-            let mut sys = System::new(config(false));
-            wl.run(&mut sys).unwrap()
-        });
-        assert_eq!(
-            ref_run.measured, fast_run.measured,
-            "batched path must simulate identically to the reference"
-        );
-        let driver_speedup = ref_s / fast_s;
-        let ns_per_line = |s: f64| s * 1e9 / total_lines as f64;
+        let ns_per_line = fast_s * 1e9 / total_lines as f64;
         println!(
-            "driver (forkbench, {} MB): reference {:.1} ns/line, batched {:.1} ns/line ({:.2}x)",
-            wl.total_bytes >> 20,
-            ns_per_line(ref_s),
-            ns_per_line(fast_s),
-            driver_speedup
+            "driver (forkbench, {} MB): batched {ns_per_line:.1} ns/line",
+            wl.total_bytes >> 20
         );
-        records.push(Record::new("driver_per_line", ns_per_line(ref_s), "ns/line").timed(ref_s));
-        records.push(Record::new("driver_batched", ns_per_line(fast_s), "ns/line").timed(fast_s));
-        records.push(Record::new("speedup/driver_batched", driver_speedup, "x"));
+        records.push(Record::new("driver_batched", ns_per_line, "ns/line").timed(fast_s));
 
         // --- snapshot-fork vs warm-up replay (one sweep point) ---------
         // The fig11 shape: one sweep point (b = 1) measured either by
@@ -85,10 +66,10 @@ fn main() {
         // measured phase from a snapshot of the shared warm state.
         let point = Forkbench { total_bytes: wl.total_bytes, bytes_per_page: Some(1) };
         let (replay_s, replay_run) = min_time(|| {
-            let mut sys = System::new(config(false));
+            let mut sys = System::new(config());
             point.run(&mut sys).unwrap()
         });
-        let mut warm_sys = System::new(config(false));
+        let mut warm_sys = System::new(config());
         let state = point.setup(&mut warm_sys).unwrap();
         let snapshot = warm_sys.snapshot();
         let (fork_s, fork_run): (f64, WorkloadRun) = min_time(|| {

@@ -1,18 +1,12 @@
-//! Micro-benchmarks for the metadata fast path: the word-level
-//! counter-block codec against the bit-by-bit reference, the MAC-line
-//! (de)serializers, and Merkle maintenance in both eager and deferred
-//! shapes.
-//!
-//! This target is also the performance gate for the codec fast path:
-//! it *asserts* that the word-level encoder and decoder run at least
-//! 4x faster than the reference they replaced (the PR-2 baseline
-//! measured 784.74 / 644.32 ns per encode/decode on this harness).
+//! Micro-benchmarks for the metadata path: the word-level counter-block
+//! codec, the MAC-line (de)serializers, and Merkle maintenance in both
+//! eager and deferred shapes.
 
 use lelantus_bench::harness::bench;
 use lelantus_bench::results::{timed_emit, Record};
 use lelantus_crypto::MerkleTree;
 use lelantus_metadata::mac::{decode_mac_line, encode_mac_line};
-use lelantus_metadata::{CounterBlock, CounterCodec, CounterEncoding};
+use lelantus_metadata::{CounterBlock, CounterEncoding};
 use std::hint::black_box;
 
 fn main() {
@@ -20,44 +14,19 @@ fn main() {
         let mut records = Vec::new();
         let mut ms = Vec::new();
 
-        // --- counter-block codec: word-level vs reference --------------
+        // --- counter-block codec ---------------------------------------
         let cow = CounterBlock::fresh_cow(42);
         let regular = CounterBlock::fresh_regular(1);
-        let word_enc = bench("codec_encode_resized_word", || {
-            black_box(&cow).encode_with(CounterEncoding::Resized, CounterCodec::Word)
-        });
-        let ref_enc = bench("codec_encode_resized_reference", || {
-            black_box(&cow).encode_with(CounterEncoding::Resized, CounterCodec::Reference)
-        });
+        let word_enc =
+            bench("codec_encode_resized_word", || black_box(&cow).encode(CounterEncoding::Resized));
         let bytes = cow.encode(CounterEncoding::Resized);
         let word_dec = bench("codec_decode_resized_word", || {
-            CounterBlock::decode_with(
-                black_box(&bytes),
-                CounterEncoding::Resized,
-                CounterCodec::Word,
-            )
-        });
-        let ref_dec = bench("codec_decode_resized_reference", || {
-            CounterBlock::decode_with(
-                black_box(&bytes),
-                CounterEncoding::Resized,
-                CounterCodec::Reference,
-            )
+            CounterBlock::decode(black_box(&bytes), CounterEncoding::Resized)
         });
         let word_enc_classic = bench("codec_encode_classic_word", || {
-            black_box(&regular).encode_with(CounterEncoding::Classic, CounterCodec::Word)
+            black_box(&regular).encode(CounterEncoding::Classic)
         });
-        let ref_enc_classic = bench("codec_encode_classic_reference", || {
-            black_box(&regular).encode_with(CounterEncoding::Classic, CounterCodec::Reference)
-        });
-        ms.extend([
-            word_enc.clone(),
-            ref_enc.clone(),
-            word_dec.clone(),
-            ref_dec.clone(),
-            word_enc_classic.clone(),
-            ref_enc_classic.clone(),
-        ]);
+        ms.extend([word_enc, word_dec, word_enc_classic]);
 
         // --- MAC-line (de)serializers ----------------------------------
         let macs = [0x1122334455667788u64; 8];
@@ -102,28 +71,12 @@ fn main() {
         });
         ms.extend([eager_sweep.clone(), deferred_sweep.clone(), verify_cold, verify_cached]);
 
-        // --- the fast-path claims --------------------------------------
-        let enc_speedup = word_enc.speedup_over(&ref_enc);
-        let dec_speedup = word_dec.speedup_over(&ref_dec);
-        let enc_classic_speedup = word_enc_classic.speedup_over(&ref_enc_classic);
         let sweep_speedup = deferred_sweep.speedup_over(&eager_sweep);
-        println!("\nmetadata fast-path speedup over the reference:");
-        println!("  resized encode (word-level)  {enc_speedup:.2}x");
-        println!("  resized decode (word-level)  {dec_speedup:.2}x");
-        println!("  classic encode (word-level)  {enc_classic_speedup:.2}x");
-        println!("  64-leaf sweep (deferred)     {sweep_speedup:.2}x");
-        assert!(
-            enc_speedup >= 4.0 && dec_speedup >= 4.0,
-            "word-level codec must be >=4x the bit-by-bit reference \
-             (got {enc_speedup:.2}x encode / {dec_speedup:.2}x decode)"
-        );
+        println!("\n64-leaf Merkle sweep, deferred over eager: {sweep_speedup:.2}x");
 
         for m in &ms {
             records.push(Record::new(&m.name, m.ns_per_iter, "ns/iter").timed(m.elapsed_s));
         }
-        records.push(Record::new("speedup/codec_encode_resized", enc_speedup, "x"));
-        records.push(Record::new("speedup/codec_decode_resized", dec_speedup, "x"));
-        records.push(Record::new("speedup/codec_encode_classic", enc_classic_speedup, "x"));
         records.push(Record::new("speedup/merkle_sweep64_deferred", sweep_speedup, "x"));
         records
     });

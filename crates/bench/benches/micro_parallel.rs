@@ -12,9 +12,9 @@
 //! 4x).
 
 use lelantus_bench::results::{timed_emit, Record};
-use lelantus_bench::{run_cells, sim_config, Scale};
+use lelantus_bench::{run_cells, Scale};
 use lelantus_os::CowStrategy;
-use lelantus_sim::System;
+use lelantus_sim::{SimConfig, System};
 use lelantus_types::PageSize;
 use lelantus_workloads::forkbench::Forkbench;
 use lelantus_workloads::Workload;
@@ -31,7 +31,7 @@ fn run_sweep(total_bytes: u64) -> Vec<lelantus_sim::SimMetrics> {
     run_cells(POINTS.len() * strategies.len(), |i| {
         let (point_i, strat_i) = (i / strategies.len(), i % strategies.len());
         let wl = Forkbench { total_bytes, bytes_per_page: Some(POINTS[point_i]) };
-        let mut sys = System::new(sim_config(strategies[strat_i], PageSize::Regular4K));
+        let mut sys = System::new(SimConfig::new(strategies[strat_i], PageSize::Regular4K));
         wl.run(&mut sys).expect("forkbench").measured
     })
 }

@@ -3,9 +3,9 @@
 //! The build environment has no criterion, so the micro targets use
 //! this: warm up, calibrate the iteration count to a target wall-clock
 //! budget, then measure. No statistics beyond the mean — the consumers
-//! are throughput *ratios* (T-table vs reference AES, batched vs
-//! per-line pads) where run-to-run noise of a few percent is
-//! irrelevant against order-of-magnitude expectations.
+//! are absolute rows and throughput *ratios* (batched vs per-line
+//! pads, snapshot fork vs replay) where run-to-run noise of a few
+//! percent is irrelevant against order-of-magnitude expectations.
 
 use std::time::{Duration, Instant};
 

@@ -112,27 +112,10 @@ pub fn fig9_workloads(scale: Scale) -> Vec<Box<dyn Workload>> {
     }
 }
 
-/// The paper's default configuration for a (scheme, page size) cell,
-/// with the environment escape hatches applied: `LELANTUS_REFERENCE_AES`
-/// selects the byte-oriented reference cipher and
-/// `LELANTUS_REFERENCE_ACCESS` the per-line reference access path (for
-/// before/after wall-clock comparisons — results are bit-identical
-/// either way).
-pub fn sim_config(strategy: CowStrategy, page: PageSize) -> SimConfig {
-    let mut config = SimConfig::new(strategy, page);
-    if std::env::var_os("LELANTUS_REFERENCE_AES").is_some() {
-        config = config.with_reference_aes();
-    }
-    if std::env::var_os("LELANTUS_REFERENCE_ACCESS").is_some() {
-        config = config.with_reference_access_path();
-    }
-    config
-}
-
 /// Runs `workload` on a fresh system with the given scheme and page
 /// size, using the paper's default configuration.
 pub fn run_workload(workload: &dyn Workload, strategy: CowStrategy, page: PageSize) -> WorkloadRun {
-    let mut sys = System::new(sim_config(strategy, page));
+    let mut sys = System::new(SimConfig::new(strategy, page));
     workload.run(&mut sys).unwrap_or_else(|e| panic!("{}: {e}", workload.name()))
 }
 

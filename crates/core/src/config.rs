@@ -101,22 +101,6 @@ pub struct ControllerConfig {
     pub track_footprint: bool,
     /// AES-128 key for the counter-mode engine.
     pub key: [u8; 16],
-    /// Run the counter-mode engine on the byte-oriented reference AES
-    /// instead of the T-table cipher. Functionally identical and much
-    /// slower; only equivalence tests turn this on.
-    pub use_reference_aes: bool,
-    /// Serialize counter blocks with the original bit-by-bit codec
-    /// instead of the word-packing one. Byte-identical output and much
-    /// slower; only equivalence tests turn this on.
-    pub use_reference_codec: bool,
-    /// Recompute Merkle interior nodes on every counter write instead
-    /// of deferring to flush points. The simulated walk model is
-    /// identical either way; only equivalence tests turn this on.
-    pub use_eager_merkle: bool,
-    /// Combine consecutive same-line MAC updates through a one-line
-    /// buffer so page sweeps touch each MAC line once (host-side only;
-    /// cache ticks and stats are exact). On by default.
-    pub mac_write_combining: bool,
     /// Record cycle-attribution segments (counter fills, Merkle walks,
     /// MAC traffic, AES pads, CoW redirects, implicit copies) for the
     /// system layer's [`CycleLedger`](lelantus_obs::CycleLedger). Off
@@ -161,10 +145,6 @@ impl ControllerConfig {
             mac_cache_lines: 1024,
             track_footprint: true,
             key: *b"lelantus-aes-key",
-            use_reference_aes: false,
-            use_reference_codec: false,
-            use_eager_merkle: false,
-            mac_write_combining: true,
             cycle_ledger: false,
             heatmap: false,
         }

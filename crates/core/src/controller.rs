@@ -31,7 +31,7 @@ use lelantus_cache::LineBackend;
 use lelantus_crypto::ctr::{xor_line, CtrEngine, IvSpec};
 use lelantus_crypto::merkle::MerkleTree;
 use lelantus_crypto::siphash::SipHash24;
-use lelantus_metadata::counter_block::{CounterBlock, CounterCodec, CounterEncoding, MINORS};
+use lelantus_metadata::counter_block::{CounterBlock, CounterEncoding, MINORS};
 use lelantus_metadata::counter_cache::{CounterCache, WritePolicy};
 use lelantus_metadata::cow_meta::{CowCache, CowMetaTable};
 use lelantus_metadata::layout::MetadataLayout;
@@ -122,21 +122,15 @@ impl<P: Probe> SecureMemoryController<P> {
         config.validate().expect("invalid controller config");
         let layout = MetadataLayout::for_data_bytes(config.data_bytes);
         let mut merkle =
-            MerkleTree::new(layout.regions() as usize, MERKLE_KEY, config.merkle_cache_nodes);
-        if !config.use_eager_merkle {
-            merkle = merkle.with_deferred_maintenance();
-        }
+            MerkleTree::new(layout.regions() as usize, MERKLE_KEY, config.merkle_cache_nodes)
+                .with_deferred_maintenance();
         if config.heatmap {
             merkle = merkle.with_touch_log();
         }
         let persisted_root = merkle.root();
         Self {
             nvm: NvmDevice::with_probe(config.nvm.clone(), probe.clone()),
-            engine: if config.use_reference_aes {
-                CtrEngine::new_reference(config.key)
-            } else {
-                CtrEngine::new(config.key)
-            },
+            engine: CtrEngine::new(config.key),
             merkle,
             counter_cache: CounterCache::new(config.counter_cache),
             cow_cache: CowCache::new(config.cow_cache_entries),
@@ -355,14 +349,6 @@ impl<P: Probe> SecureMemoryController<P> {
         self.config.scheme.encoding()
     }
 
-    fn codec(&self) -> CounterCodec {
-        if self.config.use_reference_codec {
-            CounterCodec::Reference
-        } else {
-            CounterCodec::Word
-        }
-    }
-
     fn is_zero_region(&self, region: u64) -> bool {
         region < self.config.zero_area_bytes / REGION_BYTES
     }
@@ -400,7 +386,7 @@ impl<P: Probe> SecureMemoryController<P> {
         for line in 0..MINORS {
             block.minors[line] = self.initial_minor(region, line);
         }
-        let bytes = block.encode_with(self.encoding(), self.codec());
+        let bytes = block.encode(self.encoding());
         self.nvm.poke_line(self.layout.counter_addr_of_region(region), bytes);
         self.merkle.update_leaf(region as usize, &bytes);
         // Boot-time initialization is free of charge: its walk stats
@@ -444,7 +430,7 @@ impl<P: Probe> SecureMemoryController<P> {
         let t = t + Cycles::new(walk.nodes_fetched * self.config.nvm.row_hit_latency);
         self.seg(now, t_read, CycleCategory::CounterFill);
         self.seg(t_read, t, CycleCategory::MerkleWalk);
-        let block = CounterBlock::decode_with(&bytes, self.encoding(), self.codec());
+        let block = CounterBlock::decode(&bytes, self.encoding());
         if let Some(ev) = self.counter_cache.insert(region, block, false) {
             let encoding = self.encoding();
             self.counter_nvm_write(ev.region, &ev.block, encoding, now, false);
@@ -468,7 +454,7 @@ impl<P: Probe> SecureMemoryController<P> {
         if P::ENABLED {
             self.probe.emit(Event { cycle: now, kind: EventKind::CounterWriteback { region } });
         }
-        let bytes = block.encode_with(encoding, self.codec());
+        let bytes = block.encode(encoding);
         let caddr = self.layout.counter_addr_of_region(region);
         // Write-through counter management exists for persistence, so
         // its writes bypass the volatile queue (paper §V-E); ordinary
@@ -667,20 +653,18 @@ impl<P: Probe> SecureMemoryController<P> {
         let tag = self.data_mac(line_addr, cipher, major, minor);
         let index = self.layout.mac_line_index(line_addr);
         let (_, slot) = self.layout.mac_slot_of_line(line_addr);
-        if self.config.mac_write_combining {
-            if let Some((wc_index, pending)) = &mut self.mac_wc {
-                if *wc_index == index {
-                    // Same-line streak: the line is resident (its first
-                    // touch below established that, and every other
-                    // cache access flushes the buffer first), so this
-                    // is the resident update path — buffer it and let
-                    // `mac_wc_flush` replay the batch tick-exactly.
-                    pending.push((slot, tag));
-                    return now + Cycles::new(1);
-                }
+        if let Some((wc_index, pending)) = &mut self.mac_wc {
+            if *wc_index == index {
+                // Same-line streak: the line is resident (its first
+                // touch below established that, and every other cache
+                // access flushes the buffer first), so this is the
+                // resident update path — buffer it and let
+                // `mac_wc_flush` replay the batch tick-exactly.
+                pending.push((slot, tag));
+                return now + Cycles::new(1);
             }
-            self.mac_wc_flush();
         }
+        self.mac_wc_flush();
         if !self.mac_cache.update_tag(index, slot, tag) {
             // Fill-then-update keeps sibling tags intact.
             let (mut line, t) = self.fetch_mac_line(line_addr, now);
@@ -688,14 +672,10 @@ impl<P: Probe> SecureMemoryController<P> {
             if let Some(ev) = self.mac_cache.fill(index, line, true) {
                 self.writeback_mac_line(ev.index, &ev.macs, now);
             }
-            if self.config.mac_write_combining {
-                self.mac_wc = Some((index, Vec::new()));
-            }
+            self.mac_wc = Some((index, Vec::new()));
             return t;
         }
-        if self.config.mac_write_combining {
-            self.mac_wc = Some((index, Vec::new()));
-        }
+        self.mac_wc = Some((index, Vec::new()));
         now + Cycles::new(1)
     }
 
@@ -1240,7 +1220,8 @@ impl<P: Probe> SecureMemoryController<P> {
             self.layout.regions() as usize,
             MERKLE_KEY,
             self.config.merkle_cache_nodes,
-        );
+        )
+        .with_deferred_maintenance();
         let mut report = RecoveryReport::default();
         let mut regions: Vec<u64> = self.initialized_regions.iter().copied().collect();
         regions.sort_unstable();
@@ -1259,6 +1240,7 @@ impl<P: Probe> SecureMemoryController<P> {
                 }
             }
         }
+        rebuilt.flush();
         if rebuilt.root() != saved_root {
             return Err(lelantus_crypto::TamperError { leaf: 0, level: usize::MAX });
         }

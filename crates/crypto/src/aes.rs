@@ -8,22 +8,22 @@
 //! produces garbage — which is exactly the failure mode Lelantus' CoW
 //! redirection must avoid by fetching the source page's counters.
 //!
-//! Three implementations live here:
+//! Two implementations live here; each is the only one `CtrEngine`
+//! can use on some supported CPU:
 //!
 //! * [`ni::Aes128Ni`] — the paper's assumption made literal: hardware
 //!   AES via the x86-64 `aesenc` instructions, used for pad generation
 //!   whenever the host CPU supports it (runtime-detected).
-//! * [`Aes128`] — the portable fast path: a precomputed 32-bit T-table
+//! * [`Aes128`] — the portable path: a precomputed 32-bit T-table
 //!   encryptor (four 1 KB tables generated at compile time, rounds
 //!   fully unrolled). Every simulated 64-byte line access costs four
 //!   block encryptions, so pad generation is the single hottest
-//!   function in the simulator; the T-table form is several times
-//!   faster than the byte-oriented cipher it replaced.
-//! * [`reference::Aes128`] — the original byte-oriented S-box/xtime
-//!   implementation, kept verbatim as the obviously-correct reference.
-//!   All implementations are proven equal on the FIPS-197 appendix
-//!   vectors and on random keys/blocks (see the tests here and
-//!   `tests/fastpath_equivalence.rs` at the workspace root).
+//!   function in the simulator.
+//!
+//! Both are encrypt-only: counter mode XORs with *encrypted* pads in
+//! both directions. The unit tests check them against a byte-oriented
+//! S-box/xtime model of FIPS-197 (encrypt and inverse), on the
+//! standard's appendix vectors and on random keys and blocks.
 //!
 //! Neither implementation is side-channel resistant; the simulator
 //! never handles real secrets.
@@ -48,17 +48,6 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// The inverse AES S-box, inverted from [`SBOX`] at compile time.
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
-
 /// Round constants for the AES-128 key schedule.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
@@ -66,20 +55,6 @@ const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x
 #[inline]
 const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (if b & 0x80 != 0 { 0x1b } else { 0 })
-}
-
-/// Multiply two field elements in GF(2^8).
-#[inline]
-const fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut acc = 0u8;
-    while b != 0 {
-        if b & 1 != 0 {
-            acc ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    acc
 }
 
 /// Expands `key` into the 11 × 16-byte round-key schedule (FIPS-197
@@ -135,30 +110,24 @@ static TE: [[u32; 256]; 4] = {
     te
 };
 
-/// An AES-128 block cipher with a pre-expanded key schedule.
-///
-/// Encryption runs on the compile-time T-tables; decryption (only used
-/// by tests and diagnostics — counter mode XORs with *encrypted* pads
-/// in both directions) delegates to the byte-oriented
-/// [`reference::Aes128`] inverse cipher.
+/// An AES-128 encryptor on the compile-time T-tables, with a
+/// pre-expanded key schedule.
 ///
 /// # Examples
 ///
 /// ```
 /// use lelantus_crypto::Aes128;
 ///
-/// let aes = Aes128::new([0u8; 16]);
-/// let block = [0u8; 16];
-/// let ct = aes.encrypt_block(block);
-/// assert_eq!(aes.decrypt_block(ct), block);
+/// let aes = Aes128::new([7u8; 16]);
+/// let ct = aes.encrypt_block([0u8; 16]);
+/// assert_ne!(ct, [0u8; 16]);
+/// assert_eq!(aes.encrypt_blocks4([[0u8; 16]; 4]), [ct; 4]);
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
     /// Round keys as 44 big-endian words (4 per round), the layout the
     /// T-table rounds consume directly.
     enc: [u32; 44],
-    /// Byte-oriented schedule for the inverse cipher.
-    inv: reference::Aes128,
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -171,15 +140,14 @@ impl std::fmt::Debug for Aes128 {
 impl Aes128 {
     /// Expands `key` into the full round-key schedule.
     pub fn new(key: [u8; 16]) -> Self {
-        let inv = reference::Aes128::new(key);
         let mut enc = [0u32; 44];
-        for (r, rk) in inv.round_keys().iter().enumerate() {
+        for (r, rk) in expand_key_bytes(key).iter().enumerate() {
             for c in 0..4 {
                 enc[r * 4 + c] =
                     u32::from_be_bytes([rk[c * 4], rk[c * 4 + 1], rk[c * 4 + 2], rk[c * 4 + 3]]);
             }
         }
-        Self { enc, inv }
+        Self { enc }
     }
 
     /// Encrypts one 16-byte block.
@@ -261,8 +229,7 @@ impl Aes128 {
     /// A 64-byte line's one-time pad is four independent AES
     /// invocations (one per 16-byte pad block); running their rounds
     /// interleaved lets the four dependency chains overlap in the
-    /// pipeline instead of serializing, which is where most of the
-    /// line-encryption speedup over the reference cipher comes from.
+    /// pipeline instead of serializing.
     /// Bit-identical to four [`encrypt_block`](Self::encrypt_block)
     /// calls.
     pub fn encrypt_blocks4(&self, blocks: [[u8; 16]; 4]) -> [[u8; 16]; 4] {
@@ -347,16 +314,6 @@ impl Aes128 {
         }
         out
     }
-
-    /// Decrypts one 16-byte block.
-    ///
-    /// Counter-mode encryption never uses block decryption (both
-    /// directions XOR with an *encrypted* pad), so the inverse cipher
-    /// stays byte-oriented; it exists for completeness and to
-    /// cross-check the implementation in tests.
-    pub fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
-        self.inv.decrypt_block(block)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -369,8 +326,8 @@ impl Aes128 {
 /// (§II-B); when the host CPU has one too, `CtrEngine` runs the pad
 /// generation on it. Encrypt-only, like the T-table path — counter
 /// mode XORs with encrypted pads in both directions. Bit-identical to
-/// [`Aes128`](super::Aes128) and [`reference::Aes128`](super::reference::Aes128):
-/// it is the same cipher, checked against both in the tests.
+/// [`Aes128`](super::Aes128): it is the same cipher, checked against
+/// the byte-oriented model in the tests.
 #[cfg(target_arch = "x86_64")]
 pub mod ni {
     use super::expand_key_bytes;
@@ -470,44 +427,52 @@ pub mod ni {
     }
 }
 
-// ---------------------------------------------------------------------
-// Byte-oriented reference implementation
-// ---------------------------------------------------------------------
+/// The byte-oriented AES-128 model the production ciphers are checked
+/// against: S-box lookups plus xtime-based MixColumns, exactly as
+/// FIPS-197 writes it down, with the inverse cipher so round trips can
+/// be checked too. Not fast; test-only.
+#[cfg(test)]
+pub(crate) mod model {
+    use super::{expand_key_bytes, xtime, SBOX};
 
-/// The original byte-oriented AES-128: S-box lookups plus xtime-based
-/// MixColumns, exactly as FIPS-197 writes it down. Not fast — kept as
-/// the obviously-correct reference the T-table cipher is differentially
-/// tested against, and as the inverse cipher.
-pub mod reference {
-    use super::{expand_key_bytes, gmul, xtime, INV_SBOX, SBOX};
+    /// The inverse AES S-box, inverted from [`SBOX`] at compile time.
+    pub(super) const INV_SBOX: [u8; 256] = {
+        let mut inv = [0u8; 256];
+        let mut i = 0;
+        while i < 256 {
+            inv[SBOX[i] as usize] = i as u8;
+            i += 1;
+        }
+        inv
+    };
+
+    /// Multiply two field elements in GF(2^8).
+    pub(super) const fn gmul(mut a: u8, mut b: u8) -> u8 {
+        let mut acc = 0u8;
+        while b != 0 {
+            if b & 1 != 0 {
+                acc ^= a;
+            }
+            a = xtime(a);
+            b >>= 1;
+        }
+        acc
+    }
 
     /// Byte-oriented AES-128 with a pre-expanded key schedule.
-    #[derive(Clone)]
-    pub struct Aes128 {
+    pub(crate) struct ByteAes128 {
         /// 11 round keys of 16 bytes each.
         round_keys: [[u8; 16]; 11],
     }
 
-    impl std::fmt::Debug for Aes128 {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            // Never print key material.
-            f.debug_struct("Aes128").field("round_keys", &"<redacted>").finish()
-        }
-    }
-
-    impl Aes128 {
+    impl ByteAes128 {
         /// Expands `key` into the full round-key schedule.
-        pub fn new(key: [u8; 16]) -> Self {
+        pub(crate) fn new(key: [u8; 16]) -> Self {
             Self { round_keys: expand_key_bytes(key) }
         }
 
-        /// The expanded schedule (consumed by the T-table constructor).
-        pub(crate) fn round_keys(&self) -> &[[u8; 16]; 11] {
-            &self.round_keys
-        }
-
         /// Encrypts one 16-byte block.
-        pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
+        pub(crate) fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
             let mut state = block;
             add_round_key(&mut state, &self.round_keys[0]);
             for round in 1..10 {
@@ -523,7 +488,7 @@ pub mod reference {
         }
 
         /// Decrypts one 16-byte block.
-        pub fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
+        pub(crate) fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
             let mut state = block;
             add_round_key(&mut state, &self.round_keys[10]);
             for round in (1..10).rev() {
@@ -605,7 +570,9 @@ pub mod reference {
 
 #[cfg(test)]
 mod tests {
+    use super::model::{gmul, ByteAes128, INV_SBOX};
     use super::*;
+    use proptest::prelude::*;
 
     fn hex16(s: &str) -> [u8; 16] {
         let mut out = [0u8; 16];
@@ -615,113 +582,74 @@ mod tests {
         out
     }
 
-    #[test]
-    fn fips197_appendix_b_vector() {
-        // FIPS-197 Appendix B: single-block example.
-        let key = hex16("2b7e151628aed2a6abf7158809cf4f3c");
-        let pt = hex16("3243f6a8885a308d313198a2e0370734");
-        let expected = hex16("3925841d02dc09fbdc118597196a0b32");
-        let aes = Aes128::new(key);
-        assert_eq!(aes.encrypt_block(pt), expected);
-        assert_eq!(aes.decrypt_block(expected), pt);
-        let reference = reference::Aes128::new(key);
-        assert_eq!(reference.encrypt_block(pt), expected);
-        assert_eq!(reference.decrypt_block(expected), pt);
+    /// Hardware AES for `key` where the CPU has it.
+    #[cfg(target_arch = "x86_64")]
+    fn hardware(key: [u8; 16]) -> Option<ni::Aes128Ni> {
+        ni::Aes128Ni::try_new(key)
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn hardware(_key: [u8; 16]) -> Option<Aes128> {
+        None
     }
 
     #[test]
-    fn fips197_appendix_c_vector() {
-        // FIPS-197 Appendix C.1: AES-128 example vectors.
-        let key = hex16("000102030405060708090a0b0c0d0e0f");
-        let pt = hex16("00112233445566778899aabbccddeeff");
-        let expected = hex16("69c4e0d86a7b0430d8cdb78070b4c55a");
-        let aes = Aes128::new(key);
-        assert_eq!(aes.encrypt_block(pt), expected);
-        assert_eq!(aes.decrypt_block(expected), pt);
-        let reference = reference::Aes128::new(key);
-        assert_eq!(reference.encrypt_block(pt), expected);
-        assert_eq!(reference.decrypt_block(expected), pt);
-    }
-
-    #[test]
-    fn table_and_reference_ciphers_agree() {
-        // Pseudo-random keys and blocks; the dedicated equivalence
-        // suite at the workspace root drives many more.
-        let mut x = 0x0123_4567_89ab_cdefu64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..512 {
-            let mut key = [0u8; 16];
-            key[..8].copy_from_slice(&next().to_le_bytes());
-            key[8..].copy_from_slice(&next().to_le_bytes());
-            let mut block = [0u8; 16];
-            block[..8].copy_from_slice(&next().to_le_bytes());
-            block[8..].copy_from_slice(&next().to_le_bytes());
-            let fast = Aes128::new(key);
-            let slow = reference::Aes128::new(key);
-            let ct = fast.encrypt_block(block);
-            assert_eq!(ct, slow.encrypt_block(block));
-            assert_eq!(fast.decrypt_block(ct), block);
+    fn aes_implementations_agree_on_fips197_vectors() {
+        // FIPS-197 Appendix B, then Appendix C.1.
+        for (key, pt, ct) in [
+            (
+                "2b7e151628aed2a6abf7158809cf4f3c",
+                "3243f6a8885a308d313198a2e0370734",
+                "3925841d02dc09fbdc118597196a0b32",
+            ),
+            (
+                "000102030405060708090a0b0c0d0e0f",
+                "00112233445566778899aabbccddeeff",
+                "69c4e0d86a7b0430d8cdb78070b4c55a",
+            ),
+        ] {
+            let (key, pt, ct) = (hex16(key), hex16(pt), hex16(ct));
+            let model = ByteAes128::new(key);
+            assert_eq!(model.encrypt_block(pt), ct);
+            assert_eq!(model.decrypt_block(ct), pt);
+            assert_eq!(Aes128::new(key).encrypt_block(pt), ct);
+            if let Some(hw) = hardware(key) {
+                assert_eq!(hw.encrypt_block(pt), ct);
+            }
         }
     }
 
-    #[test]
-    fn encrypt_blocks4_matches_four_single_calls() {
-        let aes = Aes128::new(*b"interleave-key-4");
-        let mut x = 0x9e37_79b9u64;
-        let mut next = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            x
-        };
-        for _ in 0..128 {
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_aes_implementations_agree(key in prop::array::uniform16(any::<u8>()),
+                                          block in prop::array::uniform16(any::<u8>())) {
+            let model = ByteAes128::new(key);
+            let ct = model.encrypt_block(block);
+            prop_assert_eq!(model.decrypt_block(ct), block);
+            prop_assert_eq!(Aes128::new(key).encrypt_block(block), ct);
+            if let Some(hw) = hardware(key) {
+                prop_assert_eq!(hw.encrypt_block(block), ct);
+            }
+        }
+
+        #[test]
+        fn prop_interleaved_blocks_match_single_calls(key in prop::array::uniform16(any::<u8>()),
+                                                      flat in prop::array::uniform32(any::<u8>()),
+                                                      salt in any::<u8>()) {
+            let aes = Aes128::new(key);
             let mut blocks = [[0u8; 16]; 4];
-            for b in blocks.iter_mut() {
-                b[..8].copy_from_slice(&next().to_le_bytes());
-                b[8..].copy_from_slice(&next().to_le_bytes());
+            for (i, b) in blocks.iter_mut().enumerate() {
+                b.copy_from_slice(&flat[(i % 2) * 16..(i % 2) * 16 + 16]);
+                b[0] ^= salt.wrapping_add(i as u8);
             }
             let batched = aes.encrypt_blocks4(blocks);
             for (i, block) in blocks.iter().enumerate() {
-                assert_eq!(batched[i], aes.encrypt_block(*block));
+                prop_assert_eq!(batched[i], aes.encrypt_block(*block));
             }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn hardware_aes_matches_reference_when_available() {
-        let Some(hw) = ni::Aes128Ni::try_new(hex16("000102030405060708090a0b0c0d0e0f")) else {
-            eprintln!("AES-NI not available; skipping hardware cipher test");
-            return;
-        };
-        // FIPS-197 Appendix C.1 first, then random agreement.
-        let pt = hex16("00112233445566778899aabbccddeeff");
-        assert_eq!(hw.encrypt_block(pt), hex16("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        let mut x = 0xdead_beef_cafe_f00du64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..512 {
-            let mut key = [0u8; 16];
-            key[..8].copy_from_slice(&next().to_le_bytes());
-            key[8..].copy_from_slice(&next().to_le_bytes());
-            let hw = ni::Aes128Ni::try_new(key).unwrap();
-            let sw = reference::Aes128::new(key);
-            let mut blocks = [[0u8; 16]; 4];
-            for b in blocks.iter_mut() {
-                b[..8].copy_from_slice(&next().to_le_bytes());
-                b[8..].copy_from_slice(&next().to_le_bytes());
-            }
-            let batched = hw.encrypt_blocks4(blocks);
-            for (i, block) in blocks.iter().enumerate() {
-                assert_eq!(hw.encrypt_block(*block), sw.encrypt_block(*block));
-                assert_eq!(batched[i], sw.encrypt_block(*block));
+            if let Some(hw) = hardware(key) {
+                prop_assert_eq!(hw.encrypt_blocks4(blocks), batched);
             }
         }
     }
@@ -733,17 +661,6 @@ mod tests {
             let dbg = format!("{hw:?}");
             assert!(dbg.contains("redacted"));
             assert!(!dbg.contains("42"));
-        }
-    }
-
-    #[test]
-    fn encrypt_then_decrypt_roundtrips_many_blocks() {
-        let aes = Aes128::new([0x5a; 16]);
-        for i in 0u64..256 {
-            let mut block = [0u8; 16];
-            block[..8].copy_from_slice(&i.to_le_bytes());
-            block[8..].copy_from_slice(&(i.wrapping_mul(0x9e3779b97f4a7c15)).to_le_bytes());
-            assert_eq!(aes.decrypt_block(aes.encrypt_block(block)), block);
         }
     }
 
@@ -761,9 +678,6 @@ mod tests {
         let s = format!("{aes:?}");
         assert!(s.contains("redacted"));
         assert!(!s.contains('7'));
-        let r = reference::Aes128::new([7; 16]);
-        let s = format!("{r:?}");
-        assert!(s.contains("redacted"));
     }
 
     #[test]

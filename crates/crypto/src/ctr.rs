@@ -16,7 +16,7 @@
 
 #[cfg(target_arch = "x86_64")]
 use crate::aes::ni;
-use crate::aes::{reference, Aes128};
+use crate::aes::Aes128;
 
 /// The cacheline size used throughout the reproduction (bytes).
 ///
@@ -63,18 +63,14 @@ pub struct CtrEngine {
 
 /// Which AES implementation a [`CtrEngine`] runs on.
 ///
-/// Production engines use hardware AES when the CPU has it (the paper
-/// assumes a hardware AES engine in the controller) and the T-table
-/// cipher otherwise; the byte-oriented reference backend exists so
-/// equivalence tests can run the *whole simulator* on the reference
-/// cipher and check that every ciphertext and statistic is
-/// bit-identical. All three compute the same function.
+/// Hardware AES when the CPU has it (the paper assumes a hardware AES
+/// engine in the controller) and the T-table cipher otherwise. Both
+/// compute the same function.
 #[derive(Debug, Clone)]
 enum AesBackend {
     #[cfg(target_arch = "x86_64")]
     Ni(ni::Aes128Ni),
     Table(Aes128),
-    Reference(reference::Aes128),
 }
 
 impl AesBackend {
@@ -84,7 +80,6 @@ impl AesBackend {
             #[cfg(target_arch = "x86_64")]
             AesBackend::Ni(aes) => aes.encrypt_blocks4(blocks),
             AesBackend::Table(aes) => aes.encrypt_blocks4(blocks),
-            AesBackend::Reference(aes) => blocks.map(|b| aes.encrypt_block(b)),
         }
     }
 }
@@ -105,13 +100,6 @@ impl CtrEngine {
     /// attribute the software-path speedup.
     pub fn new_table(key: [u8; 16]) -> Self {
         Self { aes: AesBackend::Table(Aes128::new(key)) }
-    }
-
-    /// Creates an engine on the byte-oriented reference cipher.
-    /// Functionally identical to [`new`](Self::new), several times
-    /// slower; exists for differential testing.
-    pub fn new_reference(key: [u8; 16]) -> Self {
-        Self { aes: AesBackend::Reference(reference::Aes128::new(key)) }
     }
 
     /// Builds the 16-byte IV for pad block `block_idx` (0..4) of a line.
@@ -241,6 +229,7 @@ pub fn xor_line(data: &[u8; LINE_BYTES], pad: &[u8; LINE_BYTES]) -> [u8; LINE_BY
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aes::model::ByteAes128;
     use proptest::prelude::*;
 
     fn engine() -> CtrEngine {
@@ -329,36 +318,53 @@ mod tests {
         let _ = engine().page_pads(0x123, 1, 1, 4);
     }
 
-    #[test]
-    fn all_backends_are_functionally_identical() {
-        // `new` resolves to hardware AES where available, so comparing
-        // it against the forced-table and reference engines covers
-        // every backend the platform can build.
-        let default = CtrEngine::new([0xAB; 16]);
-        let table = CtrEngine::new_table([0xAB; 16]);
-        let slow = CtrEngine::new_reference([0xAB; 16]);
-        for minor in 0..8u8 {
-            let iv = IvSpec { line_addr: 0x40 * minor as u64, major: 100 + minor as u64, minor };
-            let line = [minor.wrapping_mul(91); LINE_BYTES];
-            assert_eq!(default.encrypt_line(&line, iv), slow.encrypt_line(&line, iv));
-            assert_eq!(table.encrypt_line(&line, iv), slow.encrypt_line(&line, iv));
-            assert_eq!(default.one_time_pad(iv), slow.one_time_pad(iv));
-            assert_eq!(table.one_time_pad(iv), slow.one_time_pad(iv));
+    /// The one-time pad for `iv` computed on the byte-oriented AES
+    /// model.
+    fn model_pad(key: [u8; 16], iv: IvSpec) -> [u8; LINE_BYTES] {
+        let model = ByteAes128::new(key);
+        let mut pad = [0u8; LINE_BYTES];
+        for (blk, chunk) in pad.chunks_exact_mut(16).enumerate() {
+            chunk.copy_from_slice(&model.encrypt_block(CtrEngine::iv_bytes(iv, blk as u8)));
         }
-        assert_eq!(default.page_pads(0, 5, 1, 64), slow.page_pads(0, 5, 1, 64));
-        assert_eq!(table.page_pads(0, 5, 1, 64), slow.page_pads(0, 5, 1, 64));
+        pad
+    }
+
+    #[test]
+    fn all_backends_match_the_byte_model() {
+        // `new` resolves to hardware AES where available, so comparing
+        // it and the forced-table engine against the byte-oriented
+        // model covers every backend the platform can build.
+        let key = [0xAB; 16];
+        for engine in [CtrEngine::new(key), CtrEngine::new_table(key)] {
+            for minor in 0..8u8 {
+                let iv =
+                    IvSpec { line_addr: 0x40 * minor as u64, major: 100 + minor as u64, minor };
+                let line = [minor.wrapping_mul(91); LINE_BYTES];
+                let pad = model_pad(key, iv);
+                assert_eq!(engine.one_time_pad(iv), pad);
+                assert_eq!(engine.encrypt_line(&line, iv), xor_line(&line, &pad));
+            }
+            let pads: Vec<_> = (0..64)
+                .map(|i| model_pad(key, IvSpec { line_addr: i * 64, major: 5, minor: 1 }))
+                .collect();
+            assert_eq!(engine.page_pads(0, 5, 1, 64), pads);
+        }
     }
 
     proptest! {
+        // The batched page sweep produces exactly the per-line pads.
         #[test]
-        fn prop_page_pads_equivalence(base in 0u64..1_000_000, major in any::<u64>(),
-                                      minor in any::<u8>(), count in 1usize..=64) {
-            let e = engine();
+        fn prop_page_pads_match_per_line_pads(key in prop::array::uniform16(any::<u8>()),
+                                              base in 0u64..1_000_000,
+                                              major in any::<u64>(), minor in any::<u8>(),
+                                              count in 1usize..=64) {
+            let engine = CtrEngine::new(key);
             let base = base * LINE_BYTES as u64;
-            let pads = e.page_pads(base, major, minor, count);
+            let pads = engine.page_pads(base, major, minor, count);
+            prop_assert_eq!(pads.len(), count);
             for (i, pad) in pads.iter().enumerate() {
                 let iv = IvSpec { line_addr: base + (i * LINE_BYTES) as u64, major, minor };
-                prop_assert_eq!(*pad, e.one_time_pad(iv));
+                prop_assert_eq!(*pad, engine.one_time_pad(iv));
             }
         }
 

@@ -191,9 +191,16 @@ impl MerkleTree {
     /// The on-chip root digest.
     ///
     /// Under deferred maintenance the caller must [`Self::flush`]
-    /// first; a debug build asserts there is nothing pending.
+    /// first: a stale root would silently anchor (or persist) the
+    /// wrong tree, so every build checks that nothing is pending.
+    /// Callers read the root only at flush and recovery points, so the
+    /// check costs nothing on the per-line path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if deferred updates are pending.
     pub fn root(&self) -> u64 {
-        debug_assert!(
+        assert!(
             self.dirty_leaves.is_empty(),
             "flush deferred Merkle updates before reading the root"
         );
@@ -497,6 +504,14 @@ mod tests {
             t.update_leaf(leaf, b"sweep");
         }
         assert_eq!(t.flush(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "flush deferred Merkle updates before reading the root")]
+    fn root_with_pending_deferred_updates_panics() {
+        let mut t = tree(64).with_deferred_maintenance();
+        t.update_leaf(5, b"pending");
+        let _ = t.root();
     }
 
     #[test]

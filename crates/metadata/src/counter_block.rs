@@ -19,23 +19,6 @@
 /// Number of minor counters (lines) per counter block.
 pub const MINORS: usize = 64;
 
-/// Which codec implementation (de)serializes counter blocks.
-///
-/// Both produce bit-identical wire bytes; [`CounterCodec::Word`] packs
-/// minors through u64 shift/mask words (eight 6/7-bit minors per
-/// word), while [`CounterCodec::Reference`] is the original
-/// bit-by-bit loop kept as the behavioural oracle — the same pattern
-/// as the AES `reference` backend behind
-/// `SimConfig::with_reference_aes`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum CounterCodec {
-    /// Word-level bit packing (the fast default).
-    #[default]
-    Word,
-    /// The original bit-by-bit loops (equivalence-test oracle).
-    Reference,
-}
-
 /// Which wire format a counter block is serialized with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterEncoding {
@@ -199,8 +182,15 @@ impl CounterBlock {
         }
     }
 
-    /// Serializes to the 64-byte wire format with the fast
-    /// [`CounterCodec::Word`] codec.
+    /// Serializes to the 64-byte wire format.
+    ///
+    /// The major (and flag bit) land as one little-endian u64; minors
+    /// pack eight at a time through u64 shifts (8 × 7 bits = 56 bits =
+    /// 7 bytes for regular minors, 8 × 6 bits = 48 bits = 6 bytes for
+    /// CoW minors), branch-free per group. The wire format is
+    /// LSB-first within each byte — exactly the order a little-endian
+    /// u64 store produces — and the tests check every layout against a
+    /// bit-by-bit model of it.
     ///
     /// # Panics
     ///
@@ -208,44 +198,6 @@ impl CounterBlock {
     /// [`CounterEncoding::Classic`], a minor or major exceeding the
     /// encoding's ceiling.
     pub fn encode(&self, encoding: CounterEncoding) -> [u8; 64] {
-        self.encode_with(encoding, CounterCodec::Word)
-    }
-
-    /// Deserializes from the 64-byte wire format with the fast
-    /// [`CounterCodec::Word`] codec.
-    pub fn decode(bytes: &[u8; 64], encoding: CounterEncoding) -> Self {
-        Self::decode_with(bytes, encoding, CounterCodec::Word)
-    }
-
-    /// Serializes with an explicit codec (see [`CounterCodec`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`CounterBlock::encode`], with identical
-    /// messages under either codec.
-    pub fn encode_with(&self, encoding: CounterEncoding, codec: CounterCodec) -> [u8; 64] {
-        match codec {
-            CounterCodec::Word => self.encode_word(encoding),
-            CounterCodec::Reference => self.encode_reference(encoding),
-        }
-    }
-
-    /// Deserializes with an explicit codec (see [`CounterCodec`]).
-    pub fn decode_with(bytes: &[u8; 64], encoding: CounterEncoding, codec: CounterCodec) -> Self {
-        match codec {
-            CounterCodec::Word => Self::decode_word(bytes, encoding),
-            CounterCodec::Reference => Self::decode_reference(bytes, encoding),
-        }
-    }
-
-    /// Word-level encoder: the major (and flag bit) land as one
-    /// little-endian u64; minors pack eight at a time through u64
-    /// shifts (8 × 7 bits = 56 bits = 7 bytes for regular minors,
-    /// 8 × 6 bits = 48 bits = 6 bytes for CoW minors), branch-free per
-    /// group. Bit layout is identical to the reference codec because
-    /// the wire format is LSB-first within each byte — exactly the
-    /// order a little-endian u64 store produces.
-    fn encode_word(&self, encoding: CounterEncoding) -> [u8; 64] {
         let mut buf = [0u8; 64];
         match encoding {
             CounterEncoding::Classic => {
@@ -274,8 +226,9 @@ impl CounterBlock {
         buf
     }
 
-    /// Word-level decoder (see [`CounterBlock::encode_word`]).
-    fn decode_word(bytes: &[u8; 64], encoding: CounterEncoding) -> Self {
+    /// Deserializes from the 64-byte wire format (see
+    /// [`CounterBlock::encode`]).
+    pub fn decode(bytes: &[u8; 64], encoding: CounterEncoding) -> Self {
         let word0 = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
         match encoding {
             CounterEncoding::Classic => {
@@ -288,79 +241,6 @@ impl CounterBlock {
                 } else {
                     let src = u64::from_le_bytes(bytes[56..64].try_into().expect("8 bytes"));
                     Self { major, minors: unpack_minors6(bytes), cow_src: Some(src) }
-                }
-            }
-        }
-    }
-
-    /// The original bit-by-bit encoder, kept as the equivalence oracle.
-    fn encode_reference(&self, encoding: CounterEncoding) -> [u8; 64] {
-        let mut buf = [0u8; 64];
-        match encoding {
-            CounterEncoding::Classic => {
-                assert!(
-                    !self.is_cow(),
-                    "classic encoding has no in-band CoW fields (use the supplementary table)"
-                );
-                write_bits(&mut buf, 0, 64, self.major);
-                for (i, &m) in self.minors.iter().enumerate() {
-                    assert!(m <= 127, "classic minor is 7-bit");
-                    write_bits(&mut buf, 64 + 7 * i, 7, m as u64);
-                }
-            }
-            CounterEncoding::Resized => {
-                assert!(self.major <= encoding.major_max(), "resized major is 63-bit");
-                match self.cow_src {
-                    None => {
-                        write_bits(&mut buf, 0, 1, 0);
-                        write_bits(&mut buf, 1, 63, self.major);
-                        for (i, &m) in self.minors.iter().enumerate() {
-                            assert!(m <= 127, "regular minor is 7-bit");
-                            write_bits(&mut buf, 64 + 7 * i, 7, m as u64);
-                        }
-                    }
-                    Some(src) => {
-                        write_bits(&mut buf, 0, 1, 1);
-                        write_bits(&mut buf, 1, 63, self.major);
-                        for (i, &m) in self.minors.iter().enumerate() {
-                            assert!(m <= 63, "CoW minor is 6-bit");
-                            write_bits(&mut buf, 64 + 6 * i, 6, m as u64);
-                        }
-                        write_bits(&mut buf, 64 + 6 * MINORS, 64, src);
-                    }
-                }
-            }
-        }
-        buf
-    }
-
-    /// The original bit-by-bit decoder, kept as the equivalence oracle.
-    fn decode_reference(bytes: &[u8; 64], encoding: CounterEncoding) -> Self {
-        match encoding {
-            CounterEncoding::Classic => {
-                let major = read_bits(bytes, 0, 64);
-                let mut minors = [0u8; MINORS];
-                for (i, m) in minors.iter_mut().enumerate() {
-                    *m = read_bits(bytes, 64 + 7 * i, 7) as u8;
-                }
-                Self { major, minors, cow_src: None }
-            }
-            CounterEncoding::Resized => {
-                let flag = read_bits(bytes, 0, 1);
-                let major = read_bits(bytes, 1, 63);
-                if flag == 0 {
-                    let mut minors = [0u8; MINORS];
-                    for (i, m) in minors.iter_mut().enumerate() {
-                        *m = read_bits(bytes, 64 + 7 * i, 7) as u8;
-                    }
-                    Self { major, minors, cow_src: None }
-                } else {
-                    let mut minors = [0u8; MINORS];
-                    for (i, m) in minors.iter_mut().enumerate() {
-                        *m = read_bits(bytes, 64 + 6 * i, 6) as u8;
-                    }
-                    let src = read_bits(bytes, 64 + 6 * MINORS, 64);
-                    Self { major, minors, cow_src: Some(src) }
                 }
             }
         }
@@ -424,40 +304,113 @@ fn unpack_minors6(bytes: &[u8; 64]) -> [u8; MINORS] {
     minors
 }
 
-/// Reads `len` (≤ 64) bits starting at absolute bit `start` (LSB-first
-/// within each byte).
-fn read_bits(buf: &[u8; 64], start: usize, len: usize) -> u64 {
-    debug_assert!(len <= 64 && start + len <= 512);
-    let mut out = 0u64;
-    for i in 0..len {
-        let bit = start + i;
-        let byte = bit / 8;
-        let off = bit % 8;
-        if buf[byte] >> off & 1 == 1 {
-            out |= 1 << i;
+/// The bit-by-bit codec the word-level [`CounterBlock::encode`] and
+/// [`CounterBlock::decode`] are checked against: every field written
+/// and read one bit at a time, straight from the layout diagrams.
+/// Test-only.
+#[cfg(test)]
+mod bit_model {
+    use super::{CounterBlock, CounterEncoding, MINORS};
+
+    /// Bit-by-bit encoder (same panics as [`CounterBlock::encode`]).
+    pub(super) fn encode(b: &CounterBlock, encoding: CounterEncoding) -> [u8; 64] {
+        let mut buf = [0u8; 64];
+        match encoding {
+            CounterEncoding::Classic => {
+                assert!(
+                    !b.is_cow(),
+                    "classic encoding has no in-band CoW fields (use the supplementary table)"
+                );
+                write_bits(&mut buf, 0, 64, b.major);
+                for (i, &m) in b.minors.iter().enumerate() {
+                    assert!(m <= 127, "classic minor is 7-bit");
+                    write_bits(&mut buf, 64 + 7 * i, 7, m as u64);
+                }
+            }
+            CounterEncoding::Resized => {
+                assert!(b.major <= encoding.major_max(), "resized major is 63-bit");
+                match b.cow_src {
+                    None => {
+                        write_bits(&mut buf, 0, 1, 0);
+                        write_bits(&mut buf, 1, 63, b.major);
+                        for (i, &m) in b.minors.iter().enumerate() {
+                            assert!(m <= 127, "regular minor is 7-bit");
+                            write_bits(&mut buf, 64 + 7 * i, 7, m as u64);
+                        }
+                    }
+                    Some(src) => {
+                        write_bits(&mut buf, 0, 1, 1);
+                        write_bits(&mut buf, 1, 63, b.major);
+                        for (i, &m) in b.minors.iter().enumerate() {
+                            assert!(m <= 63, "CoW minor is 6-bit");
+                            write_bits(&mut buf, 64 + 6 * i, 6, m as u64);
+                        }
+                        write_bits(&mut buf, 64 + 6 * MINORS, 64, src);
+                    }
+                }
+            }
+        }
+        buf
+    }
+
+    /// Bit-by-bit decoder.
+    pub(super) fn decode(bytes: &[u8; 64], encoding: CounterEncoding) -> CounterBlock {
+        let minors = |width: usize| {
+            let mut minors = [0u8; MINORS];
+            for (i, m) in minors.iter_mut().enumerate() {
+                *m = read_bits(bytes, 64 + width * i, width) as u8;
+            }
+            minors
+        };
+        match encoding {
+            CounterEncoding::Classic => {
+                CounterBlock { major: read_bits(bytes, 0, 64), minors: minors(7), cow_src: None }
+            }
+            CounterEncoding::Resized => {
+                let major = read_bits(bytes, 1, 63);
+                if read_bits(bytes, 0, 1) == 0 {
+                    CounterBlock { major, minors: minors(7), cow_src: None }
+                } else {
+                    let src = read_bits(bytes, 64 + 6 * MINORS, 64);
+                    CounterBlock { major, minors: minors(6), cow_src: Some(src) }
+                }
+            }
         }
     }
-    out
-}
 
-/// Writes `len` (≤ 64) bits of `val` starting at absolute bit `start`.
-fn write_bits(buf: &mut [u8; 64], start: usize, len: usize, val: u64) {
-    debug_assert!(len <= 64 && start + len <= 512);
-    debug_assert!(len == 64 || val < (1u64 << len), "value does not fit field");
-    for i in 0..len {
-        let bit = start + i;
-        let byte = bit / 8;
-        let off = bit % 8;
-        if val >> i & 1 == 1 {
-            buf[byte] |= 1 << off;
-        } else {
-            buf[byte] &= !(1 << off);
+    /// Reads `len` (≤ 64) bits starting at absolute bit `start`
+    /// (LSB-first within each byte).
+    pub(super) fn read_bits(buf: &[u8; 64], start: usize, len: usize) -> u64 {
+        debug_assert!(len <= 64 && start + len <= 512);
+        let mut out = 0u64;
+        for i in 0..len {
+            let bit = start + i;
+            if buf[bit / 8] >> (bit % 8) & 1 == 1 {
+                out |= 1 << i;
+            }
+        }
+        out
+    }
+
+    /// Writes `len` (≤ 64) bits of `val` starting at absolute bit
+    /// `start`.
+    pub(super) fn write_bits(buf: &mut [u8; 64], start: usize, len: usize, val: u64) {
+        debug_assert!(len <= 64 && start + len <= 512);
+        debug_assert!(len == 64 || val < (1u64 << len), "value does not fit field");
+        for i in 0..len {
+            let bit = start + i;
+            if val >> i & 1 == 1 {
+                buf[bit / 8] |= 1 << (bit % 8);
+            } else {
+                buf[bit / 8] &= !(1 << (bit % 8));
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::bit_model::{read_bits, write_bits};
     use super::*;
     use proptest::prelude::*;
 
@@ -618,23 +571,22 @@ mod tests {
         }
     }
 
-    /// Checks one block against both codecs under one encoding: the
-    /// wire bytes must be byte-identical, and all four
-    /// (codec × direction) combinations must return the block.
+    /// Checks one block against the bit-by-bit model under one
+    /// encoding: the wire bytes must be byte-identical, and both
+    /// decoders must return the block.
     fn assert_codecs_agree(b: &CounterBlock, encoding: CounterEncoding) {
-        let word = b.encode_with(encoding, CounterCodec::Word);
-        let reference = b.encode_with(encoding, CounterCodec::Reference);
-        assert_eq!(word, reference, "codecs disagree on wire bytes ({encoding:?})");
-        assert_eq!(&CounterBlock::decode_with(&word, encoding, CounterCodec::Word), b);
-        assert_eq!(&CounterBlock::decode_with(&word, encoding, CounterCodec::Reference), b);
+        let word = b.encode(encoding);
+        assert_eq!(word, bit_model::encode(b, encoding), "codecs disagree ({encoding:?})");
+        assert_eq!(&CounterBlock::decode(&word, encoding), b);
+        assert_eq!(&bit_model::decode(&word, encoding), b);
     }
 
-    // Word-codec equivalence: the fast path must be byte-identical to
-    // the bit-by-bit reference for every encoding (ISSUE 3 satellite).
+    // The word codec must be byte-identical to the bit-by-bit model for
+    // every encoding.
     proptest! {
         /// Solution-2 layout (7-bit minors), classic encoding.
         #[test]
-        fn prop_word_codec_matches_reference_classic(
+        fn prop_word_codec_matches_bit_model_classic(
             major in any::<u64>(),
             lo in prop::array::uniform32(0u8..=127),
             hi in prop::array::uniform32(0u8..=127),
@@ -648,7 +600,7 @@ mod tests {
 
         /// Solution-2 layout (flag = 0, 7-bit minors), resized encoding.
         #[test]
-        fn prop_word_codec_matches_reference_resized_regular(
+        fn prop_word_codec_matches_bit_model_resized_regular(
             major in 0u64..(1 << 63),
             lo in prop::array::uniform32(0u8..=127),
             hi in prop::array::uniform32(0u8..=127),
@@ -662,7 +614,7 @@ mod tests {
 
         /// Solution-1 layout (flag = 1, 6-bit minors + source address).
         #[test]
-        fn prop_word_codec_matches_reference_resized_cow(
+        fn prop_word_codec_matches_bit_model_resized_cow(
             major in 0u64..(1 << 63),
             src in any::<u64>(),
             lo in prop::array::uniform32(0u8..=63),
@@ -677,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn word_codec_matches_reference_edge_cases() {
+    fn word_codec_matches_bit_model_edge_cases() {
         // All-zero minors: the freshly-CoW'd "no line copied yet"
         // block, plus its regular twin.
         assert_codecs_agree(&CounterBlock::fresh_cow(0), CounterEncoding::Resized);
@@ -703,15 +655,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "CoW minor is 6-bit")]
-    fn word_codec_enforces_cow_minor_ceiling() {
+    fn cow_minor_ceiling_enforced_in_the_last_group() {
         let mut b = CounterBlock::fresh_cow(1);
         b.minors[63] = 64;
-        b.encode_with(CounterEncoding::Resized, CounterCodec::Word);
-    }
-
-    #[test]
-    #[should_panic(expected = "classic encoding has no in-band CoW fields")]
-    fn word_codec_rejects_classic_cow() {
-        CounterBlock::fresh_cow(1).encode_with(CounterEncoding::Classic, CounterCodec::Word);
+        b.encode(CounterEncoding::Resized);
     }
 }

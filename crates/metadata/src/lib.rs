@@ -36,7 +36,7 @@ pub mod cow_meta;
 pub mod layout;
 pub mod mac;
 
-pub use counter_block::{CounterBlock, CounterCodec, CounterEncoding, MinorOverflow};
+pub use counter_block::{CounterBlock, CounterEncoding, MinorOverflow};
 pub use counter_cache::{CounterCache, CounterCacheConfig, WritePolicy};
 pub use cow_meta::{CowCache, CowMetaTable};
 pub use layout::MetadataLayout;

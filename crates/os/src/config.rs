@@ -59,12 +59,6 @@ pub struct KernelConfig {
     pub strategy: CowStrategy,
     /// Base virtual address handed out by `mmap`.
     pub mmap_base: u64,
-    /// Runs the kernel on the original hash/tree-backed structures
-    /// (`HashMap` page tables and page registry, `Vec` rmap chains,
-    /// `BTreeSet` buddy free lists) instead of the frame-indexed fast
-    /// structures. Behaviourally identical — every `HwAction` stream is
-    /// the same — and kept for the equivalence tests that prove it.
-    pub reference_structures: bool,
 }
 
 impl KernelConfig {
@@ -72,19 +66,7 @@ impl KernelConfig {
     /// every experiment in the paper's evaluation (16 MB–100 MB working
     /// sets) while keeping simulation memory reasonable.
     pub fn default_with(strategy: CowStrategy) -> Self {
-        Self {
-            phys_bytes: 256 << 20,
-            strategy,
-            mmap_base: 0x7f00_0000_0000,
-            reference_structures: false,
-        }
-    }
-
-    /// Same configuration on the original reference structures (see
-    /// [`KernelConfig::reference_structures`]).
-    pub fn with_reference_structures(mut self) -> Self {
-        self.reference_structures = true;
-        self
+        Self { phys_bytes: 256 << 20, strategy, mmap_base: 0x7f00_0000_0000 }
     }
 
     /// Validates the configuration.
@@ -124,15 +106,6 @@ mod tests {
         assert!(!CowStrategy::SilentShredder.is_lelantus());
         assert_eq!(CowStrategy::all().len(), 4);
         assert_eq!(CowStrategy::LelantusCow.to_string(), "Lelantus-CoW");
-    }
-
-    #[test]
-    fn reference_structures_builder() {
-        let cfg = KernelConfig::default();
-        assert!(!cfg.reference_structures, "fast structures are the default");
-        let cfg = cfg.with_reference_structures();
-        assert!(cfg.reference_structures);
-        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -5,24 +5,19 @@
 //! classic split-on-alloc / merge-on-free discipline. This is the
 //! substrate behind `alloc_page()` in the fault handlers.
 //!
-//! Two backings:
-//!
-//! * **Bitmap** (default) — per-order hierarchical bitmaps
-//!   ([`BitTree`]: one bit per block, 64-way summary words stacked
-//!   until a single root word). Push/pop/buddy-merge are word
-//!   operations plus an O(levels) summary update — effectively O(1) —
-//!   and `find_first` descends the summaries, so allocation still
-//!   returns the *lowest free offset at the smallest sufficient
-//!   order*, exactly the reference's `BTreeSet::iter().next()` choice.
-//!   (A LIFO intrusive free list would be O(1) too, but would hand
-//!   out different addresses and break the repo's bit-identity bar;
-//!   the bitmap keeps address selection deterministic.) Double-free
-//!   detection is a per-frame tag byte instead of a `BTreeSet` probe.
-//! * **Reference** — the seed's `BTreeSet` free lists, kept behind
-//!   `KernelConfig::with_reference_structures()`.
+//! Free blocks live in per-order hierarchical bitmaps ([`BitTree`]:
+//! one bit per block, 64-way summary words stacked until a single root
+//! word). Push/pop/buddy-merge are word operations plus an O(levels)
+//! summary update — effectively O(1) — and `find_first` descends the
+//! summaries, so allocation returns the *lowest free offset at the
+//! smallest sufficient order*, exactly the choice `BTreeSet` free
+//! lists make with `iter().next()`. (A LIFO intrusive free list would
+//! be O(1) too, but would hand out different addresses; the bitmap
+//! keeps address selection deterministic.) Double-free detection is a
+//! per-frame tag byte. The property test below checks every address
+//! choice against a `BTreeSet` free-list model.
 
 use lelantus_types::PhysAddr;
-use std::collections::BTreeSet;
 
 /// Smallest block: one 4 KB frame.
 pub const BASE_ORDER_BYTES: u64 = 4096;
@@ -104,26 +99,6 @@ impl BitTree {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Repr {
-    Bitmap {
-        /// `trees[order]`: bit `b` set ⇔ block at offset
-        /// `b * order_bytes(order)` is free at that order.
-        trees: Vec<BitTree>,
-        /// Per-frame allocation tag: `order + 1` at the first frame of
-        /// a live allocation, 0 otherwise. Replaces the reference's
-        /// `BTreeSet<(offset, order)>` double-free probe with one
-        /// byte load.
-        alloc_tag: Vec<u8>,
-    },
-    Reference {
-        /// free_lists[order] holds offsets (from base) of free blocks.
-        free_lists: Vec<BTreeSet<u64>>,
-        /// Live allocations as (offset, order) — double-free detection.
-        allocated: BTreeSet<(u64, u32)>,
-    },
-}
-
 /// A power-of-two buddy allocator.
 ///
 /// # Examples
@@ -141,58 +116,33 @@ pub struct BuddyAllocator {
     base: u64,
     total_bytes: u64,
     free_bytes: u64,
-    repr: Repr,
+    /// `trees[order]`: bit `b` set ⇔ block at offset
+    /// `b * order_bytes(order)` is free at that order.
+    trees: Vec<BitTree>,
+    /// Per-frame allocation tag: `order + 1` at the first frame of a
+    /// live allocation, 0 otherwise.
+    alloc_tag: Vec<u8>,
 }
 
 impl BuddyAllocator {
-    /// Creates an allocator over `[base, base + bytes)` on the bitmap
-    /// backing.
+    /// Creates an allocator over `[base, base + bytes)`.
     ///
     /// # Panics
     ///
     /// Panics if `base`/`bytes` are not multiples of 4 KB or `bytes`
     /// is zero.
     pub fn new(base: u64, bytes: u64) -> Self {
+        assert!(bytes > 0 && bytes.is_multiple_of(BASE_ORDER_BYTES), "arena must be whole frames");
+        assert!(base.is_multiple_of(BASE_ORDER_BYTES), "base must be frame-aligned");
         let trees = (0..=MAX_ORDER)
             .map(|o| BitTree::new((bytes / Self::order_bytes(o)) as usize))
             .collect();
         let alloc_tag = vec![0u8; (bytes / BASE_ORDER_BYTES) as usize];
-        Self::seeded(base, bytes, Repr::Bitmap { trees, alloc_tag })
-    }
-
-    /// Creates an allocator over `[base, base + bytes)` on the
-    /// reference `BTreeSet` backing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base`/`bytes` are not multiples of 4 KB or `bytes`
-    /// is zero.
-    pub fn new_reference(base: u64, bytes: u64) -> Self {
-        Self::seeded(
-            base,
-            bytes,
-            Repr::Reference {
-                free_lists: vec![BTreeSet::new(); MAX_ORDER as usize + 1],
-                allocated: BTreeSet::new(),
-            },
-        )
-    }
-
-    fn seeded(base: u64, bytes: u64, repr: Repr) -> Self {
-        assert!(bytes > 0 && bytes.is_multiple_of(BASE_ORDER_BYTES), "arena must be whole frames");
-        assert!(base.is_multiple_of(BASE_ORDER_BYTES), "base must be frame-aligned");
-        let mut a = Self { base, total_bytes: bytes, free_bytes: 0, repr };
+        let mut a = Self { base, total_bytes: bytes, free_bytes: 0, trees, alloc_tag };
         // Seed with maximal aligned blocks.
         let mut offset = 0;
         while offset < bytes {
-            let mut order = MAX_ORDER;
-            loop {
-                let size = Self::order_bytes(order);
-                if offset % size == 0 && offset + size <= bytes {
-                    break;
-                }
-                order -= 1;
-            }
+            let order = max_aligned_order(offset, bytes);
             a.push_free(order, offset);
             a.free_bytes += Self::order_bytes(order);
             offset += Self::order_bytes(order);
@@ -226,20 +176,13 @@ impl BuddyAllocator {
 
     #[inline]
     fn push_free(&mut self, order: u32, offset: u64) {
-        match &mut self.repr {
-            Repr::Bitmap { trees, .. } => {
-                trees[order as usize].set((offset / Self::order_bytes(order)) as usize);
-            }
-            Repr::Reference { free_lists, .. } => {
-                free_lists[order as usize].insert(offset);
-            }
-        }
+        self.trees[order as usize].set((offset / Self::order_bytes(order)) as usize);
     }
 
     /// Allocates a block of `order`, splitting larger blocks as needed.
     /// Returns `None` when no block is available. The block chosen is
-    /// the lowest free offset at the smallest sufficient order, on
-    /// both backings — allocation addresses are deterministic.
+    /// the lowest free offset at the smallest sufficient order, so
+    /// allocation addresses are deterministic.
     ///
     /// # Panics
     ///
@@ -247,19 +190,12 @@ impl BuddyAllocator {
     pub fn alloc(&mut self, order: u32) -> Option<PhysAddr> {
         assert!(order <= MAX_ORDER, "order {order} exceeds MAX_ORDER");
         // Find the smallest available order >= requested.
-        let found = match &mut self.repr {
-            Repr::Bitmap { trees, .. } => (order..=MAX_ORDER).find_map(|o| {
-                let bit = trees[o as usize].find_first()?;
-                trees[o as usize].test_and_clear(bit);
-                Some((o, bit as u64 * Self::order_bytes(o)))
-            }),
-            Repr::Reference { free_lists, .. } => (order..=MAX_ORDER).find_map(|o| {
-                let offset = *free_lists[o as usize].iter().next()?;
-                free_lists[o as usize].remove(&offset);
-                Some((o, offset))
-            }),
-        };
-        let (mut o, offset) = found?;
+        let (mut o, offset) = (order..=MAX_ORDER).find_map(|o| {
+            let tree = &mut self.trees[o as usize];
+            let bit = tree.find_first()?;
+            tree.test_and_clear(bit);
+            Some((o, bit as u64 * Self::order_bytes(o)))
+        })?;
         // Split down to the requested order, freeing the upper buddies.
         while o > order {
             o -= 1;
@@ -267,14 +203,7 @@ impl BuddyAllocator {
             self.push_free(o, buddy);
         }
         self.free_bytes -= Self::order_bytes(order);
-        match &mut self.repr {
-            Repr::Bitmap { alloc_tag, .. } => {
-                alloc_tag[(offset / BASE_ORDER_BYTES) as usize] = order as u8 + 1;
-            }
-            Repr::Reference { allocated, .. } => {
-                allocated.insert((offset, order));
-            }
-        }
+        self.alloc_tag[(offset / BASE_ORDER_BYTES) as usize] = order as u8 + 1;
         Some(PhysAddr::new(self.base + offset))
     }
 
@@ -291,17 +220,11 @@ impl BuddyAllocator {
         assert!(raw >= self.base && raw - self.base < self.total_bytes, "address outside arena");
         let mut offset = raw - self.base;
         assert!(offset.is_multiple_of(Self::order_bytes(order)), "misaligned free");
-        let released = match &mut self.repr {
-            Repr::Bitmap { alloc_tag, .. } => {
-                let tag = &mut alloc_tag[(offset / BASE_ORDER_BYTES) as usize];
-                let hit = *tag == order as u8 + 1;
-                if hit {
-                    *tag = 0;
-                }
-                hit
-            }
-            Repr::Reference { allocated, .. } => allocated.remove(&(offset, order)),
-        };
+        let tag = &mut self.alloc_tag[(offset / BASE_ORDER_BYTES) as usize];
+        let released = *tag == order as u8 + 1;
+        if released {
+            *tag = 0;
+        }
         assert!(released, "double free (or wrong order) at offset {offset:#x} order {order}");
         let mut order = order;
         self.free_bytes += Self::order_bytes(order);
@@ -311,11 +234,8 @@ impl BuddyAllocator {
             }
             let buddy = offset ^ Self::order_bytes(order);
             let merged = buddy + Self::order_bytes(order) <= self.total_bytes
-                && match &mut self.repr {
-                    Repr::Bitmap { trees, .. } => trees[order as usize]
-                        .test_and_clear((buddy / Self::order_bytes(order)) as usize),
-                    Repr::Reference { free_lists, .. } => free_lists[order as usize].remove(&buddy),
-                };
+                && self.trees[order as usize]
+                    .test_and_clear((buddy / Self::order_bytes(order)) as usize);
             if merged {
                 offset = offset.min(buddy);
                 order += 1;
@@ -328,10 +248,20 @@ impl BuddyAllocator {
 
     /// Number of free blocks at each order (diagnostics / invariants).
     pub fn free_counts(&self) -> Vec<usize> {
-        match &self.repr {
-            Repr::Bitmap { trees, .. } => trees.iter().map(BitTree::len).collect(),
-            Repr::Reference { free_lists, .. } => free_lists.iter().map(BTreeSet::len).collect(),
+        self.trees.iter().map(BitTree::len).collect()
+    }
+}
+
+/// The largest order whose block starts at `offset` (aligned) and ends
+/// within an arena of `bytes` (used to seed the free lists).
+fn max_aligned_order(offset: u64, bytes: u64) -> u32 {
+    let mut order = MAX_ORDER;
+    loop {
+        let size = BuddyAllocator::order_bytes(order);
+        if offset.is_multiple_of(size) && offset + size <= bytes {
+            return order;
         }
+        order -= 1;
     }
 }
 
@@ -339,6 +269,62 @@ impl BuddyAllocator {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The allocator on `BTreeSet` free lists: the model the bitmap
+    /// allocator's address choices are checked against.
+    struct SetBuddy {
+        total_bytes: u64,
+        free_bytes: u64,
+        /// `free_lists[order]` holds offsets (from 0) of free blocks.
+        free_lists: Vec<BTreeSet<u64>>,
+    }
+
+    impl SetBuddy {
+        fn new(bytes: u64) -> Self {
+            let mut free_lists = vec![BTreeSet::new(); MAX_ORDER as usize + 1];
+            let mut offset = 0;
+            while offset < bytes {
+                let order = max_aligned_order(offset, bytes);
+                free_lists[order as usize].insert(offset);
+                offset += BuddyAllocator::order_bytes(order);
+            }
+            Self { total_bytes: bytes, free_bytes: bytes, free_lists }
+        }
+
+        fn alloc(&mut self, order: u32) -> Option<u64> {
+            let (mut o, offset) = (order..=MAX_ORDER).find_map(|o| {
+                let offset = *self.free_lists[o as usize].iter().next()?;
+                self.free_lists[o as usize].remove(&offset);
+                Some((o, offset))
+            })?;
+            while o > order {
+                o -= 1;
+                self.free_lists[o as usize].insert(offset + BuddyAllocator::order_bytes(o));
+            }
+            self.free_bytes -= BuddyAllocator::order_bytes(order);
+            Some(offset)
+        }
+
+        fn free(&mut self, mut offset: u64, mut order: u32) {
+            self.free_bytes += BuddyAllocator::order_bytes(order);
+            while order < MAX_ORDER {
+                let buddy = offset ^ BuddyAllocator::order_bytes(order);
+                if buddy + BuddyAllocator::order_bytes(order) > self.total_bytes
+                    || !self.free_lists[order as usize].remove(&buddy)
+                {
+                    break;
+                }
+                offset = offset.min(buddy);
+                order += 1;
+            }
+            self.free_lists[order as usize].insert(offset);
+        }
+
+        fn free_counts(&self) -> Vec<usize> {
+            self.free_lists.iter().map(BTreeSet::len).collect()
+        }
+    }
 
     #[test]
     fn bittree_set_clear_find() {
@@ -371,91 +357,72 @@ mod tests {
         assert_eq!(t.find_first(), Some(0));
     }
 
-    fn both(base: u64, bytes: u64) -> [BuddyAllocator; 2] {
-        [BuddyAllocator::new(base, bytes), BuddyAllocator::new_reference(base, bytes)]
-    }
-
     #[test]
     fn alloc_free_roundtrip() {
-        for mut b in both(0, 1 << 20) {
-            let before = b.free_bytes();
-            let f = b.alloc(0).unwrap();
-            assert_eq!(b.free_bytes(), before - 4096);
-            b.free(f, 0);
-            assert_eq!(b.free_bytes(), before);
-        }
+        let mut b = BuddyAllocator::new(0, 1 << 20);
+        let before = b.free_bytes();
+        let f = b.alloc(0).unwrap();
+        assert_eq!(b.free_bytes(), before - 4096);
+        b.free(f, 0);
+        assert_eq!(b.free_bytes(), before);
     }
 
     #[test]
     fn split_and_merge_restore_initial_state() {
-        for mut b in both(0, 1 << 23) {
-            // 8 MB = one order-11 block
-            assert_eq!(b.free_counts()[MAX_ORDER as usize], 1);
-            let frames: Vec<_> = (0..16).map(|_| b.alloc(0).unwrap()).collect();
-            assert!(b.free_counts()[MAX_ORDER as usize] == 0);
-            for f in frames {
-                b.free(f, 0);
-            }
-            assert_eq!(b.free_counts()[MAX_ORDER as usize], 1, "buddies fully merged");
+        let mut b = BuddyAllocator::new(0, 1 << 23);
+        // 8 MB = one order-11 block
+        assert_eq!(b.free_counts()[MAX_ORDER as usize], 1);
+        let frames: Vec<_> = (0..16).map(|_| b.alloc(0).unwrap()).collect();
+        assert!(b.free_counts()[MAX_ORDER as usize] == 0);
+        for f in frames {
+            b.free(f, 0);
         }
+        assert_eq!(b.free_counts()[MAX_ORDER as usize], 1, "buddies fully merged");
     }
 
     #[test]
     fn huge_page_allocation_is_aligned() {
-        for mut b in both(0, 16 << 20) {
-            let _small = b.alloc(0).unwrap();
-            let huge = b.alloc(9).unwrap(); // 2 MB
-            assert!(huge.is_aligned_to(2 << 20));
-        }
+        let mut b = BuddyAllocator::new(0, 16 << 20);
+        let _small = b.alloc(0).unwrap();
+        let huge = b.alloc(9).unwrap(); // 2 MB
+        assert!(huge.is_aligned_to(2 << 20));
     }
 
     #[test]
     fn exhaustion_returns_none() {
-        for mut b in both(0, 8192) {
-            assert!(b.alloc(0).is_some());
-            assert!(b.alloc(0).is_some());
-            assert!(b.alloc(0).is_none());
-            assert!(b.alloc(9).is_none());
-        }
+        let mut b = BuddyAllocator::new(0, 8192);
+        assert!(b.alloc(0).is_some());
+        assert!(b.alloc(0).is_some());
+        assert!(b.alloc(0).is_none());
+        assert!(b.alloc(9).is_none());
     }
 
     #[test]
     fn distinct_allocations_do_not_overlap() {
-        for mut b in both(0x1000_0000, 4 << 20) {
-            let mut got = Vec::new();
-            while let Some(f) = b.alloc(1) {
-                got.push(f.as_u64());
-            }
-            got.sort_unstable();
-            for pair in got.windows(2) {
-                assert!(pair[1] - pair[0] >= 8192, "order-1 blocks overlap");
-            }
-            assert_eq!(got.len(), (4 << 20) / 8192);
+        let mut b = BuddyAllocator::new(0x1000_0000, 4 << 20);
+        let mut got = Vec::new();
+        while let Some(f) = b.alloc(1) {
+            got.push(f.as_u64());
         }
+        got.sort_unstable();
+        for pair in got.windows(2) {
+            assert!(pair[1] - pair[0] >= 8192, "order-1 blocks overlap");
+        }
+        assert_eq!(got.len(), (4 << 20) / 8192);
     }
 
     #[test]
     fn base_offset_respected() {
-        for mut b in both(0x4000_0000, 1 << 20) {
-            let f = b.alloc(0).unwrap();
-            assert!(f.as_u64() >= 0x4000_0000);
-            b.free(f, 0);
-        }
+        let mut b = BuddyAllocator::new(0x4000_0000, 1 << 20);
+        let f = b.alloc(0).unwrap();
+        assert!(f.as_u64() >= 0x4000_0000);
+        b.free(f, 0);
     }
 
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
         let mut b = BuddyAllocator::new(0, 1 << 20);
-        let f = b.alloc(0).unwrap();
-        b.free(f, 0);
-        b.free(f, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "double free")]
-    fn double_free_panics_reference() {
-        let mut b = BuddyAllocator::new_reference(0, 1 << 20);
         let f = b.alloc(0).unwrap();
         b.free(f, 0);
         b.free(f, 0);
@@ -472,15 +439,14 @@ mod tests {
     #[test]
     fn non_power_of_two_arena_is_fully_usable() {
         // 12 KB arena = one 8 KB block + one 4 KB block.
-        for mut b in both(0, 12 << 10) {
-            assert_eq!(b.free_bytes(), 12 << 10);
-            let a1 = b.alloc(1).unwrap();
-            let a0 = b.alloc(0).unwrap();
-            assert!(b.alloc(0).is_none());
-            b.free(a1, 1);
-            b.free(a0, 0);
-            assert_eq!(b.free_bytes(), 12 << 10);
-        }
+        let mut b = BuddyAllocator::new(0, 12 << 10);
+        assert_eq!(b.free_bytes(), 12 << 10);
+        let a1 = b.alloc(1).unwrap();
+        let a0 = b.alloc(0).unwrap();
+        assert!(b.alloc(0).is_none());
+        b.free(a1, 1);
+        b.free(a0, 0);
+        assert_eq!(b.free_bytes(), 12 << 10);
     }
 
     #[test]
@@ -531,29 +497,31 @@ mod tests {
             }
         }
 
-        /// The bitmap backing must make byte-for-byte identical
-        /// address choices to the reference under arbitrary
+        /// The bitmap allocator must make byte-for-byte identical
+        /// address choices to the `BTreeSet` model under arbitrary
         /// interleavings — this is what keeps `HwAction` streams
-        /// bit-identical at the kernel level.
+        /// deterministic at the kernel level.
         #[test]
-        fn prop_bitmap_matches_reference(ops in prop::collection::vec((0u32..6, any::<bool>()), 1..300)) {
-            let mut fast = BuddyAllocator::new(0x1000, 4 << 20);
-            let mut reference = BuddyAllocator::new_reference(0x1000, 4 << 20);
+        fn prop_bitmap_matches_set_model(ops in prop::collection::vec((0u32..6, any::<bool>()), 1..300)) {
+            let base = 0x1000;
+            let mut fast = BuddyAllocator::new(base, 4 << 20);
+            let mut model = SetBuddy::new(4 << 20);
             let mut live: Vec<(PhysAddr, u32)> = Vec::new();
             for (order, do_alloc) in ops {
                 if do_alloc || live.is_empty() {
-                    let (a, b) = (fast.alloc(order), reference.alloc(order));
-                    prop_assert_eq!(a, b, "divergent allocation at order {}", order);
+                    let (a, b) = (fast.alloc(order), model.alloc(order));
+                    prop_assert_eq!(a, b.map(|off| PhysAddr::new(base + off)),
+                                    "divergent allocation at order {}", order);
                     if let Some(f) = a {
                         live.push((f, order));
                     }
                 } else {
                     let (f, o) = live.swap_remove(live.len() / 2);
                     fast.free(f, o);
-                    reference.free(f, o);
+                    model.free(f.as_u64() - base, o);
                 }
-                prop_assert_eq!(fast.free_bytes(), reference.free_bytes());
-                prop_assert_eq!(fast.free_counts(), reference.free_counts());
+                prop_assert_eq!(fast.free_bytes(), model.free_bytes);
+                prop_assert_eq!(fast.free_counts(), model.free_counts());
             }
         }
     }

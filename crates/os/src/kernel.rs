@@ -217,19 +217,8 @@ impl Kernel {
         let zero_page_2m = PhysAddr::new(0);
         let zero_page_4k = PhysAddr::new(0);
         let reserved = 2 << 20;
-        let (buddy, mut pages, rmap) = if config.reference_structures {
-            (
-                BuddyAllocator::new_reference(reserved, config.phys_bytes - reserved),
-                PageRegistry::new_reference(),
-                RmapRegistry::new_reference(),
-            )
-        } else {
-            (
-                BuddyAllocator::new(reserved, config.phys_bytes - reserved),
-                PageRegistry::new(),
-                RmapRegistry::new(),
-            )
-        };
+        let buddy = BuddyAllocator::new(reserved, config.phys_bytes - reserved);
+        let mut pages = PageRegistry::new();
         pages.insert(zero_page_2m, PageSize::Huge2M, None);
         // Kernel's own permanent reference keeps the zero page alive.
         pages.inc_map(zero_page_2m);
@@ -237,22 +226,13 @@ impl Kernel {
             config,
             buddy,
             pages,
-            rmap,
+            rmap: RmapRegistry::new(),
             processes: HashMap::new(),
             next_pid: 1,
             next_mmap: config.mmap_base,
             zero_page_4k,
             zero_page_2m,
             stats: KernelStats::default(),
-        }
-    }
-
-    /// A page table on the backing selected by the configuration.
-    fn new_page_table(&self) -> PageTable {
-        if self.config.reference_structures {
-            PageTable::new_reference()
-        } else {
-            PageTable::new()
         }
     }
 
@@ -284,8 +264,7 @@ impl Kernel {
     pub fn spawn_init(&mut self) -> ProcessId {
         let pid = self.next_pid;
         self.next_pid += 1;
-        self.processes
-            .insert(pid, Process { page_table: self.new_page_table(), vmas: BTreeMap::new() });
+        self.processes.insert(pid, Process { page_table: PageTable::new(), vmas: BTreeMap::new() });
         pid
     }
 

@@ -8,19 +8,14 @@
 //! `page_move_anon_rmap`, so a later write still faults and early
 //! reclamation can run first.
 //!
-//! Two backings, proven observationally identical by the differential
-//! tests below (and by the kernel-level equivalence suite):
-//!
-//! * **Dense** (default) — a `Vec` indexed by frame number
-//!   (`base / 4 KB`), the same discipline as the NVM `LineStore`:
-//!   lookups are one bounds check and one array indexing, with no
-//!   hashing and no per-entry allocation. Frames are already a compact
-//!   index, so the vector tracks the highest frame ever registered.
-//! * **Reference** — the seed's `HashMap` keyed by base address, kept
-//!   behind `KernelConfig::with_reference_structures()`.
+//! The registry is a `Vec` indexed by frame number (`base / 4 KB`),
+//! the same discipline as the NVM `LineStore`: lookups are one bounds
+//! check and one array indexing, with no hashing and no per-entry
+//! allocation. Frames are already a compact index, so the vector
+//! tracks the highest frame ever registered. The differential test
+//! below checks it against a `HashMap` keyed by base address.
 
 use lelantus_types::{PageSize, PhysAddr};
-use std::collections::HashMap;
 
 /// Frame size the dense index is keyed by (one 4 KB frame per slot;
 /// huge pages occupy the slot of their base frame only).
@@ -45,14 +40,6 @@ pub struct PageInfo {
     pub reuse_deferred: bool,
 }
 
-#[derive(Debug, Clone)]
-enum Repr {
-    /// Frame-indexed slots, grown to the highest registered frame.
-    Dense { slots: Vec<Option<PageInfo>>, len: usize },
-    /// The seed's map, kept as the reference implementation.
-    Reference { pages: HashMap<u64, PageInfo> },
-}
-
 /// Registry of all allocated pages, keyed by base physical address.
 ///
 /// # Examples
@@ -68,7 +55,10 @@ enum Repr {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageRegistry {
-    repr: Repr,
+    /// Frame-indexed slots, grown to the highest registered frame.
+    slots: Vec<Option<PageInfo>>,
+    /// Number of occupied slots.
+    len: usize,
 }
 
 impl Default for PageRegistry {
@@ -78,14 +68,9 @@ impl Default for PageRegistry {
 }
 
 impl PageRegistry {
-    /// Creates an empty registry on the dense frame-indexed backing.
+    /// Creates an empty registry.
     pub fn new() -> Self {
-        Self { repr: Repr::Dense { slots: Vec::new(), len: 0 } }
-    }
-
-    /// Creates an empty registry on the reference `HashMap` backing.
-    pub fn new_reference() -> Self {
-        Self { repr: Repr::Reference { pages: HashMap::new() } }
+        Self { slots: Vec::new(), len: 0 }
     }
 
     #[inline]
@@ -107,43 +92,29 @@ impl PageRegistry {
             anon_vma,
             reuse_deferred: false,
         };
-        match &mut self.repr {
-            Repr::Dense { slots, len } => {
-                let frame = Self::frame(base);
-                if frame >= slots.len() {
-                    // Grow geometrically so a rising high-water mark
-                    // costs amortized O(1) per insert.
-                    let target = (frame + 1).next_power_of_two().max(64);
-                    slots.resize(target, None);
-                }
-                let slot = &mut slots[frame];
-                assert!(slot.is_none(), "page {base} registered twice");
-                *slot = Some(info);
-                *len += 1;
-            }
-            Repr::Reference { pages } => {
-                let prev = pages.insert(base.as_u64(), info);
-                assert!(prev.is_none(), "page {base} registered twice");
-            }
+        let frame = Self::frame(base);
+        if frame >= self.slots.len() {
+            // Grow geometrically so a rising high-water mark costs
+            // amortized O(1) per insert.
+            let target = (frame + 1).next_power_of_two().max(64);
+            self.slots.resize(target, None);
         }
+        let slot = &mut self.slots[frame];
+        assert!(slot.is_none(), "page {base} registered twice");
+        *slot = Some(info);
+        self.len += 1;
     }
 
     /// Looks up a page.
     #[inline]
     pub fn get(&self, base: PhysAddr) -> Option<&PageInfo> {
-        match &self.repr {
-            Repr::Dense { slots, .. } => slots.get(Self::frame(base))?.as_ref(),
-            Repr::Reference { pages } => pages.get(&base.as_u64()),
-        }
+        self.slots.get(Self::frame(base))?.as_ref()
     }
 
     /// Mutable lookup.
     #[inline]
     pub fn get_mut(&mut self, base: PhysAddr) -> Option<&mut PageInfo> {
-        match &mut self.repr {
-            Repr::Dense { slots, .. } => slots.get_mut(Self::frame(base))?.as_mut(),
-            Repr::Reference { pages } => pages.get_mut(&base.as_u64()),
-        }
+        self.slots.get_mut(Self::frame(base))?.as_mut()
     }
 
     /// Increments the map count.
@@ -187,29 +158,19 @@ impl PageRegistry {
     ///
     /// Panics if the page is unknown or still mapped.
     pub fn remove(&mut self, base: PhysAddr) -> PageInfo {
-        let info = match &mut self.repr {
-            Repr::Dense { slots, len } => {
-                let info = slots
-                    .get_mut(Self::frame(base))
-                    .and_then(Option::take)
-                    .expect("removing unknown page");
-                *len -= 1;
-                info
-            }
-            Repr::Reference { pages } => {
-                pages.remove(&base.as_u64()).expect("removing unknown page")
-            }
-        };
+        let info = self
+            .slots
+            .get_mut(Self::frame(base))
+            .and_then(Option::take)
+            .expect("removing unknown page");
+        self.len -= 1;
         assert_eq!(info.map_count, 0, "freeing page {base} that is still mapped");
         info
     }
 
     /// Number of registered pages.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Dense { len, .. } => *len,
-            Repr::Reference { pages } => pages.len(),
-        }
+        self.len
     }
 
     /// True when no pages are registered.
@@ -226,38 +187,67 @@ impl PageRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
-    fn both() -> [PageRegistry; 2] {
-        [PageRegistry::new(), PageRegistry::new_reference()]
+    /// The registry as a `HashMap` keyed by base address: the model the
+    /// frame-indexed registry is checked against.
+    #[derive(Default)]
+    struct MapRegistry {
+        pages: HashMap<u64, PageInfo>,
+    }
+
+    impl MapRegistry {
+        fn insert(&mut self, base: PhysAddr, size: PageSize, anon_vma: Option<u64>) {
+            let info = PageInfo {
+                base,
+                size,
+                map_count: 0,
+                cow_protected: false,
+                anon_vma,
+                reuse_deferred: false,
+            };
+            assert!(self.pages.insert(base.as_u64(), info).is_none(), "registered twice");
+        }
+
+        fn get(&self, base: PhysAddr) -> Option<&PageInfo> {
+            self.pages.get(&base.as_u64())
+        }
+
+        fn inc_map(&mut self, base: PhysAddr) {
+            self.pages.get_mut(&base.as_u64()).expect("known page").map_count += 1;
+        }
+
+        fn dec_map(&mut self, base: PhysAddr) -> usize {
+            let info = self.pages.get_mut(&base.as_u64()).expect("known page");
+            info.map_count -= 1;
+            info.map_count
+        }
+
+        fn remove(&mut self, base: PhysAddr) -> PageInfo {
+            let info = self.pages.remove(&base.as_u64()).expect("known page");
+            assert_eq!(info.map_count, 0, "still mapped");
+            info
+        }
     }
 
     #[test]
     fn lifecycle() {
-        for mut r in both() {
-            let p = PhysAddr::new(0x2000);
-            r.insert(p, PageSize::Regular4K, Some(3));
-            r.inc_map(p);
-            r.inc_map(p);
-            assert_eq!(r.dec_map(p), 1);
-            assert_eq!(r.dec_map(p), 0);
-            let info = r.remove(p);
-            assert_eq!(info.anon_vma, Some(3));
-            assert!(r.is_empty());
-        }
+        let mut r = PageRegistry::new();
+        let p = PhysAddr::new(0x2000);
+        r.insert(p, PageSize::Regular4K, Some(3));
+        r.inc_map(p);
+        r.inc_map(p);
+        assert_eq!(r.dec_map(p), 1);
+        assert_eq!(r.dec_map(p), 0);
+        let info = r.remove(p);
+        assert_eq!(info.anon_vma, Some(3));
+        assert!(r.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "registered twice")]
     fn double_insert_panics() {
         let mut r = PageRegistry::new();
-        r.insert(PhysAddr::new(0), PageSize::Regular4K, None);
-        r.insert(PhysAddr::new(0), PageSize::Regular4K, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "registered twice")]
-    fn double_insert_panics_reference() {
-        let mut r = PageRegistry::new_reference();
         r.insert(PhysAddr::new(0), PageSize::Regular4K, None);
         r.insert(PhysAddr::new(0), PageSize::Regular4K, None);
     }
@@ -281,21 +271,20 @@ mod tests {
 
     #[test]
     fn flags_are_mutable() {
-        for mut r in both() {
-            let p = PhysAddr::new(0x4000);
-            r.insert(p, PageSize::Huge2M, None);
-            r.get_mut(p).unwrap().cow_protected = true;
-            r.get_mut(p).unwrap().reuse_deferred = true;
-            let info = r.get(p).unwrap();
-            assert!(info.cow_protected && info.reuse_deferred);
-            assert_eq!(info.size, PageSize::Huge2M);
-        }
+        let mut r = PageRegistry::new();
+        let p = PhysAddr::new(0x4000);
+        r.insert(p, PageSize::Huge2M, None);
+        r.get_mut(p).unwrap().cow_protected = true;
+        r.get_mut(p).unwrap().reuse_deferred = true;
+        let info = r.get(p).unwrap();
+        assert!(info.cow_protected && info.reuse_deferred);
+        assert_eq!(info.size, PageSize::Huge2M);
     }
 
     #[test]
     fn bulk_inc_matches_repeated_inc() {
         let mut a = PageRegistry::new();
-        let mut b = PageRegistry::new_reference();
+        let mut b = MapRegistry::default();
         let p = PhysAddr::new(0x8000);
         a.insert(p, PageSize::Regular4K, None);
         b.insert(p, PageSize::Regular4K, None);
@@ -303,12 +292,12 @@ mod tests {
         for _ in 0..5 {
             b.inc_map(p);
         }
-        assert_eq!(a.get(p).unwrap().map_count, b.get(p).unwrap().map_count);
+        assert_eq!(a.get(p), b.get(p));
     }
 
     #[test]
     fn sparse_high_frames_do_not_explode() {
-        // The dense backing grows to the high-water frame; a high but
+        // The registry grows to the high-water frame; a high but
         // bounded address must register and resolve like any other.
         let mut r = PageRegistry::new();
         let high = PhysAddr::new(1 << 33); // 8 GB
@@ -319,11 +308,11 @@ mod tests {
     }
 
     #[test]
-    fn differential_against_reference() {
+    fn differential_against_map_model() {
         // Deterministic op soup over a small frame pool: the dense
         // registry must be observationally identical to the HashMap.
         let mut fast = PageRegistry::new();
-        let mut reference = PageRegistry::new_reference();
+        let mut model = MapRegistry::default();
         let mut x: u64 = 0x5eed;
         let mut step = move || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -335,30 +324,30 @@ mod tests {
                 0 => {
                     if fast.get(base).is_none() {
                         fast.insert(base, PageSize::Regular4K, Some(i));
-                        reference.insert(base, PageSize::Regular4K, Some(i));
+                        model.insert(base, PageSize::Regular4K, Some(i));
                     }
                 }
                 1 => {
                     if fast.get(base).is_some() {
                         fast.inc_map(base);
-                        reference.inc_map(base);
+                        model.inc_map(base);
                     }
                 }
                 2 => {
                     if fast.get(base).map(|p| p.map_count > 0).unwrap_or(false) {
-                        assert_eq!(fast.dec_map(base), reference.dec_map(base), "step {i}");
+                        assert_eq!(fast.dec_map(base), model.dec_map(base), "step {i}");
                     }
                 }
                 3 => {
                     if fast.get(base).map(|p| p.map_count == 0).unwrap_or(false) {
-                        assert_eq!(fast.remove(base), reference.remove(base), "step {i}");
+                        assert_eq!(fast.remove(base), model.remove(base), "step {i}");
                     }
                 }
                 _ => {
-                    assert_eq!(fast.get(base), reference.get(base), "step {i}");
+                    assert_eq!(fast.get(base), model.get(base), "step {i}");
                 }
             }
-            assert_eq!(fast.len(), reference.len(), "step {i}");
+            assert_eq!(fast.len(), model.pages.len(), "step {i}");
         }
     }
 }

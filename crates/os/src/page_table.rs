@@ -4,28 +4,23 @@
 //! both 4 KB and 2 MB mappings. Write-protection lives here: CoW marks
 //! PTEs read-only so stores fault into the kernel (paper §II-C).
 //!
-//! Two backings:
+//! The table is a sorted `Vec` of [`Segment`]s, each a dense slot
+//! array of `Option<Pte>` covering one contiguous uniform-stride VA
+//! range (in practice: one VMA). Lookup is a binary search over
+//! segments (a handful per process) plus an index; sequential `mmap`
+//! population appends in amortized O(1); ordered iteration walks the
+//! arrays with no collect-and-sort; and cloning a table (fork) is a
+//! memcpy per segment since `Option<Pte>` is `Copy`. Overlapping
+//! mappings with different geometry panic — the kernel never produces
+//! them (VMAs are disjoint and a VA keeps its page size for life). The
+//! differential test below checks the table against a
+//! `HashMap<u64, Pte>` model.
 //!
-//! * **Segmented** (default) — a sorted `Vec` of [`Segment`]s, each a
-//!   dense slot array of `Option<Pte>` covering one contiguous
-//!   uniform-stride VA range (in practice: one VMA). Lookup is a
-//!   binary search over segments (a handful per process) plus an
-//!   index; sequential `mmap` population appends in amortized O(1);
-//!   ordered iteration walks the arrays with no collect-and-sort; and
-//!   cloning a table (fork) is a memcpy per segment since
-//!   `Option<Pte>` is `Copy`. Overlapping mappings with different
-//!   geometry panic — the kernel never produces them (VMAs are
-//!   disjoint and a VA keeps its page size for life).
-//! * **Reference** — the seed's `HashMap<u64, Pte>`, kept behind
-//!   `KernelConfig::with_reference_structures()`; ordered iteration
-//!   collects and sorts as before.
-//!
-//! Both backings keep a huge-mapping count so [`PageTable::entry`]
-//! skips the `Huge2M` probe entirely on 4 K-only tables (most
-//! workloads), halving lookup work on translation misses.
+//! A huge-mapping count lets [`PageTable::entry`] skip the `Huge2M`
+//! probe entirely on 4 K-only tables (most workloads), halving lookup
+//! work on translation misses.
 
 use lelantus_types::{PageSize, PhysAddr, VirtAddr};
-use std::collections::HashMap;
 
 /// One page-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,12 +63,6 @@ impl Segment {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Repr {
-    Segmented { segments: Vec<Segment>, len: usize },
-    Reference { entries: HashMap<u64, Pte> },
-}
-
 /// A process page table.
 ///
 /// # Examples
@@ -89,7 +78,10 @@ enum Repr {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageTable {
-    repr: Repr,
+    /// Disjoint segments, sorted by start VA.
+    segments: Vec<Segment>,
+    /// Number of mappings.
+    len: usize,
     /// Number of live `Huge2M` entries; when zero, `entry` skips the
     /// huge-page probe.
     huge_entries: usize,
@@ -102,14 +94,9 @@ impl Default for PageTable {
 }
 
 impl PageTable {
-    /// Creates an empty page table on the segmented backing.
+    /// Creates an empty page table.
     pub fn new() -> Self {
-        Self { repr: Repr::Segmented { segments: Vec::new(), len: 0 }, huge_entries: 0 }
-    }
-
-    /// Creates an empty page table on the reference `HashMap` backing.
-    pub fn new_reference() -> Self {
-        Self { repr: Repr::Reference { entries: HashMap::new() }, huge_entries: 0 }
+        Self { segments: Vec::new(), len: 0, huge_entries: 0 }
     }
 
     /// Index of the segment containing `va`, if any.
@@ -125,42 +112,37 @@ impl PageTable {
     /// # Panics
     ///
     /// Panics if `va_base` is not aligned to the entry's page size, or
-    /// (segmented backing only) if the page overlaps existing mappings
-    /// of a different geometry — the kernel never creates such
-    /// overlaps.
+    /// if the page overlaps existing mappings of a different geometry —
+    /// the kernel never creates such overlaps.
     pub fn map(&mut self, va_base: VirtAddr, pte: Pte) {
         let bytes = pte.size.bytes();
         assert!(va_base.is_aligned_to(bytes), "mapping base {va_base} not {}-aligned", pte.size);
         let va = va_base.as_u64();
-        let old = match &mut self.repr {
-            Repr::Segmented { segments, len } => {
-                if let Some(i) = Self::find_seg(segments, va) {
-                    let seg = &mut segments[i];
-                    if seg.stride == bytes && (va - seg.start).is_multiple_of(bytes) {
-                        let slot = ((va - seg.start) / bytes) as usize;
-                        let old = seg.slots[slot].replace(pte);
-                        if old.is_none() {
-                            seg.live += 1;
-                            *len += 1;
-                        }
-                        old
-                    } else if seg.live == 0 {
-                        // A fully-unmapped leftover segment may be
-                        // reclaimed by a differently-shaped mapping.
-                        segments.remove(i);
-                        Self::insert_new(segments, va, bytes, pte, va_base);
-                        *len += 1;
-                        None
-                    } else {
-                        panic!("mapping {va_base} overlaps a segment with different geometry");
-                    }
-                } else {
-                    Self::insert_new(segments, va, bytes, pte, va_base);
-                    *len += 1;
-                    None
+        let segments = &mut self.segments;
+        let old = if let Some(i) = Self::find_seg(segments, va) {
+            let seg = &mut segments[i];
+            if seg.stride == bytes && (va - seg.start).is_multiple_of(bytes) {
+                let slot = ((va - seg.start) / bytes) as usize;
+                let old = seg.slots[slot].replace(pte);
+                if old.is_none() {
+                    seg.live += 1;
+                    self.len += 1;
                 }
+                old
+            } else if seg.live == 0 {
+                // A fully-unmapped leftover segment may be reclaimed by
+                // a differently-shaped mapping.
+                segments.remove(i);
+                Self::insert_new(segments, va, bytes, pte, va_base);
+                self.len += 1;
+                None
+            } else {
+                panic!("mapping {va_base} overlaps a segment with different geometry");
             }
-            Repr::Reference { entries } => entries.insert(va, pte),
+        } else {
+            Self::insert_new(segments, va, bytes, pte, va_base);
+            self.len += 1;
+            None
         };
         if old.map(|p| p.size) == Some(PageSize::Huge2M) {
             self.huge_entries -= 1;
@@ -189,23 +171,17 @@ impl PageTable {
     /// Removes the mapping at `va_base`, returning the old entry.
     pub fn unmap(&mut self, va_base: VirtAddr) -> Option<Pte> {
         let va = va_base.as_u64();
-        let old = match &mut self.repr {
-            Repr::Segmented { segments, len } => {
-                let i = Self::find_seg(segments, va)?;
-                let seg = &mut segments[i];
-                if !(va - seg.start).is_multiple_of(seg.stride) {
-                    return None;
-                }
-                let slot = ((va - seg.start) / seg.stride) as usize;
-                let old = seg.slots[slot].take();
-                if old.is_some() {
-                    seg.live -= 1;
-                    *len -= 1;
-                }
-                old
-            }
-            Repr::Reference { entries } => entries.remove(&va),
-        };
+        let i = Self::find_seg(&self.segments, va)?;
+        let seg = &mut self.segments[i];
+        if !(va - seg.start).is_multiple_of(seg.stride) {
+            return None;
+        }
+        let slot = ((va - seg.start) / seg.stride) as usize;
+        let old = seg.slots[slot].take();
+        if old.is_some() {
+            seg.live -= 1;
+            self.len -= 1;
+        }
         if old.map(|p| p.size) == Some(PageSize::Huge2M) {
             self.huge_entries -= 1;
         }
@@ -216,18 +192,11 @@ impl PageTable {
     /// `bytes`, if any.
     #[inline]
     fn lookup_exact(&self, base: u64, bytes: u64) -> Option<Pte> {
-        match &self.repr {
-            Repr::Segmented { segments, .. } => {
-                let seg = &segments[Self::find_seg(segments, base)?];
-                if seg.stride != bytes || !(base - seg.start).is_multiple_of(bytes) {
-                    return None;
-                }
-                seg.slots[((base - seg.start) / bytes) as usize]
-            }
-            Repr::Reference { entries } => {
-                entries.get(&base).copied().filter(|p| p.size.bytes() == bytes)
-            }
+        let seg = &self.segments[Self::find_seg(&self.segments, base)?];
+        if seg.stride != bytes || !(base - seg.start).is_multiple_of(bytes) {
+            return None;
         }
+        seg.slots[((base - seg.start) / bytes) as usize]
     }
 
     /// Looks up the PTE covering `va` (probing both page sizes; the
@@ -264,15 +233,10 @@ impl PageTable {
     pub fn set_writable(&mut self, va: VirtAddr, writable: bool) -> bool {
         let (base, _) = self.entry(va).expect("set_writable on unmapped address");
         let base = base.as_u64();
-        let e = match &mut self.repr {
-            Repr::Segmented { segments, .. } => {
-                let i = Self::find_seg(segments, base).expect("entry exists");
-                let seg = &mut segments[i];
-                let slot = ((base - seg.start) / seg.stride) as usize;
-                seg.slots[slot].as_mut().expect("entry exists")
-            }
-            Repr::Reference { entries } => entries.get_mut(&base).expect("entry exists"),
-        };
+        let i = Self::find_seg(&self.segments, base).expect("entry exists");
+        let seg = &mut self.segments[i];
+        let slot = ((base - seg.start) / seg.stride) as usize;
+        let e = seg.slots[slot].as_mut().expect("entry exists");
         std::mem::replace(&mut e.writable, writable)
     }
 
@@ -281,48 +245,34 @@ impl PageTable {
     /// The order is load-bearing: fork and mprotect turn this walk into
     /// hardware actions whose NVM timing depends on the access
     /// sequence, so hash order here would make simulated cycle counts
-    /// differ between identically-configured runs. On the segmented
-    /// backing the walk is allocation-free; the reference backing
-    /// collects and sorts.
+    /// differ between identically-configured runs. The walk is
+    /// allocation-free.
     pub fn iter(&self) -> PtIter<'_> {
         self.range_raw(0, u64::MAX)
     }
 
     /// Iterates over `(va_base, pte)` pairs with `start <= va_base <
-    /// end`, in ascending address order. On the segmented backing this
-    /// starts directly at the first covered slot instead of scanning
-    /// the whole table.
+    /// end`, in ascending address order, starting directly at the first
+    /// covered slot instead of scanning the whole table.
     pub fn range(&self, start: VirtAddr, end: VirtAddr) -> PtIter<'_> {
         self.range_raw(start.as_u64(), end.as_u64())
     }
 
     fn range_raw(&self, start: u64, end: u64) -> PtIter<'_> {
-        match &self.repr {
-            Repr::Segmented { segments, .. } => {
-                // Segments are disjoint and sorted, so they are sorted
-                // by end() too: the first candidate is the first
-                // segment extending past `start`.
-                let seg = segments.partition_point(|s| s.end() <= start);
-                let (slot, va) = match segments.get(seg) {
-                    Some(s) if s.start < start => {
-                        let slot = ((start - s.start).div_ceil(s.stride)) as usize;
-                        (slot, s.start + s.stride * slot as u64)
-                    }
-                    Some(s) => (0, s.start),
-                    None => (0, 0),
-                };
-                PtIter { inner: IterInner::Seg { segments, seg, slot, va, end } }
+        let segments = &self.segments;
+        // Segments are disjoint and sorted, so they are sorted by end()
+        // too: the first candidate is the first segment extending past
+        // `start`.
+        let seg = segments.partition_point(|s| s.end() <= start);
+        let (slot, va) = match segments.get(seg) {
+            Some(s) if s.start < start => {
+                let slot = ((start - s.start).div_ceil(s.stride)) as usize;
+                (slot, s.start + s.stride * slot as u64)
             }
-            Repr::Reference { entries } => {
-                let mut sorted: Vec<(u64, Pte)> = entries
-                    .iter()
-                    .filter(|(va, _)| (start..end).contains(*va))
-                    .map(|(va, pte)| (*va, *pte))
-                    .collect();
-                sorted.sort_unstable_by_key(|(va, _)| *va);
-                PtIter { inner: IterInner::Sorted(sorted.into_iter()) }
-            }
-        }
+            Some(s) => (0, s.start),
+            None => (0, 0),
+        };
+        PtIter { segments, seg, slot, va, end }
     }
 
     /// Visits every `(va_base, &mut Pte)` in ascending address order.
@@ -333,8 +283,7 @@ impl PageTable {
     }
 
     /// [`PageTable::for_each_mut`] restricted to `start <= va_base <
-    /// end`. On the segmented backing the walk starts directly at the
-    /// first covered slot.
+    /// end`, starting directly at the first covered slot.
     pub fn for_each_mut_in(
         &mut self,
         start: VirtAddr,
@@ -345,47 +294,28 @@ impl PageTable {
     }
 
     fn for_each_mut_raw(&mut self, start: u64, end: u64, mut f: impl FnMut(VirtAddr, &mut Pte)) {
-        match &mut self.repr {
-            Repr::Segmented { segments, .. } => {
-                let first = segments.partition_point(|s| s.end() <= start);
-                for seg in &mut segments[first..] {
-                    if seg.start >= end {
-                        break;
-                    }
-                    let skip = if seg.start < start {
-                        (start - seg.start).div_ceil(seg.stride)
-                    } else {
-                        0
-                    };
-                    let mut va = seg.start + skip * seg.stride;
-                    for slot in seg.slots.iter_mut().skip(skip as usize) {
-                        if va >= end {
-                            break;
-                        }
-                        if let Some(pte) = slot.as_mut() {
-                            f(VirtAddr::new(va), pte);
-                        }
-                        va += seg.stride;
-                    }
-                }
+        let first = self.segments.partition_point(|s| s.end() <= start);
+        for seg in &mut self.segments[first..] {
+            if seg.start >= end {
+                break;
             }
-            Repr::Reference { entries } => {
-                let mut keys: Vec<u64> =
-                    entries.keys().copied().filter(|va| (start..end).contains(va)).collect();
-                keys.sort_unstable();
-                for va in keys {
-                    f(VirtAddr::new(va), entries.get_mut(&va).expect("key just listed"));
+            let skip = if seg.start < start { (start - seg.start).div_ceil(seg.stride) } else { 0 };
+            let mut va = seg.start + skip * seg.stride;
+            for slot in seg.slots.iter_mut().skip(skip as usize) {
+                if va >= end {
+                    break;
                 }
+                if let Some(pte) = slot.as_mut() {
+                    f(VirtAddr::new(va), pte);
+                }
+                va += seg.stride;
             }
         }
     }
 
     /// Number of mappings.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Segmented { len, .. } => *len,
-            Repr::Reference { entries } => entries.len(),
-        }
+        self.len
     }
 
     /// True when empty.
@@ -403,44 +333,40 @@ impl PageTable {
 /// or a VA range).
 #[derive(Debug)]
 pub struct PtIter<'a> {
-    inner: IterInner<'a>,
-}
-
-#[derive(Debug)]
-enum IterInner<'a> {
-    /// Walks the segmented backing in place.
-    Seg { segments: &'a [Segment], seg: usize, slot: usize, va: u64, end: u64 },
-    /// Pre-sorted snapshot of the reference backing.
-    Sorted(std::vec::IntoIter<(u64, Pte)>),
+    segments: &'a [Segment],
+    /// Current segment and slot within it.
+    seg: usize,
+    slot: usize,
+    /// VA of the current slot.
+    va: u64,
+    /// Exclusive VA bound.
+    end: u64,
 }
 
 impl Iterator for PtIter<'_> {
     type Item = (VirtAddr, Pte);
 
     fn next(&mut self) -> Option<(VirtAddr, Pte)> {
-        match &mut self.inner {
-            IterInner::Seg { segments, seg, slot, va, end } => loop {
-                let s = segments.get(*seg)?;
-                if *slot >= s.slots.len() {
-                    *seg += 1;
-                    *slot = 0;
-                    if let Some(n) = segments.get(*seg) {
-                        *va = n.start;
-                    }
-                    continue;
+        loop {
+            let s = self.segments.get(self.seg)?;
+            if self.slot >= s.slots.len() {
+                self.seg += 1;
+                self.slot = 0;
+                if let Some(n) = self.segments.get(self.seg) {
+                    self.va = n.start;
                 }
-                if *va >= *end {
-                    return None;
-                }
-                let here = *va;
-                let pte = s.slots[*slot];
-                *slot += 1;
-                *va += s.stride;
-                if let Some(pte) = pte {
-                    return Some((VirtAddr::new(here), pte));
-                }
-            },
-            IterInner::Sorted(iter) => iter.next().map(|(va, pte)| (VirtAddr::new(va), pte)),
+                continue;
+            }
+            if self.va >= self.end {
+                return None;
+            }
+            let here = self.va;
+            let pte = s.slots[self.slot];
+            self.slot += 1;
+            self.va += s.stride;
+            if let Some(pte) = pte {
+                return Some((VirtAddr::new(here), pte));
+            }
         }
     }
 }
@@ -448,9 +374,44 @@ impl Iterator for PtIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
-    fn both() -> [PageTable; 2] {
-        [PageTable::new(), PageTable::new_reference()]
+    /// The table as a `HashMap<u64, Pte>` keyed by page base: the model
+    /// the segmented table is checked against.
+    #[derive(Default)]
+    struct MapPageTable {
+        entries: HashMap<u64, Pte>,
+    }
+
+    impl MapPageTable {
+        fn map(&mut self, va_base: VirtAddr, pte: Pte) {
+            self.entries.insert(va_base.as_u64(), pte);
+        }
+
+        fn unmap(&mut self, va_base: VirtAddr) -> Option<Pte> {
+            self.entries.remove(&va_base.as_u64())
+        }
+
+        fn translate(&self, va: VirtAddr) -> Option<Translation> {
+            PageSize::all().into_iter().find_map(|size| {
+                let va_base = va.align_to(size.bytes());
+                let pte = *self.entries.get(&va_base.as_u64()).filter(|p| p.size == size)?;
+                Some(Translation { pa: pte.pa + (va - va_base), pte, va_base })
+            })
+        }
+
+        fn set_writable(&mut self, va: VirtAddr, writable: bool) -> bool {
+            let base = self.translate(va).expect("mapped").va_base.as_u64();
+            let pte = self.entries.get_mut(&base).expect("mapped");
+            std::mem::replace(&mut pte.writable, writable)
+        }
+
+        fn sorted(&self) -> Vec<(VirtAddr, Pte)> {
+            let mut all: Vec<_> =
+                self.entries.iter().map(|(va, pte)| (VirtAddr::new(*va), *pte)).collect();
+            all.sort_unstable_by_key(|(va, _)| *va);
+            all
+        }
     }
 
     fn pte4k(pa: u64, writable: bool) -> Pte {
@@ -459,48 +420,44 @@ mod tests {
 
     #[test]
     fn translate_regular() {
-        for mut pt in both() {
-            pt.map(VirtAddr::new(0x7000), pte4k(0x10000, false));
-            let t = pt.translate(VirtAddr::new(0x7abc)).unwrap();
-            assert_eq!(t.pa, PhysAddr::new(0x10abc));
-            assert!(!t.pte.writable);
-            assert_eq!(t.va_base, VirtAddr::new(0x7000));
-            assert!(pt.translate(VirtAddr::new(0x8000)).is_none());
-        }
+        let mut pt = PageTable::new();
+        pt.map(VirtAddr::new(0x7000), pte4k(0x10000, false));
+        let t = pt.translate(VirtAddr::new(0x7abc)).unwrap();
+        assert_eq!(t.pa, PhysAddr::new(0x10abc));
+        assert!(!t.pte.writable);
+        assert_eq!(t.va_base, VirtAddr::new(0x7000));
+        assert!(pt.translate(VirtAddr::new(0x8000)).is_none());
     }
 
     #[test]
     fn translate_huge() {
-        for mut pt in both() {
-            pt.map(
-                VirtAddr::new(0x4000_0000),
-                Pte { pa: PhysAddr::new(0x20_0000), size: PageSize::Huge2M, writable: true },
-            );
-            assert_eq!(pt.huge_len(), 1);
-            let t = pt.translate(VirtAddr::new(0x4000_0000 + 0x12345)).unwrap();
-            assert_eq!(t.pa, PhysAddr::new(0x20_0000 + 0x12345));
-            assert_eq!(t.pte.size, PageSize::Huge2M);
-        }
+        let mut pt = PageTable::new();
+        pt.map(
+            VirtAddr::new(0x4000_0000),
+            Pte { pa: PhysAddr::new(0x20_0000), size: PageSize::Huge2M, writable: true },
+        );
+        assert_eq!(pt.huge_len(), 1);
+        let t = pt.translate(VirtAddr::new(0x4000_0000 + 0x12345)).unwrap();
+        assert_eq!(t.pa, PhysAddr::new(0x20_0000 + 0x12345));
+        assert_eq!(t.pte.size, PageSize::Huge2M);
     }
 
     #[test]
     fn set_writable_flips_bit() {
-        for mut pt in both() {
-            pt.map(VirtAddr::new(0x1000), pte4k(0x2000, true));
-            assert!(pt.set_writable(VirtAddr::new(0x1800), false));
-            assert!(!pt.translate(VirtAddr::new(0x1800)).unwrap().pte.writable);
-        }
+        let mut pt = PageTable::new();
+        pt.map(VirtAddr::new(0x1000), pte4k(0x2000, true));
+        assert!(pt.set_writable(VirtAddr::new(0x1800), false));
+        assert!(!pt.translate(VirtAddr::new(0x1800)).unwrap().pte.writable);
     }
 
     #[test]
     fn unmap_removes() {
-        for mut pt in both() {
-            pt.map(VirtAddr::new(0x1000), pte4k(0x2000, true));
-            assert!(pt.unmap(VirtAddr::new(0x1000)).is_some());
-            assert!(pt.translate(VirtAddr::new(0x1000)).is_none());
-            assert!(pt.is_empty());
-            assert!(pt.unmap(VirtAddr::new(0x1000)).is_none());
-        }
+        let mut pt = PageTable::new();
+        pt.map(VirtAddr::new(0x1000), pte4k(0x2000, true));
+        assert!(pt.unmap(VirtAddr::new(0x1000)).is_some());
+        assert!(pt.translate(VirtAddr::new(0x1000)).is_none());
+        assert!(pt.is_empty());
+        assert!(pt.unmap(VirtAddr::new(0x1000)).is_none());
     }
 
     #[test]
@@ -515,59 +472,56 @@ mod tests {
 
     #[test]
     fn iter_is_address_ordered() {
-        for mut pt in both() {
-            for va in [0x9000u64, 0x1000, 0x5000, 0x3000] {
-                pt.map(VirtAddr::new(va), pte4k(va * 2, true));
-            }
-            let vas: Vec<u64> = pt.iter().map(|(va, _)| va.as_u64()).collect();
-            assert_eq!(vas, vec![0x1000, 0x3000, 0x5000, 0x9000]);
-            assert_eq!(pt.len(), 4);
+        let mut pt = PageTable::new();
+        for va in [0x9000u64, 0x1000, 0x5000, 0x3000] {
+            pt.map(VirtAddr::new(va), pte4k(va * 2, true));
         }
+        let vas: Vec<u64> = pt.iter().map(|(va, _)| va.as_u64()).collect();
+        assert_eq!(vas, vec![0x1000, 0x3000, 0x5000, 0x9000]);
+        assert_eq!(pt.len(), 4);
     }
 
     #[test]
     fn range_is_bounded_and_ordered() {
-        for mut pt in both() {
-            for va in (0..16u64).map(|i| 0x10_0000 + i * 0x1000) {
-                pt.map(VirtAddr::new(va), pte4k(va, true));
-            }
-            pt.unmap(VirtAddr::new(0x10_3000));
-            let got: Vec<u64> = pt
-                .range(VirtAddr::new(0x10_2000), VirtAddr::new(0x10_6000))
-                .map(|(va, _)| va.as_u64())
-                .collect();
-            assert_eq!(got, vec![0x10_2000, 0x10_4000, 0x10_5000]);
-            // Range start inside a page rounds up to the next base.
-            let got: Vec<u64> = pt
-                .range(VirtAddr::new(0x10_2800), VirtAddr::new(0x10_5000))
-                .map(|(va, _)| va.as_u64())
-                .collect();
-            assert_eq!(got, vec![0x10_4000]);
+        let mut pt = PageTable::new();
+        for va in (0..16u64).map(|i| 0x10_0000 + i * 0x1000) {
+            pt.map(VirtAddr::new(va), pte4k(va, true));
         }
+        pt.unmap(VirtAddr::new(0x10_3000));
+        let got: Vec<u64> = pt
+            .range(VirtAddr::new(0x10_2000), VirtAddr::new(0x10_6000))
+            .map(|(va, _)| va.as_u64())
+            .collect();
+        assert_eq!(got, vec![0x10_2000, 0x10_4000, 0x10_5000]);
+        // Range start inside a page rounds up to the next base.
+        let got: Vec<u64> = pt
+            .range(VirtAddr::new(0x10_2800), VirtAddr::new(0x10_5000))
+            .map(|(va, _)| va.as_u64())
+            .collect();
+        assert_eq!(got, vec![0x10_4000]);
     }
 
     #[test]
     fn for_each_mut_visits_in_order() {
-        for mut pt in both() {
-            for va in [0x4000u64, 0x1000, 0x2000] {
-                pt.map(VirtAddr::new(va), pte4k(va, true));
-            }
-            let mut seen = Vec::new();
-            pt.for_each_mut(|va, pte| {
-                pte.writable = false;
-                seen.push(va.as_u64());
-            });
-            assert_eq!(seen, vec![0x1000, 0x2000, 0x4000]);
-            assert!(pt.iter().all(|(_, pte)| !pte.writable));
-            let mut seen = Vec::new();
-            pt.for_each_mut_in(VirtAddr::new(0x1800), VirtAddr::new(0x4000), |va, pte| {
-                pte.writable = true;
-                seen.push(va.as_u64());
-            });
-            assert_eq!(seen, vec![0x2000]);
-            assert!(pt.translate(VirtAddr::new(0x2000)).unwrap().pte.writable);
-            assert!(!pt.translate(VirtAddr::new(0x1000)).unwrap().pte.writable);
+        let mut pt = PageTable::new();
+        for va in [0x4000u64, 0x1000, 0x2000] {
+            pt.map(VirtAddr::new(va), pte4k(va, true));
         }
+        let mut seen = Vec::new();
+        pt.for_each_mut(|va, pte| {
+            pte.writable = false;
+            seen.push(va.as_u64());
+        });
+        assert_eq!(seen, vec![0x1000, 0x2000, 0x4000]);
+        assert!(pt.iter().all(|(_, pte)| !pte.writable));
+        let mut seen = Vec::new();
+        pt.for_each_mut_in(VirtAddr::new(0x1800), VirtAddr::new(0x4000), |va, pte| {
+            pte.writable = true;
+            seen.push(va.as_u64());
+        });
+        assert_eq!(seen, vec![0x2000]);
+        assert!(pt.translate(VirtAddr::new(0x2000)).unwrap().pte.writable);
+        assert!(!pt.translate(VirtAddr::new(0x1000)).unwrap().pte.writable);
     }
 
     #[test]
@@ -589,38 +543,36 @@ mod tests {
     fn sparse_then_backfill_merges_into_segments() {
         // Map even pages first, odd pages second: lookups and order
         // must be unaffected by segment fragmentation.
-        for mut pt in both() {
-            let base = 0x50_0000u64;
-            for i in (0..32u64).step_by(2) {
-                pt.map(VirtAddr::new(base + i * 0x1000), pte4k(i, true));
-            }
-            for i in (1..32u64).step_by(2) {
-                pt.map(VirtAddr::new(base + i * 0x1000), pte4k(i, true));
-            }
-            assert_eq!(pt.len(), 32);
-            let vas: Vec<u64> = pt.iter().map(|(va, _)| va.as_u64()).collect();
-            let want: Vec<u64> = (0..32u64).map(|i| base + i * 0x1000).collect();
-            assert_eq!(vas, want);
+        let mut pt = PageTable::new();
+        let base = 0x50_0000u64;
+        for i in (0..32u64).step_by(2) {
+            pt.map(VirtAddr::new(base + i * 0x1000), pte4k(i, true));
         }
+        for i in (1..32u64).step_by(2) {
+            pt.map(VirtAddr::new(base + i * 0x1000), pte4k(i, true));
+        }
+        assert_eq!(pt.len(), 32);
+        let vas: Vec<u64> = pt.iter().map(|(va, _)| va.as_u64()).collect();
+        let want: Vec<u64> = (0..32u64).map(|i| base + i * 0x1000).collect();
+        assert_eq!(vas, want);
     }
 
     #[test]
     fn clone_is_independent() {
-        for mut pt in both() {
-            pt.map(VirtAddr::new(0x1000), pte4k(0x2000, true));
-            let mut child = pt.clone();
-            child.set_writable(VirtAddr::new(0x1000), false);
-            assert!(pt.translate(VirtAddr::new(0x1000)).unwrap().pte.writable);
-            assert!(!child.translate(VirtAddr::new(0x1000)).unwrap().pte.writable);
-        }
+        let mut pt = PageTable::new();
+        pt.map(VirtAddr::new(0x1000), pte4k(0x2000, true));
+        let mut child = pt.clone();
+        child.set_writable(VirtAddr::new(0x1000), false);
+        assert!(pt.translate(VirtAddr::new(0x1000)).unwrap().pte.writable);
+        assert!(!child.translate(VirtAddr::new(0x1000)).unwrap().pte.writable);
     }
 
     #[test]
-    fn differential_against_reference() {
+    fn differential_against_map_model() {
         // Deterministic op soup over a small VA window; every
-        // observable must match the reference backing.
+        // observable must match the map model.
         let mut fast = PageTable::new();
-        let mut reference = PageTable::new_reference();
+        let mut model = MapPageTable::default();
         let mut x: u64 = 0xabcd;
         let mut step = move || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -632,32 +584,27 @@ mod tests {
                 0 => {
                     let pte = pte4k((step() % 128) * 0x1000, step() % 2 == 0);
                     fast.map(va, pte);
-                    reference.map(va, pte);
+                    model.map(va, pte);
                 }
                 1 => {
-                    assert_eq!(fast.unmap(va), reference.unmap(va), "step {i}");
+                    assert_eq!(fast.unmap(va), model.unmap(va), "step {i}");
                 }
                 2 => {
                     if fast.entry(va).is_some() {
                         let w = step() % 2 == 0;
-                        assert_eq!(
-                            fast.set_writable(va, w),
-                            reference.set_writable(va, w),
-                            "step {i}"
-                        );
+                        assert_eq!(fast.set_writable(va, w), model.set_writable(va, w), "step {i}");
                     }
                 }
                 3 => {
                     let probe = va + step() % 0x1000;
-                    assert_eq!(fast.translate(probe), reference.translate(probe), "step {i}");
+                    assert_eq!(fast.translate(probe), model.translate(probe), "step {i}");
                 }
                 _ => {
                     let fast_all: Vec<_> = fast.iter().collect();
-                    let ref_all: Vec<_> = reference.iter().collect();
-                    assert_eq!(fast_all, ref_all, "step {i}");
+                    assert_eq!(fast_all, model.sorted(), "step {i}");
                 }
             }
-            assert_eq!(fast.len(), reference.len(), "step {i}");
+            assert_eq!(fast.len(), model.entries.len(), "step {i}");
         }
     }
 }

@@ -7,21 +7,17 @@
 //! this is how early reclamation finds candidate *copied* pages whose
 //! metadata may still point at a dying source page (§III-D).
 //!
-//! Two backings:
-//!
-//! * **Intrusive** (default) — chains are doubly linked lists threaded
-//!   through a slab of index-linked nodes (`usize` links, no `Box`, no
-//!   per-chain `Vec`). `anon_vma` ids are handed out sequentially by
-//!   this registry, so the chain table is a dense `Vec` indexed by id.
-//!   Linking appends at the tail, preserving the reference backing's
-//!   push order, and traversal goes through [`RmapRegistry::cursor`] —
-//!   a `Copy` position token, so callers (the kernel's early-reclaim
-//!   walk) iterate without snapshotting the chain into a `Vec`.
-//! * **Reference** — the seed's `HashMap<AnonVmaId, Vec<ChainLink>>`,
-//!   kept behind `KernelConfig::with_reference_structures()`.
+//! Chains are doubly linked lists threaded through a slab of
+//! index-linked nodes (`usize` links, no `Box`, no per-chain `Vec`).
+//! `anon_vma` ids are handed out sequentially by this registry, so the
+//! chain table is a dense `Vec` indexed by id. Linking appends at the
+//! tail, so traversal order is link order, and traversal goes through
+//! [`RmapRegistry::cursor`] — a `Copy` position token, so callers (the
+//! kernel's early-reclaim walk) iterate without snapshotting the chain
+//! into a `Vec`. The differential test below checks the registry
+//! against a `HashMap<AnonVmaId, Vec<ChainLink>>` model.
 
 use lelantus_types::VirtAddr;
-use std::collections::HashMap;
 
 /// Identifier of one `anon_vma`.
 pub type AnonVmaId = u64;
@@ -44,13 +40,12 @@ pub struct ChainLink {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RmapCursor {
     av: AnonVmaId,
-    /// Intrusive: slab node index ([`NIL`] = end). Reference: position
-    /// in the chain's `Vec`.
+    /// Slab node index ([`NIL`] = end).
     pos: usize,
 }
 
-/// Slab node of the intrusive backing; `next` doubles as the free-list
-/// link when the node is unused.
+/// Slab node; `next` doubles as the free-list link when the node is
+/// unused.
 #[derive(Debug, Clone, Copy)]
 struct LinkNode {
     link: ChainLink,
@@ -58,29 +53,13 @@ struct LinkNode {
     next: usize,
 }
 
-/// Per-anon_vma chain head of the intrusive backing.
+/// Per-anon_vma chain head.
 #[derive(Debug, Clone, Copy)]
 struct Chain {
     head: usize,
     tail: usize,
     len: usize,
     live: bool,
-}
-
-#[derive(Debug, Clone)]
-enum Repr {
-    Intrusive {
-        /// Indexed by `AnonVmaId` (ids are sequential).
-        chains: Vec<Chain>,
-        /// Node slab; freed nodes are recycled via `free_head`.
-        nodes: Vec<LinkNode>,
-        free_head: usize,
-        /// Number of live (created, not destroyed) anon_vmas.
-        live: usize,
-    },
-    Reference {
-        chains: HashMap<AnonVmaId, Vec<ChainLink>>,
-    },
 }
 
 /// Registry of anon_vma chains.
@@ -99,8 +78,13 @@ enum Repr {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RmapRegistry {
-    next_id: AnonVmaId,
-    repr: Repr,
+    /// Indexed by `AnonVmaId` (ids are sequential).
+    chains: Vec<Chain>,
+    /// Node slab; freed nodes are recycled via `free_head`.
+    nodes: Vec<LinkNode>,
+    free_head: usize,
+    /// Number of live (created, not destroyed) anon_vmas.
+    live: usize,
 }
 
 impl Default for RmapRegistry {
@@ -110,39 +94,16 @@ impl Default for RmapRegistry {
 }
 
 impl RmapRegistry {
-    /// Creates an empty registry on the intrusive backing.
+    /// Creates an empty registry.
     pub fn new() -> Self {
-        Self {
-            next_id: 0,
-            repr: Repr::Intrusive {
-                chains: Vec::new(),
-                nodes: Vec::new(),
-                free_head: NIL,
-                live: 0,
-            },
-        }
-    }
-
-    /// Creates an empty registry on the reference `HashMap`/`Vec`
-    /// backing.
-    pub fn new_reference() -> Self {
-        Self { next_id: 0, repr: Repr::Reference { chains: HashMap::new() } }
+        Self { chains: Vec::new(), nodes: Vec::new(), free_head: NIL, live: 0 }
     }
 
     /// Allocates a fresh `anon_vma` (first mapping of a new VMA).
     pub fn create(&mut self) -> AnonVmaId {
-        let id = self.next_id;
-        self.next_id += 1;
-        match &mut self.repr {
-            Repr::Intrusive { chains, live, .. } => {
-                debug_assert_eq!(id as usize, chains.len());
-                chains.push(Chain { head: NIL, tail: NIL, len: 0, live: true });
-                *live += 1;
-            }
-            Repr::Reference { chains } => {
-                chains.insert(id, Vec::new());
-            }
-        }
+        let id = self.chains.len() as AnonVmaId;
+        self.chains.push(Chain { head: NIL, tail: NIL, len: 0, live: true });
+        self.live += 1;
         id
     }
 
@@ -152,85 +113,64 @@ impl RmapRegistry {
     ///
     /// Panics if `av` is unknown or the link already exists.
     pub fn link(&mut self, av: AnonVmaId, pid: u64, vma_start: VirtAddr) {
-        match &mut self.repr {
-            Repr::Intrusive { chains, nodes, free_head, .. } => {
-                let chain =
-                    chains.get_mut(av as usize).filter(|c| c.live).expect("unknown anon_vma");
-                let mut cur = chain.head;
-                while cur != NIL {
-                    let n = &nodes[cur];
-                    assert!(
-                        !(n.link.pid == pid && n.link.vma_start == vma_start),
-                        "duplicate anon_vma_chain link"
-                    );
-                    cur = n.next;
-                }
-                let node =
-                    LinkNode { link: ChainLink { pid, vma_start }, prev: chain.tail, next: NIL };
-                let idx = if *free_head != NIL {
-                    let idx = *free_head;
-                    *free_head = nodes[idx].next;
-                    nodes[idx] = node;
-                    idx
-                } else {
-                    nodes.push(node);
-                    nodes.len() - 1
-                };
-                if chain.tail != NIL {
-                    nodes[chain.tail].next = idx;
-                } else {
-                    chain.head = idx;
-                }
-                chain.tail = idx;
-                chain.len += 1;
-            }
-            Repr::Reference { chains } => {
-                let chain = chains.get_mut(&av).expect("unknown anon_vma");
-                assert!(
-                    !chain.iter().any(|l| l.pid == pid && l.vma_start == vma_start),
-                    "duplicate anon_vma_chain link"
-                );
-                chain.push(ChainLink { pid, vma_start });
-            }
+        let nodes = &mut self.nodes;
+        let chain = self.chains.get_mut(av as usize).filter(|c| c.live).expect("unknown anon_vma");
+        let mut cur = chain.head;
+        while cur != NIL {
+            let n = &nodes[cur];
+            assert!(
+                !(n.link.pid == pid && n.link.vma_start == vma_start),
+                "duplicate anon_vma_chain link"
+            );
+            cur = n.next;
         }
+        let node = LinkNode { link: ChainLink { pid, vma_start }, prev: chain.tail, next: NIL };
+        let idx = if self.free_head != NIL {
+            let idx = self.free_head;
+            self.free_head = nodes[idx].next;
+            nodes[idx] = node;
+            idx
+        } else {
+            nodes.push(node);
+            nodes.len() - 1
+        };
+        if chain.tail != NIL {
+            nodes[chain.tail].next = idx;
+        } else {
+            chain.head = idx;
+        }
+        chain.tail = idx;
+        chain.len += 1;
     }
 
     /// Unlinks a process's VMA from the chain (exit / munmap). The
     /// anon_vma itself persists until [`RmapRegistry::destroy`].
     pub fn unlink(&mut self, av: AnonVmaId, pid: u64, vma_start: VirtAddr) {
-        match &mut self.repr {
-            Repr::Intrusive { chains, nodes, free_head, .. } => {
-                let Some(chain) = chains.get_mut(av as usize).filter(|c| c.live) else {
-                    return;
-                };
-                let mut cur = chain.head;
-                while cur != NIL {
-                    let n = nodes[cur];
-                    if n.link.pid == pid && n.link.vma_start == vma_start {
-                        // Splice out (links are unique, so one hit).
-                        if n.prev != NIL {
-                            nodes[n.prev].next = n.next;
-                        } else {
-                            chain.head = n.next;
-                        }
-                        if n.next != NIL {
-                            nodes[n.next].prev = n.prev;
-                        } else {
-                            chain.tail = n.prev;
-                        }
-                        chain.len -= 1;
-                        nodes[cur].next = *free_head;
-                        *free_head = cur;
-                        return;
-                    }
-                    cur = n.next;
+        let nodes = &mut self.nodes;
+        let Some(chain) = self.chains.get_mut(av as usize).filter(|c| c.live) else {
+            return;
+        };
+        let mut cur = chain.head;
+        while cur != NIL {
+            let n = nodes[cur];
+            if n.link.pid == pid && n.link.vma_start == vma_start {
+                // Splice out (links are unique, so one hit).
+                if n.prev != NIL {
+                    nodes[n.prev].next = n.next;
+                } else {
+                    chain.head = n.next;
                 }
-            }
-            Repr::Reference { chains } => {
-                if let Some(chain) = chains.get_mut(&av) {
-                    chain.retain(|l| !(l.pid == pid && l.vma_start == vma_start));
+                if n.next != NIL {
+                    nodes[n.next].prev = n.prev;
+                } else {
+                    chain.tail = n.prev;
                 }
+                chain.len -= 1;
+                nodes[cur].next = self.free_head;
+                self.free_head = cur;
+                return;
             }
+            cur = n.next;
         }
     }
 
@@ -249,12 +189,12 @@ impl RmapRegistry {
 
     /// Number of links on `av`'s chain (0 if unknown).
     pub fn link_count(&self, av: AnonVmaId) -> usize {
-        match &self.repr {
-            Repr::Intrusive { chains, .. } => {
-                chains.get(av as usize).filter(|c| c.live).map_or(0, |c| c.len)
-            }
-            Repr::Reference { chains } => chains.get(&av).map_or(0, Vec::len),
-        }
+        self.live_chain(av).map_or(0, |c| c.len)
+    }
+
+    /// The chain of `av` unless it is unknown or destroyed.
+    fn live_chain(&self, av: AnonVmaId) -> Option<&Chain> {
+        self.chains.get(av as usize).filter(|c| c.live)
     }
 
     /// Cursor at the first link of `av`'s chain. Walk with
@@ -262,35 +202,17 @@ impl RmapRegistry {
     /// cursor is a plain value, so no borrow of the registry is held
     /// between steps. Positions are invalidated by chain mutation.
     pub fn cursor(&self, av: AnonVmaId) -> RmapCursor {
-        let pos = match &self.repr {
-            Repr::Intrusive { chains, .. } => {
-                chains.get(av as usize).filter(|c| c.live).map_or(NIL, |c| c.head)
-            }
-            Repr::Reference { .. } => 0,
-        };
-        RmapCursor { av, pos }
+        RmapCursor { av, pos: self.live_chain(av).map_or(NIL, |c| c.head) }
     }
 
     /// The link under the cursor, or `None` at end of chain.
     pub fn link_at(&self, cursor: RmapCursor) -> Option<ChainLink> {
-        match &self.repr {
-            Repr::Intrusive { nodes, .. } => (cursor.pos != NIL).then(|| nodes[cursor.pos].link),
-            Repr::Reference { chains } => chains.get(&cursor.av)?.get(cursor.pos).copied(),
-        }
+        (cursor.pos != NIL).then(|| self.nodes[cursor.pos].link)
     }
 
     /// Cursor advanced one link.
     pub fn advance(&self, cursor: RmapCursor) -> RmapCursor {
-        let pos = match &self.repr {
-            Repr::Intrusive { nodes, .. } => {
-                if cursor.pos == NIL {
-                    NIL
-                } else {
-                    nodes[cursor.pos].next
-                }
-            }
-            Repr::Reference { .. } => cursor.pos + 1,
-        };
+        let pos = if cursor.pos == NIL { NIL } else { self.nodes[cursor.pos].next };
         RmapCursor { av: cursor.av, pos }
     }
 
@@ -300,28 +222,16 @@ impl RmapRegistry {
     ///
     /// Panics if links remain.
     pub fn destroy(&mut self, av: AnonVmaId) {
-        match &mut self.repr {
-            Repr::Intrusive { chains, live, .. } => {
-                if let Some(chain) = chains.get_mut(av as usize).filter(|c| c.live) {
-                    assert!(chain.len == 0, "destroying anon_vma with live links");
-                    chain.live = false;
-                    *live -= 1;
-                }
-            }
-            Repr::Reference { chains } => {
-                if let Some(chain) = chains.remove(&av) {
-                    assert!(chain.is_empty(), "destroying anon_vma with live links");
-                }
-            }
+        if let Some(chain) = self.chains.get_mut(av as usize).filter(|c| c.live) {
+            assert!(chain.len == 0, "destroying anon_vma with live links");
+            chain.live = false;
+            self.live -= 1;
         }
     }
 
     /// Number of live anon_vmas.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Intrusive { live, .. } => *live,
-            Repr::Reference { chains } => chains.len(),
-        }
+        self.live
     }
 
     /// True when no anon_vmas exist.
@@ -333,84 +243,107 @@ impl RmapRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
-    fn both() -> [RmapRegistry; 2] {
-        [RmapRegistry::new(), RmapRegistry::new_reference()]
+    /// The registry as `HashMap<AnonVmaId, Vec<ChainLink>>`: the model
+    /// the slab-linked chains are checked against.
+    #[derive(Default)]
+    struct MapRmap {
+        next_id: AnonVmaId,
+        chains: HashMap<AnonVmaId, Vec<ChainLink>>,
+    }
+
+    impl MapRmap {
+        fn create(&mut self) -> AnonVmaId {
+            let id = self.next_id;
+            self.next_id += 1;
+            self.chains.insert(id, Vec::new());
+            id
+        }
+
+        fn link(&mut self, av: AnonVmaId, pid: u64, vma_start: VirtAddr) {
+            let chain = self.chains.get_mut(&av).expect("unknown anon_vma");
+            assert!(!chain.iter().any(|l| l.pid == pid && l.vma_start == vma_start));
+            chain.push(ChainLink { pid, vma_start });
+        }
+
+        fn unlink(&mut self, av: AnonVmaId, pid: u64, vma_start: VirtAddr) {
+            if let Some(chain) = self.chains.get_mut(&av) {
+                chain.retain(|l| !(l.pid == pid && l.vma_start == vma_start));
+            }
+        }
+
+        fn links(&self, av: AnonVmaId) -> Vec<ChainLink> {
+            self.chains.get(&av).cloned().unwrap_or_default()
+        }
+
+        fn destroy(&mut self, av: AnonVmaId) {
+            if let Some(chain) = self.chains.remove(&av) {
+                assert!(chain.is_empty(), "destroying anon_vma with live links");
+            }
+        }
     }
 
     #[test]
     fn fork_chain_traversal() {
-        for mut r in both() {
-            let av = r.create();
-            r.link(av, 1, VirtAddr::new(0x1000));
-            r.link(av, 2, VirtAddr::new(0x1000));
-            r.link(av, 3, VirtAddr::new(0x1000));
-            let pids: Vec<u64> = r.links(av).iter().map(|l| l.pid).collect();
-            assert_eq!(pids, vec![1, 2, 3]);
-            assert_eq!(r.link_count(av), 3);
-        }
+        let mut r = RmapRegistry::new();
+        let av = r.create();
+        r.link(av, 1, VirtAddr::new(0x1000));
+        r.link(av, 2, VirtAddr::new(0x1000));
+        r.link(av, 3, VirtAddr::new(0x1000));
+        let pids: Vec<u64> = r.links(av).iter().map(|l| l.pid).collect();
+        assert_eq!(pids, vec![1, 2, 3]);
+        assert_eq!(r.link_count(av), 3);
     }
 
     #[test]
     fn cursor_walk_matches_links() {
-        for mut r in both() {
-            let av = r.create();
-            for pid in 1..=5 {
-                r.link(av, pid, VirtAddr::new(0x1000));
-            }
-            let mut walked = Vec::new();
-            let mut cur = r.cursor(av);
-            while let Some(link) = r.link_at(cur) {
-                walked.push(link);
-                cur = r.advance(cur);
-            }
-            assert_eq!(walked, r.links(av));
+        let mut r = RmapRegistry::new();
+        let av = r.create();
+        for pid in 1..=5 {
+            r.link(av, pid, VirtAddr::new(0x1000));
         }
+        let mut walked = Vec::new();
+        let mut cur = r.cursor(av);
+        while let Some(link) = r.link_at(cur) {
+            walked.push(link);
+            cur = r.advance(cur);
+        }
+        assert_eq!(walked, r.links(av));
     }
 
     #[test]
     fn unlink_and_destroy() {
-        for mut r in both() {
-            let av = r.create();
-            r.link(av, 1, VirtAddr::new(0x1000));
-            r.unlink(av, 1, VirtAddr::new(0x1000));
-            assert!(r.links(av).is_empty());
-            r.destroy(av);
-            assert!(r.is_empty());
-        }
+        let mut r = RmapRegistry::new();
+        let av = r.create();
+        r.link(av, 1, VirtAddr::new(0x1000));
+        r.unlink(av, 1, VirtAddr::new(0x1000));
+        assert!(r.links(av).is_empty());
+        r.destroy(av);
+        assert!(r.is_empty());
     }
 
     #[test]
     fn unlink_middle_preserves_order() {
-        for mut r in both() {
-            let av = r.create();
-            for pid in 1..=4 {
-                r.link(av, pid, VirtAddr::new(0x1000));
-            }
-            r.unlink(av, 2, VirtAddr::new(0x1000));
-            let pids: Vec<u64> = r.links(av).iter().map(|l| l.pid).collect();
-            assert_eq!(pids, vec![1, 3, 4]);
-            // Slab reuse: a new link lands at the tail regardless of
-            // which node slot it recycles.
-            r.link(av, 9, VirtAddr::new(0x1000));
-            let pids: Vec<u64> = r.links(av).iter().map(|l| l.pid).collect();
-            assert_eq!(pids, vec![1, 3, 4, 9]);
+        let mut r = RmapRegistry::new();
+        let av = r.create();
+        for pid in 1..=4 {
+            r.link(av, pid, VirtAddr::new(0x1000));
         }
+        r.unlink(av, 2, VirtAddr::new(0x1000));
+        let pids: Vec<u64> = r.links(av).iter().map(|l| l.pid).collect();
+        assert_eq!(pids, vec![1, 3, 4]);
+        // Slab reuse: a new link lands at the tail regardless of
+        // which node slot it recycles.
+        r.link(av, 9, VirtAddr::new(0x1000));
+        let pids: Vec<u64> = r.links(av).iter().map(|l| l.pid).collect();
+        assert_eq!(pids, vec![1, 3, 4, 9]);
     }
 
     #[test]
     #[should_panic(expected = "live links")]
     fn destroy_with_links_panics() {
         let mut r = RmapRegistry::new();
-        let av = r.create();
-        r.link(av, 1, VirtAddr::new(0x1000));
-        r.destroy(av);
-    }
-
-    #[test]
-    #[should_panic(expected = "live links")]
-    fn destroy_with_links_panics_reference() {
-        let mut r = RmapRegistry::new_reference();
         let av = r.create();
         r.link(av, 1, VirtAddr::new(0x1000));
         r.destroy(av);
@@ -426,43 +359,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate")]
-    fn duplicate_link_panics_reference() {
-        let mut r = RmapRegistry::new_reference();
-        let av = r.create();
-        r.link(av, 1, VirtAddr::new(0x1000));
-        r.link(av, 1, VirtAddr::new(0x1000));
-    }
-
-    #[test]
     fn ids_are_unique() {
-        for mut r in both() {
-            let a = r.create();
-            let b = r.create();
-            assert_ne!(a, b);
-            assert_eq!(r.len(), 2);
-        }
+        let mut r = RmapRegistry::new();
+        let a = r.create();
+        let b = r.create();
+        assert_ne!(a, b);
+        assert_eq!(r.len(), 2);
     }
 
     #[test]
     fn destroyed_ids_stay_dead() {
-        for mut r in both() {
-            let a = r.create();
-            r.destroy(a);
-            assert_eq!(r.link_count(a), 0);
-            assert!(r.links(a).is_empty());
-            assert!(r.link_at(r.cursor(a)).is_none());
-            let b = r.create();
-            assert_ne!(a, b);
-        }
+        let mut r = RmapRegistry::new();
+        let a = r.create();
+        r.destroy(a);
+        assert_eq!(r.link_count(a), 0);
+        assert!(r.links(a).is_empty());
+        assert!(r.link_at(r.cursor(a)).is_none());
+        let b = r.create();
+        assert_ne!(a, b);
     }
 
     #[test]
-    fn differential_against_reference() {
+    fn differential_against_map_model() {
         // Deterministic op soup across several chains: link order,
-        // counts, and traversal must match the reference exactly.
+        // counts, and traversal must match the model exactly.
         let mut fast = RmapRegistry::new();
-        let mut reference = RmapRegistry::new_reference();
+        let mut model = MapRmap::default();
         let mut x: u64 = 0xfeed;
         let mut step = move || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -473,7 +395,7 @@ mod tests {
         for i in 0..20_000u64 {
             match step() % 8 {
                 0 => {
-                    let (a, b) = (fast.create(), reference.create());
+                    let (a, b) = (fast.create(), model.create());
                     assert_eq!(a, b);
                     live_avs.push(a);
                     all_avs.push(a);
@@ -485,7 +407,7 @@ mod tests {
                     let dup = fast.links(av).iter().any(|l| l.pid == pid && l.vma_start == va);
                     if !dup {
                         fast.link(av, pid, va);
-                        reference.link(av, pid, va);
+                        model.link(av, pid, va);
                     }
                 }
                 5 if !live_avs.is_empty() => {
@@ -493,28 +415,28 @@ mod tests {
                     let pid = step() % 6;
                     let va = VirtAddr::new((step() % 4) * 0x1000);
                     fast.unlink(av, pid, va);
-                    reference.unlink(av, pid, va);
+                    model.unlink(av, pid, va);
                 }
                 6 if !live_avs.is_empty() => {
                     let slot = (step() as usize) % live_avs.len();
                     let av = live_avs[slot];
                     if fast.link_count(av) == 0 {
                         fast.destroy(av);
-                        reference.destroy(av);
+                        model.destroy(av);
                         live_avs.swap_remove(slot);
                     }
                 }
                 _ if !all_avs.is_empty() => {
                     let av = all_avs[(step() as usize) % all_avs.len()];
-                    assert_eq!(fast.links(av), reference.links(av), "step {i}");
-                    assert_eq!(fast.link_count(av), reference.link_count(av));
+                    assert_eq!(fast.links(av), model.links(av), "step {i}");
+                    assert_eq!(fast.link_count(av), model.links(av).len());
                 }
                 _ => {}
             }
-            assert_eq!(fast.len(), reference.len(), "step {i}");
+            assert_eq!(fast.len(), model.chains.len(), "step {i}");
         }
         for &av in &all_avs {
-            assert_eq!(fast.links(av), reference.links(av));
+            assert_eq!(fast.links(av), model.links(av));
         }
     }
 }

@@ -43,12 +43,6 @@ pub struct SimConfig {
     /// series (see `System::epochs`). 0 (the default) disables
     /// sampling entirely.
     pub epoch_interval: u64,
-    /// Forces `System::run_batch` to replay each batched op through the
-    /// exact per-line access path (`read_bytes`/`write_bytes`/
-    /// `write_pattern`) instead of the run-cached fast path. The two
-    /// are functionally identical; this exists for the equivalence
-    /// tests that prove it.
-    pub reference_access_path: bool,
     /// Maintains the cycle-attribution ledger (`System::cycle_ledger`):
     /// every simulated cycle is charged to exactly one
     /// `CycleCategory`, with `sum(categories) == SimMetrics.cycles`.
@@ -100,7 +94,6 @@ impl SimConfig {
             op_cost: 1,
             tlb: TlbConfig::default(),
             epoch_interval: 0,
-            reference_access_path: false,
             cycle_ledger: false,
             tail_recorder: false,
             tail_top_k: 16,
@@ -160,47 +153,6 @@ impl SimConfig {
     /// *measure* overflow, §V-A).
     pub fn with_deterministic_counters(mut self) -> Self {
         self.controller.randomize_counters = false;
-        self
-    }
-
-    /// Runs the controller's counter-mode engine on the byte-oriented
-    /// reference AES (functionally identical, much slower). Exists for
-    /// the equivalence tests that prove the T-table fast path changes
-    /// nothing observable.
-    pub fn with_reference_aes(mut self) -> Self {
-        self.controller.use_reference_aes = true;
-        self
-    }
-
-    /// Runs the controller's metadata path in its slow reference shape:
-    /// bit-by-bit counter-block codec, eager per-write Merkle
-    /// maintenance, no MAC write combining. Functionally identical to
-    /// the fast path; exists for the equivalence tests that prove the
-    /// metadata fast path changes nothing observable.
-    pub fn with_reference_metadata(mut self) -> Self {
-        self.controller.use_reference_codec = true;
-        self.controller.use_eager_merkle = true;
-        self.controller.mac_write_combining = false;
-        self
-    }
-
-    /// Routes `System::run_batch` through the per-line reference access
-    /// path. Functionally identical to the batched fast path; exists
-    /// for the equivalence tests that prove the run-caching changes
-    /// nothing observable.
-    pub fn with_reference_access_path(mut self) -> Self {
-        self.reference_access_path = true;
-        self
-    }
-
-    /// Runs the kernel on the original hash/tree-backed OS structures
-    /// (`HashMap` page tables and page registry, `Vec` rmap chains,
-    /// `BTreeSet` buddy free lists) instead of the frame-indexed fast
-    /// structures. Functionally identical — same `HwAction` streams,
-    /// SimMetrics, and Merkle roots; exists for the equivalence tests
-    /// that prove it.
-    pub fn with_reference_structures(mut self) -> Self {
-        self.kernel = self.kernel.with_reference_structures();
         self
     }
 

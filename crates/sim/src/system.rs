@@ -726,22 +726,6 @@ impl<P: Probe> System<P> {
         va: VirtAddr,
         bytes: &[u8],
     ) -> Result<(), OsError> {
-        self.write_bytes_inner(pid, va, bytes)?;
-        if let Some(rec) = &self.rec {
-            rec.write(pid, va, bytes);
-        }
-        Ok(())
-    }
-
-    /// [`System::write_bytes`] without the trace-recording hook (used
-    /// by the reference batch path, whose caller records the whole
-    /// batch once).
-    fn write_bytes_inner(
-        &mut self,
-        pid: ProcessId,
-        va: VirtAddr,
-        bytes: &[u8],
-    ) -> Result<(), OsError> {
         let mut offset = 0usize;
         while offset < bytes.len() {
             let cur = va + offset as u64;
@@ -749,6 +733,9 @@ impl<P: Probe> System<P> {
             let take = room.min(bytes.len() - offset);
             self.access_chunk(pid, cur, Some(&bytes[offset..offset + take]), take)?;
             offset += take;
+        }
+        if let Some(rec) = &self.rec {
+            rec.write(pid, va, bytes);
         }
         Ok(())
     }
@@ -812,20 +799,6 @@ impl<P: Probe> System<P> {
         va: VirtAddr,
         len: usize,
     ) -> Result<Vec<u8>, OsError> {
-        let out = self.read_bytes_inner(pid, va, len)?;
-        if let Some(rec) = &self.rec {
-            rec.read(pid, va, len);
-        }
-        Ok(out)
-    }
-
-    /// [`System::read_bytes`] without the trace-recording hook.
-    fn read_bytes_inner(
-        &mut self,
-        pid: ProcessId,
-        va: VirtAddr,
-        len: usize,
-    ) -> Result<Vec<u8>, OsError> {
         let mut out = Vec::with_capacity(len);
         let mut offset = 0usize;
         while offset < len {
@@ -834,6 +807,9 @@ impl<P: Probe> System<P> {
             let take = room.min(len - offset);
             out.extend(self.access_chunk(pid, cur, None, take)?);
             offset += take;
+        }
+        if let Some(rec) = &self.rec {
+            rec.read(pid, va, len);
         }
         Ok(out)
     }
@@ -851,21 +827,6 @@ impl<P: Probe> System<P> {
         len: usize,
         tag: u8,
     ) -> Result<(), OsError> {
-        self.write_pattern_inner(pid, va, len, tag)?;
-        if let Some(rec) = &self.rec {
-            rec.pattern(pid, va, len, tag);
-        }
-        Ok(())
-    }
-
-    /// [`System::write_pattern`] without the trace-recording hook.
-    fn write_pattern_inner(
-        &mut self,
-        pid: ProcessId,
-        va: VirtAddr,
-        len: usize,
-        tag: u8,
-    ) -> Result<(), OsError> {
         let mut offset = 0usize;
         let chunk = [tag; LINE_BYTES];
         while offset < len {
@@ -874,6 +835,9 @@ impl<P: Probe> System<P> {
             let take = room.min(len - offset);
             self.access_chunk(pid, cur, Some(&chunk[..take]), take)?;
             offset += take;
+        }
+        if let Some(rec) = &self.rec {
+            rec.pattern(pid, va, len, tag);
         }
         Ok(())
     }
@@ -892,9 +856,8 @@ impl<P: Probe> System<P> {
     /// batching. The per-line cycle sequence, fault handling, probe
     /// events, and all statistics are identical to issuing the same
     /// ops through `read_bytes`/`write_bytes`/`write_pattern`;
-    /// `SimConfig::with_reference_access_path` keeps that per-line
-    /// path selectable and `tests/access_fastpath.rs` proves the
-    /// equivalence.
+    /// `tests/access_fastpath.rs` checks it against pinned runs of
+    /// the workloads on which the two were shown equal.
     ///
     /// # Errors
     ///
@@ -913,25 +876,6 @@ impl<P: Probe> System<P> {
         data: &[u8],
     ) -> Result<(), OsError> {
         let _prof = selfprof::scope("sim::run_batch");
-        if self.config.reference_access_path {
-            self.run_batch_reference(pid, ops, data)?;
-        } else {
-            self.run_batch_fast(pid, ops, data)?;
-        }
-        if let Some(rec) = &self.rec {
-            rec.batch(pid, ops, data);
-        }
-        Ok(())
-    }
-
-    /// The batched run-cache driver (everything [`System::run_batch`]
-    /// documents, minus reference-path dispatch and recording).
-    fn run_batch_fast(
-        &mut self,
-        pid: ProcessId,
-        ops: &[BatchOp],
-        data: &[u8],
-    ) -> Result<(), OsError> {
         // The current run's translation: `(page va base, pa base,
         // page bytes, writable)`. Invariant: when `Some`, it equals the
         // TLB front cache entry (both are "the most recent successful
@@ -1007,32 +951,8 @@ impl<P: Probe> System<P> {
                 offset += take;
             }
         }
-        Ok(())
-    }
-
-    /// The reference shape of [`System::run_batch`]: replays each op
-    /// through the unmodified per-line access path (the unrecorded
-    /// inner variants — the caller records the batch as one record).
-    fn run_batch_reference(
-        &mut self,
-        pid: ProcessId,
-        ops: &[BatchOp],
-        data: &[u8],
-    ) -> Result<(), OsError> {
-        for op in ops {
-            let len = op.len as usize;
-            match op.kind {
-                OpKind::Read => {
-                    self.read_bytes_inner(pid, op.va, len)?;
-                }
-                OpKind::Write { data_off } => {
-                    let start = data_off as usize;
-                    self.write_bytes_inner(pid, op.va, &data[start..start + len])?;
-                }
-                OpKind::Pattern { tag } => {
-                    self.write_pattern_inner(pid, op.va, len, tag)?;
-                }
-            }
+        if let Some(rec) = &self.rec {
+            rec.batch(pid, ops, data);
         }
         Ok(())
     }

@@ -3,14 +3,19 @@
 //!
 //! The batched engine (`System::run_batch`) translates once per page
 //! run instead of once per line, but charges the identical per-line
-//! cycle sequence; `SimConfig::with_reference_access_path` keeps the
-//! per-line reference selectable. `System::snapshot`/`Snapshot::fork`
-//! clone the whole stack so sweeps fork their measured phase from one
-//! shared warm-up instead of replaying it. This suite pins both to the
-//! behaviour they replace: same metrics, same probe event stream, same
-//! Merkle root, bit for bit — and checks the epoch sampler survives
-//! snapshot/restore without double-counting an interval.
+//! cycle sequence. The per-line driver it replaced is gone; its runs
+//! are pinned in `tests/golden/mod.rs`, each row generated only after
+//! the batched and per-line drivers agreed on it. `System::snapshot`/
+//! `Snapshot::fork` clone the whole stack so sweeps fork their measured
+//! phase from one shared warm-up instead of replaying it. This suite
+//! holds both to the behaviour they replace: same metrics, same probe
+//! event stream, same Merkle root, bit for bit — and checks the epoch
+//! sampler survives snapshot/restore without double-counting an
+//! interval.
 
+mod golden;
+
+use golden::{assert_workload_rows, huge_forkbench, HUGE_PAGES, PAPER_SUITE};
 use lelantus::os::CowStrategy;
 use lelantus::sim::{Event, EventKind, RingProbe, SimConfig, SimMetrics, System};
 use lelantus::types::PageSize;
@@ -18,19 +23,10 @@ use lelantus::workloads::forkbench::Forkbench;
 use lelantus::workloads::rediswl::Redis;
 use lelantus::workloads::Workload;
 
-/// Everything externally observable about one workload run: final
-/// metrics, exact event totals, the retained event stream, and the
+/// Everything externally observable about one run: final metrics,
+/// exact event totals, the retained event stream, and the
 /// integrity-tree root over the final NVM image.
 type Observation = (SimMetrics, [u64; EventKind::COUNT], Vec<Event>, u64);
-
-fn observe<W: Workload<RingProbe>>(wl: &W, config: SimConfig) -> Observation {
-    let probe = RingProbe::new(1 << 16);
-    let mut sys = System::with_probe(config, probe.clone());
-    wl.run(&mut sys).unwrap();
-    let metrics = sys.finish();
-    let root = sys.merkle_root();
-    (metrics, probe.counts(), probe.events(), root)
-}
 
 fn assert_observations_match(fast: &Observation, slow: &Observation, what: &str) {
     assert_eq!(fast.0, slow.0, "metrics diverged: {what}");
@@ -40,40 +36,41 @@ fn assert_observations_match(fast: &Observation, slow: &Observation, what: &str)
 }
 
 // ---------------------------------------------------------------------
-// Batched driver vs per-line reference path
+// Batched driver vs the (pinned) per-line reference path
 // ---------------------------------------------------------------------
 
 #[test]
 fn batched_forkbench_is_bit_identical_to_reference() {
     // Forkbench covers the faulting side: every measured write runs
     // into a CoW page, so runs split at fault boundaries constantly.
-    for strategy in [CowStrategy::Baseline, CowStrategy::Lelantus, CowStrategy::LelantusCow] {
-        let config = || SimConfig::new(strategy, PageSize::Regular4K).with_phys_bytes(64 << 20);
-        let fast = observe(&Forkbench::small(), config());
-        let slow = observe(&Forkbench::small(), config().with_reference_access_path());
-        assert_observations_match(&fast, &slow, &format!("forkbench under {strategy}"));
-    }
+    let wl = Forkbench::small();
+    let rows = [CowStrategy::Baseline, CowStrategy::Lelantus, CowStrategy::LelantusCow]
+        .into_iter()
+        .map(|strategy| {
+            let config = SimConfig::new(strategy, PageSize::Regular4K).with_phys_bytes(64 << 20);
+            (format!("forkbench {strategy}"), &wl as _, config)
+        })
+        .collect();
+    assert_workload_rows("paper suite", PAPER_SUITE, rows);
 }
 
 #[test]
 fn batched_forkbench_matches_reference_on_huge_pages() {
-    let wl = Forkbench { total_bytes: 4 << 20, bytes_per_page: None };
-    let config =
-        || SimConfig::new(CowStrategy::Lelantus, PageSize::Huge2M).with_phys_bytes(64 << 20);
-    let fast = observe(&wl, config());
-    let slow = observe(&wl, config().with_reference_access_path());
-    assert_observations_match(&fast, &slow, "forkbench on 2M pages");
+    let wl = huge_forkbench();
+    let config = SimConfig::new(CowStrategy::Lelantus, PageSize::Huge2M).with_phys_bytes(64 << 20);
+    let rows = vec![("forkbench 2M Lelantus".to_string(), &wl as _, config)];
+    assert_workload_rows("huge page", HUGE_PAGES, rows);
 }
 
 #[test]
 fn batched_rediswl_is_bit_identical_to_reference() {
     // Redis covers the multi-core side: parent and scanning child
     // interleave on different cores at request granularity.
+    let wl = Redis::small();
     let config =
-        || SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K).with_phys_bytes(64 << 20);
-    let fast = observe(&Redis::small(), config());
-    let slow = observe(&Redis::small(), config().with_reference_access_path());
-    assert_observations_match(&fast, &slow, "rediswl");
+        SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K).with_phys_bytes(64 << 20);
+    let rows = vec![("redis Lelantus".to_string(), &wl as _, config)];
+    assert_workload_rows("paper suite", PAPER_SUITE, rows);
 }
 
 // ---------------------------------------------------------------------

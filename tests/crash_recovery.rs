@@ -5,8 +5,9 @@
 use lelantus::core::controller::RecoveryReport;
 use lelantus::core::{ControllerConfig, SchemeKind, SecureMemoryController};
 use lelantus::os::CowStrategy;
-use lelantus::sim::{SimConfig, System};
+use lelantus::sim::{RingProbe, SimConfig, System};
 use lelantus::types::{Cycles, PageSize, PhysAddr};
+use lelantus::workloads::{forkbench::Forkbench, Workload};
 
 const ZERO: Cycles = Cycles::ZERO;
 
@@ -132,4 +133,18 @@ fn snapshot_survives_crash_end_to_end() {
     sys.crash_and_recover().unwrap();
     assert_eq!(sys.read_bytes(child, va, 1).unwrap(), vec![0xDB]);
     assert_eq!(sys.read_bytes(pid, va, 1).unwrap(), vec![0xFF]);
+}
+
+/// The epoch sampler is itself a flush point; make sure the combiner
+/// interacts cleanly with epoch boundaries and crash/recovery.
+#[test]
+fn epoch_sampling_and_recovery_survive_deferred_maintenance() {
+    for strategy in CowStrategy::all() {
+        let config = SimConfig::new(strategy, PageSize::Regular4K).with_epoch_interval(200_000);
+        let mut sys = System::with_probe(config, RingProbe::new(1 << 16));
+        Forkbench::small().run(&mut sys).expect("workload runs");
+        let report = sys.crash_and_recover().expect("recovery verifies the rebuilt tree");
+        assert!(report.regions_verified > 0, "{strategy}");
+        sys.finish();
+    }
 }

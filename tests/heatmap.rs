@@ -109,36 +109,29 @@ fn heatmap_runs_are_bit_identical_to_off_runs() {
 }
 
 /// Zero perturbation at suite scale: all six paper workloads, all four
-/// schemes, batched and per-line (reference) access engines.
+/// schemes.
 #[test]
-fn heatmap_is_zero_perturbation_across_suite_and_engines() {
+fn heatmap_is_zero_perturbation_across_suite_and_schemes() {
     for strategy in CowStrategy::all() {
         for wl in small_suite() {
-            for per_line in [false, true] {
-                let base = SimConfig::new(strategy, PageSize::Regular4K).with_phys_bytes(64 << 20);
-                let base = if per_line { base.with_reference_access_path() } else { base };
-                let mut off = System::new(base.clone());
-                let r_off = wl.run(&mut off).unwrap();
-                let mut on = System::new(base.with_heatmap());
-                let r_on = wl.run(&mut on).unwrap();
-                assert_eq!(
-                    r_off.measured,
-                    r_on.measured,
-                    "{strategy}/{}/per_line={per_line}: the heatmap perturbed the run",
-                    wl.name()
-                );
-                assert_eq!(
-                    off.merkle_root(),
-                    on.merkle_root(),
-                    "{strategy}/{}/per_line={per_line}: the heatmap perturbed memory",
-                    wl.name()
-                );
-                assert!(
-                    on.heatmap().unwrap().total() > 0,
-                    "{strategy}/{}/per_line={per_line}: empty grid",
-                    wl.name()
-                );
-            }
+            let base = SimConfig::new(strategy, PageSize::Regular4K).with_phys_bytes(64 << 20);
+            let mut off = System::new(base.clone());
+            let r_off = wl.run(&mut off).unwrap();
+            let mut on = System::new(base.with_heatmap());
+            let r_on = wl.run(&mut on).unwrap();
+            assert_eq!(
+                r_off.measured,
+                r_on.measured,
+                "{strategy}/{}: the heatmap perturbed the run",
+                wl.name()
+            );
+            assert_eq!(
+                off.merkle_root(),
+                on.merkle_root(),
+                "{strategy}/{}: the heatmap perturbed memory",
+                wl.name()
+            );
+            assert!(on.heatmap().unwrap().total() > 0, "{strategy}/{}: empty grid", wl.name());
         }
     }
 }

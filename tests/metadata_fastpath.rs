@@ -2,88 +2,44 @@
 //! codec, the deferred (write-combined) Merkle maintenance, and the
 //! MAC-line write combiner must be *observationally invisible*.
 //!
-//! `SimConfig::with_reference_metadata` runs the controller with the
-//! original bit-by-bit codec, eager per-write tree maintenance, and no
-//! MAC combining. This suite drives real workloads (forkbench and
-//! rediswl, the paper's two most copy-intensive signatures) under
-//! every CoW scheme in both shapes and requires bit-identical
-//! `SimMetrics`, identical probe event streams, and identical Merkle
-//! roots. A regression here means a host-side "optimization" leaked
-//! into simulated behaviour.
+//! The controller once could run the original bit-by-bit codec, eager
+//! per-write tree maintenance and no MAC combining; the codec is now a
+//! `#[cfg(test)]` model in `crates/metadata` checked against the word
+//! codec, and the controller always combines. This suite drives real
+//! workloads (forkbench and rediswl, the paper's two most
+//! copy-intensive signatures) under every CoW scheme and requires
+//! bit-identical measured and final `SimMetrics`, event streams and
+//! Merkle roots to the rows pinned in `tests/golden/mod.rs`, each
+//! generated only after the fast and reference metadata paths agreed
+//! on it. A regression here means a host-side "optimization" leaked
+//! into simulated behaviour. (The deferred-maintenance crash test is
+//! `crash_recovery.rs::epoch_sampling_and_recovery_survive_deferred_maintenance`.)
 
+mod golden;
+
+use golden::{assert_workload_rows, METADATA};
 use lelantus::os::CowStrategy;
-use lelantus::sim::{Event, RingProbe, SimConfig, SimMetrics, System};
+use lelantus::sim::{RingProbe, SimConfig};
 use lelantus::types::PageSize;
-use lelantus::workloads::{forkbench::Forkbench, rediswl::Redis, Workload, WorkloadRun};
+use lelantus::workloads::{forkbench::Forkbench, rediswl::Redis, Workload};
 
-/// Everything the fast path could conceivably perturb.
-struct Observation {
-    measured: SimMetrics,
-    final_metrics: SimMetrics,
-    events: Vec<Event>,
-    merkle_root: u64,
-}
-
-fn observe(config: SimConfig, workload: &dyn Workload<RingProbe>) -> Observation {
-    let mut sys = System::with_probe(config, RingProbe::new(1 << 20));
-    let WorkloadRun { measured, .. } = workload.run(&mut sys).expect("workload runs");
-    let final_metrics = sys.finish();
-    let merkle_root = sys.merkle_root();
-    let events = sys.probe().events();
-    Observation { measured, final_metrics, events, merkle_root }
-}
-
-fn assert_equivalent(workload: &dyn Workload<RingProbe>, strategy: CowStrategy) {
-    let fast = observe(SimConfig::new(strategy, PageSize::Regular4K), workload);
-    let slow =
-        observe(SimConfig::new(strategy, PageSize::Regular4K).with_reference_metadata(), workload);
-    let name = workload.name();
-    assert_eq!(
-        fast.measured, slow.measured,
-        "measured metrics diverged for {name} under {strategy}"
-    );
-    assert_eq!(
-        fast.final_metrics, slow.final_metrics,
-        "final metrics diverged for {name} under {strategy}"
-    );
-    assert_eq!(
-        fast.merkle_root, slow.merkle_root,
-        "Merkle roots diverged for {name} under {strategy}"
-    );
-    assert_eq!(
-        fast.events.len(),
-        slow.events.len(),
-        "event counts diverged for {name} under {strategy}"
-    );
-    for (i, (f, s)) in fast.events.iter().zip(&slow.events).enumerate() {
-        assert_eq!(f, s, "event {i} diverged for {name} under {strategy}");
-    }
+fn assert_pinned_under_every_scheme(workload: &dyn Workload<RingProbe>) {
+    let rows = CowStrategy::all()
+        .into_iter()
+        .map(|strategy| {
+            let config = SimConfig::new(strategy, PageSize::Regular4K);
+            (format!("{} 256M {strategy}", workload.name()), workload, config)
+        })
+        .collect();
+    assert_workload_rows("metadata", METADATA, rows);
 }
 
 #[test]
 fn forkbench_is_bit_identical_under_reference_metadata() {
-    for strategy in CowStrategy::all() {
-        assert_equivalent(&Forkbench::small(), strategy);
-    }
+    assert_pinned_under_every_scheme(&Forkbench::small());
 }
 
 #[test]
 fn rediswl_is_bit_identical_under_reference_metadata() {
-    for strategy in CowStrategy::all() {
-        assert_equivalent(&Redis::small(), strategy);
-    }
-}
-
-/// The epoch sampler is itself a flush point; make sure the combiner
-/// interacts cleanly with epoch boundaries and crash/recovery.
-#[test]
-fn epoch_sampling_and_recovery_survive_deferred_maintenance() {
-    for strategy in CowStrategy::all() {
-        let config = SimConfig::new(strategy, PageSize::Regular4K).with_epoch_interval(200_000);
-        let mut sys = System::with_probe(config, RingProbe::new(1 << 16));
-        Forkbench::small().run(&mut sys).expect("workload runs");
-        let report = sys.crash_and_recover().expect("recovery verifies the rebuilt tree");
-        assert!(report.regions_verified > 0, "{strategy}");
-        sys.finish();
-    }
+    assert_pinned_under_every_scheme(&Redis::small());
 }

@@ -1,8 +1,7 @@
 //! Record/replay equivalence: a `.ltr` trace recorded from a live run
 //! must replay bit-identically — same [`lelantus::sim::SimMetrics`],
 //! same Merkle roots (enforced by `replay_checked`'s divergence
-//! oracle) — for every synthetic workload, every CoW scheme, and both
-//! the batched and the per-line (reference) access engine. A trace
+//! oracle) — for every synthetic workload and every CoW scheme. A trace
 //! recorded under one scheme must also replay cleanly under every
 //! *other* scheme (the cross-scheme sweep `lelantus compare --trace`
 //! relies on).
@@ -40,7 +39,7 @@ fn record_live(wl: &dyn Workload, cfg: &SimConfig, path: &PathBuf) -> SimMetrics
 }
 
 #[test]
-fn recorded_replay_is_bit_identical_across_schemes_and_engines() {
+fn recorded_replay_is_bit_identical_across_workloads_and_schemes() {
     for wl in small_suite() {
         for strategy in CowStrategy::all() {
             let cfg = config(strategy);
@@ -48,27 +47,15 @@ fn recorded_replay_is_bit_identical_across_schemes_and_engines() {
             let live = record_live(wl.as_ref(), &cfg, &path);
             let trace = Trace::open(&path).expect("open recorded trace");
 
-            // Batched replay: the recorded trajectory reproduces the
-            // live run exactly, Merkle roots included.
+            // The recorded trajectory reproduces the live run exactly,
+            // Merkle roots included.
             let mut sys = System::new(cfg.clone());
-            let stats = replay_checked(&mut sys, &trace).expect("batched replay");
+            let stats = replay_checked(&mut sys, &trace).expect("replay");
             assert!(stats.ops > 0, "{} / {strategy}: trace must carry ops", wl.name());
             assert_eq!(
                 sys.finish(),
                 live,
-                "{} / {strategy}: batched replay must be bit-identical",
-                wl.name()
-            );
-
-            // Per-line replay: the reference access driver is
-            // bit-identical to the batched one, so the same trace must
-            // reproduce the same run.
-            let mut per_line = System::new(cfg.clone().with_reference_access_path());
-            replay_checked(&mut per_line, &trace).expect("per-line replay");
-            assert_eq!(
-                per_line.finish(),
-                live,
-                "{} / {strategy}: per-line replay must be bit-identical",
+                "{} / {strategy}: replay must be bit-identical",
                 wl.name()
             );
 
