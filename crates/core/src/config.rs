@@ -101,20 +101,6 @@ pub struct ControllerConfig {
     pub track_footprint: bool,
     /// AES-128 key for the counter-mode engine.
     pub key: [u8; 16],
-    /// Record cycle-attribution segments (counter fills, Merkle walks,
-    /// MAC traffic, AES pads, CoW redirects, implicit copies) for the
-    /// system layer's [`CycleLedger`](lelantus_obs::CycleLedger). Off
-    /// by default; enable through `SimConfig::with_cycle_ledger` so the
-    /// segments are actually drained. Purely observational: timing,
-    /// stats and contents are bit-identical either way.
-    pub cycle_ledger: bool,
-    /// Record a spatial [`HeatGrid`](lelantus_obs::HeatGrid)
-    /// attributing metadata traffic (counter fills/overflows, Merkle
-    /// walk touches per level, MAC writebacks, redirected reads,
-    /// implicit copies) to the data region that caused it. Off by
-    /// default; enable through `SimConfig::with_heatmap` so the system
-    /// layer merges the grid. Purely observational.
-    pub heatmap: bool,
 }
 
 impl ControllerConfig {
@@ -145,8 +131,6 @@ impl ControllerConfig {
             mac_cache_lines: 1024,
             track_footprint: true,
             key: *b"lelantus-aes-key",
-            cycle_ledger: false,
-            heatmap: false,
         }
     }
 

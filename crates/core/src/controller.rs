@@ -38,8 +38,7 @@ use lelantus_metadata::layout::MetadataLayout;
 use lelantus_metadata::mac::{decode_mac_line, encode_mac_line, MacCache};
 use lelantus_nvm::{NvmDevice, NvmStats};
 use lelantus_obs::{
-    selfprof, CycleCategory, Event, EventKind, HeatGrid, HeatLane, HistKind, NullProbe, Probe,
-    Segment,
+    selfprof, CycleCategory, Event, EventKind, HeatLane, HistKind, LayerRecorder, NullProbe, Probe,
 };
 use lelantus_types::{Cycles, PhysAddr, LINE_BYTES, REGION_BYTES};
 use std::collections::HashSet;
@@ -89,13 +88,6 @@ pub struct SecureMemoryController<P: Probe = NullProbe> {
     stats: ControllerStats,
     footprint: FootprintTracker,
     probe: P,
-    /// Cycle-attribution segments recorded while servicing requests
-    /// (only when `config.cycle_ledger`; drained by the system layer).
-    segments: Vec<Segment>,
-    /// Spatial heat of metadata traffic, attributed to the data region
-    /// that caused it (only when `config.heatmap`; merged by the
-    /// system layer).
-    heat: Option<Box<HeatGrid>>,
 }
 
 impl SecureMemoryController {
@@ -106,30 +98,32 @@ impl SecureMemoryController {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(config: ControllerConfig) -> Self {
-        Self::with_probe(config, NullProbe)
+        Self::with_probe(config, NullProbe, LayerRecorder::default())
     }
 }
 
 impl<P: Probe> SecureMemoryController<P> {
     /// Builds a controller (and its NVM device) from `config`, with
     /// datapath events reported to `probe` (which is cloned into the
-    /// NVM device so the whole stack shares one event stream).
+    /// NVM device so the whole stack shares one event stream) and
+    /// ledger segments and metadata-traffic heat recorded into `rec`,
+    /// which the device holds for the whole stack.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
-    pub fn with_probe(config: ControllerConfig, probe: P) -> Self {
+    pub fn with_probe(config: ControllerConfig, probe: P, rec: LayerRecorder) -> Self {
         config.validate().expect("invalid controller config");
         let layout = MetadataLayout::for_data_bytes(config.data_bytes);
         let mut merkle =
             MerkleTree::new(layout.regions() as usize, MERKLE_KEY, config.merkle_cache_nodes)
                 .with_deferred_maintenance();
-        if config.heatmap {
+        if rec.heat_grid().is_some() {
             merkle = merkle.with_touch_log();
         }
         let persisted_root = merkle.root();
         Self {
-            nvm: NvmDevice::with_probe(config.nvm.clone(), probe.clone()),
+            nvm: NvmDevice::with_probe(config.nvm.clone(), probe.clone(), rec),
             engine: CtrEngine::new(config.key),
             merkle,
             counter_cache: CounterCache::new(config.counter_cache),
@@ -143,97 +137,44 @@ impl<P: Probe> SecureMemoryController<P> {
             persisted_root,
             stats: ControllerStats::default(),
             footprint: FootprintTracker::new(config.track_footprint),
-            heat: config.heatmap.then(Box::<HeatGrid>::default),
             config,
             probe,
-            segments: Vec::new(),
         }
+    }
+
+    /// The layer recorder (held by the device; see [`LayerRecorder`]).
+    pub fn recorder(&self) -> &LayerRecorder {
+        self.nvm.recorder()
+    }
+
+    /// Mutable recorder access: the system layer drains segments and
+    /// records fault heat through it.
+    pub fn recorder_mut(&mut self) -> &mut LayerRecorder {
+        self.nvm.recorder_mut()
     }
 
     /// Records one metadata-traffic count against a data region (no-op
     /// when the heatmap is off).
     #[inline]
     fn heat(&mut self, lane: HeatLane, region: u64) {
-        if let Some(h) = self.heat.as_mut() {
-            h.record(lane, region);
-        }
+        self.nvm.recorder_mut().heat(lane, region);
     }
 
     /// Drains the Merkle touch log, attributing each fetched node line
     /// (at its tree level) to the data region whose walk fetched it.
     fn heat_merkle_touches(&mut self, region: u64) {
-        let Some(h) = self.heat.as_mut() else { return };
+        let Some(h) = self.nvm.recorder_mut().heat_grid_mut() else { return };
         for &level in self.merkle.touches() {
             h.record(HeatLane::merkle(level as usize), region);
         }
         self.merkle.discard_touches();
     }
 
-    /// The metadata-traffic heat grid recorded so far (None when off).
-    pub fn heatmap(&self) -> Option<&HeatGrid> {
-        self.heat.as_deref()
-    }
-
-    /// The backing device's bank-access heat grid (None when off).
-    pub fn nvm_heatmap(&self) -> Option<&HeatGrid> {
-        self.nvm.heatmap()
-    }
-
     /// Records a cycle-attribution segment when the ledger is enabled.
     /// Purely observational: never affects timing, stats or contents.
+    #[inline]
     fn seg(&mut self, start: Cycles, end: Cycles, cat: CycleCategory) {
-        if self.config.cycle_ledger && end > start {
-            self.segments.push(Segment { start: start.as_u64(), end: end.as_u64(), cat });
-        }
-    }
-
-    /// Moves the device's recorded segments into the controller buffer
-    /// (ordering them before anything recorded after this call).
-    fn pull_device_segments(&mut self) {
-        if self.config.cycle_ledger {
-            self.nvm.drain_segments_into(&mut self.segments);
-        }
-    }
-
-    /// Moves all recorded attribution segments (controller + device)
-    /// into `out`. The system layer calls this at every clock-advance
-    /// site and feeds the result to `lelantus_obs::attribute`.
-    pub fn drain_segments_into(&mut self, out: &mut Vec<Segment>) {
-        self.nvm.drain_segments_into(&mut self.segments);
-        out.append(&mut self.segments);
-    }
-
-    /// Discards recorded attribution segments. The system layer calls
-    /// this after operations whose charges do not advance its clocks
-    /// (MMIO commands billed at a flat latency, KSM fingerprinting,
-    /// crash recovery) so their segments cannot leak into the next
-    /// attribution window.
-    pub fn discard_segments(&mut self) {
-        self.nvm.discard_segments();
-        self.segments.clear();
-    }
-
-    /// Marks the start of a bulk operation whose entire segment output
-    /// should be relabelled (see [`Self::seg_relabel_from`]).
-    fn seg_mark(&mut self) -> Option<usize> {
-        if self.config.cycle_ledger {
-            self.pull_device_segments();
-            Some(self.segments.len())
-        } else {
-            None
-        }
-    }
-
-    /// Relabels every segment recorded since `mark` to `cat`: a bulk
-    /// page copy is *all* bulk-copy time in the paper's breakdown, even
-    /// though it decomposes into fills, pads and bank accesses.
-    fn seg_relabel_from(&mut self, mark: Option<usize>, cat: CycleCategory) {
-        if let Some(mark) = mark {
-            self.pull_device_segments();
-            for s in &mut self.segments[mark..] {
-                s.cat = cat;
-            }
-        }
+        self.nvm.recorder_mut().seg(start, end, cat);
     }
 
     /// The controller configuration.
@@ -1131,7 +1072,7 @@ impl<P: Probe> SecureMemoryController<P> {
     ) -> Cycles {
         let _prof = selfprof::scope("ctrl::copy_page_bulk");
         let lines = bytes / LINE_BYTES as u64;
-        let mark = self.seg_mark();
+        let mark = self.recorder().mark();
         let mut done = now;
         for i in 0..lines {
             let offset = i * LINE_BYTES as u64;
@@ -1141,7 +1082,10 @@ impl<P: Probe> SecureMemoryController<P> {
             done = done.max(self.write_data_line(dst + offset, data, t_read));
             self.stats.bulk_copied_lines += 1;
         }
-        self.seg_relabel_from(mark, CycleCategory::BulkCopy);
+        // A bulk page copy is *all* bulk-copy time in the paper's
+        // breakdown, even though it decomposes into fills, pads and
+        // bank accesses.
+        self.recorder_mut().relabel_from(mark, CycleCategory::BulkCopy);
         done
     }
 
@@ -1150,7 +1094,7 @@ impl<P: Probe> SecureMemoryController<P> {
     pub fn zero_page_bulk(&mut self, base: PhysAddr, bytes: u64, now: Cycles) -> Cycles {
         let _prof = selfprof::scope("ctrl::zero_page_bulk");
         let lines = bytes / LINE_BYTES as u64;
-        let mark = self.seg_mark();
+        let mark = self.recorder().mark();
         let mut done = now;
         for i in 0..lines {
             let offset = i * LINE_BYTES as u64;
@@ -1161,7 +1105,7 @@ impl<P: Probe> SecureMemoryController<P> {
             ));
             self.stats.bulk_zeroed_lines += 1;
         }
-        self.seg_relabel_from(mark, CycleCategory::BulkCopy);
+        self.recorder_mut().relabel_from(mark, CycleCategory::BulkCopy);
         done
     }
 
@@ -1244,7 +1188,7 @@ impl<P: Probe> SecureMemoryController<P> {
         if rebuilt.root() != saved_root {
             return Err(lelantus_crypto::TamperError { leaf: 0, level: usize::MAX });
         }
-        if self.config.heatmap {
+        if self.recorder().heat_grid().is_some() {
             // Recovery itself is free of charge (the rebuild above ran
             // without a touch log); walks after recovery record again.
             rebuilt = rebuilt.with_touch_log();

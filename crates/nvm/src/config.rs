@@ -50,14 +50,6 @@ pub struct NvmConfig {
     /// of magnitude more than reads — the same asymmetry that motivates
     /// Lelantus).
     pub write_energy_pj: u64,
-    /// Record cycle-attribution [`Segment`](lelantus_obs::Segment)s for
-    /// bank service and queue stalls (off by default; enable through
-    /// `SimConfig::with_cycle_ledger` so the system layer drains them).
-    pub cycle_ledger: bool,
-    /// Record a spatial [`HeatGrid`](lelantus_obs::HeatGrid) of bank
-    /// array accesses per 4 KB region (off by default; enable through
-    /// `SimConfig::with_heatmap` so the system layer merges it).
-    pub heatmap: bool,
 }
 
 impl Default for NvmConfig {
@@ -76,8 +68,6 @@ impl Default for NvmConfig {
             bus_cycles: 4,
             read_energy_pj: 1_000,
             write_energy_pj: 12_000,
-            cycle_ledger: false,
-            heatmap: false,
         }
     }
 }

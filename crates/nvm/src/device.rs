@@ -8,7 +8,7 @@ use crate::store::LineStore;
 use crate::wear::WearTracker;
 use crate::write_queue::WriteQueue;
 use lelantus_obs::{
-    CycleCategory, Event, EventKind, HeatGrid, HeatLane, HistKind, NullProbe, Probe, Segment,
+    CycleCategory, Event, EventKind, HeatLane, HistKind, LayerRecorder, NullProbe, Probe,
 };
 use lelantus_types::{Cycles, PhysAddr, LINE_BYTES, REGION_BYTES};
 
@@ -43,12 +43,10 @@ pub struct NvmDevice<P: Probe = NullProbe> {
     leveler: Option<StartGap>,
     stats: NvmStats,
     probe: P,
-    /// Cycle-attribution segments recorded while servicing requests
-    /// (only when `config.cycle_ledger`; drained by the controller).
-    segments: Vec<Segment>,
-    /// Spatial heat of bank array accesses per 4 KB region (only when
-    /// `config.heatmap`; merged by the system layer).
-    heat: Option<Box<HeatGrid>>,
+    /// The machine's one layer recorder: this device's bank service,
+    /// queue stalls and bank heat, plus whatever the layers above
+    /// record through [`NvmDevice::recorder_mut`].
+    rec: LayerRecorder,
 }
 
 impl NvmDevice {
@@ -60,19 +58,19 @@ impl NvmDevice {
     /// Panics if the configuration is invalid (see
     /// [`NvmConfig::validate`]).
     pub fn new(config: NvmConfig) -> Self {
-        Self::with_probe(config, NullProbe)
+        Self::with_probe(config, NullProbe, LayerRecorder::default())
     }
 }
 
 impl<P: Probe> NvmDevice<P> {
     /// Creates a device from `config` whose queue traffic is reported
-    /// to `probe`.
+    /// to `probe` and whose ledger segments and heat go to `rec`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see
     /// [`NvmConfig::validate`]).
-    pub fn with_probe(config: NvmConfig, probe: P) -> Self {
+    pub fn with_probe(config: NvmConfig, probe: P, rec: LayerRecorder) -> Self {
         config.validate().expect("invalid NVM configuration");
         let banks = (0..config.total_banks()).map(|_| Bank::new()).collect();
         let write_queue = WriteQueue::new(config.write_queue_capacity);
@@ -81,7 +79,6 @@ impl<P: Probe> NvmDevice<P> {
             .map(|sg| StartGap::new(config.capacity_bytes / LINE_BYTES as u64, sg));
         Self {
             bus_busy: vec![Cycles::ZERO; config.ranks],
-            heat: config.heatmap.then(Box::<HeatGrid>::default),
             config,
             banks,
             write_queue,
@@ -90,7 +87,7 @@ impl<P: Probe> NvmDevice<P> {
             leveler,
             stats: NvmStats::default(),
             probe,
-            segments: Vec::new(),
+            rec,
         }
     }
 
@@ -101,33 +98,18 @@ impl<P: Probe> NvmDevice<P> {
     /// wear leveling.
     #[inline]
     fn heat(&mut self, lane: HeatLane, addr: PhysAddr) {
-        if let Some(h) = self.heat.as_mut() {
-            h.record(lane, addr.as_u64() / REGION_BYTES);
-        }
+        self.rec.heat(lane, addr.as_u64() / REGION_BYTES);
     }
 
-    /// The bank-access heat grid recorded so far (None when off).
-    pub fn heatmap(&self) -> Option<&HeatGrid> {
-        self.heat.as_deref()
+    /// The layer recorder (ledger segments and heat of every layer).
+    pub fn recorder(&self) -> &LayerRecorder {
+        &self.rec
     }
 
-    /// Records a cycle-attribution segment when the ledger is enabled.
-    fn seg(&mut self, start: Cycles, end: Cycles, cat: CycleCategory) {
-        if self.config.cycle_ledger && end > start {
-            self.segments.push(Segment { start: start.as_u64(), end: end.as_u64(), cat });
-        }
-    }
-
-    /// Moves all recorded attribution segments into `out`.
-    pub fn drain_segments_into(&mut self, out: &mut Vec<Segment>) {
-        out.append(&mut self.segments);
-    }
-
-    /// Discards recorded attribution segments (used around un-timed or
-    /// re-based operations whose segments must not leak into the next
-    /// attribution window).
-    pub fn discard_segments(&mut self) {
-        self.segments.clear();
+    /// Mutable recorder access, for the layers above and the system
+    /// layer's drains.
+    pub fn recorder_mut(&mut self) -> &mut LayerRecorder {
+        &mut self.rec
     }
 
     /// Device (post-leveling) line address of a logical line address.
@@ -256,7 +238,7 @@ impl<P: Probe> NvmDevice<P> {
         self.stats.line_reads += 1;
         self.heat(HeatLane::BankRead, line);
         let done = self.array_access(line, now, false);
-        self.seg(now, done, CycleCategory::BankService);
+        self.rec.seg(now, done, CycleCategory::BankService);
         let device = self.map_addr(line);
         let data = self.contents.get(device.as_u64()).unwrap_or([0; LINE_BYTES]);
         (data, done)
@@ -322,7 +304,7 @@ impl<P: Probe> NvmDevice<P> {
                 let ack = done.max(now + Cycles::new(1));
                 // A full queue stalls the pusher on the drain: that
                 // back-pressure is the queue-wait component.
-                self.seg(now, ack, CycleCategory::QueueWait);
+                self.rec.seg(now, ack, CycleCategory::QueueWait);
                 ack
             }
         }
@@ -345,7 +327,7 @@ impl<P: Probe> NvmDevice<P> {
         // Remove a stale queued write so it cannot clobber this one.
         self.write_queue.discard(line);
         let done = self.array_access(line, now, true);
-        self.seg(now, done, CycleCategory::BankService);
+        self.rec.seg(now, done, CycleCategory::BankService);
         self.stats.line_writes += 1;
         self.heat(HeatLane::BankWrite, line);
         self.wear.record_line_write(device);
@@ -363,7 +345,7 @@ impl<P: Probe> NvmDevice<P> {
             let t = self.array_access(w.addr, w.enqueued_at, true);
             // Only the tail of a drain that outlives the barrier's
             // issue time is attributable wait at the barrier.
-            self.seg(now, t, CycleCategory::BankService);
+            self.rec.seg(now, t, CycleCategory::BankService);
             self.stats.line_writes += 1;
             self.heat(HeatLane::BankWrite, w.addr);
             self.wear.record_line_write(device);

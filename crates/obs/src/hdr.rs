@@ -1,15 +1,14 @@
 //! HDR-style log-linear histogram: exact-count percentiles at bounded
 //! relative error.
 //!
-//! The log2 [`crate::Histogram`] answers "what shape is this
-//! distribution" in 66 buckets, but its power-of-two resolution makes
-//! a p999 estimate off by up to 2x — useless for comparing schemes
-//! whose tails differ by tens of percent. [`HdrHistogram`] keeps the
-//! same full-`u64` range and O(1) `leading_zeros` recording, but
-//! subdivides every power of two into [`SUB_BUCKETS`] linear
-//! sub-buckets, so any percentile query is exact to within
-//! `1/SUB_BUCKETS` relative error (and *exact* below
-//! `2 * SUB_BUCKETS`).
+//! Plain power-of-two buckets would make a p999 estimate off by up to
+//! 2x — useless for comparing schemes whose tails differ by tens of
+//! percent. [`HdrHistogram`] keeps the full-`u64` range and O(1)
+//! `leading_zeros` recording, but subdivides every power of two into
+//! [`SUB_BUCKETS`] linear sub-buckets, so any percentile query is
+//! exact to within `1/SUB_BUCKETS` relative error (and *exact* below
+//! `2 * SUB_BUCKETS`). It is the one histogram type of this crate: the
+//! probe's [`crate::HistogramSet`] and the tail recorder both use it.
 //!
 //! # Bucket math
 //!
@@ -28,12 +27,17 @@
 //! `(32 + mantissa) << shift >= 32 << shift`, so the width-to-lower
 //! ratio — and hence the percentile error — is below `1/32`. Rows for
 //! `exp = 6..=63` plus the 64 exact slots give
-//! `64 + 58 * 32 = 1856 + 64 = 1920` buckets (15 KB of `u64` counts);
-//! the top bucket's inclusive upper bound is exactly `u64::MAX`.
+//! `64 + 58 * 32 = 1856 + 64 = 1920` buckets; the top bucket's
+//! inclusive upper bound is exactly `u64::MAX`. The count array grows
+//! on demand up to the highest occupied bucket, so an empty histogram
+//! allocates nothing and one holding small values (queue depths, chain
+//! hops) stays a few hundred bytes instead of 15 KB.
 //!
 //! All counters saturate instead of wrapping: a histogram fed more
 //! than `u64::MAX` samples (or an astronomically large `sum`) pins at
 //! the maximum rather than corrupting percentile ranks.
+
+use std::fmt;
 
 /// Sub-buckets per power of two (the mantissa resolution).
 pub const SUB_BUCKETS: u64 = 32;
@@ -100,22 +104,18 @@ fn upper_of(i: usize) -> u64 {
 /// assert!((999..=1000 + 1000 / 32).contains(&p999));
 /// assert_eq!(h.percentile(1.0), 1000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HdrHistogram {
-    /// Per-bucket sample counts (saturating).
-    counts: Box<[u64; HDR_BUCKETS]>,
+    /// Per-bucket sample counts (saturating), up to the highest
+    /// occupied bucket: the last entry is never zero, which keeps the
+    /// derived equality exact.
+    counts: Vec<u64>,
     /// Total samples (saturating).
     count: u64,
     /// Sum of all samples (saturating; for the mean).
     sum: u64,
     /// Largest sample seen.
     max: u64,
-}
-
-impl Default for HdrHistogram {
-    fn default() -> Self {
-        Self { counts: Box::new([0; HDR_BUCKETS]), count: 0, sum: 0, max: 0 }
-    }
 }
 
 impl HdrHistogram {
@@ -127,8 +127,11 @@ impl HdrHistogram {
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        let slot = &mut self.counts[index_of(value)];
-        *slot = slot.saturating_add(1);
+        let i = index_of(value);
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] = self.counts[i].saturating_add(1);
         self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
@@ -185,6 +188,9 @@ impl HdrHistogram {
 
     /// Folds `other`'s samples into `self` (all counters saturating).
     pub fn merge(&mut self, other: &HdrHistogram) {
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a = a.saturating_add(*b);
         }
@@ -199,19 +205,17 @@ impl HdrHistogram {
     /// bucket deltas, so it is the conservative bound `upper_of` the
     /// highest bucket that gained samples, clamped to the running max.
     pub fn delta_since(&self, earlier: &HdrHistogram) -> HdrHistogram {
-        let mut out = HdrHistogram::new();
-        let mut highest = None;
-        for (i, (now, then)) in self.counts.iter().zip(earlier.counts.iter()).enumerate() {
-            let d = now.saturating_sub(*then);
-            out.counts[i] = d;
-            if d > 0 {
-                highest = Some(i);
-            }
+        let then = earlier.counts.iter().chain(std::iter::repeat(&0));
+        let mut counts: Vec<u64> =
+            self.counts.iter().zip(then).map(|(now, then)| now.saturating_sub(*then)).collect();
+        let highest = counts.iter().rposition(|&d| d > 0);
+        counts.truncate(highest.map_or(0, |i| i + 1));
+        HdrHistogram {
+            counts,
+            count: self.count.saturating_sub(earlier.count),
+            sum: self.sum.saturating_sub(earlier.sum),
+            max: highest.map_or(0, |i| upper_of(i).min(self.max)),
         }
-        out.count = self.count.saturating_sub(earlier.count);
-        out.sum = self.sum.saturating_sub(earlier.sum);
-        out.max = highest.map(|i| upper_of(i).min(self.max)).unwrap_or(0);
-        out
     }
 
     /// Occupied buckets as `(lower, upper_inclusive, count)` rows.
@@ -236,6 +240,34 @@ impl HdrHistogram {
             p99: self.percentile(0.99),
             p999: self.percentile(0.999),
         }
+    }
+}
+
+impl fmt::Display for HdrHistogram {
+    /// Compact textual rendering: one `[lo, hi] count |bar|` row per
+    /// occupied power of two (sub-buckets folded together; no bucket
+    /// straddles a power of two, so the bands are exact).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.count == 0 {
+            return write!(f, "(no samples)");
+        }
+        writeln!(f, "n={} mean={:.1} max={}", self.count, self.mean(), self.max)?;
+        let mut bands: Vec<(u64, u64, u64)> = Vec::new();
+        for (lo, _, n) in self.rows() {
+            // Band of `lo`: {0}, then [2^k, 2^(k+1)) per power of two.
+            let band_lo = if lo == 0 { 0 } else { 1u64 << (63 - lo.leading_zeros()) };
+            match bands.last_mut() {
+                Some((blo, _, bn)) if *blo == band_lo => *bn = bn.saturating_add(n),
+                _ => bands.push((band_lo, band_lo | band_lo.saturating_sub(1), n)),
+            }
+        }
+        let peak = bands.iter().map(|b| b.2).max().unwrap_or(1).max(1);
+        for (lo, hi, n) in bands {
+            let bar = "#".repeat(((n.saturating_mul(40)).div_ceil(peak)) as usize);
+            let range = if lo == hi { format!("{lo}") } else { format!("{lo}..{hi}") };
+            writeln!(f, "  {range:>16}  {n:>10}  {bar}")?;
+        }
+        Ok(())
     }
 }
 
@@ -386,9 +418,12 @@ mod tests {
     /// The headline guarantee: p50/p99/p999 against an exact
     /// sorted-sample oracle, within `1/SUB_BUCKETS` relative error, on
     /// several distribution shapes.
+    /// A named sample generator for the oracle test.
+    type Shape = (&'static str, Box<dyn Fn(&mut u64) -> u64>);
+
     #[test]
     fn percentiles_match_sorted_oracle_within_one_thirtysecond() {
-        let shapes: [(&str, Box<dyn Fn(&mut u64) -> u64>); 4] = [
+        let shapes: [Shape; 4] = [
             ("uniform_small", Box::new(|s| lcg(s) % 5_000)),
             ("uniform_wide", Box::new(|s| lcg(s) % (1 << 40))),
             // Heavy tail: mostly small, occasional huge (the fault-
@@ -397,7 +432,7 @@ mod tests {
                 "heavy_tail",
                 Box::new(|s| {
                     let v = lcg(s);
-                    if v % 1000 == 0 {
+                    if v.is_multiple_of(1000) {
                         1_000_000 + v % 9_000_000
                     } else {
                         600 + v % 400
@@ -448,6 +483,46 @@ mod tests {
         // Self-delta is empty; empty delta has max 0.
         let e = h.delta_since(&h);
         assert_eq!((e.count(), e.max()), (0, 0));
+    }
+
+    #[test]
+    fn display_folds_sub_buckets_into_powers_of_two() {
+        let mut h = HdrHistogram::new();
+        h.record(3);
+        h.record(3);
+        for v in 100..=120 {
+            h.record(v);
+        }
+        let s = h.to_string();
+        assert!(s.starts_with("n=23"), "{s}");
+        assert!(s.contains("2..3"), "{s}");
+        // 100..=120 spans several sub-buckets of the [64, 128) band.
+        assert_eq!(s.lines().count(), 3, "header plus one row per power of two: {s}");
+        assert!(s.contains("64..127"), "{s}");
+        assert_eq!(HdrHistogram::new().to_string(), "(no samples)");
+    }
+
+    #[test]
+    fn counts_grow_only_to_the_highest_occupied_bucket() {
+        assert!(HdrHistogram::new().counts.is_empty(), "an empty histogram allocates nothing");
+        let mut h = HdrHistogram::new();
+        h.record(3);
+        assert_eq!(h.counts.len(), 4);
+        h.record(1_000);
+        let len = h.counts.len();
+        assert_eq!(len, index_of(1_000) + 1);
+        h.record(2);
+        assert_eq!(h.counts.len(), len, "lower values never grow the array");
+        // Deltas drop trailing empty buckets, so equal contents compare
+        // equal whatever the history.
+        let snap = h.clone();
+        h.record(5);
+        let d = h.delta_since(&snap);
+        assert_eq!(d.counts.len(), 6);
+        let mut fresh = HdrHistogram::new();
+        fresh.record(5);
+        assert_eq!(d.count(), fresh.count());
+        assert_eq!(d.counts, fresh.counts);
     }
 
     #[test]

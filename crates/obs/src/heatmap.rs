@@ -15,10 +15,11 @@
 //! sum over regions of a lane must equal the aggregate it shadows.
 //! The reconciliation table is enforced in `tests/heatmap.rs`.
 //!
-//! Grids form a commutative monoid under [`HeatGrid::merge`] (the
-//! system, controller and device grids merge in any order) and
-//! support [`HeatGrid::delta_since`] so the epoch sampler can carve
-//! per-epoch spatial deltas that sum back to the full-run grid.
+//! Every layer records into one grid (held by the
+//! [`LayerRecorder`](crate::LayerRecorder)). Grids form a commutative
+//! monoid under [`HeatGrid::merge`] and support
+//! [`HeatGrid::delta_since`], so the epoch sampler can carve per-epoch
+//! spatial deltas that merge back, in any order, to the full-run grid.
 
 /// One kind of spatially-attributed work.
 ///

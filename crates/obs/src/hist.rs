@@ -1,15 +1,13 @@
-//! Log2-bucket histograms for latency and occupancy distributions.
+//! The probe's latency and occupancy distributions.
 //!
 //! Aggregate means hide the shape that matters for tail analysis (a
 //! write queue that is empty 99 % of the time and full 1 % of the time
-//! averages to "shallow"). Power-of-two buckets cover the full `u64`
-//! range in 66 slots with one `leading_zeros` per record, cheap enough
-//! for the simulator's hot paths when a recording probe is attached.
+//! averages to "shallow"). Recording probes keep one [`HdrHistogram`]
+//! per [`HistKind`] in a [`HistogramSet`] — the same histogram type the
+//! tail recorder uses, so every distribution answers percentile queries
+//! at the same 1/32 relative error.
 
-use std::fmt;
-
-/// Bucket count: value 0, then one bucket per power of two.
-pub const BUCKETS: usize = 66;
+use crate::hdr::HdrHistogram;
 
 /// Which distribution a recorded sample belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,158 +62,10 @@ impl HistKind {
     }
 }
 
-/// A log2-bucket histogram: bucket 0 counts zeros, bucket `i` counts
-/// values in `[2^(i-1), 2^i)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    /// Per-bucket sample counts.
-    pub buckets: [u64; BUCKETS],
-    /// Total samples.
-    pub count: u64,
-    /// Sum of all samples (for the exact mean).
-    pub sum: u64,
-    /// Largest sample seen.
-    pub max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self { buckets: [0; BUCKETS], count: 0, sum: 0, max: 0 }
-    }
-}
-
-/// Bucket index of `value`: 0 for 0, else `floor(log2(value)) + 1`.
-fn bucket_of(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        (64 - value.leading_zeros()) as usize
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample (all counters saturating).
-    pub fn record(&mut self, value: u64) {
-        let slot = &mut self.buckets[bucket_of(value)];
-        *slot = slot.saturating_add(1);
-        self.count = self.count.saturating_add(1);
-        self.sum = self.sum.saturating_add(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Exact mean of the recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Upper bound of the bucket containing the `p`-quantile
-    /// (`p` in `[0, 1]`): a conservative percentile estimate at log2
-    /// resolution. Returns 0 when empty.
-    pub fn quantile_bound(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64 * p).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return bucket_upper(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Folds `other`'s samples into `self` (all counters saturating).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Interval histogram: the samples recorded since `earlier`, an
-    /// older snapshot of this same histogram. Bucket counts subtract
-    /// exactly; the interval `max` is not recoverable from deltas, so
-    /// it is the conservative `bucket_upper` of the highest bucket
-    /// that gained samples, clamped to the running max.
-    pub fn delta_since(&self, earlier: &Histogram) -> Histogram {
-        let mut out = Histogram::new();
-        let mut highest = None;
-        for (i, (now, then)) in self.buckets.iter().zip(earlier.buckets.iter()).enumerate() {
-            let d = now.saturating_sub(*then);
-            out.buckets[i] = d;
-            if d > 0 {
-                highest = Some(i);
-            }
-        }
-        out.count = self.count.saturating_sub(earlier.count);
-        out.sum = self.sum.saturating_sub(earlier.sum);
-        out.max = highest.map(|i| bucket_upper(i).min(self.max)).unwrap_or(0);
-        out
-    }
-
-    /// Occupied buckets as `(lower, upper_inclusive, count)` rows.
-    pub fn rows(&self) -> Vec<(u64, u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (bucket_lower(i), bucket_upper(i), n))
-            .collect()
-    }
-}
-
-/// Smallest value landing in bucket `i`.
-fn bucket_lower(i: usize) -> u64 {
-    match i {
-        0 => 0,
-        _ => 1u64 << (i - 1),
-    }
-}
-
-/// Largest value landing in bucket `i`.
-fn bucket_upper(i: usize) -> u64 {
-    match i {
-        0 => 0,
-        65 => u64::MAX,
-        _ => (1u64 << i) - 1,
-    }
-}
-
-impl fmt::Display for Histogram {
-    /// Compact textual rendering: one `[lo, hi] count |bar|` row per
-    /// occupied bucket.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.count == 0 {
-            return write!(f, "(no samples)");
-        }
-        writeln!(f, "n={} mean={:.1} max={}", self.count, self.mean(), self.max)?;
-        let peak = self.buckets.iter().copied().max().unwrap_or(1).max(1);
-        for (lo, hi, n) in self.rows() {
-            let bar = "#".repeat(((n * 40).div_ceil(peak)) as usize);
-            let range = if lo == hi { format!("{lo}") } else { format!("{lo}..{hi}") };
-            writeln!(f, "  {range:>16}  {n:>10}  {bar}")?;
-        }
-        Ok(())
-    }
-}
-
 /// One histogram per [`HistKind`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSet {
-    hists: [Histogram; HistKind::COUNT],
+    hists: [HdrHistogram; HistKind::COUNT],
 }
 
 impl HistogramSet {
@@ -225,23 +75,16 @@ impl HistogramSet {
     }
 
     /// The histogram for `kind`.
-    pub fn get(&self, kind: HistKind) -> &Histogram {
+    pub fn get(&self, kind: HistKind) -> &HdrHistogram {
         &self.hists[kind.index()]
     }
 
     /// Mutable access (recording).
-    pub fn get_mut(&mut self, kind: HistKind) -> &mut Histogram {
+    pub fn get_mut(&mut self, kind: HistKind) -> &mut HdrHistogram {
         &mut self.hists[kind.index()]
     }
 
-    /// Folds `other` into `self`.
-    pub fn merge(&mut self, other: &HistogramSet) {
-        for kind in HistKind::ALL {
-            self.hists[kind.index()].merge(other.get(kind));
-        }
-    }
-
-    /// Per-kind [`Histogram::delta_since`] against an older snapshot
+    /// Per-kind [`HdrHistogram::delta_since`] against an older snapshot
     /// of this same set.
     pub fn delta_since(&self, earlier: &HistogramSet) -> HistogramSet {
         let mut out = HistogramSet::new();
@@ -257,133 +100,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_boundaries() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 2, 3, 4, 7, 8, 1023, 1024, u64::MAX] {
-            h.record(v);
-        }
-        assert_eq!(h.buckets[0], 1, "zero bucket");
-        assert_eq!(h.buckets[1], 1, "value 1");
-        assert_eq!(h.buckets[2], 2, "values 2..=3");
-        assert_eq!(h.buckets[3], 2, "values 4..=7");
-        assert_eq!(h.buckets[4], 1, "value 8");
-        assert_eq!(h.buckets[10], 1, "value 1023");
-        assert_eq!(h.buckets[11], 1, "value 1024");
-        assert_eq!(h.buckets[64], 1, "u64::MAX");
-        assert_eq!(h.count, 10);
-        assert_eq!(h.max, u64::MAX);
-    }
-
-    #[test]
-    fn mean_and_quantiles() {
-        let mut h = Histogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        assert!((h.mean() - 50.5).abs() < 1e-9);
-        assert_eq!(h.quantile_bound(0.0), 1);
-        // The median of 1..=100 lies in bucket [64, 127] -> capped at max.
-        assert!(h.quantile_bound(0.5) >= 50);
-        assert_eq!(h.quantile_bound(1.0), 100, "p100 capped at the max");
-        assert_eq!(Histogram::new().quantile_bound(0.5), 0);
-    }
-
-    #[test]
-    fn merge_adds_everything() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(5);
-        b.record(500);
-        b.record(0);
-        a.merge(&b);
-        assert_eq!(a.count, 3);
-        assert_eq!(a.sum, 505);
-        assert_eq!(a.max, 500);
-        assert_eq!(a.rows().len(), 3);
-    }
-
-    #[test]
-    fn display_renders_rows() {
-        let mut h = Histogram::new();
-        h.record(3);
-        h.record(3);
-        let s = h.to_string();
-        assert!(s.contains("n=2"), "{s}");
-        assert!(s.contains("2..3"), "{s}");
-        assert_eq!(Histogram::new().to_string(), "(no samples)");
-    }
-
-    #[test]
-    fn saturating_counts_pin_at_max() {
-        let mut a = Histogram::new();
-        a.record(9);
-        a.count = u64::MAX - 1;
-        a.buckets[bucket_of(9)] = u64::MAX - 1;
-        a.sum = u64::MAX - 2;
-        let mut b = Histogram::new();
-        b.record(9);
-        b.record(9);
-        b.record(9);
-        a.merge(&b);
-        assert_eq!(a.count, u64::MAX, "count saturates");
-        assert_eq!(a.buckets[bucket_of(9)], u64::MAX, "bucket saturates");
-        assert_eq!(a.sum, u64::MAX, "sum saturates");
-        a.record(9);
-        assert_eq!(a.count, u64::MAX, "record on a saturated histogram stays pinned");
-    }
-
-    #[test]
-    fn merge_is_associative() {
-        let mk = |vals: &[u64]| {
-            let mut h = Histogram::new();
-            for &v in vals {
-                h.record(v);
-            }
-            h
-        };
-        let (a, b, c) = (mk(&[0, 3, 900]), mk(&[u64::MAX, 1]), mk(&[17, 17, 64]));
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc, "(a+b)+c == a+(b+c)");
-    }
-
-    #[test]
-    fn delta_since_subtracts_and_bounds_max() {
-        let mut h = Histogram::new();
-        h.record(10);
-        let snap = h.clone();
-        h.record(100);
-        h.record(0);
-        let d = h.delta_since(&snap);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum, 100);
-        assert_eq!(d.buckets[0], 1, "zero bucket delta");
-        assert!(d.max >= 100 && d.max <= 127, "conservative bucket-bound max, got {}", d.max);
-        let e = h.delta_since(&h);
-        assert_eq!((e.count, e.max), (0, 0), "self-delta is empty");
-        // Set-level deltas apply per kind.
+    fn set_delta_since_applies_per_kind() {
         let mut set = HistogramSet::new();
         set.get_mut(HistKind::CmdServiceCycles).record(5);
         let before = set.clone();
         set.get_mut(HistKind::CmdServiceCycles).record(6);
         set.get_mut(HistKind::WriteQueueDepth).record(1);
         let ds = set.delta_since(&before);
-        assert_eq!(ds.get(HistKind::CmdServiceCycles).count, 1);
-        assert_eq!(ds.get(HistKind::WriteQueueDepth).count, 1);
-        assert_eq!(ds.get(HistKind::CopyChainDepth).count, 0);
+        assert_eq!(ds.get(HistKind::CmdServiceCycles).count(), 1);
+        assert_eq!(ds.get(HistKind::CmdServiceCycles).sum(), 6);
+        assert_eq!(ds.get(HistKind::WriteQueueDepth).count(), 1);
+        assert_eq!(ds.get(HistKind::CopyChainDepth).count(), 0);
     }
 
     #[test]
     fn set_indexing_round_trips() {
         let mut set = HistogramSet::new();
         set.get_mut(HistKind::CopyChainDepth).record(2);
-        assert_eq!(set.get(HistKind::CopyChainDepth).count, 1);
-        assert_eq!(set.get(HistKind::WriteQueueDepth).count, 0);
+        assert_eq!(set.get(HistKind::CopyChainDepth).count(), 1);
+        assert_eq!(set.get(HistKind::WriteQueueDepth).count(), 0);
         for (i, kind) in HistKind::ALL.iter().enumerate() {
             assert_eq!(kind.index(), i);
         }

@@ -17,13 +17,12 @@
 //!   kernel faults, redirected reads, implicit copies, counter and
 //!   Merkle metadata traffic, and NVM write-queue activity, each
 //!   stamped with the simulated cycle.
-//! * [`Histogram`]/[`HistKind`] — log2-bucket distributions (write
+//! * [`HdrHistogram`]/[`TailSummary`] — the one histogram type:
+//!   log-linear (32 sub-buckets per power of two), so percentile
+//!   queries are exact to within 1/32 relative error (see [`hdr`]).
+//! * [`HistogramSet`]/[`HistKind`] — the probe's distributions (write
 //!   queue depth, copy-chain depth, counter-cache occupancy, per-fault
 //!   and per-command service cycles) recorded alongside the events.
-//! * [`HdrHistogram`]/[`TailSummary`] — log-linear high-resolution
-//!   histogram (32 sub-buckets per power of two) whose percentile
-//!   queries are exact to within 1/32 relative error; the backbone of
-//!   tail-latency reporting (see [`hdr`]).
 //! * [`TailRecorder`]/[`FaultSpan`]/[`FaultAction`] — per-fault span
 //!   recording with per-action histograms and a bounded top-K
 //!   worst-offender reservoir (see [`span`]).
@@ -41,6 +40,9 @@
 //!   charges every simulated cycle to exactly one component category
 //!   so `lelantus profile` can reproduce the paper's overhead
 //!   breakdown (see [`ledger`]).
+//! * [`LayerRecorder`] — the one recorder the memory-side layers
+//!   (controller and NVM device) write ledger segments and heat into
+//!   (see [`layer`]).
 //! * [`selfprof`] — a wall-clock self-profiler (scoped timers per
 //!   component) that compiles away without the `selfprof` feature.
 //!
@@ -63,6 +65,7 @@ pub mod event;
 pub mod hdr;
 pub mod heatmap;
 pub mod hist;
+pub mod layer;
 pub mod ledger;
 pub mod probe;
 pub mod selfprof;
@@ -72,7 +75,8 @@ pub mod trace;
 pub use event::{Event, EventKind};
 pub use hdr::{HdrHistogram, TailSummary};
 pub use heatmap::{HeatGrid, HeatLane};
-pub use hist::{HistKind, Histogram, HistogramSet};
+pub use hist::{HistKind, HistogramSet};
+pub use layer::LayerRecorder;
 pub use ledger::{attribute, CycleCategory, CycleLedger, Segment};
 pub use probe::{JsonlProbe, NullProbe, Probe, RingProbe, TeeProbe};
 pub use span::{FaultAction, FaultSpan, TailRecorder};

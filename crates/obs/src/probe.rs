@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn null_probe_is_disabled_and_zero_sized() {
-        assert!(!NullProbe::ENABLED);
+        const { assert!(!NullProbe::ENABLED) };
         assert_eq!(std::mem::size_of::<NullProbe>(), 0);
         NullProbe.emit(ev(1));
         NullProbe.record(HistKind::CopyChainDepth, 3);
@@ -380,7 +380,7 @@ mod tests {
         handle.emit(ev(1));
         handle.record(HistKind::WriteQueueDepth, 4);
         assert_eq!(ring.total(), 1);
-        assert_eq!(ring.histograms().get(HistKind::WriteQueueDepth).count, 1);
+        assert_eq!(ring.histograms().get(HistKind::WriteQueueDepth).count(), 1);
     }
 
     #[test]
@@ -391,7 +391,7 @@ mod tests {
         some.emit(ev(1));
         none.emit(ev(2));
         assert_eq!(ring.total(), 1);
-        assert!(<Option<RingProbe> as Probe>::ENABLED);
+        const { assert!(<Option<RingProbe> as Probe>::ENABLED) };
     }
 
     #[test]
@@ -449,8 +449,8 @@ mod tests {
         tee.record(HistKind::FaultServiceCycles, 600);
         assert_eq!(a.total(), 1);
         assert_eq!(b.total(), 1);
-        assert_eq!(b.histograms().get(HistKind::FaultServiceCycles).count, 1);
-        assert!(<TeeProbe<RingProbe, RingProbe> as Probe>::ENABLED);
+        assert_eq!(b.histograms().get(HistKind::FaultServiceCycles).count(), 1);
+        const { assert!(<TeeProbe<RingProbe, RingProbe> as Probe>::ENABLED) };
     }
 
     #[test]
@@ -459,7 +459,7 @@ mod tests {
         let ring = RingProbe::new(4);
         ring.record(HistKind::CmdServiceCycles, 42);
         let snap = ring.histogram_snapshot().expect("ring keeps histograms");
-        assert_eq!(snap.get(HistKind::CmdServiceCycles).count, 1);
+        assert_eq!(snap.get(HistKind::CmdServiceCycles).count(), 1);
         let opt: Option<RingProbe> = Some(ring.clone());
         assert!(opt.histogram_snapshot().is_some());
         let none: Option<RingProbe> = None;

@@ -4,7 +4,7 @@
 //! *host* time: where does the simulator itself spend wall-clock while
 //! producing those cycles? Sites are coarse (a whole `run_batch`, a
 //! bulk page copy, a metadata flush) so the timers never sit on the
-//! per-line hot path that the `micro_probe` gate protects.
+//! per-line hot path that the `micro_observe` gate protects.
 //!
 //! Like `NullProbe`, the profiler compiles away: with the `selfprof`
 //! feature disabled (`--no-default-features`), [`scope`] is a

@@ -9,9 +9,9 @@
 //! per [`FaultAction`], and a bounded top-K worst-offender reservoir
 //! that keeps the K slowest spans with their full causal context.
 //!
-//! The recorder is pure observation: it is only allocated when
-//! `SimConfig::with_tail_recorder()` is set, and recording never
-//! touches simulated clocks, metrics, probe streams, or Merkle state.
+//! The recorder is pure observation: it is only allocated when the
+//! simulator's `Observe::tail` is set, and recording never touches
+//! simulated clocks, metrics, probe streams, or Merkle state.
 
 use crate::hdr::{HdrHistogram, TailSummary};
 use crate::ledger::CycleLedger;
@@ -175,30 +175,6 @@ impl TailRecorder {
     pub fn summary(&self) -> TailSummary {
         self.hist.summary()
     }
-
-    /// Folds `other` into `self`: histograms merge, reservoirs merge
-    /// and re-truncate to `self`'s capacity.
-    pub fn merge(&mut self, other: &TailRecorder) {
-        self.hist.merge(&other.hist);
-        for (a, b) in self.by_action.iter_mut().zip(other.by_action.iter()) {
-            a.merge(b);
-        }
-        for span in &other.worst {
-            self.record_into_reservoir(span.clone());
-        }
-    }
-
-    fn record_into_reservoir(&mut self, span: FaultSpan) {
-        if self.top_k == 0 {
-            return;
-        }
-        let lat = span.latency();
-        let pos = self.worst.partition_point(|w| {
-            w.latency() > lat || (w.latency() == lat && w.start <= span.start)
-        });
-        self.worst.insert(pos, span);
-        self.worst.truncate(self.top_k);
-    }
 }
 
 #[cfg(test)]
@@ -253,19 +229,5 @@ mod tests {
         r.record(span(0, 10, FaultAction::Reuse));
         assert!(r.worst().is_empty());
         assert_eq!(r.histogram().count(), 1);
-    }
-
-    #[test]
-    fn merge_combines_histograms_and_reservoirs() {
-        let mut a = TailRecorder::new(2);
-        a.record(span(0, 100, FaultAction::LazyCow));
-        a.record(span(10, 30, FaultAction::Reuse));
-        let mut b = TailRecorder::new(2);
-        b.record(span(50, 550, FaultAction::EagerCopy));
-        a.merge(&b);
-        assert_eq!(a.histogram().count(), 3);
-        assert_eq!(a.worst().len(), 2);
-        assert_eq!(a.worst()[0].latency(), 500, "merged reservoir re-ranks");
-        assert_eq!(a.worst()[1].latency(), 100);
     }
 }

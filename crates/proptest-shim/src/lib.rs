@@ -410,7 +410,7 @@ mod tests {
         #[test]
         fn macro_roundtrip(x in 1u64..100, (a, b) in (0u8..10, 0u8..10), v in prop::collection::vec(any::<u8>(), 0..5)) {
             prop_assume!(x != 99);
-            prop_assert!(x >= 1 && x < 100);
+            prop_assert!((1..100).contains(&x));
             prop_assert_eq!(a as u16 + b as u16, b as u16 + a as u16, "commutativity {} {}", a, b);
             prop_assert_ne!(x, 0);
             prop_assert!(v.len() < 5);

@@ -38,36 +38,41 @@ pub struct SimConfig {
     pub op_cost: u64,
     /// Data-TLB geometry and walk cost.
     pub tlb: TlbConfig,
+    /// What the observer records (epoch series, cycle ledger, tail
+    /// spans, heat grid); everything off by default.
+    pub observe: Observe,
+}
+
+/// The observer's one config value: which views a [`System`] records.
+///
+/// Every view is purely observational — a run with any combination on
+/// is bit-identical to one with all of them off — and each feeds the
+/// epoch sampler when it is on.
+///
+/// [`System`]: crate::System
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Observe {
     /// Epoch-sampler period in cycles: every `epoch_interval` simulated
-    /// cycles the `System` snapshots interval metrics into a time
-    /// series (see `System::epochs`). 0 (the default) disables
-    /// sampling entirely.
+    /// cycles the `System` closes one interval sample of every view
+    /// that is on (see `System::epochs`). 0 turns sampling off.
     pub epoch_interval: u64,
     /// Maintains the cycle-attribution ledger (`System::cycle_ledger`):
-    /// every simulated cycle is charged to exactly one
-    /// `CycleCategory`, with `sum(categories) == SimMetrics.cycles`.
-    /// Purely observational — a ledger-enabled run is bit-identical to
-    /// a disabled one. Set via [`SimConfig::with_cycle_ledger`], which
-    /// also enables segment recording in the controller and device.
-    pub cycle_ledger: bool,
-    /// Records a `FaultSpan` per serviced fault (and per implicit
-    /// copy) into a `TailRecorder`: overall + per-action HDR latency
-    /// histograms and a top-K worst-offender reservoir. Purely
-    /// observational — a recording run is bit-identical to a disabled
-    /// one. Set via [`SimConfig::with_tail_recorder`]. Per-span cycle
-    /// breakdowns additionally need [`SimConfig::with_cycle_ledger`].
-    pub tail_recorder: bool,
-    /// Worst-offender spans the tail recorder retains (default 16).
-    pub tail_top_k: usize,
+    /// every simulated cycle is charged to exactly one `CycleCategory`,
+    /// with `sum(categories) == SimMetrics.cycles`.
+    pub ledger: bool,
+    /// Records a `FaultSpan` per serviced fault (and per implicit copy)
+    /// into a `TailRecorder` that keeps this many worst offenders.
+    /// Per-span cycle breakdowns additionally need `ledger`.
+    pub tail: Option<usize>,
     /// Records the spatial heat grid (`System::heatmap`): per-4 KB-
     /// region lanes for faults by action, CoW redirects, implicit
     /// copies, counter fills/overflows, Merkle walk touches per tree
-    /// level, MAC writebacks and bank array accesses. Purely
-    /// observational — a recording run is bit-identical to a disabled
-    /// one. Set via [`SimConfig::with_heatmap`], which also enables
-    /// recording in the controller and device.
-    pub heatmap: bool,
+    /// level, MAC writebacks and bank array accesses.
+    pub heat: bool,
 }
+
+/// Worst-offender spans the tail recorder keeps unless told otherwise.
+pub const DEFAULT_TAIL_TOP_K: usize = 16;
 
 /// Maps the kernel-side strategy onto the controller-side scheme.
 pub fn scheme_for(strategy: CowStrategy) -> SchemeKind {
@@ -93,51 +98,43 @@ impl SimConfig {
             fault_cost: 600,
             op_cost: 1,
             tlb: TlbConfig::default(),
-            epoch_interval: 0,
-            cycle_ledger: false,
-            tail_recorder: false,
-            tail_top_k: 16,
-            heatmap: false,
+            observe: Observe::default(),
         }
     }
 
-    /// Enables the cycle-attribution ledger across the whole stack
-    /// (system accounting plus controller/device segment recording).
+    /// Enables the cycle-attribution ledger.
     pub fn with_cycle_ledger(mut self) -> Self {
-        self.cycle_ledger = true;
-        self.controller.cycle_ledger = true;
-        self.controller.nvm.cycle_ledger = true;
+        self.observe.ledger = true;
         self
     }
 
-    /// Enables per-fault span recording (`System::tail_recorder`).
-    /// Deliberately does *not* force the cycle ledger on: the tail
+    /// Enables per-fault span recording (`System::tail_recorder`),
+    /// keeping [`DEFAULT_TAIL_TOP_K`] worst offenders unless a reservoir
+    /// size was already set. Does *not* turn the cycle ledger on: the
     /// percentiles are cheap alone, and per-span category breakdowns
     /// appear when [`SimConfig::with_cycle_ledger`] is also set.
     pub fn with_tail_recorder(mut self) -> Self {
-        self.tail_recorder = true;
+        self.observe.tail.get_or_insert(DEFAULT_TAIL_TOP_K);
         self
     }
 
-    /// Sets the tail recorder's worst-offender reservoir capacity.
+    /// Enables per-fault span recording keeping the `top_k` slowest
+    /// spans.
     pub fn with_tail_top_k(mut self, top_k: usize) -> Self {
-        self.tail_top_k = top_k;
+        self.observe.tail = Some(top_k);
         self
     }
 
-    /// Enables the spatial heat grid across the whole stack (system
-    /// fault lanes plus controller metadata and device bank lanes).
+    /// Enables the spatial heat grid.
     pub fn with_heatmap(mut self) -> Self {
-        self.heatmap = true;
-        self.controller.heatmap = true;
-        self.controller.nvm.heatmap = true;
+        self.observe.heat = true;
         self
     }
 
     /// Enables the epoch sampler with the given period (cycles); 0
     /// disables it.
     pub fn with_epoch_interval(mut self, cycles: u64) -> Self {
-        self.epoch_interval = cycles;
+        self.observe.epoch_interval = cycles;
         self
     }
 
@@ -180,18 +177,6 @@ impl SimConfig {
         }
         if self.controller.zero_area_bytes != 2 << 20 {
             return Err("the kernel reserves exactly one 2 MB zero page".into());
-        }
-        if self.cycle_ledger != self.controller.cycle_ledger
-            || self.cycle_ledger != self.controller.nvm.cycle_ledger
-        {
-            // Segments are only drained when the system-level ledger
-            // runs; a partial enable would leak or starve them.
-            return Err("cycle_ledger must be enabled via with_cycle_ledger (all layers)".into());
-        }
-        if self.heatmap != self.controller.heatmap || self.heatmap != self.controller.nvm.heatmap {
-            // Layer grids are only merged when the system-level heatmap
-            // runs; a partial enable would record grids nobody reads.
-            return Err("heatmap must be enabled via with_heatmap (all layers)".into());
         }
         self.tlb.validate()?;
         Ok(())
@@ -241,31 +226,28 @@ mod tests {
             .with_tail_recorder()
             .with_tail_top_k(8);
         assert!(cfg.validate().is_ok());
-        assert!(cfg.tail_recorder);
-        assert_eq!(cfg.tail_top_k, 8);
-        assert!(!cfg.cycle_ledger, "tail recorder does not force the ledger");
+        assert_eq!(cfg.observe.tail, Some(8));
+        assert!(!cfg.observe.ledger, "tail recorder does not force the ledger");
+        let cfg = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K)
+            .with_tail_top_k(4)
+            .with_tail_recorder();
+        assert_eq!(cfg.observe.tail, Some(4), "enabling keeps a reservoir size already set");
     }
 
     #[test]
-    fn heatmap_must_enable_all_layers() {
-        let cfg = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K).with_heatmap();
-        assert!(cfg.validate().is_ok());
-        assert!(cfg.controller.heatmap && cfg.controller.nvm.heatmap);
-        let mut partial = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
-        partial.controller.heatmap = true;
-        assert!(partial.validate().is_err(), "partial enable must be rejected");
-        let mut partial = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
-        partial.heatmap = true;
-        assert!(partial.validate().is_err(), "partial enable must be rejected");
-    }
-
-    #[test]
-    fn cycle_ledger_must_enable_all_layers() {
-        let cfg = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K).with_cycle_ledger();
-        assert!(cfg.validate().is_ok());
-        assert!(cfg.controller.cycle_ledger && cfg.controller.nvm.cycle_ledger);
-        let mut partial = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
-        partial.controller.cycle_ledger = true;
-        assert!(partial.validate().is_err(), "partial enable must be rejected");
+    fn observer_builders_set_one_view_each() {
+        let off = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
+        assert_eq!(off.observe, Observe::default());
+        let on = off.clone().with_cycle_ledger().with_heatmap().with_epoch_interval(500);
+        assert!(on.validate().is_ok());
+        assert_eq!(
+            on.observe,
+            Observe { epoch_interval: 500, ledger: true, tail: None, heat: true }
+        );
+        assert_eq!(
+            off.with_tail_recorder().observe.tail,
+            Some(DEFAULT_TAIL_TOP_K),
+            "default reservoir"
+        );
     }
 }

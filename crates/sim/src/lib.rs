@@ -49,7 +49,7 @@ pub mod system;
 pub mod tlb;
 
 pub use batch::AccessBatch;
-pub use config::SimConfig;
+pub use config::{Observe, SimConfig};
 pub use metrics::{EpochSample, SimMetrics};
 pub use record::TraceRecorder;
 pub use replay::{
@@ -67,6 +67,6 @@ pub use lelantus_trace::{Trace, TraceError, TraceHeader, TraceTotals};
 pub use lelantus_obs::{
     chrome_trace, chrome_trace_with_spans, selfprof, CounterSeries, CycleCategory, CycleLedger,
     Event, EventKind, FaultAction, FaultSpan, HdrHistogram, HeatGrid, HeatLane, HistKind,
-    Histogram, HistogramSet, JsonlProbe, NullProbe, Probe, RingProbe, Span, TailRecorder,
-    TailSummary, TeeProbe,
+    HistogramSet, JsonlProbe, NullProbe, Probe, RingProbe, Span, TailRecorder, TailSummary,
+    TeeProbe,
 };

@@ -83,19 +83,18 @@ pub struct EpochSample {
     /// True interval counters for the epoch (not running totals).
     pub delta: SimMetrics,
     /// Per-category cycle attribution for the epoch (all zero unless
-    /// `SimConfig::with_cycle_ledger`; sums to `delta.cycles` when
-    /// enabled).
+    /// `Observe::ledger`; sums to `delta.cycles` when enabled).
     pub ledger: CycleLedger,
     /// Per-kind histogram deltas for the epoch (queue depth, fault
-    /// service cycles, ...). Empty unless a recording probe (ring or
-    /// JSONL) is attached — `NullProbe` runs carry all-zero sets.
-    pub hists: HistogramSet,
+    /// service cycles, ...). `None` unless the probe keeps histograms
+    /// (ring or JSONL) — `NullProbe` runs allocate none.
+    pub hists: Option<HistogramSet>,
     /// Tail-latency percentile summary of the fault spans recorded in
-    /// this epoch (all zero unless `SimConfig::with_tail_recorder`).
+    /// this epoch (all zero unless `Observe::tail`).
     pub tail: TailSummary,
     /// Spatial heat accrued in this epoch across every lane (`None`
-    /// unless `SimConfig::with_heatmap`). The per-epoch grids sum
-    /// cell-for-cell to the run's merged grid.
+    /// unless `Observe::heat`). The per-epoch grids sum cell-for-cell
+    /// to the run's grid.
     pub heat: Option<Box<HeatGrid>>,
 }
 

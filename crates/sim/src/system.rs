@@ -9,8 +9,8 @@ use lelantus_cache::CacheHierarchy;
 use lelantus_core::SecureMemoryController;
 use lelantus_obs::{
     attribute, selfprof, CycleCategory, CycleLedger, Event, EventKind, FaultAction, FaultSpan,
-    HdrHistogram, HeatGrid, HeatLane, HistKind, HistogramSet, NullProbe, Probe, Segment,
-    TailRecorder,
+    HdrHistogram, HeatGrid, HeatLane, HistKind, HistogramSet, LayerRecorder, NullProbe, Probe,
+    Segment, TailRecorder,
 };
 use lelantus_os::kernel::{AccessKind, FaultKind, HwAction, Kernel, ProcessId};
 use lelantus_os::ksm::{merge_pass, KsmCandidate};
@@ -41,40 +41,61 @@ pub struct System<P: Probe = NullProbe> {
     /// Core issuing the next operations (see [`System::use_core`]).
     active: usize,
     probe: P,
-    /// Epoch sampler state: metrics at the last epoch boundary, the
-    /// next boundary cycle, and the collected time series.
-    epoch_last: SimMetrics,
+    /// Epoch sampler state: the totals of every view at the last epoch
+    /// boundary (or crash), the next boundary cycle, and the collected
+    /// time series.
+    epoch_base: ObsTotals,
     epoch_next: u64,
     epoch_samples: Vec<EpochSample>,
-    /// Cycle-attribution ledger (all zero unless
-    /// `SimConfig::with_cycle_ledger`). Invariant when enabled:
-    /// `ledger.total() == now()` at every quiescent point.
+    /// Cycle-attribution ledger (all zero unless `Observe::ledger`).
+    /// Invariant when enabled: `ledger.total() == now()` at every
+    /// quiescent point.
     ledger: CycleLedger,
-    /// Ledger snapshot at the last epoch boundary (for epoch deltas).
-    epoch_ledger_last: CycleLedger,
-    /// Per-fault span recorder (`None` unless
-    /// `SimConfig::with_tail_recorder`).
+    /// Per-fault span recorder (`None` unless `Observe::tail`).
     tail: Option<TailRecorder>,
-    /// Probe-histogram snapshot at the last epoch boundary (for the
-    /// per-epoch `HistogramSet` deltas).
-    epoch_hists_last: HistogramSet,
-    /// Tail-histogram snapshot at the last epoch boundary (for the
-    /// per-epoch percentile series).
-    epoch_tail_last: HdrHistogram,
-    /// Reusable buffer for controller segments (avoids per-access
+    /// Reusable buffer for drained segments (avoids per-access
     /// allocation on the ledger path).
     seg_scratch: Vec<Segment>,
     /// Trace recorder (`None` unless [`System::record_into`] attached
     /// one). A shared handle: cloned systems append to the same sink.
     /// Off-cost is one branch per state-changing call.
     rec: Option<TraceRecorder>,
-    /// System-layer heat lanes (the five fault-action lanes; `None`
-    /// unless `SimConfig::with_heatmap`). Controller and device lanes
-    /// live in their own layers and are merged on demand.
-    heat: Option<Box<HeatGrid>>,
-    /// Merged-grid snapshot at the last epoch boundary (for the
-    /// per-epoch heat deltas). Empty when the heatmap is off.
-    epoch_heat_last: HeatGrid,
+}
+
+/// Running totals of every view at one instant — what an epoch sample
+/// is the difference of. A view that is off is `None` (or zero) and
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct ObsTotals {
+    metrics: SimMetrics,
+    ledger: CycleLedger,
+    hists: Option<HistogramSet>,
+    tail: Option<HdrHistogram>,
+    heat: Option<HeatGrid>,
+}
+
+impl ObsTotals {
+    /// The interval sample from `base` (an earlier capture of the same
+    /// system) to `self`.
+    fn sample_since(&self, base: &ObsTotals) -> EpochSample {
+        EpochSample {
+            end_cycle: self.metrics.cycles,
+            delta: self.metrics.delta_since(&base.metrics),
+            ledger: self.ledger.delta_since(&base.ledger),
+            hists: self.hists.as_ref().zip(base.hists.as_ref()).map(|(h, b)| h.delta_since(b)),
+            tail: self
+                .tail
+                .as_ref()
+                .zip(base.tail.as_ref())
+                .map(|(t, b)| t.delta_since(b).summary())
+                .unwrap_or_default(),
+            heat: self
+                .heat
+                .as_ref()
+                .zip(base.heat.as_ref())
+                .map(|(g, b)| Box::new(g.delta_since(b))),
+        }
+    }
 }
 
 impl System {
@@ -99,28 +120,31 @@ impl<P: Probe> System<P> {
     /// Panics if the configuration is inconsistent.
     pub fn with_probe(config: SimConfig, probe: P) -> Self {
         config.validate().expect("invalid sim config");
-        Self {
+        let observe = config.observe;
+        let layers = LayerRecorder::new(observe.ledger, observe.heat);
+        let mut sys = Self {
             kernel: Kernel::new(config.kernel),
             caches: CacheHierarchy::new(config.caches),
-            ctrl: SecureMemoryController::with_probe(config.controller.clone(), probe.clone()),
+            ctrl: SecureMemoryController::with_probe(
+                config.controller.clone(),
+                probe.clone(),
+                layers,
+            ),
             tlb: Tlb::new(config.tlb),
             clocks: vec![Cycles::ZERO; 8],
             active: 0,
             probe,
-            epoch_last: SimMetrics::default(),
-            epoch_next: config.epoch_interval,
+            epoch_base: ObsTotals::default(),
+            epoch_next: observe.epoch_interval,
             epoch_samples: Vec::new(),
             ledger: CycleLedger::default(),
-            epoch_ledger_last: CycleLedger::default(),
-            tail: config.tail_recorder.then(|| TailRecorder::new(config.tail_top_k)),
-            epoch_hists_last: HistogramSet::default(),
-            epoch_tail_last: HdrHistogram::default(),
+            tail: observe.tail.map(TailRecorder::new),
             seg_scratch: Vec::new(),
             rec: None,
-            heat: config.heatmap.then(Box::<HeatGrid>::default),
-            epoch_heat_last: HeatGrid::default(),
             config,
-        }
+        };
+        sys.epoch_base = sys.obs_totals(SimMetrics::default());
+        sys
     }
 
     /// Attaches a [`TraceRecorder`]: every subsequent state-changing
@@ -150,18 +174,12 @@ impl<P: Probe> System<P> {
         self.tail.as_ref()
     }
 
-    /// The merged spatial heat grid — system fault lanes, controller
-    /// metadata lanes and device bank lanes — or `None` unless the
-    /// system was built with [`SimConfig::with_heatmap`].
+    /// The spatial heat grid — fault lanes, controller metadata lanes
+    /// and device bank lanes, all recorded into the one layer recorder
+    /// — or `None` unless the system was built with
+    /// [`SimConfig::with_heatmap`].
     pub fn heatmap(&self) -> Option<HeatGrid> {
-        let mut grid = self.heat.as_deref()?.clone();
-        if let Some(h) = self.ctrl.heatmap() {
-            grid.merge(h);
-        }
-        if let Some(h) = self.ctrl.nvm_heatmap() {
-            grid.merge(h);
-        }
-        Some(grid)
+        self.ctrl.recorder().heat_grid().cloned()
     }
 
     /// The probe this system reports to.
@@ -170,7 +188,7 @@ impl<P: Probe> System<P> {
     }
 
     /// The epoch time series collected so far (empty unless
-    /// `SimConfig::epoch_interval` is non-zero).
+    /// `Observe::epoch_interval` is non-zero).
     pub fn epochs(&self) -> &[EpochSample] {
         &self.epoch_samples
     }
@@ -179,7 +197,7 @@ impl<P: Probe> System<P> {
     /// next boundary. At most one sample per call; the boundary then
     /// re-aligns to the cycle grid past the current time.
     fn epoch_tick(&mut self) {
-        let interval = self.config.epoch_interval;
+        let interval = self.config.observe.epoch_interval;
         if interval == 0 {
             return;
         }
@@ -196,43 +214,27 @@ impl<P: Probe> System<P> {
         self.epoch_next = (now / interval + 1) * interval;
     }
 
-    /// Current probe-side histogram totals (empty on non-recording
-    /// probes; compiles away entirely under `NullProbe`).
-    fn probe_hists(&self) -> HistogramSet {
-        if P::ENABLED {
-            self.probe.histogram_snapshot().unwrap_or_default()
-        } else {
-            HistogramSet::default()
+    /// The running totals of every view that is on, with `metrics` as
+    /// the metrics snapshot: the one capture both the epoch sampler and
+    /// crash recovery baseline against. Probe histograms are read only
+    /// from recording probes (the read compiles away under
+    /// `NullProbe`).
+    fn obs_totals(&self, metrics: SimMetrics) -> ObsTotals {
+        ObsTotals {
+            metrics,
+            ledger: self.ledger,
+            hists: if P::ENABLED { self.probe.histogram_snapshot() } else { None },
+            tail: self.tail.as_ref().map(|t| t.histogram().clone()),
+            heat: self.heatmap(),
         }
     }
 
-    /// Current tail-recorder totals (empty when recording is off).
-    fn tail_hist(&self) -> HdrHistogram {
-        self.tail.as_ref().map(|t| t.histogram().clone()).unwrap_or_default()
-    }
-
-    /// Closes one epoch at `snap`: pushes the interval sample and
-    /// re-baselines every delta source (metrics, ledger, probe
-    /// histograms, tail histogram).
+    /// Closes one epoch at `snap`: pushes the interval sample of every
+    /// view and moves the baseline to `snap`.
     fn take_epoch_sample(&mut self, snap: SimMetrics) {
-        let hists_now = self.probe_hists();
-        let tail_now = self.tail_hist();
-        let heat_now = self.heatmap();
-        self.epoch_samples.push(EpochSample {
-            end_cycle: snap.cycles,
-            delta: snap.delta_since(&self.epoch_last),
-            ledger: self.ledger.delta_since(&self.epoch_ledger_last),
-            hists: hists_now.delta_since(&self.epoch_hists_last),
-            tail: tail_now.delta_since(&self.epoch_tail_last).summary(),
-            heat: heat_now.as_ref().map(|g| Box::new(g.delta_since(&self.epoch_heat_last))),
-        });
-        self.epoch_last = snap;
-        self.epoch_ledger_last = self.ledger;
-        self.epoch_hists_last = hists_now;
-        self.epoch_tail_last = tail_now;
-        if let Some(g) = heat_now {
-            self.epoch_heat_last = g;
-        }
+        let now = self.obs_totals(snap);
+        self.epoch_samples.push(now.sample_since(&self.epoch_base));
+        self.epoch_base = now;
     }
 
     /// Selects the core that issues subsequent operations (0..=7).
@@ -312,7 +314,7 @@ impl<P: Probe> System<P> {
         if cycles == 0 {
             return;
         }
-        if !self.config.cycle_ledger {
+        if !self.config.observe.ledger {
             self.clocks[self.active] += Cycles::new(cycles);
             return;
         }
@@ -328,7 +330,7 @@ impl<P: Probe> System<P> {
     /// are charged to `default`.
     #[inline]
     fn advance_to(&mut self, done: Cycles, default: CycleCategory) {
-        if !self.config.cycle_ledger {
+        if !self.config.observe.ledger {
             self.clocks[self.active] = self.clocks[self.active].max(done);
             return;
         }
@@ -337,7 +339,7 @@ impl<P: Probe> System<P> {
         let after = self.now();
         let mut segs = std::mem::take(&mut self.seg_scratch);
         segs.clear();
-        self.ctrl.drain_segments_into(&mut segs);
+        self.ctrl.recorder_mut().drain_segments_into(&mut segs);
         attribute(before.as_u64(), after.as_u64(), &segs, default, &mut self.ledger);
         self.seg_scratch = segs;
     }
@@ -347,9 +349,7 @@ impl<P: Probe> System<P> {
     /// recovery), so they cannot pollute a later attribution window.
     #[inline]
     fn seg_discard(&mut self) {
-        if self.config.cycle_ledger {
-            self.ctrl.discard_segments();
-        }
+        self.ctrl.recorder_mut().discard_segments();
     }
 
     /// Kernel handle (read-only; all mutation goes through `System`).
@@ -620,7 +620,7 @@ impl<P: Probe> System<P> {
                 self.probe.emit(Event { cycle: end, kind });
                 self.probe.record(HistKind::FaultServiceCycles, (end - fault_start).as_u64());
             }
-            if let Some(h) = self.heat.as_mut() {
+            if let Some(h) = self.ctrl.recorder_mut().heat_grid_mut() {
                 let action = classify_fault(fault, &outcome.actions);
                 // `classify_fault` never yields `ImplicitCopy` here
                 // (those spans come from stores), so the index stays
@@ -1018,18 +1018,10 @@ impl<P: Probe> System<P> {
         self.seg_discard();
         self.bump(CycleCategory::Recovery, report.regions_verified * 15 + 10_000);
         // Volatile metadata caches restarted from zero, so interval
-        // deltas across the crash would underflow; re-baseline the
-        // epoch sampler at the recovery point. Histogram and tail
-        // baselines move with it so every later epoch window is
-        // internally consistent (the crash-spanning window is skipped,
-        // exactly like the metrics deltas).
-        self.epoch_last = self.metrics();
-        self.epoch_ledger_last = self.ledger;
-        self.epoch_hists_last = self.probe_hists();
-        self.epoch_tail_last = self.tail_hist();
-        if let Some(grid) = self.heatmap() {
-            self.epoch_heat_last = grid;
-        }
+        // deltas across the crash would underflow; re-baseline every
+        // view of the epoch sampler at the recovery point (the
+        // crash-spanning window is dropped from the series).
+        self.epoch_base = self.obs_totals(self.metrics());
         if let Some(rec) = &self.rec {
             rec.crash_recover();
         }
@@ -1080,12 +1072,12 @@ impl<P: Probe> System<P> {
         let m = self.metrics();
         // Close the trailing partial epoch so the series sums to the
         // run's totals.
-        if let Some(intervals) = m.cycles.as_u64().checked_div(self.config.epoch_interval) {
-            let delta = m.delta_since(&self.epoch_last);
-            if delta != SimMetrics::default() {
+        let interval = self.config.observe.epoch_interval;
+        if let Some(intervals) = m.cycles.as_u64().checked_div(interval) {
+            if m.delta_since(&self.epoch_base.metrics) != SimMetrics::default() {
                 self.take_epoch_sample(m);
             }
-            self.epoch_next = (intervals + 1) * self.config.epoch_interval;
+            self.epoch_next = (intervals + 1) * interval;
         }
         m
     }

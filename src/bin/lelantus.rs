@@ -26,9 +26,10 @@ use lelantus::bench::results::{emit, Record};
 use lelantus::os::CowStrategy;
 use lelantus::sim::{
     chrome_trace, chrome_trace_with_spans, explain_divergence, replay, selfprof, CounterSeries,
-    CycleCategory, CycleLedger, EpochSample, EventKind, FaultAction, HeatGrid, HeatLane, HistKind,
-    JsonlProbe, NullProbe, Probe, ReplayError, ReplayStats, RingProbe, SimConfig, SimMetrics, Span,
-    System, TailRecorder, TailSummary, TeeProbe, Trace, TraceError, TraceHeader, TraceRecorder,
+    CycleCategory, CycleLedger, EpochSample, EventKind, FaultAction, HdrHistogram, HeatGrid,
+    HeatLane, HistKind, JsonlProbe, NullProbe, Probe, ReplayError, ReplayStats, RingProbe,
+    SimConfig, SimMetrics, Span, System, TailRecorder, TailSummary, TeeProbe, Trace, TraceError,
+    TraceHeader, TraceRecorder,
 };
 use lelantus::types::PageSize;
 use lelantus::workloads::{
@@ -573,15 +574,24 @@ fn json_metrics(m: &SimMetrics) -> String {
 /// monomorphization covers both `--events` and not.
 type ReportProbe = TeeProbe<RingProbe, Option<JsonlProbe>>;
 
-fn hist_json(h: &lelantus::sim::Histogram) -> String {
+fn hist_json(h: &HdrHistogram) -> String {
     format!(
         "{{\"count\":{},\"mean\":{:.3},\"max\":{},\"p50\":{},\"p99\":{}}}",
-        h.count,
+        h.count(),
         h.mean(),
-        h.max,
-        h.quantile_bound(0.50),
-        h.quantile_bound(0.99),
+        h.max(),
+        h.percentile(0.50),
+        h.percentile(0.99),
     )
+}
+
+/// An epoch's write-queue depth `(p99, max)`; zeros when the probe
+/// kept no histograms.
+fn queue_depth(e: &EpochSample) -> (u64, u64) {
+    e.hists.as_ref().map_or((0, 0), |h| {
+        let q = h.get(HistKind::WriteQueueDepth);
+        (q.percentile(0.99), q.max())
+    })
 }
 
 fn tail_summary_json(s: &TailSummary) -> String {
@@ -639,7 +649,7 @@ fn tail_json(tail: Option<&TailRecorder>, epochs: &[EpochSample]) -> String {
     let series: Vec<String> = epochs
         .iter()
         .map(|e| {
-            let q = e.hists.get(HistKind::WriteQueueDepth);
+            let (q_p99, q_max) = queue_depth(e);
             format!(
                 "{{\"end_cycle\":{},\"spans\":{},\"p50\":{},\"p99\":{},\"p999\":{},\"max\":{},\"queue_depth_p99\":{},\"queue_depth_max\":{}}}",
                 e.end_cycle.as_u64(),
@@ -648,8 +658,8 @@ fn tail_json(tail: Option<&TailRecorder>, epochs: &[EpochSample]) -> String {
                 e.tail.p99,
                 e.tail.p999,
                 e.tail.max,
-                q.quantile_bound(0.99),
-                q.max,
+                q_p99,
+                q_max,
             )
         })
         .collect();
@@ -824,7 +834,7 @@ fn print_tail_text(t: &TailRecorder, epochs: &[EpochSample]) {
             "end_cycle", "spans", "p50", "p99", "p999", "queue_p99", "queue_max"
         );
         for e in active.iter().take(SHOWN) {
-            let q = e.hists.get(HistKind::WriteQueueDepth);
+            let (q_p99, q_max) = queue_depth(e);
             println!(
                 "  {:>14} {:>8} {:>9} {:>9} {:>9} {:>10} {:>10}",
                 e.end_cycle.as_u64(),
@@ -832,8 +842,8 @@ fn print_tail_text(t: &TailRecorder, epochs: &[EpochSample]) {
                 e.tail.p50,
                 e.tail.p99,
                 e.tail.p999,
-                q.quantile_bound(0.99),
-                q.max,
+                q_p99,
+                q_max,
             );
         }
     }
@@ -1077,7 +1087,7 @@ fn report(flags: &HashMap<String, String>) -> ExitCode {
     println!();
     for kind in HistKind::ALL {
         let h = hists.get(kind);
-        if h.count > 0 {
+        if h.count() > 0 {
             println!("histogram {}:", kind.name());
             for line in h.to_string().lines() {
                 println!("  {line}");

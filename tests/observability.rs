@@ -13,7 +13,8 @@
 
 use lelantus::os::CowStrategy;
 use lelantus::sim::{
-    CycleCategory, EventKind, FaultAction, HistKind, RingProbe, SimConfig, SimMetrics, System,
+    CycleCategory, EpochSample, EventKind, FaultAction, HistKind, RingProbe, SimConfig, SimMetrics,
+    System,
 };
 use lelantus::types::PageSize;
 use lelantus::workloads::forkbench::Forkbench;
@@ -49,6 +50,12 @@ fn drive<P: lelantus::sim::Probe>(sys: &mut System<P>) -> SimMetrics {
         sys.write_bytes(init, va + i * PAGE, &[0xBB; 64]).unwrap();
     }
     sys.finish()
+}
+
+/// Samples of `kind` in one epoch (0 when the epoch carries no
+/// histograms).
+fn hist_count(e: &EpochSample, kind: HistKind) -> u64 {
+    e.hists.as_ref().map_or(0, |h| h.get(kind).count())
 }
 
 /// A ring big enough that nothing wraps, so event-level payloads (not
@@ -153,22 +160,22 @@ fn event_counts_reconcile_with_aggregates() {
         // Histogram sample counts shadow the same aggregates.
         let hists = ring.histograms();
         assert_eq!(
-            hists.get(HistKind::FaultServiceCycles).count,
+            hists.get(HistKind::FaultServiceCycles).count(),
             m.kernel.cow_faults + m.kernel.reuse_faults,
             "{strategy}"
         );
         assert_eq!(
-            hists.get(HistKind::CopyChainDepth).count,
+            hists.get(HistKind::CopyChainDepth).count(),
             m.controller.redirected_reads,
             "{strategy}"
         );
         assert_eq!(
-            hists.get(HistKind::WriteQueueDepth).count,
+            hists.get(HistKind::WriteQueueDepth).count(),
             counts[EventKind::QUEUE_ADMIT],
             "{strategy}"
         );
         assert_eq!(
-            hists.get(HistKind::CounterCacheOccupancy).count,
+            hists.get(HistKind::CounterCacheOccupancy).count(),
             m.controller.counter_fetches,
             "{strategy}"
         );
@@ -303,7 +310,7 @@ fn cmd_service_histogram_reconciles_with_command_counts() {
             + m.controller.cmd_page_free
             + m.controller.cmd_page_init;
         assert_eq!(
-            ring.histograms().get(HistKind::CmdServiceCycles).count,
+            ring.histograms().get(HistKind::CmdServiceCycles).count(),
             commands,
             "{strategy}: every page command must record exactly one service-time sample"
         );
@@ -426,8 +433,8 @@ fn epoch_hist_and_tail_series_sum_to_run_totals() {
     assert!(epochs.len() > 1, "expected several epochs, got {}", epochs.len());
     let totals = ring.histograms();
     for kind in HistKind::ALL {
-        let sum: u64 = epochs.iter().map(|e| e.hists.get(kind).count).sum();
-        assert_eq!(sum, totals.get(kind).count, "{kind:?}: epoch hist series drifted");
+        let sum: u64 = epochs.iter().map(|e| hist_count(e, kind)).sum();
+        assert_eq!(sum, totals.get(kind).count(), "{kind:?}: epoch hist series drifted");
     }
     let span_sum: u64 = epochs.iter().map(|e| e.tail.count).sum();
     assert_eq!(
@@ -437,14 +444,19 @@ fn epoch_hist_and_tail_series_sum_to_run_totals() {
     );
 }
 
-/// A mid-run crash re-baselines the histogram and tail series the way
-/// it already re-baselines metrics and ledger: the post-crash epochs
-/// stay well-formed and never double-count the pre-crash interval.
+/// A mid-run crash re-baselines every view of the epoch series at one
+/// place: with the histograms, tail spans, cycle ledger and heat grid
+/// all on, the post-crash epochs stay well-formed and never
+/// double-count the pre-crash interval.
 #[test]
 fn crash_re_baselines_hist_and_tail_series() {
     let ring = big_ring();
     let mut sys = System::with_probe(
-        config(CowStrategy::Lelantus).with_epoch_interval(50_000).with_tail_recorder(),
+        config(CowStrategy::Lelantus)
+            .with_epoch_interval(50_000)
+            .with_tail_recorder()
+            .with_cycle_ledger()
+            .with_heatmap(),
         ring.clone(),
     );
     let init = sys.spawn_init();
@@ -470,8 +482,8 @@ fn crash_re_baselines_hist_and_tail_series() {
     // not equal to — the run totals.
     let totals = ring.histograms();
     for kind in HistKind::ALL {
-        let sum: u64 = epochs.iter().map(|e| e.hists.get(kind).count).sum();
-        assert!(sum <= totals.get(kind).count, "{kind:?}: epoch series double-counted the crash");
+        let sum: u64 = epochs.iter().map(|e| hist_count(e, kind)).sum();
+        assert!(sum <= totals.get(kind).count(), "{kind:?}: epoch series double-counted the crash");
     }
     let span_sum: u64 = epochs.iter().map(|e| e.tail.count).sum();
     let span_total = sys.tail_recorder().unwrap().summary().count;
@@ -480,4 +492,25 @@ fn crash_re_baselines_hist_and_tail_series() {
     for e in epochs {
         assert!(e.tail.p999 >= e.tail.p50, "per-epoch percentiles must be ordered");
     }
+    // The ledger rebases with the other views: every epoch still sums
+    // to its own cycle delta, and no category's epoch series exceeds
+    // the run ledger.
+    let run_ledger = sys.cycle_ledger();
+    assert_eq!(run_ledger.total(), sys.metrics().cycles.as_u64());
+    for e in epochs {
+        assert_eq!(
+            e.ledger.total(),
+            e.delta.cycles.as_u64(),
+            "an epoch's ledger must sum to its cycle delta across the crash"
+        );
+    }
+    for cat in CycleCategory::ALL {
+        let sum: u64 = epochs.iter().map(|e| e.ledger.get(cat)).sum();
+        assert!(sum <= run_ledger.get(cat), "{cat:?}: epoch ledger double-counted the crash");
+    }
+    let epoch_cycles: u64 = epochs.iter().map(|e| e.delta.cycles.as_u64()).sum();
+    assert!(
+        epoch_cycles < run_ledger.total(),
+        "the crash window must be dropped from the series, not re-counted"
+    );
 }
