@@ -1,10 +1,16 @@
 //! Micro-benchmarks for the cryptographic substrate: T-table AES,
 //! 64-byte line CTR encryption (default and forced T-table engine),
-//! the batched page-pad sweep, SipHash tags, and Merkle-tree walks.
+//! the batched page-pad sweep, SipHash tags (one 81-byte data-MAC
+//! input at a time and eight per kernel call), and Merkle-tree walks.
+//!
+//! Gate: where the CPU has AVX-512, eight data MACs per kernel call
+//! must cost at most 1/2.5 of eight scalar tags; elsewhere both paths
+//! are the scalar hash and the gate is skipped.
 
 use lelantus_bench::harness::bench;
 use lelantus_bench::results::{timed_emit, Record};
 use lelantus_crypto::ctr::{CtrEngine, IvSpec};
+use lelantus_crypto::siphash::{DataMacBatch, DATA_MAC_INPUT_BYTES, DATA_MAC_LANES};
 use lelantus_crypto::{Aes128, MerkleTree, SipHash24};
 use std::hint::black_box;
 
@@ -46,6 +52,39 @@ fn main() {
         let mac = SipHash24::new(1, 2);
         let data = [0x5A; 64];
         let sip = bench("siphash24_64B", || mac.hash(black_box(&data)));
+
+        // --- data MACs: one line versus eight per kernel call ----------
+        // Both rows include building the input from (line, address,
+        // major, minor), as the controller does per tag.
+        let lines: Vec<[u8; 64]> = (0..DATA_MAC_LANES as u8).map(|l| [l ^ 0x5A; 64]).collect();
+        let mut i = 0usize;
+        let mac_line = bench("data_mac_line", || {
+            i = (i + 1) % DATA_MAC_LANES;
+            let mut buf = [0u8; DATA_MAC_INPUT_BYTES];
+            buf[..64].copy_from_slice(black_box(&lines[i]));
+            buf[64..72].copy_from_slice(&(0x4000 + 64 * i as u64).to_le_bytes());
+            buf[72..80].copy_from_slice(&black_box(11u64).to_le_bytes());
+            buf[80] = black_box(3);
+            mac.hash(&buf)
+        });
+        let mut batch = DataMacBatch::default();
+        let macs8 = bench("data_macs_8_lines", || {
+            batch.clear();
+            for (l, line) in lines.iter().enumerate() {
+                batch.push(black_box(line), 0x4000 + 64 * l as u64, black_box(11), black_box(3));
+            }
+            mac.data_macs8(&batch)
+        });
+        let mac_speedup = DATA_MAC_LANES as f64 * mac_line.ns_per_iter / macs8.ns_per_iter;
+        println!("\n8 data MACs per kernel call vs 8 scalar tags: {mac_speedup:.2}x");
+        if mac.data_macs8_avx512(&batch).is_some() {
+            assert!(
+                mac_speedup >= 2.5,
+                "AVX-512 data-MAC kernel only {mac_speedup:.2}x over scalar (gate: >=2.5x)"
+            );
+        } else {
+            println!("skip: no avx512f on this CPU; the 8-lane call is the scalar hash");
+        }
         let mut tree = MerkleTree::new(65536, (1, 2), 512);
         let leaf_data = [0x33u8; 64];
         let mut leaf = 0usize;
@@ -70,12 +109,15 @@ fn main() {
             &batched,
             &per_line,
             &sip,
+            &mac_line,
+            &macs8,
             &merkle_update,
             &merkle_verify,
         ] {
             records.push(Record::new(&m.name, m.ns_per_iter, "ns/iter").timed(m.elapsed_s));
         }
         records.push(Record::new("speedup/page_pads_batch", batch_speedup, "x"));
+        records.push(Record::new("speedup/data_mac_batch", mac_speedup, "x"));
         records
     });
 }

@@ -243,12 +243,25 @@ impl CacheHierarchy {
 
     /// Writes every dirty line back to the backend (end of simulation /
     /// full barrier), leaving the hierarchy clean but warm.
+    ///
+    /// A dirty line may have older clean copies in the levels below it
+    /// (the fill path left them there). Once clean, the fresh copy
+    /// vanishes silently on eviction, so those copies are refreshed in
+    /// place with the written-back bytes: no recency, dirtiness or
+    /// counter changes.
     pub fn writeback_all(&mut self, now: Cycles, backend: &mut dyn LineBackend) -> Cycles {
         let mut done = now;
-        for cache in [&mut self.l1, &mut self.l2, &mut self.l3] {
-            for (addr, data) in cache.drain_dirty() {
-                done = done.max(backend.write_line(addr, data, now));
-            }
+        for (addr, data) in self.l1.drain_dirty() {
+            self.l2.refresh(addr, &data);
+            self.l3.refresh(addr, &data);
+            done = done.max(backend.write_line(addr, data, now));
+        }
+        for (addr, data) in self.l2.drain_dirty() {
+            self.l3.refresh(addr, &data);
+            done = done.max(backend.write_line(addr, data, now));
+        }
+        for (addr, data) in self.l3.drain_dirty() {
+            done = done.max(backend.write_line(addr, data, now));
         }
         done
     }
@@ -444,5 +457,28 @@ mod dirty_ownership_tests {
         c.store(hot, &[4], Cycles::ZERO, &mut mem);
         c.flush_range(PhysAddr::new(0), 4096, Cycles::ZERO, &mut mem);
         assert_eq!(mem.0.get(&0x40).map(|l| l[0]), Some(4));
+    }
+
+    /// Regression: `writeback_all` cleans the fresh L1 copy, which then
+    /// vanishes on eviction; the L2 and L3 copies the fills left behind
+    /// must carry the written-back bytes, not the first fill's.
+    #[test]
+    fn writeback_all_leaves_no_stale_lower_copy() {
+        let mut mem = Flat::default();
+        let mut c = CacheHierarchy::new(HierarchyConfig::tiny());
+        let hot = PhysAddr::new(0x40);
+        c.store(hot, &[1], Cycles::ZERO, &mut mem);
+        for i in 0..64u64 {
+            c.load(PhysAddr::new(0x10000 + i * 64), 1, Cycles::ZERO, &mut mem);
+        }
+        c.store(hot, &[2], Cycles::ZERO, &mut mem);
+        c.writeback_all(Cycles::ZERO, &mut mem);
+        assert_eq!(mem.0.get(&0x40).map(|l| l[0]), Some(2));
+        for i in 0..64u64 {
+            c.load(PhysAddr::new(0x30000 + i * 64), 1, Cycles::ZERO, &mut mem);
+        }
+        assert!(c.probe(hot), "a lower level still holds the line");
+        let (bytes, _) = c.load(hot, 1, Cycles::ZERO, &mut mem);
+        assert_eq!(bytes, vec![2], "a lower level served its first-fill copy");
     }
 }

@@ -167,6 +167,21 @@ impl SetAssocCache {
         PhysAddr::new(line * LINE_BYTES as u64)
     }
 
+    /// Overwrites the data of the resident line containing `addr`
+    /// without changing its recency, dirtiness or any counter — keeps
+    /// an older copy equal to data written back from a level above.
+    /// Returns false if the line is not resident.
+    pub fn refresh(&mut self, addr: PhysAddr, data: &[u8; LINE_BYTES]) -> bool {
+        let (set, tag) = self.set_and_tag(addr);
+        match self.sets[set].iter_mut().find(|w| w.tag == tag) {
+            Some(way) => {
+                way.data = *data;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Removes the line containing `addr` without writing it back,
     /// returning it (dirty data is *discarded* by the caller's choice).
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<Evicted> {
@@ -340,6 +355,21 @@ mod tests {
         assert_eq!(evicted.addr, line(0), "line 0 is LRU after line 2's insert");
         assert!(evicted.dirty, "dirty bit survived the clean refill");
         assert_eq!(evicted.data, [2; 64], "refilled data is what gets written back");
+    }
+
+    #[test]
+    fn refresh_changes_data_only() {
+        let mut c = small();
+        c.insert(line(0), [1; 64], false);
+        c.insert(line(4), [2; 64], false);
+        let before = c.stats();
+        assert!(c.refresh(line(0), &[9; 64]));
+        assert!(!c.refresh(line(8), &[9; 64]), "not resident");
+        assert_eq!(c.stats(), before, "no counter moves");
+        assert!(c.drain_dirty().is_empty(), "refresh does not dirty");
+        // Line 0 is still the LRU way of its set.
+        let v = c.insert(line(8), [3; 64], false).expect("set full");
+        assert_eq!((v.addr, v.data), (line(0), [9; 64]));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::stats::ControllerStats;
 use lelantus_cache::LineBackend;
 use lelantus_crypto::ctr::{xor_line, CtrEngine, IvSpec};
 use lelantus_crypto::merkle::MerkleTree;
-use lelantus_crypto::siphash::SipHash24;
+use lelantus_crypto::siphash::{DataMacBatch, SipHash24, DATA_MAC_LANES};
 use lelantus_metadata::counter_block::{CounterBlock, CounterEncoding, MINORS};
 use lelantus_metadata::counter_cache::{CounterCache, WritePolicy};
 use lelantus_metadata::cow_meta::{CowCache, CowMetaTable};
@@ -59,6 +59,60 @@ pub struct RecoveryReport {
     pub cow_mappings_recovered: u64,
 }
 
+/// What to do with one deferred data-MAC tag.
+#[derive(Debug, Clone, Copy)]
+enum MacJob {
+    /// Store it in `slot` of MAC line `index`, which the tag write has
+    /// already made most recent and dirty.
+    Install { index: u64, slot: usize },
+    /// Compare it with `stored`, the nonzero tag the MAC line held for
+    /// the data line at `line_addr` when that line was read.
+    Verify { line_addr: PhysAddr, stored: u64 },
+}
+
+/// The deferred MAC combiner: the inputs and jobs of up to
+/// [`DATA_MAC_LANES`] data-MAC tags, computed in one kernel call by
+/// [`SecureMemoryController::mac_flush`].
+///
+/// Only the SipHash evaluation is deferred; every MAC-cache access,
+/// NVM access and statistic happens when the tag is queued. The
+/// controller evaluates the queue
+///
+/// * before a MAC line with a pending install leaves the cache (an
+///   eviction, `drain_dirty` in `flush_all` and at a crash),
+/// * before a verify reads a slot with a pending install,
+/// * before a public call that queued a verify returns, so a mismatch
+///   panics inside the call that read the line.
+#[derive(Debug, Clone)]
+struct MacQueue {
+    inputs: DataMacBatch,
+    jobs: [MacJob; DATA_MAC_LANES],
+    /// Whether a queued job is a verify.
+    verify_pending: bool,
+}
+
+impl Default for MacQueue {
+    fn default() -> Self {
+        let idle = MacJob::Verify { line_addr: PhysAddr::new(0), stored: 0 };
+        Self {
+            inputs: DataMacBatch::default(),
+            jobs: [idle; DATA_MAC_LANES],
+            verify_pending: false,
+        }
+    }
+}
+
+impl MacQueue {
+    /// Whether a queued install targets MAC line `index` (at `slot`,
+    /// when given).
+    fn installs_into(&self, index: u64, slot: Option<usize>) -> bool {
+        self.jobs[..self.inputs.len()].iter().any(|job| {
+            matches!(*job, MacJob::Install { index: i, slot: s }
+                if i == index && slot.is_none_or(|slot| slot == s))
+        })
+    }
+}
+
 /// The secure NVM memory controller.
 ///
 /// See the crate-level docs for an overview and example.
@@ -72,12 +126,8 @@ pub struct SecureMemoryController<P: Probe = NullProbe> {
     cow_cache: CowCache,
     cow_table: CowMetaTable,
     mac_cache: MacCache,
-    /// MAC write combiner: the line index currently being swept plus
-    /// the `(slot, tag)` updates buffered for it. Holds only
-    /// resident-path updates and is flushed (replayed tick-exactly via
-    /// [`MacCache::update_tags`]) before any other MAC-cache access,
-    /// so nothing simulated can observe the buffering.
-    mac_wc: Option<(u64, Vec<(usize, u64)>)>,
+    /// Data-MAC tags not yet computed (see [`MacQueue`]).
+    mac_queue: MacQueue,
     mac_key: SipHash24,
     layout: MetadataLayout,
     initialized_regions: HashSet<u64>,
@@ -130,7 +180,7 @@ impl<P: Probe> SecureMemoryController<P> {
             cow_cache: CowCache::new(config.cow_cache_entries),
             cow_table: CowMetaTable::new(),
             mac_cache: MacCache::new(config.mac_cache_lines.max(1)),
-            mac_wc: None,
+            mac_queue: MacQueue::default(),
             mac_key: SipHash24::new(DATA_MAC_KEY.0, DATA_MAC_KEY.1),
             layout,
             initialized_regions: HashSet::new(),
@@ -252,7 +302,7 @@ impl<P: Probe> SecureMemoryController<P> {
     /// instant. Call at simulation end so write counts are exact.
     pub fn flush_all(&mut self, now: Cycles) -> Cycles {
         let _prof = selfprof::scope("ctrl::flush_all");
-        self.mac_wc_flush();
+        self.mac_flush();
         let encoding = self.encoding();
         let mut done = now;
         for ev in self.counter_cache.drain_dirty() {
@@ -268,13 +318,13 @@ impl<P: Probe> SecureMemoryController<P> {
     }
 
     /// Flushes deferred host-side metadata maintenance — pending
-    /// combined MAC updates and stale Merkle interior nodes — and
+    /// data-MAC tags and stale Merkle interior nodes — and
     /// re-syncs the persisted root register. Purely host-side: no
     /// simulated traffic, cache tick, or statistic moves. Called at the
     /// controller's flush points (writeback drains, page-copy
     /// commands, epoch boundaries).
     pub fn flush_metadata(&mut self) {
-        self.mac_wc_flush();
+        self.mac_flush();
         self.merkle.flush();
         self.persisted_root = self.merkle.root();
     }
@@ -490,38 +540,83 @@ impl<P: Probe> SecureMemoryController<P> {
         t
     }
 
-    /// Keyed tag binding a ciphertext line to its address and counter
-    /// (Rogers et al.: replaying stale data then requires forging this).
-    fn data_mac(
-        &self,
+    /// Queues the keyed tag binding a ciphertext line to its address
+    /// and counter (Rogers et al.: replaying stale data then requires
+    /// forging this), evaluating the queue once it is full.
+    fn mac_queue_push(
+        &mut self,
+        job: MacJob,
         line_addr: PhysAddr,
         cipher: &[u8; LINE_BYTES],
         major: u64,
         minor: u8,
-    ) -> u64 {
-        let mut buf = [0u8; LINE_BYTES + 17];
-        buf[..LINE_BYTES].copy_from_slice(cipher);
-        buf[LINE_BYTES..LINE_BYTES + 8].copy_from_slice(&line_addr.as_u64().to_le_bytes());
-        buf[LINE_BYTES + 8..LINE_BYTES + 16].copy_from_slice(&major.to_le_bytes());
-        buf[LINE_BYTES + 16] = minor;
-        self.mac_key.hash(&buf)
+    ) {
+        let lane = self.mac_queue.inputs.push(cipher, line_addr.as_u64(), major, minor);
+        self.mac_queue.jobs[lane] = job;
+        self.mac_queue.verify_pending |= matches!(job, MacJob::Verify { .. });
+        if self.mac_queue.inputs.is_full() {
+            self.mac_flush();
+        }
     }
 
-    /// Applies the buffered combined MAC-line updates to the cache in
-    /// one batched access (one move to the LRU head). Must run before any
-    /// other MAC-cache access.
-    fn mac_wc_flush(&mut self) {
-        if let Some((index, pending)) = self.mac_wc.take() {
-            if !pending.is_empty() {
-                let resident = self.mac_cache.update_tags(index, &pending);
-                assert!(resident, "combined MAC line evicted while buffered");
+    /// Computes every queued tag in one kernel call, storing installs
+    /// in their (resident) MAC lines and checking verifies. Host-side
+    /// only: no recency move, statistic or device access.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a verify mismatch: the data was tampered with or
+    /// replayed.
+    fn mac_flush(&mut self) {
+        let queue = &mut self.mac_queue;
+        let n = queue.inputs.len();
+        if n == 0 {
+            return;
+        }
+        let tags = self.mac_key.data_macs8(&queue.inputs);
+        queue.inputs.clear();
+        queue.verify_pending = false;
+        // Installs come in runs on one MAC line (eight data lines share
+        // it): look each run's line up once. Every install lands before
+        // a mismatch panics, so the cache stays whole.
+        let mut open: Option<(u64, &mut [u64; 8])> = None;
+        let mut mismatch = None;
+        for (job, &tag) in queue.jobs[..n].iter().zip(&tags) {
+            match *job {
+                MacJob::Install { index, slot } => {
+                    if open.as_ref().is_none_or(|(i, _)| *i != index) {
+                        let line = self.mac_cache.tags_mut(index).unwrap_or_else(|| {
+                            panic!("MAC line {index} left the cache with a pending tag")
+                        });
+                        open = Some((index, line));
+                    }
+                    open.as_mut().expect("opened above").1[slot] = tag;
+                }
+                MacJob::Verify { line_addr, stored } => {
+                    if stored != tag {
+                        mismatch = mismatch.or(Some((line_addr, stored, tag)));
+                    }
+                }
             }
+        }
+        if let Some((line_addr, stored, tag)) = mismatch {
+            assert_eq!(
+                stored, tag,
+                "data-MAC integrity violation at {line_addr} (tampered or replayed line)"
+            );
+        }
+    }
+
+    /// Checks the verifies the current public call queued (see
+    /// [`MacQueue`]).
+    fn mac_check_verifies(&mut self) {
+        if self.mac_queue.verify_pending {
+            self.mac_flush();
         }
     }
 
     /// Fetches the MAC line covering `line_addr` through the MAC cache.
     fn fetch_mac_line(&mut self, line_addr: PhysAddr, now: Cycles) -> ([u64; 8], Cycles) {
-        self.mac_wc_flush();
         let index = self.layout.mac_line_index(line_addr);
         if let Some(line) = self.mac_cache.get(index) {
             return (line, now + Cycles::new(1));
@@ -531,6 +626,9 @@ impl<P: Probe> SecureMemoryController<P> {
         let (bytes, t) = self.nvm.read_line(addr, now);
         self.seg(now, t, CycleCategory::Mac);
         let line = decode_mac_line(&bytes);
+        if self.mac_cache.victim().is_some_and(|v| self.mac_queue.installs_into(v, None)) {
+            self.mac_flush();
+        }
         if let Some(ev) = self.mac_cache.fill(index, line, false) {
             self.writeback_mac_line(ev.index, &ev.macs, now);
         }
@@ -547,13 +645,10 @@ impl<P: Probe> SecureMemoryController<P> {
         self.seg(now, t, CycleCategory::Mac);
     }
 
-    /// Verifies a fetched ciphertext line against its stored MAC. A
-    /// stored tag of 0 means the line was never written (fresh NVM) —
-    /// nothing to check yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a mismatch: the data was tampered with or replayed.
+    /// Verifies a fetched ciphertext line against its stored MAC (the
+    /// check itself is queued; see [`MacQueue`]). A stored tag of 0
+    /// means the line was never written (fresh NVM) — nothing to check
+    /// yet.
     fn verify_data_mac(
         &mut self,
         line_addr: PhysAddr,
@@ -566,20 +661,27 @@ impl<P: Probe> SecureMemoryController<P> {
             return now;
         }
         self.stats.mac_verifications += 1;
-        let (line, t) = self.fetch_mac_line(line_addr, now);
+        let index = self.layout.mac_line_index(line_addr);
         let (_, slot) = self.layout.mac_slot_of_line(line_addr);
+        if self.mac_queue.installs_into(index, Some(slot)) {
+            self.mac_flush();
+        }
+        let (line, t) = self.fetch_mac_line(line_addr, now);
         let stored = line[slot];
         if stored != 0 {
-            let computed = self.data_mac(line_addr, cipher, major, minor);
-            assert_eq!(
-                stored, computed,
-                "data-MAC integrity violation at {line_addr} (tampered or replayed line)"
+            self.mac_queue_push(
+                MacJob::Verify { line_addr, stored },
+                line_addr,
+                cipher,
+                major,
+                minor,
             );
         }
         t
     }
 
-    /// Installs the MAC for a freshly written ciphertext line.
+    /// Installs the MAC for a freshly written ciphertext line (the tag
+    /// itself is queued; see [`MacQueue`]).
     fn update_data_mac(
         &mut self,
         line_addr: PhysAddr,
@@ -591,33 +693,18 @@ impl<P: Probe> SecureMemoryController<P> {
         if !self.config.data_macs {
             return now;
         }
-        let tag = self.data_mac(line_addr, cipher, major, minor);
         let index = self.layout.mac_line_index(line_addr);
         let (_, slot) = self.layout.mac_slot_of_line(line_addr);
-        if let Some((wc_index, pending)) = &mut self.mac_wc {
-            if *wc_index == index {
-                // Same-line streak: the line is resident (its first
-                // touch below established that, and every other cache
-                // access flushes the buffer first), so this is the
-                // resident update path — buffer it and let
-                // `mac_wc_flush` replay the batch tick-exactly.
-                pending.push((slot, tag));
-                return now + Cycles::new(1);
-            }
-        }
-        self.mac_wc_flush();
-        if !self.mac_cache.update_tag(index, slot, tag) {
-            // Fill-then-update keeps sibling tags intact.
-            let (mut line, t) = self.fetch_mac_line(line_addr, now);
-            line[slot] = tag;
-            if let Some(ev) = self.mac_cache.fill(index, line, true) {
-                self.writeback_mac_line(ev.index, &ev.macs, now);
-            }
-            self.mac_wc = Some((index, Vec::new()));
-            return t;
-        }
-        self.mac_wc = Some((index, Vec::new()));
-        now + Cycles::new(1)
+        let t = if self.mac_cache.mark_dirty(index) {
+            now + Cycles::new(1)
+        } else {
+            // Fill first (keeping the sibling tags), then write.
+            let (_, t) = self.fetch_mac_line(line_addr, now);
+            self.mac_cache.mark_dirty(index);
+            t
+        };
+        self.mac_queue_push(MacJob::Install { index, slot }, line_addr, cipher, major, minor);
+        t
     }
 
     /// Resolves the plaintext of logical line `line` of `region`,
@@ -703,7 +790,20 @@ impl<P: Probe> SecureMemoryController<P> {
 
     /// Reads the 64-byte line containing `addr` through the secure
     /// datapath. Returns plaintext and completion time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line's data MAC does not match (tampered or
+    /// replayed data).
     pub fn read_data_line(&mut self, addr: PhysAddr, now: Cycles) -> ([u8; LINE_BYTES], Cycles) {
+        let out = self.read_line_queued(addr, now);
+        self.mac_check_verifies();
+        out
+    }
+
+    /// [`SecureMemoryController::read_data_line`] with its MAC check
+    /// left in the queue.
+    fn read_line_queued(&mut self, addr: PhysAddr, now: Cycles) -> ([u8; LINE_BYTES], Cycles) {
         let line_addr = addr.line_align();
         self.stats.logical_reads += 1;
         if line_addr.as_u64() < self.config.zero_area_bytes {
@@ -735,13 +835,22 @@ impl<P: Probe> SecureMemoryController<P> {
     /// # Panics
     ///
     /// Panics on a write to the reserved zero area (the OS never maps
-    /// it writable).
+    /// it writable), or on a data-MAC mismatch in the lines a counter
+    /// overflow re-encrypts.
     pub fn write_data_line(
         &mut self,
         addr: PhysAddr,
         data: [u8; LINE_BYTES],
         now: Cycles,
     ) -> Cycles {
+        let done = self.write_line_queued(addr, data, now);
+        self.mac_check_verifies();
+        done
+    }
+
+    /// [`SecureMemoryController::write_data_line`] with its MAC work
+    /// left in the queue.
+    fn write_line_queued(&mut self, addr: PhysAddr, data: [u8; LINE_BYTES], now: Cycles) -> Cycles {
         let line_addr = addr.line_align();
         assert!(
             line_addr.as_u64() >= self.config.zero_area_bytes,
@@ -985,6 +1094,7 @@ impl<P: Probe> SecureMemoryController<P> {
             t = self.write_cow_mapping(dst_region, None, t);
         }
         let done = done.max(self.update_counter(dst_region, block, t));
+        self.mac_check_verifies();
         // Page-copy commands are a Merkle flush point (see
         // `cmd_page_copy`).
         self.merkle.flush();
@@ -1078,10 +1188,11 @@ impl<P: Probe> SecureMemoryController<P> {
             let offset = i * LINE_BYTES as u64;
             // Issue back-to-back; bank timing provides the real
             // serialization.
-            let (data, t_read) = self.read_data_line(src + offset, now + Cycles::new(i));
-            done = done.max(self.write_data_line(dst + offset, data, t_read));
+            let (data, t_read) = self.read_line_queued(src + offset, now + Cycles::new(i));
+            done = done.max(self.write_line_queued(dst + offset, data, t_read));
             self.stats.bulk_copied_lines += 1;
         }
+        self.mac_check_verifies();
         // A bulk page copy is *all* bulk-copy time in the paper's
         // breakdown, even though it decomposes into fills, pads and
         // bank accesses.
@@ -1098,13 +1209,14 @@ impl<P: Probe> SecureMemoryController<P> {
         let mut done = now;
         for i in 0..lines {
             let offset = i * LINE_BYTES as u64;
-            done = done.max(self.write_data_line(
+            done = done.max(self.write_line_queued(
                 base + offset,
                 [0; LINE_BYTES],
                 now + Cycles::new(i),
             ));
             self.stats.bulk_zeroed_lines += 1;
         }
+        self.mac_check_verifies();
         self.recorder_mut().relabel_from(mark, CycleCategory::BulkCopy);
         done
     }
@@ -1138,7 +1250,7 @@ impl<P: Probe> SecureMemoryController<P> {
     pub fn crash_and_recover(&mut self) -> Result<RecoveryReport, lelantus_crypto::TamperError> {
         let _prof = selfprof::scope("ctrl::crash_and_recover");
         // --- power fails ---
-        self.mac_wc_flush();
+        self.mac_flush();
         // ADR: drain the device write queue.
         self.nvm.flush(Cycles::ZERO);
         // Battery: flush dirty counter blocks.

@@ -586,3 +586,122 @@ fn disabling_macs_skips_verification_and_traffic() {
     assert_eq!(c.stats().mac_verifications, 0);
     assert_eq!(c.stats().mac_fetches, 0);
 }
+
+/// Runs `op`, which must panic with the data-MAC violation message
+/// naming `line`.
+fn assert_mac_violation_at(line: PhysAddr, op: impl FnOnce()) {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(op))
+        .expect_err("tampered line passed its MAC check");
+    let msg = err
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    let want = format!("data-MAC integrity violation at {line} ");
+    assert!(msg.contains(&want), "panic {msg:?} does not name {line}");
+}
+
+/// A written source page (all 64 lines) with one line tampered in NVM.
+fn tampered_source(scheme: SchemeKind, tampered: u64) -> SecureMemoryController {
+    let mut c = ctrl(scheme);
+    for l in 0..64u64 {
+        c.write_data_line(line_of(page(0), l), fill(l as u8 + 1), ZERO);
+    }
+    c.flush_all(ZERO);
+    c.tamper_data_for_test(line_of(page(0), tampered));
+    c
+}
+
+#[test]
+fn bulk_copy_of_a_tampered_line_panics_at_that_line() {
+    // A whole page (its checks run in full batches) and three lines
+    // (a partial batch, checked as the call returns).
+    for (bytes, tampered) in [(4096, 13), (3 * LINE_BYTES as u64, 1)] {
+        let mut c = tampered_source(SchemeKind::Baseline, tampered);
+        assert_mac_violation_at(line_of(page(0), tampered), || {
+            c.copy_page_bulk(page(0), page(1), bytes, ZERO);
+        });
+    }
+}
+
+#[test]
+fn page_phyc_of_a_tampered_source_line_panics_at_that_line() {
+    for scheme in [SchemeKind::LelantusResized, SchemeKind::LelantusCow] {
+        for tampered in [40, 63] {
+            let mut c = tampered_source(scheme, tampered);
+            c.cmd_page_copy(page(0), page(1), ZERO);
+            // One implicit copy first, so the last check of the 63
+            // materialized lines falls in a partial batch.
+            c.write_data_line(page(1), fill(0xAB), ZERO);
+            assert_mac_violation_at(line_of(page(0), tampered), || {
+                c.cmd_page_phyc(page(0), page(1), ZERO);
+            });
+        }
+    }
+}
+
+#[test]
+fn overflow_reencryption_of_a_tampered_line_panics_at_that_line() {
+    let mut c = SecureMemoryController::new(ControllerConfig {
+        randomize_counters: false,
+        ..small_config(SchemeKind::Baseline)
+    });
+    for l in 0..64u64 {
+        c.write_data_line(line_of(page(0), l), fill(l as u8 + 1), ZERO);
+    }
+    // Rewrite line 0 up to the write that overflows its minor counter.
+    let hot = line_of(page(0), 0);
+    loop {
+        let mut probe = c.clone();
+        probe.write_data_line(hot, fill(0xEE), ZERO);
+        if probe.stats().minor_overflows > 0 {
+            break;
+        }
+        c = probe;
+    }
+    c.flush_all(ZERO);
+    c.tamper_data_for_test(line_of(page(0), 21));
+    assert_mac_violation_at(line_of(page(0), 21), || {
+        c.write_data_line(hot, fill(0xEF), ZERO);
+    });
+}
+
+#[test]
+fn a_verify_after_an_install_of_the_same_slot_sees_the_new_tag() {
+    // Copying a page one line up reads, in the same call, each line the
+    // previous step wrote: every verify follows a pending install of
+    // its own slot.
+    let mut c = ctrl(SchemeKind::Baseline);
+    c.write_data_line(line_of(page(0), 0), fill(0x77), ZERO);
+    for l in 1..64u64 {
+        c.write_data_line(line_of(page(0), l), fill(l as u8), ZERO);
+    }
+    c.copy_page_bulk(page(0), line_of(page(0), 1), 4096 - LINE_BYTES as u64, ZERO);
+    for l in 0..64u64 {
+        assert_eq!(c.read_data_line(line_of(page(0), l), ZERO).0, fill(0x77), "line {l}");
+    }
+    assert!(c.stats().mac_verifications >= 63);
+}
+
+#[test]
+fn pending_tags_land_before_their_mac_line_is_evicted() {
+    // Two resident MAC lines against a strided sweep over eight: every
+    // fill evicts a line whose tags are still queued.
+    let mut c = SecureMemoryController::new(ControllerConfig {
+        mac_cache_lines: 2,
+        ..small_config(SchemeKind::Baseline)
+    });
+    for i in 0..64u64 {
+        let l = i * 9 % 64;
+        c.write_data_line(line_of(page(0), l), fill(l as u8 + 1), ZERO);
+    }
+    assert!(c.mac_cache_stats().writebacks > 0, "the sweep must evict dirty MAC lines");
+    for l in (0..64u64).rev() {
+        assert_eq!(c.read_data_line(line_of(page(0), l), ZERO).0, fill(l as u8 + 1));
+    }
+    c.flush_all(ZERO);
+    c.crash_and_recover().expect("clean recovery");
+    for l in 0..64u64 {
+        assert_eq!(c.read_data_line(line_of(page(0), l), ZERO).0, fill(l as u8 + 1));
+    }
+}

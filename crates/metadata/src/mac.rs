@@ -11,8 +11,13 @@
 //!
 //! The cache is fully associative and LRU. It is a
 //! [`lelantus_types::lru::LruMap`] keyed by MAC-line index: a hit, a
-//! fill or a batched tag update moves the line to the recency head in
-//! O(1), and a fill into a full cache evicts the recency tail.
+//! fill or a [`MacCache::mark_dirty`] moves the line to the recency
+//! head in O(1), and a fill into a full cache evicts the recency tail.
+//!
+//! Writing a tag is two steps, so the controller can compute tags in
+//! batches: [`MacCache::mark_dirty`] is the cache access a tag write
+//! makes (recency move, dirty bit), and [`MacCache::tags_mut`] later
+//! stores the computed tag without touching recency.
 
 use lelantus_types::hash::BuildIndexHasher;
 use lelantus_types::lru::LruMap;
@@ -128,29 +133,33 @@ impl MacCache {
         victim
     }
 
-    /// Updates one tag within a (resident) MAC line, marking it dirty.
-    /// Returns false if the line is not resident.
-    pub fn update_tag(&mut self, index: u64, slot: usize, tag: u64) -> bool {
-        self.update_tags(index, &[(slot, tag)])
-    }
-
-    /// Applies a batch of `(slot, tag)` writes to one (resident) MAC
-    /// line in order, marking it dirty, with one move to the recency
-    /// head. Exactly equivalent to that many sequential
-    /// [`MacCache::update_tag`] calls, each of which would move the
-    /// same line to the head again — which is what lets a write
-    /// combiner replay its pending updates in one cache access.
-    /// Returns false if the line is not resident.
-    pub fn update_tags(&mut self, index: u64, updates: &[(usize, u64)]) -> bool {
+    /// The cache access of a tag write: moves resident line `index` to
+    /// the recency head and marks it dirty. Returns false (and changes
+    /// nothing) if the line is not resident.
+    pub fn mark_dirty(&mut self, index: u64) -> bool {
         match self.lines.get(&index) {
-            Some((line, dirty)) => {
-                for &(slot, tag) in updates {
-                    line[slot] = tag;
-                }
+            Some((_, dirty)) => {
                 *dirty = true;
                 true
             }
             None => false,
+        }
+    }
+
+    /// The tags of resident line `index`, for storing tags written by an
+    /// earlier [`MacCache::mark_dirty`]: no change to recency,
+    /// dirtiness or counters.
+    pub fn tags_mut(&mut self, index: u64) -> Option<&mut MacLine> {
+        self.lines.peek_mut(&index).map(|(line, _)| line)
+    }
+
+    /// The line a fill of a non-resident line would evict now: the
+    /// least recently used one when the cache is full.
+    pub fn victim(&self) -> Option<u64> {
+        if self.lines.len() >= self.capacity {
+            self.lines.lru_key()
+        } else {
+            None
         }
     }
 
@@ -211,9 +220,11 @@ mod tests {
         assert!(c.get(1).is_none());
         c.fill(1, [10; 8], false);
         assert_eq!(c.get(1), Some([10; 8]));
-        assert!(c.update_tag(1, 3, 99));
+        assert!(c.mark_dirty(1));
+        c.tags_mut(1).expect("resident")[3] = 99;
         assert_eq!(c.get(1).unwrap()[3], 99);
-        assert!(!c.update_tag(2, 0, 1), "missing line");
+        assert!(!c.mark_dirty(2), "missing line");
+        assert!(c.tags_mut(2).is_none(), "missing line");
         let s = c.stats();
         assert_eq!(s.hits, 2);
         assert_eq!(s.misses, 1);
@@ -253,30 +264,25 @@ mod tests {
     }
 
     #[test]
-    fn batched_updates_match_sequential() {
-        // Two caches, one driven tag-by-tag, one by the batch API: the
-        // observable state (contents, LRU victims, stats) must match.
-        let mut seq = MacCache::new(2);
-        let mut bat = MacCache::new(2);
-        for c in [&mut seq, &mut bat] {
-            c.fill(1, [0; 8], false);
-            c.fill(2, [0; 8], false);
-        }
-        let updates: Vec<(usize, u64)> = (0..8).map(|s| (s, 100 + s as u64)).collect();
-        for &(slot, tag) in &updates {
-            assert!(seq.update_tag(1, slot, tag));
-        }
-        assert!(bat.update_tags(1, &updates));
-        assert_eq!(seq.get(1), bat.get(1));
-        // Line 2 is now LRU in both; the next fill evicts it, not the
-        // freshly-updated line 1.
-        let vs = seq.fill(3, [3; 8], false);
-        let vb = bat.fill(3, [3; 8], false);
-        assert_eq!(vs, vb);
-        assert!(seq.get(1).is_some() && bat.get(1).is_some());
-        assert_eq!(seq.stats(), bat.stats());
-        // A non-resident line reports false.
-        assert!(!bat.update_tags(99, &[(0, 1)]));
+    fn tags_mut_leaves_recency_and_dirtiness_alone() {
+        let mut c = MacCache::new(2);
+        c.fill(1, [0; 8], false);
+        c.fill(2, [0; 8], false);
+        assert_eq!(c.victim(), Some(1));
+        // Patching the LRU line neither promotes nor dirties it: the
+        // next fill still evicts it, silently.
+        c.tags_mut(1).expect("resident")[0] = 5;
+        assert_eq!(c.victim(), Some(1));
+        assert_eq!(c.fill(3, [3; 8], false), None);
+        // A tag write is mark_dirty (promote + dirty), then the store.
+        assert!(c.mark_dirty(2));
+        c.tags_mut(2).expect("resident")[7] = 9;
+        c.fill(4, [4; 8], false);
+        let v = c.fill(5, [5; 8], false).expect("dirty victim");
+        assert_eq!(v.index, 2);
+        assert_eq!(v.macs[7], 9);
+        assert_eq!(c.stats().hits + c.stats().misses, 0, "neither counts as a lookup");
+        assert_eq!(MacCache::new(4).victim(), None, "no victim below capacity");
     }
 
     #[test]

@@ -1306,6 +1306,31 @@ mod tests {
         assert!(after.cycles >= before.cycles);
         assert_eq!(after.kernel.cow_faults, 1);
     }
+
+    /// `finish` leaves the caches warm; a line rewritten after its first
+    /// fill must still read back fresh once `finish` cleaned it and
+    /// later traffic evicted it from L1 and L2 (regression: the L3 copy
+    /// from the first fill used to answer).
+    #[test]
+    fn reads_after_finish_and_eviction_see_the_written_back_data() {
+        let mut cfg =
+            SimConfig::new(CowStrategy::Baseline, PageSize::Regular4K).with_phys_bytes(64 << 20);
+        cfg.caches = lelantus_cache::HierarchyConfig::tiny();
+        let mut s = System::new(cfg);
+        let pid = s.spawn_init();
+        let va = s.mmap(pid, 3 * 4096).unwrap();
+        let sweep = |s: &mut System, page: u64| {
+            for line in 0..64u64 {
+                s.read_bytes(pid, va + page * 4096 + line * 64, 1).unwrap();
+            }
+        };
+        s.write_bytes(pid, va, &[1]).unwrap();
+        sweep(&mut s, 1);
+        s.write_bytes(pid, va, &[2]).unwrap();
+        s.finish();
+        sweep(&mut s, 2);
+        assert_eq!(s.read_bytes(pid, va, 1).unwrap(), vec![2]);
+    }
 }
 
 #[cfg(test)]

@@ -90,6 +90,18 @@ where
         Some(&mut self.slots[i as usize].value)
     }
 
+    /// Looks `key` up without changing recency.
+    pub fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
+        let i = *self.index.get(key)?;
+        Some(&mut self.slots[i as usize].value)
+    }
+
+    /// The least recently used key (the one [`LruMap::pop_lru`] would
+    /// remove), without changing recency.
+    pub fn lru_key(&self) -> Option<K> {
+        (self.tail != NIL).then(|| self.slots[self.tail as usize].key)
+    }
+
     /// Makes `key` the most recent entry, storing `value`. Returns the
     /// value it replaced, if `key` was present.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
@@ -280,7 +292,11 @@ mod tests {
         assert_eq!(m.get(&1).copied(), Some(1));
         assert_eq!(m.insert(2, 20), Some(2));
         assert_eq!(keys(&m), vec![2, 1, 3, 0]);
-        assert_eq!(m.pop_lru(), Some((0, 0)));
+        *m.peek_mut(&0).expect("resident") = 7;
+        assert_eq!(m.peek_mut(&9), None);
+        assert_eq!(keys(&m), vec![2, 1, 3, 0], "peek_mut must not promote");
+        assert_eq!(m.lru_key(), Some(0));
+        assert_eq!(m.pop_lru(), Some((0, 7)));
         assert_eq!(m.remove(&1), Some(1));
         assert_eq!(m.remove(&1), None);
         assert_eq!(keys(&m), vec![2, 3]);
@@ -288,6 +304,7 @@ mod tests {
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.pop_lru(), None);
+        assert_eq!(m.lru_key(), None);
         assert_eq!(keys(&m).len(), 0);
     }
 

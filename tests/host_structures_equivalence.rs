@@ -101,14 +101,12 @@ impl MacCacheModel {
         victim
     }
 
-    fn update_tags(&mut self, index: u64, updates: &[(usize, u64)]) -> bool {
-        self.tick += updates.len() as u64;
+    /// A tag write's cache access: one tick, dirty, no tag stored.
+    fn mark_dirty(&mut self, index: u64) -> bool {
+        self.tick += 1;
         let tick = self.tick;
         match self.entries.get_mut(&index) {
-            Some((line, dirty, lru)) => {
-                for &(slot, tag) in updates {
-                    line[slot] = tag;
-                }
+            Some((_, dirty, lru)) => {
                 *dirty = true;
                 let old = std::mem::replace(lru, tick);
                 self.lru.remove(&old);
@@ -116,6 +114,25 @@ impl MacCacheModel {
                 true
             }
             None => false,
+        }
+    }
+
+    /// A tag store with no tick: recency and dirtiness stay.
+    fn patch_tag(&mut self, index: u64, slot: usize, tag: u64) -> bool {
+        match self.entries.get_mut(&index) {
+            Some((line, _, _)) => {
+                line[slot] = tag;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn victim(&self) -> Option<u64> {
+        if self.entries.len() >= self.capacity {
+            self.lru.first_key_value().map(|(_, &k)| k)
+        } else {
+            None
         }
     }
 
@@ -155,25 +172,21 @@ fn mac_soup(capacity: usize, seed: u64) {
                     "fill, step {step}"
                 );
             }
-            65..=89 => {
-                let n = rng.gen_range(1..=8usize);
-                let updates: Vec<(usize, u64)> =
-                    (0..n).map(|_| (rng.gen_range(0..8usize), rng.gen())).collect();
-                assert_eq!(
-                    fast.update_tags(index, &updates),
-                    model.update_tags(index, &updates),
-                    "update_tags, step {step}"
-                );
-            }
-            90..=94 => {
+            65..=79 => assert_eq!(
+                fast.mark_dirty(index),
+                model.mark_dirty(index),
+                "mark_dirty, step {step}"
+            ),
+            80..=89 => {
                 let slot = rng.gen_range(0..8usize);
                 let tag = rng.gen();
                 assert_eq!(
-                    fast.update_tag(index, slot, tag),
-                    model.update_tags(index, &[(slot, tag)]),
-                    "update_tag, step {step}"
+                    fast.tags_mut(index).map(|line| line[slot] = tag).is_some(),
+                    model.patch_tag(index, slot, tag),
+                    "tags_mut, step {step}"
                 );
             }
+            90..=94 => assert_eq!(fast.victim(), model.victim(), "victim, step {step}"),
             95..=98 => assert_eq!(fast.drain_dirty(), model.drain_dirty(), "drain, step {step}"),
             _ => {
                 fast.clear();
