@@ -58,7 +58,8 @@ fn main() {
     let total = scale.alloc_bytes();
     let mut footprint_rows = Vec::new();
     for strategy in [CowStrategy::Baseline, CowStrategy::Lelantus] {
-        let mut sys = System::new(SimConfig::new(strategy, page));
+        // Footprints are part of the spatial view.
+        let mut sys = System::new(SimConfig::new(strategy, page).with_heatmap());
         let parent = sys.spawn_init();
         let va = sys.mmap(parent, total).unwrap();
         sys.write_pattern(parent, va, total as usize, 0xA5).unwrap();
@@ -72,7 +73,7 @@ fn main() {
             }
         }
         sys.finish();
-        let fp = sys.controller().footprint();
+        let fp = sys.footprint().expect("the heatmap is on");
         // Regions written by CoW activity: mean distinct lines written.
         let mut touched = Vec::new();
         for (_region, f) in fp.iter() {

@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the cryptographic substrate: T-table AES,
 //! 64-byte line CTR encryption (default and forced T-table engine),
-//! the batched page-pad sweep, SipHash tags (one 81-byte data-MAC
+//! the 64-line page-pad sweep, SipHash tags (one 81-byte data-MAC
 //! input at a time and eight per kernel call), and Merkle-tree walks.
 //!
 //! Gate: where the CPU has AVX-512, eight data MACs per kernel call
@@ -38,15 +38,8 @@ fn main() {
         let fast_dec =
             bench("ctr_decrypt_line_64B", || engine.decrypt_line(black_box(&line), black_box(iv)));
 
-        // --- batched page pads vs per-line dispatch --------------------
-        let batched = bench("page_pads_64_lines", || engine.page_pads(0x4000, 11, 1, 64));
-        let per_line = bench("one_time_pad_x64_lines", || {
-            (0..64u64)
-                .map(|i| {
-                    engine.one_time_pad(IvSpec { line_addr: 0x4000 + i * 64, major: 11, minor: 1 })
-                })
-                .collect::<Vec<_>>()
-        });
+        // --- the pads of one page (64 per-line pads) -------------------
+        let page_pads = bench("page_pads_64_lines", || engine.page_pads(0x4000, 11, 1, 64));
 
         // --- integrity substrate ---------------------------------------
         let mac = SipHash24::new(1, 2);
@@ -98,16 +91,12 @@ fn main() {
             tree.verify_leaf(black_box(1234), black_box(&leaf_data)).unwrap()
         });
 
-        let batch_speedup = batched.speedup_over(&per_line);
-        println!("\npage_pads vs 64 one_time_pad calls: {batch_speedup:.2}x");
-
         for m in [
             &block,
             &fast_enc,
             &table_enc,
             &fast_dec,
-            &batched,
-            &per_line,
+            &page_pads,
             &sip,
             &mac_line,
             &macs8,
@@ -116,7 +105,6 @@ fn main() {
         ] {
             records.push(Record::new(&m.name, m.ns_per_iter, "ns/iter").timed(m.elapsed_s));
         }
-        records.push(Record::new("speedup/page_pads_batch", batch_speedup, "x"));
         records.push(Record::new("speedup/data_mac_batch", mac_speedup, "x"));
         records
     });

@@ -1,76 +1,54 @@
 //! Overhead gate for the observer: every view must be cheap, and none
 //! may perturb the simulation.
 //!
-//! One target, one untraced forkbench baseline, four gates:
+//! One target, one untraced forkbench baseline, these gates:
 //!
-//! * **Probe hot loop.** Every probe call site in the simulator is
-//!   guarded by `if P::ENABLED { ... }` where `ENABLED` is an
-//!   associated constant, so with `NullProbe` the branch — and the
-//!   event construction behind it — must monomorphize away. A hot loop
-//!   instrumented with `NullProbe` must run at ≤1.3x the same loop
-//!   with no probe calls at all.
-//! * **Traced forkbench.** A `RingProbe`-traced forkbench must run at
-//!   ≤2.0x the untraced one: recording is a modest constant factor.
+//! * **Event view.** A forkbench recording every event into a ring
+//!   must run at ≤2.0x the untraced one: recording is a modest
+//!   constant factor. With the view off, each emission site is one
+//!   predicted branch; the end-to-end host benchmark judges that path.
 //! * **Tail spans and heat grid.** A tail-recorded and a heat-gridded
 //!   forkbench must each be bit-identical to the untraced run (metrics
 //!   and Merkle root, asserted before any timing) and run at ≤1.10x
 //!   its time.
+//! * **Cycle ledger.** A ledgered forkbench must be bit-identical too
+//!   and run at ≤1.25x: the ledger attributes every memory operation's
+//!   segments as it completes, which measures 1.10–1.14x here (2-core
+//!   Intel Xeon), so the tail and heat bound would fail it on noise.
+//! * **Ledger at `finish`.** A run whose `finish` writes back half the
+//!   last-level cache attributes one segment per written-back line in
+//!   a single call; with the ledger on it must also be bit-identical
+//!   and run at ≤1.10x the ledger-off time. The elementary-interval
+//!   sweep the ledger used to run is quadratic in those segments and
+//!   measured 360x on this case.
 
-use lelantus_bench::harness::bench;
 use lelantus_bench::results::{timed_emit, Record};
 use lelantus_os::CowStrategy;
-use lelantus_sim::{
-    Event, EventKind, HeatLane, HistKind, NullProbe, Probe, RingProbe, SimConfig, SimMetrics,
-    System,
-};
-use lelantus_types::{Cycles, PageSize};
+use lelantus_sim::{HeatLane, SimConfig, SimMetrics, System};
+use lelantus_types::PageSize;
 use lelantus_workloads::{forkbench::Forkbench, Workload};
 use std::hint::black_box;
+use std::time::Instant;
 
-/// The shape of a simulator hot path: a little arithmetic (an LCG
-/// step standing in for real datapath work) plus one guarded probe
-/// call, exactly as the controller/NVM emission sites are written.
-#[inline(always)]
-fn instrumented_step<P: Probe>(probe: &P, state: u64) -> u64 {
-    let next = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-    if P::ENABLED {
-        probe.emit(Event {
-            cycle: Cycles::new(next),
-            kind: EventKind::QueueAdmit { addr: next & 0xFFFF_FFC0, depth: 3, merged: false },
-        });
-        probe.record(HistKind::WriteQueueDepth, next & 63);
-    }
-    next
-}
-
-/// The same arithmetic with no probe in sight — the untraced baseline
-/// the `NullProbe` path is held to.
-#[inline(always)]
-fn bare_step(state: u64) -> u64 {
-    state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407)
-}
-
-const STEPS: u64 = 1024;
-
-fn run_instrumented<P: Probe>(probe: &P) -> u64 {
-    let mut s = 0x5EED;
-    for _ in 0..STEPS {
-        s = instrumented_step(probe, black_box(s));
-    }
-    s
-}
-
-fn run_bare() -> u64 {
-    let mut s = 0x5EED;
-    for _ in 0..STEPS {
-        s = bare_step(black_box(s));
-    }
-    s
-}
-
-fn forkbench_cycles<P: Probe>(mut sys: System<P>) -> u64 {
+fn forkbench_cycles(mut sys: System) -> u64 {
     let run = Forkbench::small().run(&mut sys).expect("forkbench");
     run.measured.cycles.as_u64()
+}
+
+/// Bytes the finish-heavy run dirties: half the 8 MB last-level cache,
+/// all of it still resident and dirty when `finish` writes it back.
+const FINISH_HEAVY_BYTES: u64 = 4 << 20;
+
+/// Dirties [`FINISH_HEAVY_BYTES`] and flushes it with one `finish`;
+/// returns the machine and its outcome.
+fn finish_heavy(cfg: SimConfig) -> (System, Outcome) {
+    let mut sys = System::new(cfg);
+    let pid = sys.spawn_init();
+    let va = sys.mmap(pid, FINISH_HEAVY_BYTES).expect("mmap");
+    sys.write_pattern(pid, va, FINISH_HEAVY_BYTES as usize, 0x5A).expect("write");
+    let full = sys.finish();
+    let root = sys.merkle_root();
+    (sys, (full, full, root))
 }
 
 /// What an untraced forkbench run leaves behind: measured metrics,
@@ -99,56 +77,35 @@ fn assert_unperturbed(view: &str, cfg: SimConfig, plain: &Outcome) -> System {
     sys
 }
 
+/// Asserts `outcome` of a run with one view on is bit-identical to
+/// the view-off `plain` outcome.
+fn assert_same(view: &str, outcome: &Outcome, plain: &Outcome) {
+    assert_eq!(
+        plain.0, outcome.0,
+        "{view} changed the measured metrics; it must be purely observational"
+    );
+    assert_eq!(plain.1, outcome.1, "{view} changed the full-run metrics");
+    assert_eq!(
+        plain.2, outcome.2,
+        "{view} changed the Merkle root; the memory image must be untouched"
+    );
+}
+
 fn main() {
     timed_emit("micro_observe", || {
         let mut records = Vec::new();
-
-        // --- gate 1: NullProbe vs no probe at all ----------------------
-        // Measured up to three times; shared CI machines can land an
-        // unlucky batch, but a genuinely free path passes immediately.
-        const MAX_NULL_RATIO: f64 = 1.3;
-        let mut ratio = f64::INFINITY;
-        for attempt in 1..=3 {
-            let baseline = bench("probe_hot_loop_untraced", run_bare);
-            let null = bench("probe_hot_loop_null_probe", || run_instrumented(&NullProbe));
-            ratio = null.ns_per_iter / baseline.ns_per_iter;
-            println!("null-probe / untraced ratio: {ratio:.3} (attempt {attempt})");
-            if attempt == 1 {
-                records.push(
-                    Record::new("probe_untraced_1k_steps", baseline.ns_per_iter, "ns/iter")
-                        .timed(baseline.elapsed_s),
-                );
-                records.push(
-                    Record::new("probe_null_1k_steps", null.ns_per_iter, "ns/iter")
-                        .timed(null.elapsed_s),
-                );
-            }
-            if ratio <= MAX_NULL_RATIO {
-                break;
-            }
-        }
-        records.push(Record::new("probe_null_overhead_ratio", ratio, "x"));
-        assert!(
-            ratio <= MAX_NULL_RATIO,
-            "NullProbe hot loop is {ratio:.3}x the untraced baseline (gate: {MAX_NULL_RATIO}x); \
-             the disabled tracing path is supposed to compile away"
-        );
-
-        // Informational: what recording actually costs per call.
-        let ring = RingProbe::new(4096);
-        let ring_m = bench("probe_hot_loop_ring_probe", || run_instrumented(&ring));
-        records.push(
-            Record::new("probe_ring_1k_steps", ring_m.ns_per_iter, "ns/iter")
-                .timed(ring_m.elapsed_s),
-        );
 
         // --- correctness first: no view may perturb the run ------------
         let cfg = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K)
             .with_phys_bytes(64 << 20)
             .with_deterministic_counters();
+        let cfg_events = cfg.clone().with_events(1 << 16);
         let cfg_tail = cfg.clone().with_tail_recorder();
         let cfg_heat = cfg.clone().with_heatmap();
+        let cfg_ledger = cfg.clone().with_cycle_ledger();
         let (_, plain) = forkbench_outcome(cfg.clone());
+        let evented = assert_unperturbed("event view", cfg_events.clone(), &plain);
+        assert!(evented.events().expect("events were configured on").total() > 0);
         let tailed = assert_unperturbed("tail recorder", cfg_tail.clone(), &plain);
         let summary = tailed.tail_recorder().expect("recorder was configured on").summary();
         assert!(summary.count > 0, "forkbench must produce fault spans to gate against");
@@ -157,69 +114,96 @@ fn main() {
         assert!(grid.total() > 0, "forkbench must land heat to gate against");
         let faults: u64 = HeatLane::FAULTS.iter().map(|&l| grid.lane_total(l)).sum();
         assert!(faults > 0, "forkbench must record fault heat");
+        let ledgered = assert_unperturbed("cycle ledger", cfg_ledger.clone(), &plain);
+        assert_eq!(
+            ledgered.cycle_ledger().total(),
+            ledgered.metrics().cycles.as_u64(),
+            "the ledger must account for every cycle"
+        );
+        let (_, finish_plain) = finish_heavy(cfg.clone());
+        let (finish_ledgered, finish_outcome) = finish_heavy(cfg_ledger.clone());
+        assert_same("cycle ledger at finish", &finish_outcome, &finish_plain);
+        assert_eq!(
+            finish_ledgered.cycle_ledger().total(),
+            finish_ledgered.metrics().cycles.as_u64(),
+            "the ledger must account for every cycle of the finish-heavy run"
+        );
 
-        // --- gates 2-4: views vs one untraced forkbench baseline -------
-        // Three attempts for the 1.10x gates: shared CI machines can
-        // land an unlucky batch, but genuinely cheap views pass
-        // immediately. The traced ratio is a loose sanity bound.
-        const MAX_RING_RATIO: f64 = 2.0;
+        // --- views vs one untraced baseline ----------------------------
+        // One run takes tens of milliseconds, so each timing is one run.
+        // The configurations take turns, round after round, and each
+        // keeps its fastest run: preemption and frequency dips on a
+        // shared host only ever inflate a run, and taking turns spreads
+        // any drift over every configuration alike. Up to three
+        // attempts for the view gates, each adding rounds to the same
+        // fastest-run record; genuinely cheap views pass after the
+        // first. The event-view ratio is a loose sanity bound.
+        const ROUNDS: usize = 15;
+        const MAX_EVENTS_RATIO: f64 = 2.0;
         const MAX_VIEW_RATIO: f64 = 1.10;
-        let (mut ring_ratio, mut tail_ratio, mut heat_ratio) = (0.0, f64::INFINITY, f64::INFINITY);
+        const MAX_LEDGER_RATIO: f64 = 1.25;
+        let forkbench = |c: &SimConfig| forkbench_cycles(System::new(c.clone()));
+        let runs: [(&str, &dyn Fn() -> u64); 7] = [
+            ("observe_forkbench_untraced", &|| forkbench(&cfg)),
+            ("events_forkbench_recorded", &|| forkbench(&cfg_events)),
+            ("tail_forkbench_recorded", &|| forkbench(&cfg_tail)),
+            ("heatmap_forkbench_heated", &|| forkbench(&cfg_heat)),
+            ("ledger_forkbench_ledgered", &|| forkbench(&cfg_ledger)),
+            ("ledger_finish_heavy_untraced", &|| finish_heavy(cfg.clone()).1 .2),
+            ("ledger_finish_heavy_ledgered", &|| finish_heavy(cfg_ledger.clone()).1 .2),
+        ];
+        let gates = [
+            ("tail recorder", MAX_VIEW_RATIO),
+            ("heat grid", MAX_VIEW_RATIO),
+            ("cycle ledger", MAX_LEDGER_RATIO),
+            ("cycle ledger at finish", MAX_VIEW_RATIO),
+        ];
+        let mut best = [f64::INFINITY; 7];
+        let mut events_ratio = f64::INFINITY;
+        let mut ratios = [f64::INFINITY; 4];
         for attempt in 1..=3 {
-            let untraced =
-                bench("forkbench_small_untraced", || forkbench_cycles(System::new(cfg.clone())));
-            let tail = bench("forkbench_small_tail_recorded", || {
-                forkbench_cycles(System::new(cfg_tail.clone()))
-            });
-            let heat =
-                bench("forkbench_small_heated", || forkbench_cycles(System::new(cfg_heat.clone())));
-            tail_ratio = tail.ns_per_iter / untraced.ns_per_iter;
-            heat_ratio = heat.ns_per_iter / untraced.ns_per_iter;
-            println!(
-                "tail-recorded / untraced {tail_ratio:.3}, heated / untraced {heat_ratio:.3} \
-                 (attempt {attempt})"
-            );
-            if attempt == 1 {
-                let traced = bench("forkbench_small_ring_traced", || {
-                    forkbench_cycles(System::with_probe(cfg.clone(), RingProbe::new(1 << 16)))
-                });
-                ring_ratio = traced.ns_per_iter / untraced.ns_per_iter;
-                println!("ring-traced / untraced forkbench ratio: {ring_ratio:.3}");
-                records.push(
-                    Record::new("observe_forkbench_untraced", untraced.ns_per_iter, "ns/iter")
-                        .timed(untraced.elapsed_s),
-                );
-                records.push(
-                    Record::new("tail_forkbench_recorded", tail.ns_per_iter, "ns/iter")
-                        .timed(tail.elapsed_s),
-                );
-                records.push(
-                    Record::new("heatmap_forkbench_heated", heat.ns_per_iter, "ns/iter")
-                        .timed(heat.elapsed_s),
-                );
+            for round in 0..ROUNDS {
+                // Each round starts one configuration later, so none
+                // always runs right after the same neighbour.
+                for k in 0..runs.len() {
+                    let i = (round + k) % runs.len();
+                    let start = Instant::now();
+                    black_box((runs[i].1)());
+                    best[i] = best[i].min(start.elapsed().as_nanos() as f64);
+                }
             }
-            if tail_ratio <= MAX_VIEW_RATIO && heat_ratio <= MAX_VIEW_RATIO {
+            events_ratio = best[1] / best[0];
+            ratios = [best[2] / best[0], best[3] / best[0], best[4] / best[0], best[6] / best[5]];
+            println!(
+                "events / untraced {events_ratio:.3}, tail-recorded / untraced {:.3}, heated / \
+                 untraced {:.3}, ledgered / untraced {:.3}, finish-heavy ledgered / untraced \
+                 {:.3} (attempt {attempt})",
+                ratios[0], ratios[1], ratios[2], ratios[3]
+            );
+            if ratios.iter().zip(gates).all(|(&r, (_, gate))| r <= gate) {
                 break;
             }
         }
-        records.push(Record::new("probe_forkbench_traced_ratio", ring_ratio, "x"));
-        records.push(Record::new("tail_recorder_overhead_ratio", tail_ratio, "x"));
-        records.push(Record::new("heatmap_overhead_ratio", heat_ratio, "x"));
+        for ((name, _), ns) in runs.iter().zip(best) {
+            records.push(Record::new(*name, ns, "ns/iter"));
+        }
+        records.push(Record::new("events_forkbench_ratio", events_ratio, "x"));
+        records.push(Record::new("tail_recorder_overhead_ratio", ratios[0], "x"));
+        records.push(Record::new("heatmap_overhead_ratio", ratios[1], "x"));
+        records.push(Record::new("ledger_overhead_ratio", ratios[2], "x"));
+        records.push(Record::new("ledger_finish_heavy_overhead_ratio", ratios[3], "x"));
         assert!(
-            ring_ratio <= MAX_RING_RATIO,
-            "RingProbe-traced forkbench is {ring_ratio:.3}x untraced (gate: {MAX_RING_RATIO}x); \
+            events_ratio <= MAX_EVENTS_RATIO,
+            "event-view forkbench is {events_ratio:.3}x untraced (gate: {MAX_EVENTS_RATIO}x); \
              recording should be a modest constant factor, not a blow-up"
         );
-        assert!(
-            tail_ratio <= MAX_VIEW_RATIO,
-            "tail-recorded forkbench is {tail_ratio:.3}x the untraced baseline \
-             (gate: {MAX_VIEW_RATIO}x); span recording is supposed to stay off the hot path"
-        );
-        assert!(
-            heat_ratio <= MAX_VIEW_RATIO,
-            "heated forkbench is {heat_ratio:.3}x the untraced baseline \
-             (gate: {MAX_VIEW_RATIO}x); heat recording is supposed to stay off the hot path"
-        );
+        for ((name, gate), ratio) in gates.into_iter().zip(ratios) {
+            assert!(
+                ratio <= gate,
+                "{name}: {ratio:.3}x the untraced baseline (gate: {gate}x); \
+                 the view is supposed to stay off the hot path"
+            );
+        }
 
         // --- informational: what the views captured --------------------
         records.push(Record::new("tail_forkbench_fault_p999", summary.p999 as f64, "cycles"));

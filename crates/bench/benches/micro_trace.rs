@@ -196,7 +196,7 @@ fn main() {
         let rec = TraceRecorder::create(&rpath, header).expect("temp create");
         let mut live = System::new(cfg.clone());
         live.record_into(rec.clone());
-        Workload::<lelantus_sim::NullProbe>::run(&wl, &mut live).expect("forkbench runs");
+        wl.run(&mut live).expect("forkbench runs");
         live.stop_recording();
         let totals = rec.finish().expect("trace seals");
         let live_metrics = live.metrics();

@@ -97,8 +97,6 @@ pub struct ControllerConfig {
     pub data_macs: bool,
     /// On-chip MAC cache capacity in 64-byte MAC lines (8 tags each).
     pub mac_cache_lines: usize,
-    /// Track per-region access footprints (Fig 10c/d).
-    pub track_footprint: bool,
     /// AES-128 key for the counter-mode engine.
     pub key: [u8; 16],
 }
@@ -129,7 +127,6 @@ impl ControllerConfig {
             chain_shortening: true,
             data_macs: true,
             mac_cache_lines: 1024,
-            track_footprint: true,
             key: *b"lelantus-aes-key",
         }
     }

@@ -25,7 +25,6 @@
 //!   Shredder's zero elision cost nothing.
 
 use crate::config::{ControllerConfig, SchemeKind};
-use crate::footprint::{AccessDir, FootprintTracker};
 use crate::stats::ControllerStats;
 use lelantus_cache::LineBackend;
 use lelantus_crypto::ctr::{xor_line, CtrEngine, IvSpec};
@@ -38,7 +37,7 @@ use lelantus_metadata::layout::MetadataLayout;
 use lelantus_metadata::mac::{decode_mac_line, encode_mac_line, MacCache};
 use lelantus_nvm::{NvmDevice, NvmStats};
 use lelantus_obs::{
-    selfprof, CycleCategory, Event, EventKind, HeatLane, HistKind, LayerRecorder, NullProbe, Probe,
+    selfprof, AccessDir, CycleCategory, Event, EventKind, HeatLane, HistKind, LayerRecorder,
 };
 use lelantus_types::{Cycles, PhysAddr, LINE_BYTES, REGION_BYTES};
 use std::collections::HashSet;
@@ -117,9 +116,9 @@ impl MacQueue {
 ///
 /// See the crate-level docs for an overview and example.
 #[derive(Debug, Clone)]
-pub struct SecureMemoryController<P: Probe = NullProbe> {
+pub struct SecureMemoryController {
     config: ControllerConfig,
-    nvm: NvmDevice<P>,
+    nvm: NvmDevice,
     engine: CtrEngine,
     merkle: MerkleTree,
     counter_cache: CounterCache,
@@ -136,33 +135,28 @@ pub struct SecureMemoryController<P: Probe = NullProbe> {
     /// verifies against.
     persisted_root: u64,
     stats: ControllerStats,
-    footprint: FootprintTracker,
-    probe: P,
 }
 
 impl SecureMemoryController {
-    /// Builds an unobserved controller (and its NVM device) from
-    /// `config` (the [`NullProbe`] path: tracing compiles away).
+    /// Builds a controller (and its NVM device) from `config` with
+    /// every view off.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
     pub fn new(config: ControllerConfig) -> Self {
-        Self::with_probe(config, NullProbe, LayerRecorder::default())
+        Self::with_recorder(config, LayerRecorder::default())
     }
-}
 
-impl<P: Probe> SecureMemoryController<P> {
-    /// Builds a controller (and its NVM device) from `config`, with
-    /// datapath events reported to `probe` (which is cloned into the
-    /// NVM device so the whole stack shares one event stream) and
-    /// ledger segments and metadata-traffic heat recorded into `rec`,
-    /// which the device holds for the whole stack.
+    /// Builds a controller (and its NVM device) from `config` whose
+    /// ledger segments, metadata-traffic heat, line footprints and
+    /// datapath events are recorded into `rec`, which the device holds
+    /// for the whole stack.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
-    pub fn with_probe(config: ControllerConfig, probe: P, rec: LayerRecorder) -> Self {
+    pub fn with_recorder(config: ControllerConfig, rec: LayerRecorder) -> Self {
         config.validate().expect("invalid controller config");
         let layout = MetadataLayout::for_data_bytes(config.data_bytes);
         let mut merkle =
@@ -172,8 +166,10 @@ impl<P: Probe> SecureMemoryController<P> {
             merkle = merkle.with_touch_log();
         }
         let persisted_root = merkle.root();
+        let mut nvm = NvmDevice::new(config.nvm.clone());
+        *nvm.recorder_mut() = rec;
         Self {
-            nvm: NvmDevice::with_probe(config.nvm.clone(), probe.clone(), rec),
+            nvm,
             engine: CtrEngine::new(config.key),
             merkle,
             counter_cache: CounterCache::new(config.counter_cache),
@@ -186,9 +182,7 @@ impl<P: Probe> SecureMemoryController<P> {
             initialized_regions: HashSet::new(),
             persisted_root,
             stats: ControllerStats::default(),
-            footprint: FootprintTracker::new(config.track_footprint),
             config,
-            probe,
         }
     }
 
@@ -285,16 +279,6 @@ impl<P: Probe> SecureMemoryController<P> {
     /// Diagnostics: per-bank busy profile.
     pub fn bank_busy_profile(&self) -> Vec<u64> {
         self.nvm.bank_busy_profile()
-    }
-
-    /// Per-region physical access footprints (Fig 10c/d).
-    pub fn footprint(&self) -> &FootprintTracker {
-        &self.footprint
-    }
-
-    /// Clears recorded footprints (start of a measured phase).
-    pub fn reset_footprint(&mut self) {
-        self.footprint.reset();
     }
 
     /// Drains every buffered write (CPU-side counter state and the
@@ -398,8 +382,8 @@ impl<P: Probe> SecureMemoryController<P> {
         }
         self.stats.counter_fetches += 1;
         self.heat(HeatLane::CounterFill, region);
-        if P::ENABLED {
-            self.probe.emit(Event { cycle: now, kind: EventKind::CounterFetch { region } });
+        if let Some(log) = self.nvm.recorder_mut().events_mut() {
+            log.emit(Event { cycle: now, kind: EventKind::CounterFetch { region } });
         }
         self.ensure_region_init(region);
         let caddr = self.layout.counter_addr_of_region(region);
@@ -410,11 +394,13 @@ impl<P: Probe> SecureMemoryController<P> {
             .expect("counter-block integrity violation");
         self.stats.merkle_fetches += walk.nodes_fetched;
         self.heat_merkle_touches(region);
-        if P::ENABLED && walk.nodes_fetched > 0 {
-            self.probe.emit(Event {
-                cycle: now,
-                kind: EventKind::MerkleFetch { region, nodes: walk.nodes_fetched },
-            });
+        if walk.nodes_fetched > 0 {
+            if let Some(log) = self.nvm.recorder_mut().events_mut() {
+                log.emit(Event {
+                    cycle: now,
+                    kind: EventKind::MerkleFetch { region, nodes: walk.nodes_fetched },
+                });
+            }
         }
         // Tree nodes are contiguous: charge row-hit latency per fetch.
         let t_read = t;
@@ -426,9 +412,8 @@ impl<P: Probe> SecureMemoryController<P> {
             let encoding = self.encoding();
             self.counter_nvm_write(ev.region, &ev.block, encoding, now, false);
         }
-        if P::ENABLED {
-            self.probe
-                .record(HistKind::CounterCacheOccupancy, self.counter_cache.resident() as u64);
+        if let Some(log) = self.nvm.recorder_mut().events_mut() {
+            log.record(HistKind::CounterCacheOccupancy, self.counter_cache.resident() as u64);
         }
         (block, t)
     }
@@ -442,8 +427,8 @@ impl<P: Probe> SecureMemoryController<P> {
         durable: bool,
     ) -> Cycles {
         self.stats.counter_writebacks += 1;
-        if P::ENABLED {
-            self.probe.emit(Event { cycle: now, kind: EventKind::CounterWriteback { region } });
+        if let Some(log) = self.nvm.recorder_mut().events_mut() {
+            log.emit(Event { cycle: now, kind: EventKind::CounterWriteback { region } });
         }
         let bytes = block.encode(encoding);
         let caddr = self.layout.counter_addr_of_region(region);
@@ -459,11 +444,13 @@ impl<P: Probe> SecureMemoryController<P> {
         let walk = self.merkle.update_leaf(region as usize, &bytes);
         self.stats.merkle_fetches += walk.nodes_fetched;
         self.heat_merkle_touches(region);
-        if P::ENABLED && walk.nodes_fetched > 0 {
-            self.probe.emit(Event {
-                cycle: now,
-                kind: EventKind::MerkleFetch { region, nodes: walk.nodes_fetched },
-            });
+        if walk.nodes_fetched > 0 {
+            if let Some(log) = self.nvm.recorder_mut().events_mut() {
+                log.emit(Event {
+                    cycle: now,
+                    kind: EventKind::MerkleFetch { region, nodes: walk.nodes_fetched },
+                });
+            }
         }
         // The persisted-root register re-syncs at flush points
         // (`flush_metadata`) instead of per write; it is only ever read
@@ -506,9 +493,8 @@ impl<P: Probe> SecureMemoryController<P> {
                     (mapping, now + Cycles::new(1))
                 } else {
                     self.stats.cow_meta_reads += 1;
-                    if P::ENABLED {
-                        self.probe
-                            .emit(Event { cycle: now, kind: EventKind::CowMetaRead { region } });
+                    if let Some(log) = self.nvm.recorder_mut().events_mut() {
+                        log.emit(Event { cycle: now, kind: EventKind::CowMetaRead { region } });
                     }
                     let (slot_line, _off) = self.layout.cow_meta_slot_of_region(region);
                     let (_bytes, t) = self.nvm.read_line(slot_line, now);
@@ -528,8 +514,8 @@ impl<P: Probe> SecureMemoryController<P> {
         self.cow_table.set(region, src);
         self.cow_cache.fill(region, src);
         self.stats.cow_meta_writes += 1;
-        if P::ENABLED {
-            self.probe.emit(Event { cycle: now, kind: EventKind::CowMetaWrite { region } });
+        if let Some(log) = self.nvm.recorder_mut().events_mut() {
+            log.emit(Event { cycle: now, kind: EventKind::CowMetaWrite { region } });
         }
         let (slot_line, off) = self.layout.cow_meta_slot_of_region(region);
         // Read-modify-write of the 64 B metadata line, functionally.
@@ -810,7 +796,7 @@ impl<P: Probe> SecureMemoryController<P> {
             self.stats.zero_reads += 1;
             return ([0; LINE_BYTES], now + Cycles::new(1));
         }
-        self.footprint.record(line_addr, AccessDir::Read);
+        self.nvm.recorder_mut().line_access(line_addr, AccessDir::Read);
         let region = self.region_of(line_addr);
         let line = line_addr.line_in_region();
         let (block, t_ctr) = self.fetch_counter(region, now);
@@ -818,12 +804,12 @@ impl<P: Probe> SecureMemoryController<P> {
         if hops > 0 {
             self.stats.redirected_reads += 1;
             self.heat(HeatLane::CowRedirect, region);
-            if P::ENABLED {
-                self.probe.emit(Event {
+            if let Some(log) = self.nvm.recorder_mut().events_mut() {
+                log.emit(Event {
                     cycle: now,
                     kind: EventKind::RedirectedRead { addr: line_addr.as_u64(), hops },
                 });
-                self.probe.record(HistKind::CopyChainDepth, hops as u64);
+                log.record(HistKind::CopyChainDepth, hops as u64);
             }
         }
         (data, done)
@@ -857,7 +843,7 @@ impl<P: Probe> SecureMemoryController<P> {
             "write to the read-only zero area at {line_addr}"
         );
         self.stats.logical_writes += 1;
-        self.footprint.record(line_addr, AccessDir::Write);
+        self.nvm.recorder_mut().line_access(line_addr, AccessDir::Write);
         let region = self.region_of(line_addr);
         let line = line_addr.line_in_region();
         let (mut block, mut t) = self.fetch_counter(region, now);
@@ -872,8 +858,8 @@ impl<P: Probe> SecureMemoryController<P> {
                 self.seg(t_src, t, CycleCategory::ImplicitCopy);
                 self.stats.implicit_copies += 1;
                 self.heat(HeatLane::ImplicitCopy, region);
-                if P::ENABLED {
-                    self.probe.emit(Event {
+                if let Some(log) = self.nvm.recorder_mut().events_mut() {
+                    log.emit(Event {
                         cycle: now,
                         kind: EventKind::ImplicitCopy { addr: line_addr.as_u64() },
                     });
@@ -910,8 +896,8 @@ impl<P: Probe> SecureMemoryController<P> {
     ) -> (CounterBlock, Cycles) {
         self.stats.minor_overflows += 1;
         self.heat(HeatLane::CounterOverflow, region);
-        if P::ENABLED {
-            self.probe.emit(Event { cycle: now, kind: EventKind::CounterOverflow { region } });
+        if let Some(log) = self.nvm.recorder_mut().events_mut() {
+            log.emit(Event { cycle: now, kind: EventKind::CounterOverflow { region } });
         }
         // Gather all plaintexts under the old epoch first.
         let mut plains = Vec::with_capacity(MINORS);
@@ -968,8 +954,8 @@ impl<P: Probe> SecureMemoryController<P> {
         assert!(self.config.scheme.supports_lazy_copy(), "page_copy needs a Lelantus scheme");
         assert!(src.is_aligned_to(REGION_BYTES) && dst.is_aligned_to(REGION_BYTES));
         self.stats.cmd_page_copy += 1;
-        if P::ENABLED {
-            self.probe.emit(Event {
+        if let Some(log) = self.nvm.recorder_mut().events_mut() {
+            log.emit(Event {
                 cycle: now,
                 kind: EventKind::CmdPageCopy { src: src.as_u64(), dst: dst.as_u64() },
             });
@@ -1016,8 +1002,8 @@ impl<P: Probe> SecureMemoryController<P> {
         // Page-copy commands are a Merkle flush point: coalesce the
         // ancestor recomputations this command queued up.
         self.merkle.flush();
-        if P::ENABLED {
-            self.probe.record(HistKind::CmdServiceCycles, (done - now).as_u64());
+        if let Some(log) = self.nvm.recorder_mut().events_mut() {
+            log.record(HistKind::CmdServiceCycles, (done - now).as_u64());
         }
         done
     }
@@ -1042,8 +1028,8 @@ impl<P: Probe> SecureMemoryController<P> {
         let (recorded, mut t) = self.source_of(dst_region, &block, t2);
         if recorded != Some(src_region) {
             self.stats.cmd_page_phyc_rejected += 1;
-            if P::ENABLED {
-                self.probe.emit(Event {
+            if let Some(log) = self.nvm.recorder_mut().events_mut() {
+                log.emit(Event {
                     cycle: now,
                     kind: EventKind::CmdPagePhyc {
                         src: src.as_u64(),
@@ -1051,13 +1037,13 @@ impl<P: Probe> SecureMemoryController<P> {
                         accepted: false,
                     },
                 });
-                self.probe.record(HistKind::CmdServiceCycles, (t - now).as_u64());
+                log.record(HistKind::CmdServiceCycles, (t - now).as_u64());
             }
             return t;
         }
         self.stats.cmd_page_phyc += 1;
-        if P::ENABLED {
-            self.probe.emit(Event {
+        if let Some(log) = self.nvm.recorder_mut().events_mut() {
+            log.emit(Event {
                 cycle: now,
                 kind: EventKind::CmdPagePhyc {
                     src: src.as_u64(),
@@ -1098,8 +1084,8 @@ impl<P: Probe> SecureMemoryController<P> {
         // Page-copy commands are a Merkle flush point (see
         // `cmd_page_copy`).
         self.merkle.flush();
-        if P::ENABLED {
-            self.probe.record(HistKind::CmdServiceCycles, (done - now).as_u64());
+        if let Some(log) = self.nvm.recorder_mut().events_mut() {
+            log.record(HistKind::CmdServiceCycles, (done - now).as_u64());
         }
         done
     }
@@ -1115,9 +1101,8 @@ impl<P: Probe> SecureMemoryController<P> {
         assert!(self.config.scheme.supports_lazy_copy(), "page_free needs a Lelantus scheme");
         assert!(dst.is_aligned_to(REGION_BYTES));
         self.stats.cmd_page_free += 1;
-        if P::ENABLED {
-            self.probe
-                .emit(Event { cycle: now, kind: EventKind::CmdPageFree { dst: dst.as_u64() } });
+        if let Some(log) = self.nvm.recorder_mut().events_mut() {
+            log.emit(Event { cycle: now, kind: EventKind::CmdPageFree { dst: dst.as_u64() } });
         }
         let t = now + Cycles::new(self.config.cmd_latency);
         let dst_region = self.region_of(dst);
@@ -1128,8 +1113,8 @@ impl<P: Probe> SecureMemoryController<P> {
             t = self.write_cow_mapping(dst_region, None, t);
         }
         let done = self.update_counter(dst_region, block, t);
-        if P::ENABLED {
-            self.probe.record(HistKind::CmdServiceCycles, (done - now).as_u64());
+        if let Some(log) = self.nvm.recorder_mut().events_mut() {
+            log.record(HistKind::CmdServiceCycles, (done - now).as_u64());
         }
         done
     }
@@ -1151,9 +1136,8 @@ impl<P: Probe> SecureMemoryController<P> {
         );
         assert!(dst.is_aligned_to(REGION_BYTES));
         self.stats.cmd_page_init += 1;
-        if P::ENABLED {
-            self.probe
-                .emit(Event { cycle: now, kind: EventKind::CmdPageInit { dst: dst.as_u64() } });
+        if let Some(log) = self.nvm.recorder_mut().events_mut() {
+            log.emit(Event { cycle: now, kind: EventKind::CmdPageInit { dst: dst.as_u64() } });
         }
         let t = now + Cycles::new(self.config.cmd_latency);
         let dst_region = self.region_of(dst);
@@ -1161,8 +1145,8 @@ impl<P: Probe> SecureMemoryController<P> {
         block.major += 1;
         block.minors = [0; MINORS];
         let done = self.update_counter(dst_region, block, t2);
-        if P::ENABLED {
-            self.probe.record(HistKind::CmdServiceCycles, (done - now).as_u64());
+        if let Some(log) = self.nvm.recorder_mut().events_mut() {
+            log.record(HistKind::CmdServiceCycles, (done - now).as_u64());
         }
         done
     }
@@ -1331,7 +1315,7 @@ impl<P: Probe> SecureMemoryController<P> {
     }
 }
 
-impl<P: Probe> LineBackend for SecureMemoryController<P> {
+impl LineBackend for SecureMemoryController {
     fn read_line(&mut self, addr: PhysAddr, now: Cycles) -> ([u8; LINE_BYTES], Cycles) {
         self.read_data_line(addr, now)
     }

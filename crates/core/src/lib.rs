@@ -45,12 +45,10 @@
 
 pub mod config;
 pub mod controller;
-pub mod footprint;
 pub mod stats;
 
 pub use config::{ControllerConfig, SchemeKind};
 pub use controller::{SecureMemoryController, DATA_MAC_KEY, MERKLE_KEY};
-pub use footprint::FootprintTracker;
 pub use stats::ControllerStats;
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 use crate::config::{ControllerConfig, SchemeKind};
 use crate::controller::SecureMemoryController;
 use lelantus_metadata::counter_cache::WritePolicy;
+use lelantus_obs::LayerRecorder;
 use lelantus_types::{Cycles, PhysAddr, LINE_BYTES};
 use proptest::prelude::*;
 
@@ -372,13 +373,17 @@ fn cow_cache_miss_rate_tracks_lookups() {
 
 #[test]
 fn footprint_records_logical_page_usage() {
-    let mut c = ctrl(SchemeKind::LelantusResized);
+    // Footprints are part of the spatial view: heat on, nothing else.
+    let mut c = SecureMemoryController::with_recorder(
+        small_config(SchemeKind::LelantusResized),
+        LayerRecorder::new(false, true, None),
+    );
     c.write_data_line(line_of(page(0), 0), fill(1), ZERO);
     c.cmd_page_copy(page(0), page(1), ZERO);
     c.write_data_line(line_of(page(1), 5), fill(2), ZERO);
     c.read_data_line(line_of(page(1), 9), ZERO);
     let region = (page(1).as_u64()) / 4096;
-    let fp = c.footprint().region(region).unwrap();
+    let fp = c.recorder().footprint().unwrap().region(region).unwrap();
     assert_eq!(fp.lines_written(), 1);
     assert_eq!(fp.lines_read(), 1);
     assert_eq!(fp.lines_touched(), 2, "only the used lines, not the whole page");

@@ -156,13 +156,12 @@ impl CtrEngine {
     /// starting at `base_addr`, all sharing the same `(major, minor)`
     /// counter pair.
     ///
-    /// This is the page-copy fast path: materializing or re-encrypting
-    /// a 4 KB region stamps every destination line with `minor = 1`
-    /// under one major counter (paper §III-D/§III-E), so the controller
-    /// can batch all 64 × 4 AES block invocations into one sweep
-    /// instead of rebuilding an [`IvSpec`] and dispatching per line.
-    /// Pad `i` equals `one_time_pad` of
-    /// `IvSpec { line_addr: base_addr + i·64, major, minor }` exactly.
+    /// Materializing or re-encrypting a 4 KB region stamps every
+    /// destination line with `minor = 1` under one major counter (paper
+    /// §III-D/§III-E). Pad `i` is `one_time_pad` of
+    /// `IvSpec { line_addr: base_addr + i·64, major, minor }`: on
+    /// hardware AES a batched sweep measured no faster than these
+    /// per-line calls, so there is only the one pad path.
     ///
     /// # Panics
     ///
@@ -175,31 +174,21 @@ impl CtrEngine {
         count: usize,
     ) -> Vec<[u8; LINE_BYTES]> {
         assert_eq!(base_addr % LINE_BYTES as u64, 0, "page_pads needs a line-aligned base");
-        let mut pads = Vec::with_capacity(count);
-        // One template IV per sweep: only the block index (byte 1) and
-        // the line address (bytes 2..10) change between AES calls.
-        let mut iv = Self::iv_bytes(IvSpec { line_addr: base_addr, major, minor }, 0);
-        for i in 0..count {
-            let line_addr = base_addr + (i * LINE_BYTES) as u64;
-            iv[2..10].copy_from_slice(&line_addr.to_le_bytes());
-            let mut ivs = [iv; 4];
-            for (blk, iv) in ivs.iter_mut().enumerate() {
-                iv[1] = blk as u8;
-            }
-            let cts = self.aes.encrypt_blocks4(ivs);
-            let mut pad = [0u8; LINE_BYTES];
-            for (blk, ct) in cts.iter().enumerate() {
-                pad[blk * 16..(blk + 1) * 16].copy_from_slice(ct);
-            }
-            pads.push(pad);
-        }
-        pads
+        (0..count as u64)
+            .map(|i| {
+                self.one_time_pad(IvSpec {
+                    line_addr: base_addr + i * LINE_BYTES as u64,
+                    major,
+                    minor,
+                })
+            })
+            .collect()
     }
 
-    /// Encrypts the lines of a page copy in one sweep: line `i` of
-    /// `plains` is encrypted for address `base_addr + i·64` under the
-    /// shared `(major, minor)` pair. Equivalent to per-line
-    /// [`encrypt_line`](Self::encrypt_line) calls, batched.
+    /// Encrypts the lines of a page copy: line `i` of `plains` is
+    /// encrypted for address `base_addr + i·64` under the shared
+    /// `(major, minor)` pair, exactly as per-line
+    /// [`encrypt_line`](Self::encrypt_line) calls would.
     ///
     /// # Panics
     ///
@@ -352,7 +341,7 @@ mod tests {
     }
 
     proptest! {
-        // The batched page sweep produces exactly the per-line pads.
+        // The page sweep produces exactly the per-line pads.
         #[test]
         fn prop_page_pads_match_per_line_pads(key in prop::array::uniform16(any::<u8>()),
                                               base in 0u64..1_000_000,

@@ -7,9 +7,7 @@ use crate::stats::NvmStats;
 use crate::store::LineStore;
 use crate::wear::WearTracker;
 use crate::write_queue::WriteQueue;
-use lelantus_obs::{
-    CycleCategory, Event, EventKind, HeatLane, HistKind, LayerRecorder, NullProbe, Probe,
-};
+use lelantus_obs::{CycleCategory, Event, EventKind, HeatLane, HistKind, LayerRecorder};
 use lelantus_types::{Cycles, PhysAddr, LINE_BYTES, REGION_BYTES};
 
 /// The simulated non-volatile memory device.
@@ -31,7 +29,7 @@ use lelantus_types::{Cycles, PhysAddr, LINE_BYTES, REGION_BYTES};
 /// assert_eq!(data, [1; 64]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct NvmDevice<P: Probe = NullProbe> {
+pub struct NvmDevice {
     config: NvmConfig,
     banks: Vec<Bank>,
     /// Per-rank data-bus availability.
@@ -42,35 +40,21 @@ pub struct NvmDevice<P: Probe = NullProbe> {
     wear: WearTracker,
     leveler: Option<StartGap>,
     stats: NvmStats,
-    probe: P,
     /// The machine's one layer recorder: this device's bank service,
-    /// queue stalls and bank heat, plus whatever the layers above
-    /// record through [`NvmDevice::recorder_mut`].
+    /// queue stalls, bank heat and queue events, plus whatever the
+    /// layers above record through [`NvmDevice::recorder_mut`]. Every
+    /// view is off until a recorder with views on replaces it.
     rec: LayerRecorder,
 }
 
 impl NvmDevice {
-    /// Creates an unobserved device from `config` (the [`NullProbe`]
-    /// path: tracing compiles away entirely).
+    /// Creates a device from `config` with every view off.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see
     /// [`NvmConfig::validate`]).
     pub fn new(config: NvmConfig) -> Self {
-        Self::with_probe(config, NullProbe, LayerRecorder::default())
-    }
-}
-
-impl<P: Probe> NvmDevice<P> {
-    /// Creates a device from `config` whose queue traffic is reported
-    /// to `probe` and whose ledger segments and heat go to `rec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see
-    /// [`NvmConfig::validate`]).
-    pub fn with_probe(config: NvmConfig, probe: P, rec: LayerRecorder) -> Self {
         config.validate().expect("invalid NVM configuration");
         let banks = (0..config.total_banks()).map(|_| Bank::new()).collect();
         let write_queue = WriteQueue::new(config.write_queue_capacity);
@@ -86,8 +70,7 @@ impl<P: Probe> NvmDevice<P> {
             wear: WearTracker::new(),
             leveler,
             stats: NvmStats::default(),
-            probe,
-            rec,
+            rec: LayerRecorder::default(),
         }
     }
 
@@ -101,13 +84,13 @@ impl<P: Probe> NvmDevice<P> {
         self.rec.heat(lane, addr.as_u64() / REGION_BYTES);
     }
 
-    /// The layer recorder (ledger segments and heat of every layer).
+    /// The layer recorder (every view of every layer).
     pub fn recorder(&self) -> &LayerRecorder {
         &self.rec
     }
 
-    /// Mutable recorder access, for the layers above and the system
-    /// layer's drains.
+    /// Mutable recorder access, for the layers above, the system
+    /// layer's drains, and installing a recorder with views on.
     pub fn recorder_mut(&mut self) -> &mut LayerRecorder {
         &mut self.rec
     }
@@ -253,12 +236,12 @@ impl<P: Probe> NvmDevice<P> {
         // queue until the array write drains).
         let device = self.map_addr(line);
         self.contents.insert(device.as_u64(), data);
-        let pre_len = if P::ENABLED { self.write_queue.len() } else { 0 };
+        let pre_len = self.write_queue.len();
         match self.write_queue.push(line, data, now) {
             None => {
-                if P::ENABLED {
+                if let Some(log) = self.rec.events_mut() {
                     let depth = self.write_queue.len();
-                    self.probe.emit(Event {
+                    log.emit(Event {
                         cycle: now,
                         kind: EventKind::QueueAdmit {
                             addr: line.as_u64(),
@@ -266,7 +249,7 @@ impl<P: Probe> NvmDevice<P> {
                             merged: depth == pre_len,
                         },
                     });
-                    self.probe.record(HistKind::WriteQueueDepth, depth as u64);
+                    log.record(HistKind::WriteQueueDepth, depth as u64);
                 }
                 now + Cycles::new(1)
             }
@@ -281,16 +264,16 @@ impl<P: Probe> NvmDevice<P> {
                 self.stats.line_writes += 1;
                 self.heat(HeatLane::BankWrite, drained.addr);
                 self.wear.record_line_write(device);
-                if P::ENABLED {
+                if let Some(log) = self.rec.events_mut() {
                     let depth = self.write_queue.len();
-                    self.probe.emit(Event {
+                    log.emit(Event {
                         cycle: now,
                         kind: EventKind::QueueDrain {
                             addr: drained.addr.as_u64(),
                             depth: depth.saturating_sub(1) as u32,
                         },
                     });
-                    self.probe.emit(Event {
+                    log.emit(Event {
                         cycle: now,
                         kind: EventKind::QueueAdmit {
                             addr: line.as_u64(),
@@ -298,7 +281,7 @@ impl<P: Probe> NvmDevice<P> {
                             merged: false,
                         },
                     });
-                    self.probe.record(HistKind::WriteQueueDepth, depth as u64);
+                    log.record(HistKind::WriteQueueDepth, depth as u64);
                 }
                 // The pusher stalls only until queue space exists.
                 let ack = done.max(now + Cycles::new(1));
@@ -349,9 +332,9 @@ impl<P: Probe> NvmDevice<P> {
             self.stats.line_writes += 1;
             self.heat(HeatLane::BankWrite, w.addr);
             self.wear.record_line_write(device);
-            if P::ENABLED {
-                remaining -= 1;
-                self.probe.emit(Event {
+            remaining -= 1;
+            if let Some(log) = self.rec.events_mut() {
+                log.emit(Event {
                     cycle: now,
                     kind: EventKind::QueueDrain { addr: w.addr.as_u64(), depth: remaining as u32 },
                 });

@@ -8,7 +8,7 @@
 //! [`SUB_BUCKETS`] linear sub-buckets, so any percentile query is
 //! exact to within `1/SUB_BUCKETS` relative error (and *exact* below
 //! `2 * SUB_BUCKETS`). It is the one histogram type of this crate: the
-//! probe's [`crate::HistogramSet`] and the tail recorder both use it.
+//! event view's [`crate::HistogramSet`] and the tail recorder both use it.
 //!
 //! # Bucket math
 //!

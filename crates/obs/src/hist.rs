@@ -1,8 +1,8 @@
-//! The probe's latency and occupancy distributions.
+//! The event view's latency and occupancy distributions.
 //!
 //! Aggregate means hide the shape that matters for tail analysis (a
 //! write queue that is empty 99 % of the time and full 1 % of the time
-//! averages to "shallow"). Recording probes keep one [`HdrHistogram`]
+//! averages to "shallow"). The event view keeps one [`HdrHistogram`]
 //! per [`HistKind`] in a [`HistogramSet`] — the same histogram type the
 //! tail recorder uses, so every distribution answers percentile queries
 //! at the same 1/32 relative error.

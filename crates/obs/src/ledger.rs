@@ -31,6 +31,9 @@
 //! window, overlaps resolved by [`CycleCategory::priority`], residue
 //! charged to the call site's default category) via [`attribute`].
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 /// Where a simulated cycle was spent.
 ///
 /// Categories follow the paper's overhead decomposition plus the
@@ -132,7 +135,7 @@ impl CycleCategory {
     /// (§II-B, Figure 1), so bank service wins the overlap and only the
     /// pad's *exposed tail* is booked as AES time — matching how the
     /// paper reasons about encryption latency.
-    pub fn priority(self) -> u8 {
+    pub const fn priority(self) -> u8 {
         match self {
             CycleCategory::BulkCopy => 100,
             CycleCategory::ImplicitCopy => 90,
@@ -147,7 +150,7 @@ impl CycleCategory {
         }
     }
 
-    fn index(self) -> usize {
+    const fn index(self) -> usize {
         self as usize
     }
 }
@@ -212,13 +215,70 @@ impl CycleLedger {
     }
 }
 
+/// Whether another category shares this one's priority: only then
+/// does the slice-order tie rule of [`attribute`] decide between them.
+const SHARES_PRIORITY: [bool; CycleCategory::COUNT] = {
+    let mut out = [false; CycleCategory::COUNT];
+    let mut i = 0;
+    while i < CycleCategory::COUNT {
+        let mut j = 0;
+        while j < CycleCategory::COUNT {
+            let (a, b) = (CycleCategory::ALL[i].priority(), CycleCategory::ALL[j].priority());
+            out[i] |= i != j && a == b;
+            j += 1;
+        }
+        i += 1;
+    }
+    out
+};
+
+/// Each category's place in descending priority order (categories
+/// that share a priority in declaration order).
+const RANK: [usize; CycleCategory::COUNT] = {
+    let mut out = [0; CycleCategory::COUNT];
+    let mut i = 0;
+    while i < CycleCategory::COUNT {
+        let mut j = 0;
+        while j < CycleCategory::COUNT {
+            let (a, b) = (CycleCategory::ALL[i].priority(), CycleCategory::ALL[j].priority());
+            if b > a || (b == a && j < i) {
+                out[i] += 1;
+            }
+            j += 1;
+        }
+        i += 1;
+    }
+    out
+};
+
+/// The category at each [`RANK`].
+const BY_RANK: [CycleCategory; CycleCategory::COUNT] = {
+    let mut out = [CycleCategory::Other; CycleCategory::COUNT];
+    let mut i = 0;
+    while i < CycleCategory::COUNT {
+        out[RANK[i]] = CycleCategory::ALL[i];
+        i += 1;
+    }
+    out
+};
+
 /// Splits the critical-path advance `[start, end)` across the recorded
 /// `segments` and books the result into `ledger`.
 ///
 /// Each segment is clipped to the window; instants covered by several
-/// segments go to the highest [`CycleCategory::priority`]; instants no
-/// segment covers go to `default`. Exactly `end - start` cycles are
-/// booked in total.
+/// segments go to the highest [`CycleCategory::priority`], ties to the
+/// segment earliest in `segments`; instants no segment covers go to
+/// `default`. Exactly `end - start` cycles are booked in total.
+///
+/// One sort-and-sweep, O(n log n) in the segments (`System::finish`
+/// attributes one segment per line it writes back in a single call).
+/// The segments are sorted by start once; in that order each category
+/// whose priority is its own is merged into the runs of its union,
+/// since only where a category is busy decides where it wins. The run
+/// boundaries are sorted, and the sweep keeps a count of open runs per
+/// category plus a bit mask of the open categories in priority order.
+/// Segments of categories that share a priority stay whole and also
+/// enter a heap ordered by slice position, which settles their ties.
 pub fn attribute(
     start: u64,
     end: u64,
@@ -229,43 +289,227 @@ pub fn attribute(
     if end <= start {
         return;
     }
-    if segments.is_empty() {
+    let mut covering = segments.iter().enumerate().filter_map(|(i, s)| {
+        let (a, b) = (s.start.max(start), s.end.min(end));
+        (a < b).then_some((a, b, i))
+    });
+    let Some((a, b, i)) = covering.next() else {
         ledger.charge(default, end - start);
         return;
+    };
+    if covering.next().is_none() {
+        // One segment in the window: it owns its span, `default` the rest.
+        ledger.charge(segments[i].cat, b - a);
+        ledger.charge(default, (end - start) - (b - a));
+        return;
     }
-    // Elementary-interval sweep over the cut points that fall inside
-    // the window. Segment counts per memory operation are small
-    // (single digits), so the quadratic probe is cheaper than sorting
-    // events.
-    let mut cuts: Vec<u64> = Vec::with_capacity(2 + segments.len() * 2);
-    cuts.push(start);
-    cuts.push(end);
-    for s in segments {
-        if s.end > start && s.start < end {
-            cuts.push(s.start.max(start));
-            cuts.push(s.end.min(end));
+    // `(start, end, segment index, category index)` of every segment
+    // that covers a cycle of the window, by start. Recorded segments
+    // arrive mostly in time order, which the pattern-defeating sort
+    // takes in near-linear time.
+    let mut clipped: Vec<(u64, u64, u32, u8)> = segments
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| {
+            let (a, b) = (s.start.max(start), s.end.min(end));
+            (a < b).then_some((a, b, i as u32, s.cat.index() as u8))
+        })
+        .collect();
+    clipped.sort_unstable_by_key(|&(a, _, _, _)| a);
+    // Only the union of a category's segments decides where it wins,
+    // unless it shares its priority and slice order breaks ties: merge
+    // each other category's overlapping segments into runs.
+    let mut runs: [Option<(u64, u64, u32)>; CycleCategory::COUNT] = [None; CycleCategory::COUNT];
+    let mut starts: Vec<(u64, u32, u8)> = Vec::with_capacity(clipped.len());
+    let mut ends: Vec<(u64, u32, u8)> = Vec::with_capacity(clipped.len());
+    for &(a, b, idx, c) in &clipped {
+        if SHARES_PRIORITY[c as usize] {
+            starts.push((a, idx, c));
+            ends.push((b, idx, c));
+            continue;
         }
-    }
-    cuts.sort_unstable();
-    cuts.dedup();
-    for pair in cuts.windows(2) {
-        let (a, b) = (pair[0], pair[1]);
-        let mut best: Option<CycleCategory> = None;
-        for s in segments {
-            if s.start <= a && s.end >= b {
-                best = Some(match best {
-                    Some(cur) if cur.priority() >= s.cat.priority() => cur,
-                    _ => s.cat,
-                });
+        match &mut runs[c as usize] {
+            Some((_, re, _)) if a <= *re => *re = (*re).max(b),
+            run => {
+                if let Some((rs, re, ri)) = run.replace((a, b, idx)) {
+                    starts.push((rs, ri, c));
+                    ends.push((re, ri, c));
+                }
             }
         }
-        ledger.charge(best.unwrap_or(default), b - a);
+    }
+    for (c, run) in runs.iter().enumerate() {
+        if let Some((rs, re, ri)) = *run {
+            starts.push((rs, ri, c as u8));
+            ends.push((re, ri, c as u8));
+        }
+    }
+    starts.sort_unstable_by_key(|&(pos, _, _)| pos);
+    ends.sort_unstable_by_key(|&(pos, _, _)| pos);
+    let mut open = [0u32; CycleCategory::COUNT];
+    // Bit `31 - RANK[c]` is set while a run or segment of `c` is open.
+    let mut mask = 0u32;
+    // Open segments of shared-priority categories, best first: highest
+    // priority, then earliest in the slice. Closed ones leave lazily.
+    let mut tied: BinaryHeap<(u8, Reverse<u32>, u64)> = BinaryHeap::new();
+    let (mut i, mut j) = (0, 0);
+    let mut at = start;
+    while at < end {
+        // Apply every boundary at `at`, then book up to the next one.
+        while let Some(&(_, _, c)) = ends.get(j).filter(|e| e.0 <= at) {
+            let c = c as usize;
+            open[c] -= 1;
+            if open[c] == 0 {
+                mask &= !(1 << (31 - RANK[c]));
+            }
+            j += 1;
+        }
+        while let Some(&(_, idx, c)) = starts.get(i).filter(|s| s.0 <= at) {
+            let c = c as usize;
+            open[c] += 1;
+            mask |= 1 << (31 - RANK[c]);
+            if SHARES_PRIORITY[c] {
+                let s = &segments[idx as usize];
+                tied.push((s.cat.priority(), Reverse(idx), s.end.min(end)));
+            }
+            i += 1;
+        }
+        let next_start = starts.get(i).map_or(end, |s| s.0);
+        let next = ends.get(j).map_or(end, |e| e.0).min(next_start);
+        let cat = if mask == 0 {
+            default
+        } else {
+            let best = BY_RANK[mask.leading_zeros() as usize];
+            if SHARES_PRIORITY[best.index()] {
+                while tied.peek().is_some_and(|&(_, _, s_end)| s_end <= at) {
+                    tied.pop();
+                }
+                let &(_, Reverse(idx), _) = tied.peek().expect("an open tied segment is queued");
+                segments[idx as usize].cat
+            } else {
+                best
+            }
+        };
+        ledger.charge(cat, next - at);
+        at = next;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The elementary-interval sweep `attribute` replaced: for every
+    /// interval between cut points, test every segment. O(n²), kept as
+    /// the model the production sweep is checked against.
+    fn attribute_model(
+        start: u64,
+        end: u64,
+        segments: &[Segment],
+        default: CycleCategory,
+        ledger: &mut CycleLedger,
+    ) {
+        if end <= start {
+            return;
+        }
+        if segments.is_empty() {
+            ledger.charge(default, end - start);
+            return;
+        }
+        let mut cuts: Vec<u64> = Vec::with_capacity(2 + segments.len() * 2);
+        cuts.push(start);
+        cuts.push(end);
+        for s in segments {
+            if s.end > start && s.start < end {
+                cuts.push(s.start.max(start));
+                cuts.push(s.end.min(end));
+            }
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        for pair in cuts.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            let mut best: Option<CycleCategory> = None;
+            for s in segments {
+                if s.start <= a && s.end >= b {
+                    best = Some(match best {
+                        Some(cur) if cur.priority() >= s.cat.priority() => cur,
+                        _ => s.cat,
+                    });
+                }
+            }
+            ledger.charge(best.unwrap_or(default), b - a);
+        }
+    }
+
+    /// Both sweeps over the same input.
+    fn both(start: u64, end: u64, segs: &[Segment]) -> (CycleLedger, CycleLedger) {
+        let (mut fast, mut model) = (CycleLedger::default(), CycleLedger::default());
+        attribute(start, end, segs, CycleCategory::Other, &mut fast);
+        attribute_model(start, end, segs, CycleCategory::Other, &mut model);
+        (fast, model)
+    }
+
+    fn seg(start: u64, end: u64, cat: CycleCategory) -> Segment {
+        Segment { start, end, cat }
+    }
+
+    #[test]
+    fn ties_go_to_the_earliest_segment() {
+        // CpuOp, PageFault and Recovery all share priority 10.
+        let segs = [
+            seg(0, 10, CycleCategory::PageFault),
+            seg(5, 20, CycleCategory::CpuOp),
+            seg(0, 30, CycleCategory::Recovery),
+        ];
+        let (fast, model) = both(0, 30, &segs);
+        assert_eq!(fast, model);
+        assert_eq!(fast.get(CycleCategory::PageFault), 10);
+        assert_eq!(fast.get(CycleCategory::CpuOp), 10);
+        assert_eq!(fast.get(CycleCategory::Recovery), 10);
+    }
+
+    #[test]
+    fn nested_touching_and_zero_length_segments() {
+        let segs = [
+            seg(0, 100, CycleCategory::BankService),
+            seg(10, 20, CycleCategory::Mac),
+            seg(20, 30, CycleCategory::Mac),
+            seg(25, 25, CycleCategory::BulkCopy),
+            seg(12, 14, CycleCategory::ImplicitCopy),
+            seg(200, 300, CycleCategory::BulkCopy),
+        ];
+        let (fast, model) = both(5, 120, &segs);
+        assert_eq!(fast, model);
+        assert_eq!(fast.total(), 115);
+        assert_eq!(fast.get(CycleCategory::BulkCopy), 0, "zero-length and outside books nothing");
+    }
+
+    /// A segment drawn near a small window so that nesting, touching,
+    /// zero-length, outside and tied cases all come up.
+    fn arb_segment() -> impl Strategy<Value = Segment> {
+        (0u64..48, 0u64..16, 0usize..CycleCategory::COUNT).prop_map(|(start, len, cat)| Segment {
+            start,
+            end: start + len,
+            cat: CycleCategory::ALL[cat],
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn prop_sweep_matches_the_quadratic_model(
+            segs in prop::collection::vec(arb_segment(), 0..24),
+            start in 0u64..40,
+            len in 0u64..40,
+        ) {
+            let (fast, model) = both(start, start + len, &segs);
+            prop_assert_eq!(fast, model);
+            prop_assert_eq!(fast.total(), len);
+        }
+    }
 
     #[test]
     fn category_table_is_consistent() {

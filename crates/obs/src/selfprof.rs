@@ -6,7 +6,7 @@
 //! bulk page copy, a metadata flush) so the timers never sit on the
 //! per-line hot path that the `micro_observe` gate protects.
 //!
-//! Like `NullProbe`, the profiler compiles away: with the `selfprof`
+//! The profiler compiles away: with the `selfprof`
 //! feature disabled (`--no-default-features`), [`scope`] is a
 //! `const`-foldable `None` and the registry does not exist. With the
 //! feature on (the default), the cost when not [`enable`]d is a single

@@ -39,7 +39,7 @@ pub struct SimConfig {
     /// Data-TLB geometry and walk cost.
     pub tlb: TlbConfig,
     /// What the observer records (epoch series, cycle ledger, tail
-    /// spans, heat grid); everything off by default.
+    /// spans, heat grid, events); everything off by default.
     pub observe: Observe,
 }
 
@@ -64,11 +64,16 @@ pub struct Observe {
     /// into a `TailRecorder` that keeps this many worst offenders.
     /// Per-span cycle breakdowns additionally need `ledger`.
     pub tail: Option<usize>,
-    /// Records the spatial heat grid (`System::heatmap`): per-4 KB-
-    /// region lanes for faults by action, CoW redirects, implicit
-    /// copies, counter fills/overflows, Merkle walk touches per tree
-    /// level, MAC writebacks and bank array accesses.
+    /// Records the spatial view: the heat grid (`System::heatmap`) of
+    /// per-4 KB-region lanes for faults by action, CoW redirects,
+    /// implicit copies, counter fills/overflows, Merkle walk touches
+    /// per tree level, MAC writebacks and bank array accesses, and the
+    /// per-region line footprints (`System::footprint`, Fig 10c/d).
     pub heat: bool,
+    /// Records the event view (`System::events`): every `Event` into a
+    /// ring keeping the most recent this many, plus exact per-kind
+    /// counts and the `HistogramSet`.
+    pub events: Option<usize>,
 }
 
 /// Worst-offender spans the tail recorder keeps unless told otherwise.
@@ -125,7 +130,14 @@ impl SimConfig {
         self
     }
 
-    /// Enables the spatial heat grid.
+    /// Enables the event view with a ring of the most recent
+    /// `capacity` events.
+    pub fn with_events(mut self, capacity: usize) -> Self {
+        self.observe.events = Some(capacity);
+        self
+    }
+
+    /// Enables the spatial view: heat grid and line footprints.
     pub fn with_heatmap(mut self) -> Self {
         self.observe.heat = true;
         self
@@ -179,6 +191,9 @@ impl SimConfig {
             return Err("the kernel reserves exactly one 2 MB zero page".into());
         }
         self.tlb.validate()?;
+        if self.observe.events == Some(0) {
+            return Err("the event ring needs capacity".into());
+        }
         Ok(())
     }
 }
@@ -238,12 +253,14 @@ mod tests {
     fn observer_builders_set_one_view_each() {
         let off = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
         assert_eq!(off.observe, Observe::default());
-        let on = off.clone().with_cycle_ledger().with_heatmap().with_epoch_interval(500);
+        let on =
+            off.clone().with_cycle_ledger().with_heatmap().with_epoch_interval(500).with_events(8);
         assert!(on.validate().is_ok());
         assert_eq!(
             on.observe,
-            Observe { epoch_interval: 500, ledger: true, tail: None, heat: true }
+            Observe { epoch_interval: 500, ledger: true, tail: None, heat: true, events: Some(8) }
         );
+        assert!(off.clone().with_events(0).validate().is_err(), "an empty ring is rejected");
         assert_eq!(
             off.with_tail_recorder().observe.tail,
             Some(DEFAULT_TAIL_TOP_K),

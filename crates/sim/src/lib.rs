@@ -62,11 +62,10 @@ pub use system::{Snapshot, System};
 pub use lelantus_trace::{Trace, TraceError, TraceHeader, TraceTotals};
 
 // Re-export the observability surface so downstream crates (workloads,
-// benches, the CLI) can name probes without depending on lelantus-obs
-// directly.
+// benches, the CLI) can read every view without depending on
+// lelantus-obs directly.
 pub use lelantus_obs::{
     chrome_trace, chrome_trace_with_spans, selfprof, CounterSeries, CycleCategory, CycleLedger,
-    Event, EventKind, FaultAction, FaultSpan, HdrHistogram, HeatGrid, HeatLane, HistKind,
-    HistogramSet, JsonlProbe, NullProbe, Probe, RingProbe, Span, TailRecorder, TailSummary,
-    TeeProbe,
+    Event, EventKind, EventLog, FaultAction, FaultSpan, FootprintTracker, HdrHistogram, HeatGrid,
+    HeatLane, HistKind, HistogramSet, JsonlSink, RegionFootprint, Span, TailRecorder, TailSummary,
 };

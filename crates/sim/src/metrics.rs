@@ -86,8 +86,7 @@ pub struct EpochSample {
     /// `Observe::ledger`; sums to `delta.cycles` when enabled).
     pub ledger: CycleLedger,
     /// Per-kind histogram deltas for the epoch (queue depth, fault
-    /// service cycles, ...). `None` unless the probe keeps histograms
-    /// (ring or JSONL) — `NullProbe` runs allocate none.
+    /// service cycles, ...). `None` unless `Observe::events` is on.
     pub hists: Option<HistogramSet>,
     /// Tail-latency percentile summary of the fault spans recorded in
     /// this epoch (all zero unless `Observe::tail`).

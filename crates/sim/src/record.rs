@@ -12,8 +12,9 @@
 //! call [`TraceRecorder::finish`] to seal the footer.
 //!
 //! The recorder is a shared handle (clones of a recording `System`
-//! write to the same sink, like `RingProbe`), so snapshot/restore
-//! while recording is unsupported: stop recording first.
+//! write to the same sink, like a JSONL event stream), so
+//! snapshot/restore while recording is unsupported: stop recording
+//! first.
 //!
 //! When recording is off the cost is one `Option` branch per call;
 //! I/O errors during recording are latched and reported by

@@ -20,7 +20,7 @@
 
 use crate::batch::{BatchOp, OpKind};
 use crate::system::System;
-use lelantus_obs::{HeatLane, Probe};
+use lelantus_obs::HeatLane;
 use lelantus_os::OsError;
 use lelantus_trace::reader::Record;
 use lelantus_trace::{Trace, TraceError, TraceOpKind};
@@ -203,8 +203,8 @@ impl fmt::Display for DivergenceReport {
 /// system's merged heat grid (empty lanes when the run was not built
 /// with `SimConfig::with_heatmap`). Nothing here runs during a
 /// successful replay, so the replay fast path is unperturbed.
-pub fn explain_divergence<P: Probe>(
-    sys: &mut System<P>,
+pub fn explain_divergence(
+    sys: &mut System,
     trace: &Trace,
     err: &ReplayError,
 ) -> Option<DivergenceReport> {
@@ -334,7 +334,7 @@ fn describe(rec: &Record<'_>, focus: Option<u64>) -> (String, bool) {
 /// # Errors
 ///
 /// See [`ReplayError`]; geometry is checked before any record runs.
-pub fn replay<P: Probe>(sys: &mut System<P>, trace: &Trace) -> Result<ReplayStats, ReplayError> {
+pub fn replay(sys: &mut System, trace: &Trace) -> Result<ReplayStats, ReplayError> {
     run(sys, trace, false)
 }
 
@@ -347,18 +347,11 @@ pub fn replay<P: Probe>(sys: &mut System<P>, trace: &Trace) -> Result<ReplayStat
 ///
 /// See [`ReplayError`]; additionally [`ReplayError::Divergence`] on
 /// the first root mismatch.
-pub fn replay_checked<P: Probe>(
-    sys: &mut System<P>,
-    trace: &Trace,
-) -> Result<ReplayStats, ReplayError> {
+pub fn replay_checked(sys: &mut System, trace: &Trace) -> Result<ReplayStats, ReplayError> {
     run(sys, trace, true)
 }
 
-fn run<P: Probe>(
-    sys: &mut System<P>,
-    trace: &Trace,
-    check_roots: bool,
-) -> Result<ReplayStats, ReplayError> {
+fn run(sys: &mut System, trace: &Trace, check_roots: bool) -> Result<ReplayStats, ReplayError> {
     let header = trace.header();
     let page_bytes = sys.config().page_size.bytes();
     if header.page_size.bytes() != page_bytes {

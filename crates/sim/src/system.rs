@@ -8,9 +8,9 @@ use crate::tlb::{Tlb, TlbEntry, TlbOutcome};
 use lelantus_cache::CacheHierarchy;
 use lelantus_core::SecureMemoryController;
 use lelantus_obs::{
-    attribute, selfprof, CycleCategory, CycleLedger, Event, EventKind, FaultAction, FaultSpan,
-    HdrHistogram, HeatGrid, HeatLane, HistKind, HistogramSet, LayerRecorder, NullProbe, Probe,
-    Segment, TailRecorder,
+    attribute, selfprof, CycleCategory, CycleLedger, Event, EventKind, EventLog, FaultAction,
+    FaultSpan, FootprintTracker, HdrHistogram, HeatGrid, HeatLane, HistKind, HistogramSet,
+    JsonlSink, LayerRecorder, TailRecorder,
 };
 use lelantus_os::kernel::{AccessKind, FaultKind, HwAction, Kernel, ProcessId};
 use lelantus_os::ksm::{merge_pass, KsmCandidate};
@@ -19,6 +19,9 @@ use lelantus_types::{Cycles, PageSize, PhysAddr, VirtAddr, LINE_BYTES, REGION_BY
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
+/// CPU cores, each with its own clock (paper Table III).
+const CORES: usize = 8;
+
 /// A complete simulated machine: kernel + caches + secure controller.
 ///
 /// All methods advance the machine's clock; [`System::metrics`] gives
@@ -26,21 +29,21 @@ use std::hash::{Hash, Hasher};
 /// final measurements so buffered writes reach the NVM array.
 ///
 /// The whole stack is plain owned data, so `Clone` captures the entire
-/// machine state — that is what [`System::snapshot`] builds on.
+/// machine state, the recorded views included — that is what
+/// [`System::snapshot`] builds on.
 #[derive(Debug, Clone)]
-pub struct System<P: Probe = NullProbe> {
+pub struct System {
     config: SimConfig,
     kernel: Kernel,
     caches: CacheHierarchy,
-    ctrl: SecureMemoryController<P>,
+    ctrl: SecureMemoryController,
     tlb: Tlb,
     /// Per-core clocks (paper Table III: 8 cores). Work issued on
     /// different cores overlaps in time; the shared memory system
     /// (bank/bus/queue state) arbitrates between them.
-    clocks: Vec<Cycles>,
+    clocks: [Cycles; CORES],
     /// Core issuing the next operations (see [`System::use_core`]).
     active: usize,
-    probe: P,
     /// Epoch sampler state: the totals of every view at the last epoch
     /// boundary (or crash), the next boundary cycle, and the collected
     /// time series.
@@ -53,9 +56,6 @@ pub struct System<P: Probe = NullProbe> {
     ledger: CycleLedger,
     /// Per-fault span recorder (`None` unless `Observe::tail`).
     tail: Option<TailRecorder>,
-    /// Reusable buffer for drained segments (avoids per-access
-    /// allocation on the ledger path).
-    seg_scratch: Vec<Segment>,
     /// Trace recorder (`None` unless [`System::record_into`] attached
     /// one). A shared handle: cloned systems append to the same sink.
     /// Off-cost is one branch per state-changing call.
@@ -99,47 +99,28 @@ impl ObsTotals {
 }
 
 impl System {
-    /// Boots an unobserved system from `config` (the [`NullProbe`]
-    /// path: event tracing compiles away entirely).
+    /// Boots a system from `config`, recording the views
+    /// `config.observe` turns on.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent.
     pub fn new(config: SimConfig) -> Self {
-        Self::with_probe(config, NullProbe)
-    }
-}
-
-impl<P: Probe> System<P> {
-    /// Boots a system whose stack reports events to `probe` (cloned
-    /// into the controller and NVM device so all layers share one
-    /// ordered event stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent.
-    pub fn with_probe(config: SimConfig, probe: P) -> Self {
         config.validate().expect("invalid sim config");
         let observe = config.observe;
-        let layers = LayerRecorder::new(observe.ledger, observe.heat);
+        let layers = LayerRecorder::new(observe.ledger, observe.heat, observe.events);
         let mut sys = Self {
             kernel: Kernel::new(config.kernel),
             caches: CacheHierarchy::new(config.caches),
-            ctrl: SecureMemoryController::with_probe(
-                config.controller.clone(),
-                probe.clone(),
-                layers,
-            ),
+            ctrl: SecureMemoryController::with_recorder(config.controller.clone(), layers),
             tlb: Tlb::new(config.tlb),
-            clocks: vec![Cycles::ZERO; 8],
+            clocks: [Cycles::ZERO; CORES],
             active: 0,
-            probe,
             epoch_base: ObsTotals::default(),
             epoch_next: observe.epoch_interval,
             epoch_samples: Vec::new(),
             ledger: CycleLedger::default(),
             tail: observe.tail.map(TailRecorder::new),
-            seg_scratch: Vec::new(),
             rec: None,
             config,
         };
@@ -168,6 +149,23 @@ impl<P: Probe> System<P> {
         self.rec.as_ref()
     }
 
+    /// Streams every later event to `sink` as one JSONL line, next to
+    /// the event ring. Like a [`TraceRecorder`], the sink is a shared
+    /// handle: snapshots and forks of this system append to the same
+    /// file.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the event view is on (see
+    /// [`SimConfig::with_events`]).
+    pub fn stream_events_into(&mut self, sink: JsonlSink) {
+        self.ctrl
+            .recorder_mut()
+            .events_mut()
+            .expect("streaming events needs the event view (SimConfig::with_events)")
+            .stream_into(sink);
+    }
+
     /// The per-fault tail recorder (`None` unless the system was built
     /// with [`SimConfig::with_tail_recorder`]).
     pub fn tail_recorder(&self) -> Option<&TailRecorder> {
@@ -182,9 +180,18 @@ impl<P: Probe> System<P> {
         self.ctrl.recorder().heat_grid().cloned()
     }
 
-    /// The probe this system reports to.
-    pub fn probe(&self) -> &P {
-        &self.probe
+    /// The per-region line footprints since the last
+    /// [`System::reset_footprint`] (Fig 10c/d), or `None` unless the
+    /// system was built with [`SimConfig::with_heatmap`].
+    pub fn footprint(&self) -> Option<&FootprintTracker> {
+        self.ctrl.recorder().footprint()
+    }
+
+    /// The events, per-kind counts and histograms recorded so far, or
+    /// `None` unless the system was built with
+    /// [`SimConfig::with_events`].
+    pub fn events(&self) -> Option<&EventLog> {
+        self.ctrl.recorder().events()
     }
 
     /// The epoch time series collected so far (empty unless
@@ -216,14 +223,12 @@ impl<P: Probe> System<P> {
 
     /// The running totals of every view that is on, with `metrics` as
     /// the metrics snapshot: the one capture both the epoch sampler and
-    /// crash recovery baseline against. Probe histograms are read only
-    /// from recording probes (the read compiles away under
-    /// `NullProbe`).
+    /// crash recovery baseline against.
     fn obs_totals(&self, metrics: SimMetrics) -> ObsTotals {
         ObsTotals {
             metrics,
             ledger: self.ledger,
-            hists: if P::ENABLED { self.probe.histogram_snapshot() } else { None },
+            hists: self.events().map(|log| log.histograms().clone()),
             tail: self.tail.as_ref().map(|t| t.histogram().clone()),
             heat: self.heatmap(),
         }
@@ -277,11 +282,7 @@ impl<P: Probe> System<P> {
     /// internal barriers ([`System::finish`]) that a replayed trace
     /// already implies.
     fn sync_cores_inner(&mut self) {
-        debug_assert!(!self.clocks.is_empty(), "a system always boots with cores");
-        let max = self.clocks.iter().copied().max().unwrap_or(Cycles::ZERO);
-        for c in &mut self.clocks {
-            *c = max;
-        }
+        self.clocks = [self.now(); CORES];
     }
 
     /// The system configuration.
@@ -291,8 +292,7 @@ impl<P: Probe> System<P> {
 
     /// Current simulated time: the furthest-ahead core.
     pub fn now(&self) -> Cycles {
-        debug_assert!(!self.clocks.is_empty(), "a system always boots with cores");
-        self.clocks.iter().copied().max().unwrap_or(Cycles::ZERO)
+        self.clocks.into_iter().fold(Cycles::ZERO, Cycles::max)
     }
 
     /// The cycle-attribution ledger. All zero unless the system was
@@ -320,7 +320,8 @@ impl<P: Probe> System<P> {
         }
         let before = self.now();
         self.clocks[self.active] += Cycles::new(cycles);
-        let after = self.now();
+        // Only the active clock moved, and only forward.
+        let after = before.max(self.clocks[self.active]);
         self.ledger.charge(cat, (after - before).as_u64());
     }
 
@@ -336,12 +337,10 @@ impl<P: Probe> System<P> {
         }
         let before = self.now();
         self.clocks[self.active] = self.clocks[self.active].max(done);
-        let after = self.now();
-        let mut segs = std::mem::take(&mut self.seg_scratch);
-        segs.clear();
-        self.ctrl.recorder_mut().drain_segments_into(&mut segs);
-        attribute(before.as_u64(), after.as_u64(), &segs, default, &mut self.ledger);
-        self.seg_scratch = segs;
+        let after = before.max(self.clocks[self.active]);
+        let segs = self.ctrl.recorder().segments();
+        attribute(before.as_u64(), after.as_u64(), segs, default, &mut self.ledger);
+        self.ctrl.recorder_mut().discard_segments();
     }
 
     /// Drops segments recorded by work whose time the system charges
@@ -358,7 +357,7 @@ impl<P: Probe> System<P> {
     }
 
     /// Controller handle (read-only).
-    pub fn controller(&self) -> &SecureMemoryController<P> {
+    pub fn controller(&self) -> &SecureMemoryController {
         &self.ctrl
     }
 
@@ -427,8 +426,8 @@ impl<P: Probe> System<P> {
         // Fork write-protects every anonymous PTE: full TLB shootdown.
         self.tlb.flush_all();
         self.execute_actions(&actions);
-        if P::ENABLED {
-            self.probe.emit(Event {
+        if let Some(log) = self.ctrl.recorder_mut().events_mut() {
+            log.emit(Event {
                 cycle: self.clocks[self.active],
                 kind: EventKind::Fork { parent, child },
             });
@@ -604,7 +603,7 @@ impl<P: Probe> System<P> {
             self.bump(CycleCategory::PageFault, self.config.fault_cost);
             self.tlb.invalidate_page(pid, va);
             self.execute_actions(&outcome.actions);
-            if P::ENABLED {
+            if let Some(log) = self.ctrl.recorder_mut().events_mut() {
                 let end = self.clocks[self.active];
                 let kind = match fault {
                     FaultKind::CowCopy { from_zero, .. } => {
@@ -617,8 +616,8 @@ impl<P: Probe> System<P> {
                         EventKind::ReuseFault { pid, va: va.as_u64(), early_reclaim: true }
                     }
                 };
-                self.probe.emit(Event { cycle: end, kind });
-                self.probe.record(HistKind::FaultServiceCycles, (end - fault_start).as_u64());
+                log.emit(Event { cycle: end, kind });
+                log.record(HistKind::FaultServiceCycles, (end - fault_start).as_u64());
             }
             if let Some(h) = self.ctrl.recorder_mut().heat_grid_mut() {
                 let action = classify_fault(fault, &outcome.actions);
@@ -1028,10 +1027,11 @@ impl<P: Probe> System<P> {
         Ok(report)
     }
 
-    /// Clears the controller's per-region access footprints so a
-    /// measured phase starts from a clean slate (Fig 10c/d).
+    /// Clears the per-region line footprints so a measured phase
+    /// starts from a clean slate (Fig 10c/d; a no-op unless the
+    /// heatmap is on).
     pub fn reset_footprint(&mut self) {
-        self.ctrl.reset_footprint();
+        self.ctrl.recorder_mut().reset_footprint();
         if let Some(rec) = &self.rec {
             rec.reset_footprint();
         }
@@ -1096,14 +1096,14 @@ impl<P: Probe> System<P> {
     /// unsupported: the recorder is a shared handle, so the snapshot
     /// and the live system would interleave records in one sink. Stop
     /// recording first.
-    pub fn snapshot(&self) -> Snapshot<P> {
+    pub fn snapshot(&self) -> Snapshot {
         Snapshot { state: self.clone() }
     }
 
     /// Rewinds this system to `snapshot`'s state. Equivalent to
     /// replacing it with [`Snapshot::fork`]; exists for callers that
     /// hold the `System` in place.
-    pub fn restore(&mut self, snapshot: &Snapshot<P>) {
+    pub fn restore(&mut self, snapshot: &Snapshot) {
         *self = snapshot.state.clone();
     }
 }
@@ -1133,9 +1133,9 @@ fn classify_fault(fault: &FaultKind, actions: &[HwAction]) -> FaultAction {
 
 /// A captured [`System`] state, forkable into independent runs.
 ///
-/// A snapshot of a `System<NullProbe>` is `Send + Sync`, so one warm
-/// snapshot can be shared by reference across worker threads, each
-/// forking its own private machine.
+/// A snapshot is `Send + Sync` with any view on, so one warm snapshot
+/// can be shared by reference across worker threads, each forking its
+/// own private machine.
 ///
 /// # Examples
 ///
@@ -1155,27 +1155,28 @@ fn classify_fault(fault: &FaultKind, actions: &[HwAction]) -> FaultAction {
 /// # Ok::<(), lelantus_os::OsError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct Snapshot<P: Probe = NullProbe> {
-    state: System<P>,
+pub struct Snapshot {
+    state: System,
 }
 
-impl<P: Probe> Snapshot<P> {
+impl Snapshot {
     /// A fresh, fully independent `System` starting from the captured
-    /// state. Forks share no mutable state with each other or the
-    /// snapshot (probes with shared interior state, e.g. `RingProbe`,
-    /// keep sharing their event sink by design).
-    pub fn fork(&self) -> System<P> {
+    /// state, recorded views included: each fork starts with the
+    /// snapshot's events, ledger, tail spans and heat and records its
+    /// own from then on. Only attached file sinks (a JSONL event
+    /// stream, a trace recorder) stay shared handles.
+    pub fn fork(&self) -> System {
         self.state.clone()
     }
 }
 
 // The sweep runners hand one snapshot to many worker threads; the
-// whole stack must stay free of interior mutability for that to be
-// sound. Compile-time proof:
+// whole stack, every view included, must stay free of thread-unsafe
+// interior mutability for that to be sound. Compile-time proof:
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<System<NullProbe>>();
-    assert_send_sync::<Snapshot<NullProbe>>();
+    assert_send_sync::<System>();
+    assert_send_sync::<Snapshot>();
 };
 
 #[cfg(test)]

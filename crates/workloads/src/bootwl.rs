@@ -10,7 +10,7 @@
 use crate::common::{rng, skewed_offset};
 use crate::{Workload, WorkloadRun};
 use lelantus_os::OsError;
-use lelantus_sim::{AccessBatch, Probe, System};
+use lelantus_sim::{AccessBatch, System};
 use lelantus_types::LINE_BYTES;
 use rand::Rng;
 
@@ -45,12 +45,12 @@ impl Boot {
     }
 }
 
-impl<P: Probe> Workload<P> for Boot {
+impl Workload for Boot {
     fn name(&self) -> &'static str {
         "boot"
     }
 
-    fn run(&self, sys: &mut System<P>) -> Result<WorkloadRun, OsError> {
+    fn run(&self, sys: &mut System) -> Result<WorkloadRun, OsError> {
         let mut r = rng(self.seed);
         let page_bytes = sys.config().page_size.bytes();
 

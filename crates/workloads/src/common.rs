@@ -2,7 +2,7 @@
 
 use lelantus_os::kernel::ProcessId;
 use lelantus_os::OsError;
-use lelantus_sim::{AccessBatch, Probe, System};
+use lelantus_sim::{AccessBatch, System};
 use lelantus_types::{PageSize, VirtAddr, LINE_BYTES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,8 +59,8 @@ pub fn push_update_spread(
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn update_spread<P: Probe>(
-    sys: &mut System<P>,
+pub fn update_spread(
+    sys: &mut System,
     pid: ProcessId,
     page_va: VirtAddr,
     page_size: PageSize,
@@ -78,8 +78,8 @@ pub fn update_spread<P: Probe>(
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn update_spread_with<P: Probe>(
-    sys: &mut System<P>,
+pub fn update_spread_with(
+    sys: &mut System,
     batch: &mut AccessBatch,
     pid: ProcessId,
     page_va: VirtAddr,
@@ -99,8 +99,8 @@ pub fn update_spread_with<P: Probe>(
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn init_all_lines<P: Probe>(
-    sys: &mut System<P>,
+pub fn init_all_lines(
+    sys: &mut System,
     pid: ProcessId,
     va: VirtAddr,
     len: u64,
@@ -116,8 +116,8 @@ pub fn init_all_lines<P: Probe>(
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn init_all_lines_with<P: Probe>(
-    sys: &mut System<P>,
+pub fn init_all_lines_with(
+    sys: &mut System,
     batch: &mut AccessBatch,
     pid: ProcessId,
     va: VirtAddr,

@@ -8,7 +8,7 @@
 use crate::common::{rng, skewed_offset};
 use crate::{Workload, WorkloadRun};
 use lelantus_os::OsError;
-use lelantus_sim::{AccessBatch, Probe, System};
+use lelantus_sim::{AccessBatch, System};
 use lelantus_types::LINE_BYTES;
 use rand::Rng;
 
@@ -40,12 +40,12 @@ impl Compile {
     }
 }
 
-impl<P: Probe> Workload<P> for Compile {
+impl Workload for Compile {
     fn name(&self) -> &'static str {
         "compile"
     }
 
-    fn run(&self, sys: &mut System<P>) -> Result<WorkloadRun, OsError> {
+    fn run(&self, sys: &mut System) -> Result<WorkloadRun, OsError> {
         let mut r = rng(self.seed);
 
         // Setup: the driver process with its own image.

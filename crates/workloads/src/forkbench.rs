@@ -11,7 +11,7 @@ use crate::common::push_update_spread;
 use crate::{Workload, WorkloadRun};
 use lelantus_os::kernel::ProcessId;
 use lelantus_os::OsError;
-use lelantus_sim::{AccessBatch, Probe, System};
+use lelantus_sim::{AccessBatch, System};
 use lelantus_types::VirtAddr;
 
 /// Forkbench parameters.
@@ -51,7 +51,7 @@ impl Forkbench {
     /// # Errors
     ///
     /// Propagates simulator errors.
-    pub fn setup<P: Probe>(&self, sys: &mut System<P>) -> Result<ForkbenchState, OsError> {
+    pub fn setup(&self, sys: &mut System) -> Result<ForkbenchState, OsError> {
         let page_size = sys.config().page_size;
         let page_bytes = page_size.bytes();
         let pages = self.total_bytes / page_bytes;
@@ -73,9 +73,9 @@ impl Forkbench {
     /// # Errors
     ///
     /// Propagates simulator errors.
-    pub fn measure<P: Probe>(
+    pub fn measure(
         &self,
-        sys: &mut System<P>,
+        sys: &mut System,
         state: &ForkbenchState,
     ) -> Result<WorkloadRun, OsError> {
         let page_size = sys.config().page_size;
@@ -117,12 +117,12 @@ pub struct ForkbenchState {
     pub va: VirtAddr,
 }
 
-impl<P: Probe> Workload<P> for Forkbench {
+impl Workload for Forkbench {
     fn name(&self) -> &'static str {
         "forkbench"
     }
 
-    fn run(&self, sys: &mut System<P>) -> Result<WorkloadRun, OsError> {
+    fn run(&self, sys: &mut System) -> Result<WorkloadRun, OsError> {
         // Setup (fast-forwarded in the paper), then the measured
         // child update pass.
         let state = self.setup(sys)?;

@@ -13,7 +13,7 @@
 
 use crate::{Workload, WorkloadRun};
 use lelantus_os::OsError;
-use lelantus_sim::{Probe, System};
+use lelantus_sim::System;
 use lelantus_types::LINE_BYTES;
 
 /// Hotspot stress parameters.
@@ -40,12 +40,12 @@ impl Hotspot {
     }
 }
 
-impl<P: Probe> Workload<P> for Hotspot {
+impl Workload for Hotspot {
     fn name(&self) -> &'static str {
         "hotspot"
     }
 
-    fn run(&self, sys: &mut System<P>) -> Result<WorkloadRun, OsError> {
+    fn run(&self, sys: &mut System) -> Result<WorkloadRun, OsError> {
         let page_bytes = sys.config().page_size.bytes();
         let lines = sys.config().page_size.lines() as u64;
 

@@ -39,7 +39,7 @@ pub mod shellwl;
 pub mod stormwl;
 
 use lelantus_os::OsError;
-use lelantus_sim::{NullProbe, Probe, SimMetrics, System};
+use lelantus_sim::{SimMetrics, System};
 
 /// Result of one measured workload phase.
 #[derive(Debug, Clone, Default)]
@@ -51,13 +51,9 @@ pub struct WorkloadRun {
     pub logical_line_writes: u64,
 }
 
-/// A benchmark that drives a [`System`].
-///
-/// Generic over the system's [`Probe`] (defaulting to [`NullProbe`])
-/// so the same workload can drive both untraced and traced runs;
-/// `Box<dyn Workload>` still means the untraced `dyn
-/// Workload<NullProbe>`.
-pub trait Workload<P: Probe = NullProbe> {
+/// A benchmark that drives a [`System`], whichever views its
+/// configuration turns on.
+pub trait Workload {
     /// Display name (matches the paper's Table IV).
     fn name(&self) -> &'static str;
 
@@ -67,7 +63,7 @@ pub trait Workload<P: Probe = NullProbe> {
     /// # Errors
     ///
     /// Propagates simulator/kernel errors.
-    fn run(&self, sys: &mut System<P>) -> Result<WorkloadRun, OsError>;
+    fn run(&self, sys: &mut System) -> Result<WorkloadRun, OsError>;
 }
 
 /// All six paper workloads at benchmark scale, boxed for iteration

@@ -9,7 +9,7 @@
 use crate::common::{rng, skewed_offset};
 use crate::{Workload, WorkloadRun};
 use lelantus_os::OsError;
-use lelantus_sim::{AccessBatch, Probe, System};
+use lelantus_sim::{AccessBatch, System};
 use lelantus_types::LINE_BYTES;
 
 /// Ops accumulated per `run_batch` call (bounds batch memory while
@@ -56,12 +56,12 @@ impl Mariadb {
     }
 }
 
-impl<P: Probe> Workload<P> for Mariadb {
+impl Workload for Mariadb {
     fn name(&self) -> &'static str {
         "mariadb"
     }
 
-    fn run(&self, sys: &mut System<P>) -> Result<WorkloadRun, OsError> {
+    fn run(&self, sys: &mut System) -> Result<WorkloadRun, OsError> {
         let mut r = rng(self.seed);
         let row_bytes = 128u64; // two cachelines per employee row
 

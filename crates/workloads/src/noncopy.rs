@@ -9,7 +9,7 @@
 use crate::common::push_update_spread;
 use crate::{Workload, WorkloadRun};
 use lelantus_os::OsError;
-use lelantus_sim::{AccessBatch, Probe, System};
+use lelantus_sim::{AccessBatch, System};
 
 /// Non-copy probe parameters.
 #[derive(Debug, Clone, Copy)]
@@ -31,12 +31,12 @@ impl NonCopy {
     }
 }
 
-impl<P: Probe> Workload<P> for NonCopy {
+impl Workload for NonCopy {
     fn name(&self) -> &'static str {
         "non-copy"
     }
 
-    fn run(&self, sys: &mut System<P>) -> Result<WorkloadRun, OsError> {
+    fn run(&self, sys: &mut System) -> Result<WorkloadRun, OsError> {
         let page_size = sys.config().page_size;
         let page_bytes = page_size.bytes();
         let pages = self.total_bytes / page_bytes;

@@ -17,7 +17,7 @@
 use crate::common::rng;
 use crate::{Workload, WorkloadRun};
 use lelantus_os::OsError;
-use lelantus_sim::{AccessBatch, Probe, System};
+use lelantus_sim::{AccessBatch, System};
 use lelantus_types::LINE_BYTES;
 use rand::Rng;
 
@@ -51,12 +51,12 @@ impl Redis {
     }
 }
 
-impl<P: Probe> Workload<P> for Redis {
+impl Workload for Redis {
     fn name(&self) -> &'static str {
         "redis"
     }
 
-    fn run(&self, sys: &mut System<P>) -> Result<WorkloadRun, OsError> {
+    fn run(&self, sys: &mut System) -> Result<WorkloadRun, OsError> {
         let mut r = rng(self.seed);
         let dataset_bytes = self.pairs * self.value_bytes as u64;
 

@@ -11,7 +11,7 @@
 use crate::common::{rng, skewed_offset};
 use crate::{Workload, WorkloadRun};
 use lelantus_os::OsError;
-use lelantus_sim::{AccessBatch, Probe, System};
+use lelantus_sim::{AccessBatch, System};
 use lelantus_types::LINE_BYTES;
 use rand::Rng;
 
@@ -41,12 +41,12 @@ impl Shell {
     }
 }
 
-impl<P: Probe> Workload<P> for Shell {
+impl Workload for Shell {
     fn name(&self) -> &'static str {
         "shell"
     }
 
-    fn run(&self, sys: &mut System<P>) -> Result<WorkloadRun, OsError> {
+    fn run(&self, sys: &mut System) -> Result<WorkloadRun, OsError> {
         let mut r = rng(self.seed);
         let page_bytes = sys.config().page_size.bytes();
 

@@ -22,7 +22,7 @@ use crate::common::push_update_spread;
 use crate::{Workload, WorkloadRun};
 use lelantus_os::kernel::ProcessId;
 use lelantus_os::OsError;
-use lelantus_sim::{AccessBatch, Probe, System};
+use lelantus_sim::{AccessBatch, System};
 use lelantus_types::VirtAddr;
 
 /// Fork-storm parameters.
@@ -107,7 +107,7 @@ impl Storm {
     /// # Errors
     ///
     /// Propagates simulator errors.
-    pub fn setup<P: Probe>(&self, sys: &mut System<P>) -> Result<StormState, OsError> {
+    pub fn setup(&self, sys: &mut System) -> Result<StormState, OsError> {
         let page_bytes = sys.config().page_size.bytes();
         let pages = self.region_bytes / page_bytes;
         let common = self.common_pages.min(pages);
@@ -139,11 +139,7 @@ impl Storm {
     /// # Errors
     ///
     /// Propagates simulator errors.
-    pub fn measure<P: Probe>(
-        &self,
-        sys: &mut System<P>,
-        state: &StormState,
-    ) -> Result<WorkloadRun, OsError> {
+    pub fn measure(&self, sys: &mut System, state: &StormState) -> Result<WorkloadRun, OsError> {
         let page_size = sys.config().page_size;
         let page_bytes = page_size.bytes();
         let pages = self.region_bytes / page_bytes;
@@ -214,12 +210,12 @@ pub struct StormState {
     pub roots: Vec<(ProcessId, VirtAddr)>,
 }
 
-impl<P: Probe> Workload<P> for Storm {
+impl Workload for Storm {
     fn name(&self) -> &'static str {
         "storm"
     }
 
-    fn run(&self, sys: &mut System<P>) -> Result<WorkloadRun, OsError> {
+    fn run(&self, sys: &mut System) -> Result<WorkloadRun, OsError> {
         let state = self.setup(sys)?;
         self.measure(sys, &state)
     }

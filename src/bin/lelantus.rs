@@ -27,9 +27,8 @@ use lelantus::os::CowStrategy;
 use lelantus::sim::{
     chrome_trace, chrome_trace_with_spans, explain_divergence, replay, selfprof, CounterSeries,
     CycleCategory, CycleLedger, EpochSample, EventKind, FaultAction, HdrHistogram, HeatGrid,
-    HeatLane, HistKind, JsonlProbe, NullProbe, Probe, ReplayError, ReplayStats, RingProbe,
-    SimConfig, SimMetrics, Span, System, TailRecorder, TailSummary, TeeProbe, Trace, TraceError,
-    TraceHeader, TraceRecorder,
+    HeatLane, HistKind, JsonlSink, ReplayError, ReplayStats, SimConfig, SimMetrics, Span, System,
+    TailRecorder, TailSummary, Trace, TraceError, TraceHeader, TraceRecorder,
 };
 use lelantus::types::PageSize;
 use lelantus::workloads::{
@@ -165,7 +164,7 @@ fn pages_of(name: &str) -> Option<PageSize> {
     }
 }
 
-fn workload_of<P: Probe>(name: &str, scale: &str) -> Option<Box<dyn Workload<P>>> {
+fn workload_of(name: &str, scale: &str) -> Option<Box<dyn Workload>> {
     let small = scale == "small";
     let paper = scale == "paper";
     Some(match name {
@@ -440,7 +439,7 @@ fn record_cmd(args: &[String]) -> ExitCode {
         return usage();
     };
     let scale = flags.get("scale").map(String::as_str).unwrap_or("medium");
-    let Some(workload) = workload_of::<NullProbe>(&wl_name, scale) else {
+    let Some(workload) = workload_of(&wl_name, scale) else {
         eprintln!("error: unknown workload `{wl_name}`");
         return usage();
     };
@@ -569,11 +568,6 @@ fn json_metrics(m: &SimMetrics) -> String {
     )
 }
 
-/// The `report` subcommand's probe: a bounded ring for the in-process
-/// summary teed with an optional streaming JSONL file. One
-/// monomorphization covers both `--events` and not.
-type ReportProbe = TeeProbe<RingProbe, Option<JsonlProbe>>;
-
 fn hist_json(h: &HdrHistogram) -> String {
     format!(
         "{{\"count\":{},\"mean\":{:.3},\"max\":{},\"p50\":{},\"p99\":{}}}",
@@ -585,8 +579,8 @@ fn hist_json(h: &HdrHistogram) -> String {
     )
 }
 
-/// An epoch's write-queue depth `(p99, max)`; zeros when the probe
-/// kept no histograms.
+/// An epoch's write-queue depth `(p99, max)`; zeros when the epoch
+/// carries no histograms.
 fn queue_depth(e: &EpochSample) -> (u64, u64) {
     e.hists.as_ref().map_or((0, 0), |h| {
         let q = h.get(HistKind::WriteQueueDepth);
@@ -855,14 +849,14 @@ fn report(flags: &HashMap<String, String>) -> ExitCode {
     // recorded trace; geometry then comes from the trace header.
     let replay_src: Option<(String, Trace)> =
         flags.get("replay").map(|p| (p.clone(), open_trace_or_exit(p)));
-    let workload: Option<Box<dyn Workload<ReportProbe>>> = if replay_src.is_some() {
+    let workload: Option<Box<dyn Workload>> = if replay_src.is_some() {
         None
     } else {
         let Some(wl_name) = flags.get("workload") else {
             eprintln!("error: --workload is required (or --replay <file.ltr>)");
             return usage();
         };
-        let Some(w) = workload_of::<ReportProbe>(wl_name, scale) else {
+        let Some(w) = workload_of(wl_name, scale) else {
             eprintln!("error: unknown workload `{wl_name}`");
             return usage();
         };
@@ -898,7 +892,7 @@ fn report(flags: &HashMap<String, String>) -> ExitCode {
         }
     };
     let jsonl = match flags.get("events") {
-        Some(path) => match JsonlProbe::create(path) {
+        Some(path) => match JsonlSink::create(path) {
             Ok(p) => Some(p),
             Err(e) => {
                 eprintln!("error: cannot create {path}: {e}");
@@ -911,9 +905,9 @@ fn report(flags: &HashMap<String, String>) -> ExitCode {
     let tail_enabled = flags.contains_key("tail");
     let heatmap_enabled = flags.contains_key("heatmap");
 
-    let ring = RingProbe::new(ring_cap);
-    let probe = TeeProbe::new(ring.clone(), jsonl.clone());
-    let mut cfg = SimConfig::new(strategy, pages).with_epoch_interval(epoch);
+    // The event view: a bounded ring for the in-process summary, plus
+    // every event streamed to the JSONL file when `--events` is set.
+    let mut cfg = SimConfig::new(strategy, pages).with_epoch_interval(epoch).with_events(ring_cap);
     if let Some((_, t)) = &replay_src {
         cfg = cfg.with_phys_bytes(t.header().phys_bytes);
     }
@@ -925,7 +919,10 @@ fn report(flags: &HashMap<String, String>) -> ExitCode {
     if heatmap_enabled {
         cfg = cfg.with_heatmap();
     }
-    let mut sys = System::with_probe(cfg, probe);
+    let mut sys = System::new(cfg);
+    if let Some(sink) = &jsonl {
+        sys.stream_events_into(sink.clone());
+    }
     let wl_name = workload.as_ref().map(|w| w.name()).unwrap_or("replay");
     let (run, replay_stats) = match (&workload, &replay_src) {
         (Some(w), _) => {
@@ -957,6 +954,7 @@ fn report(flags: &HashMap<String, String>) -> ExitCode {
     let full = sys.metrics();
     let tail = sys.tail_recorder().cloned();
     let heat = sys.heatmap();
+    let ring = sys.events().expect("report runs with the event view on");
     let counts = ring.counts();
     let hists = ring.histograms();
     let epochs = sys.epochs().to_vec();
@@ -1144,7 +1142,7 @@ fn profile(flags: &HashMap<String, String>) -> ExitCode {
         eprintln!("error: --workload is required");
         return usage();
     };
-    let Some(workload) = workload_of::<NullProbe>(wl_name, scale) else {
+    let Some(workload) = workload_of(wl_name, scale) else {
         eprintln!("error: unknown workload `{wl_name}`");
         return usage();
     };
@@ -1433,8 +1431,7 @@ fn tail_sweep(flags: &HashMap<String, String>) -> ExitCode {
     for &wl_name in PAPER_WORKLOADS {
         let mut scheme_rows: Vec<String> = Vec::new();
         for strategy in CowStrategy::all() {
-            let workload = workload_of::<NullProbe>(wl_name, scale)
-                .expect("paper workload names are all known");
+            let workload = workload_of(wl_name, scale).expect("paper workload names are all known");
             // Recorder only — no cycle ledger — so the sweep stays
             // close to the untraced fast path.
             let cfg = SimConfig::new(strategy, pages).with_tail_recorder().with_tail_top_k(top_k);
@@ -1671,7 +1668,7 @@ fn heatmap_sweep(flags: &HashMap<String, String>) -> ExitCode {
             // the sweep wants its spatial *shape* (many small tenant
             // regions), not the full million-page scale.
             let storm = Storm::small();
-            let workload: Box<dyn Workload<NullProbe>> = if wl_name == "storm" {
+            let workload: Box<dyn Workload> = if wl_name == "storm" {
                 Box::new(storm)
             } else {
                 workload_of(wl_name, scale).expect("spatial workload names are all known")
@@ -1788,7 +1785,7 @@ fn parse_ext_line(line: &str) -> Result<Option<ExtOp>, String> {
 /// first foreign pid maps onto `spawn_init`, the rest are forked
 /// from it so the trace exercises the CoW machinery.
 fn convert_ops(
-    sys: &mut System<NullProbe>,
+    sys: &mut System,
     ext_ops: &[ExtOp],
     arena_bytes: u64,
     procs: &mut HashMap<u64, (u64, u64)>,

@@ -8,7 +8,7 @@
 //! the batched and per-line drivers agreed on it. `System::snapshot`/
 //! `Snapshot::fork` clone the whole stack so sweeps fork their measured
 //! phase from one shared warm-up instead of replaying it. This suite
-//! holds both to the behaviour they replace: same metrics, same probe
+//! holds both to the behaviour they replace: same metrics, same
 //! event stream, same Merkle root, bit for bit — and checks the epoch
 //! sampler survives snapshot/restore without double-counting an
 //! interval.
@@ -17,7 +17,7 @@ mod golden;
 
 use golden::{assert_workload_rows, huge_forkbench, HUGE_PAGES, PAPER_SUITE};
 use lelantus::os::CowStrategy;
-use lelantus::sim::{Event, EventKind, RingProbe, SimConfig, SimMetrics, System};
+use lelantus::sim::{Event, EventKind, SimConfig, SimMetrics, System};
 use lelantus::types::PageSize;
 use lelantus::workloads::forkbench::Forkbench;
 use lelantus::workloads::rediswl::Redis;
@@ -80,27 +80,30 @@ fn batched_rediswl_is_bit_identical_to_reference() {
 #[test]
 fn snapshot_fork_measures_identically_to_a_fresh_replay() {
     let wl = Forkbench { total_bytes: 1 << 20, bytes_per_page: Some(1) };
-    let config =
-        || SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K).with_phys_bytes(64 << 20);
+    let config = || {
+        SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K)
+            .with_phys_bytes(64 << 20)
+            .with_events(1 << 16)
+    };
 
     // Fresh replay: setup and measure on one system.
-    let probe = RingProbe::new(1 << 16);
-    let mut fresh = System::with_probe(config(), probe.clone());
+    let mut fresh = System::new(config());
     let fresh_run = wl.run(&mut fresh).unwrap();
-    let fresh_obs: Observation =
-        (fresh.finish(), probe.counts(), probe.events(), fresh.merkle_root());
+    let end = fresh.finish();
+    let probe = fresh.events().unwrap();
+    let fresh_obs: Observation = (end, probe.counts(), probe.events(), fresh.merkle_root());
 
     // Snapshot fork: setup once, fork the measured phase. The fork
-    // shares the warm system's ring, so the combined stream must equal
-    // the sequential run's.
-    let probe = RingProbe::new(1 << 16);
-    let mut warm = System::with_probe(config(), probe.clone());
+    // carries the warm system's events from the snapshot on, so its
+    // own stream must equal the sequential run's.
+    let mut warm = System::new(config());
     let state = wl.setup(&mut warm).unwrap();
     let snapshot = warm.snapshot();
     let mut forked = snapshot.fork();
     let forked_run = wl.measure(&mut forked, &state).unwrap();
-    let forked_obs: Observation =
-        (forked.finish(), probe.counts(), probe.events(), forked.merkle_root());
+    let end = forked.finish();
+    let probe = forked.events().unwrap();
+    let forked_obs: Observation = (end, probe.counts(), probe.events(), forked.merkle_root());
 
     assert_eq!(fresh_run.measured, forked_run.measured, "measured window diverged");
     assert_eq!(fresh_run.logical_line_writes, forked_run.logical_line_writes);

@@ -5,7 +5,7 @@
 use lelantus::core::controller::RecoveryReport;
 use lelantus::core::{ControllerConfig, SchemeKind, SecureMemoryController};
 use lelantus::os::CowStrategy;
-use lelantus::sim::{RingProbe, SimConfig, System};
+use lelantus::sim::{SimConfig, System};
 use lelantus::types::{Cycles, PageSize, PhysAddr};
 use lelantus::workloads::{forkbench::Forkbench, Workload};
 
@@ -140,8 +140,10 @@ fn snapshot_survives_crash_end_to_end() {
 #[test]
 fn epoch_sampling_and_recovery_survive_deferred_maintenance() {
     for strategy in CowStrategy::all() {
-        let config = SimConfig::new(strategy, PageSize::Regular4K).with_epoch_interval(200_000);
-        let mut sys = System::with_probe(config, RingProbe::new(1 << 16));
+        let config = SimConfig::new(strategy, PageSize::Regular4K)
+            .with_epoch_interval(200_000)
+            .with_events(1 << 16);
+        let mut sys = System::new(config);
         Forkbench::small().run(&mut sys).expect("workload runs");
         let report = sys.crash_and_recover().expect("recovery verifies the rebuilt tree");
         assert!(report.regions_verified > 0, "{strategy}");

@@ -21,25 +21,22 @@
 //!
 //! A row pins the final `cycles` and `nvm.line_writes` in plain text,
 //! plus a 64-bit FNV-1a digest of the `{:?}` rendering of everything
-//! observable: measured and final `SimMetrics`, exact probe event
+//! observable: measured and final `SimMetrics`, exact per-kind event
 //! counts, the retained event stream and the Merkle root. On a
 //! mismatch the test prints every fresh row in pin syntax.
 
 // Each test file uses only part of this module.
 #![allow(dead_code)]
 
-use lelantus::sim::{RingProbe, SimConfig, SimMetrics, System};
-use lelantus::workloads::{
-    bootwl::Boot, compilewl::Compile, forkbench::Forkbench, mariadbwl::Mariadb, rediswl::Redis,
-    shellwl::Shell, Workload,
-};
+use lelantus::sim::{SimConfig, SimMetrics, System};
+use lelantus::workloads::{forkbench::Forkbench, Workload};
 use std::fmt::Write as _;
 
 /// `(row, final cycles, final nvm.line_writes, digest)`.
 pub type Pin = (&'static str, u64, u64, u64);
 
 /// `(row name, workload, config)`: one row to run and check.
-pub type WorkloadRow<'a> = (String, &'a dyn Workload<RingProbe>, SimConfig);
+pub type WorkloadRow<'a> = (String, &'a dyn Workload, SimConfig);
 
 pub struct Digest(pub u64);
 
@@ -69,12 +66,12 @@ pub fn metrics_row(end: &SimMetrics, d: Digest) -> Row {
     Row { cycles: end.cycles.as_u64(), line_writes: end.nvm.line_writes, digest: d.0 }
 }
 
-fn workload_row(wl: &dyn Workload<RingProbe>, config: SimConfig) -> Row {
-    let probe = RingProbe::new(1 << 20);
-    let mut sys = System::with_probe(config, probe.clone());
+fn workload_row(wl: &dyn Workload, config: SimConfig) -> Row {
+    let mut sys = System::new(config.with_events(1 << 20));
     let run = wl.run(&mut sys).expect("workload runs");
     let end = sys.finish();
     let root = sys.merkle_root();
+    let probe = sys.events().expect("the event view is on");
     let mut d = Digest::new();
     write!(d, "{:?}|{:?}|{:?}|{root:#x}", run.measured, end, probe.counts()).unwrap();
     for event in probe.events() {
@@ -123,17 +120,6 @@ pub fn pin_rows(pins: &[Pin]) -> Vec<String> {
 
 pub fn pin_syntax(name: &str, row: &Row) -> String {
     format!("({name:?}, {}, {}, {:#018x})", row.cycles, row.line_writes, row.digest)
-}
-
-pub fn small_suite() -> Vec<Box<dyn Workload<RingProbe>>> {
-    vec![
-        Box::new(Boot::small()),
-        Box::new(Compile::small()),
-        Box::new(Forkbench::small()),
-        Box::new(Redis::small()),
-        Box::new(Mariadb::small()),
-        Box::new(Shell::small()),
-    ]
 }
 
 /// The 2 MB-page forkbench of the huge-page rows.

@@ -2,9 +2,9 @@
 //!
 //! The heat grid earns its keep with three properties:
 //!
-//! 1. **Zero perturbation** — enabling the heatmap changes no
-//!    simulated number, no probe event, and no memory contents, on
-//!    every workload, scheme and access engine.
+//! 1. **Zero perturbation** — enabling the heatmap (heat grid and line
+//!    footprints) changes no simulated number, no event, and no memory
+//!    contents, on every workload, scheme and access engine.
 //! 2. **Exact reconciliation** — every lane total equals the aggregate
 //!    counter it shadows (the table in `HeatLane`'s docs); a spatial
 //!    breakdown that drifts from the stats it decomposes is worse than
@@ -20,8 +20,8 @@
 
 use lelantus::os::CowStrategy;
 use lelantus::sim::{
-    explain_divergence, replay, EventKind, HeatGrid, HeatLane, ReplayError, RingProbe, SimConfig,
-    SimMetrics, System, Trace, TraceHeader,
+    explain_divergence, replay, EventKind, HeatGrid, HeatLane, ReplayError, SimConfig, SimMetrics,
+    System, Trace, TraceHeader,
 };
 use lelantus::trace::TraceWriter;
 use lelantus::types::PageSize;
@@ -37,7 +37,7 @@ fn config(strategy: CowStrategy) -> SimConfig {
 
 /// The deterministic scenario from `tests/observability.rs`: demand
 /// zero, fork, CoW faults, redirected reads, reuse faults, flush.
-fn drive<P: lelantus::sim::Probe>(sys: &mut System<P>) -> SimMetrics {
+fn drive(sys: &mut System) -> SimMetrics {
     let init = sys.spawn_init();
     let va = sys.mmap(init, PAGES * PAGE).unwrap();
     for i in 0..PAGES {
@@ -58,8 +58,32 @@ fn drive<P: lelantus::sim::Probe>(sys: &mut System<P>) -> SimMetrics {
     sys.finish()
 }
 
-fn big_ring() -> RingProbe {
-    RingProbe::new(1 << 20)
+/// The Fig 10c/d measured phase: fork, flush, reset the footprints,
+/// write every other line of each page in the child, flush, and read
+/// the footprints back (when the heatmap records them).
+fn drive_footprint(sys: &mut System) -> SimMetrics {
+    let init = sys.spawn_init();
+    let va = sys.mmap(init, PAGES * PAGE).unwrap();
+    sys.write_pattern(init, va, (PAGES * PAGE) as usize, 0xA5).unwrap();
+    let child = sys.fork(init).unwrap();
+    sys.finish();
+    sys.reset_footprint();
+    for page in 0..PAGES {
+        for line in (0..64u64).step_by(2) {
+            sys.write_bytes(child, va + page * PAGE + line * 64, &[0x5A]).unwrap();
+        }
+    }
+    let m = sys.finish();
+    if let Some(fp) = sys.footprint() {
+        let written: u32 = fp.iter().map(|(_, f)| f.lines_written()).sum();
+        assert!(written >= (PAGES * 32) as u32, "every written line is in a footprint");
+    }
+    m
+}
+
+/// `cfg` with the event view on and a ring that never wraps.
+fn big_ring(cfg: SimConfig) -> SimConfig {
+    cfg.with_events(1 << 20)
 }
 
 /// Cell-wise equality regardless of lane vector lengths (trailing
@@ -82,16 +106,19 @@ fn heatmap_is_off_by_default() {
 }
 
 /// Zero perturbation at event granularity: same metrics, same event
-/// stream, same Merkle root, heat on vs off, for every scheme.
+/// stream, same Merkle root, heat on vs off, for every scheme, on the
+/// common scenario and on one that resets and reads the footprints.
 #[test]
 fn heatmap_runs_are_bit_identical_to_off_runs() {
-    for strategy in CowStrategy::all() {
-        let ring_off = big_ring();
-        let mut off = System::with_probe(config(strategy), ring_off.clone());
-        let m_off = drive(&mut off);
-        let ring_on = big_ring();
-        let mut on = System::with_probe(config(strategy).with_heatmap(), ring_on.clone());
-        let m_on = drive(&mut on);
+    let scenarios: [fn(&mut System) -> SimMetrics; 2] = [drive, drive_footprint];
+    for (strategy, scenario) in
+        CowStrategy::all().into_iter().flat_map(|s| scenarios.map(|f| (s, f)))
+    {
+        let mut off = System::new(big_ring(config(strategy)));
+        let m_off = scenario(&mut off);
+        let mut on = System::new(big_ring(config(strategy).with_heatmap()));
+        let m_on = scenario(&mut on);
+        let (ring_off, ring_on) = (off.events().unwrap(), on.events().unwrap());
         assert_eq!(m_off, m_on, "{strategy}: the heatmap perturbed the simulation");
         assert_eq!(
             ring_off.events(),
@@ -105,6 +132,8 @@ fn heatmap_runs_are_bit_identical_to_off_runs() {
         );
         assert!(off.heatmap().is_none(), "disabled heatmap must stay absent");
         assert!(on.heatmap().unwrap().total() > 0, "{strategy}: enabled grid recorded nothing");
+        assert!(off.footprint().is_none(), "footprints ride with the heatmap");
+        assert!(on.footprint().unwrap().iter().count() > 0, "{strategy}: no footprints");
     }
 }
 
@@ -137,16 +166,16 @@ fn heatmap_is_zero_perturbation_across_suite_and_schemes() {
 }
 
 /// The reconciliation table: every lane total equals the aggregate it
-/// shadows, and the probe's per-kind event counts agree with the same
+/// shadows, and the per-kind event counts agree with the same
 /// lanes.
 #[test]
 fn heat_lanes_reconcile_exactly_with_aggregates() {
     for strategy in CowStrategy::all() {
-        let ring = big_ring();
-        let mut sys = System::with_probe(config(strategy).with_heatmap(), ring.clone());
+        let mut sys = System::new(big_ring(config(strategy).with_heatmap()));
         drive(&mut sys);
         let m = sys.metrics();
         let g = sys.heatmap().unwrap();
+        let ring = sys.events().unwrap();
         let lane = |l: HeatLane| g.lane_total(l);
 
         let faults: u64 = HeatLane::FAULTS.iter().map(|&l| lane(l)).sum();
@@ -161,7 +190,7 @@ fn heat_lanes_reconcile_exactly_with_aggregates() {
         assert_eq!(lane(HeatLane::BankRead), m.nvm.line_reads, "{strategy}");
         assert_eq!(lane(HeatLane::BankWrite), m.nvm.line_writes, "{strategy}");
 
-        // The same lanes through the probe's eyes.
+        // The same lanes through the event view's eyes.
         let counts = ring.counts();
         assert_eq!(ring.dropped(), 0, "ring must hold the whole stream");
         assert_eq!(
@@ -394,15 +423,14 @@ proptest! {
 
     /// End-to-end reconciliation under random drive: whatever mix of
     /// reads and writes two processes issue, the grid's lane totals
-    /// agree with the probe's per-kind event counts.
+    /// agree with the event view's per-kind counts.
     #[test]
     fn prop_grid_reconciles_with_probe_counts(
         ops in prop::collection::vec((0u64..24, any::<bool>()), 10..80),
         strategy_idx in 0usize..4
     ) {
         let strategy = CowStrategy::all()[strategy_idx];
-        let ring = big_ring();
-        let mut sys = System::with_probe(config(strategy).with_heatmap(), ring.clone());
+        let mut sys = System::new(big_ring(config(strategy).with_heatmap()));
         let init = sys.spawn_init();
         let va = sys.mmap(init, 24 * PAGE).unwrap();
         let child = sys.fork(init).unwrap();
@@ -417,6 +445,7 @@ proptest! {
         sys.finish();
         let m = sys.metrics();
         let g = sys.heatmap().unwrap();
+        let ring = sys.events().unwrap();
         let counts = ring.counts();
         prop_assert_eq!(ring.dropped(), 0);
         let faults: u64 = HeatLane::FAULTS.iter().map(|&l| g.lane_total(l)).sum();

@@ -9,7 +9,7 @@
 //! `crates/os`, each checked against its fast structure by a
 //! differential unit test. Addresses, action streams, fault ordering
 //! and free-list state all flow from these structures, so any
-//! divergence is visible in the metrics, the probe event stream or the
+//! divergence is visible in the metrics, the event stream or the
 //! Merkle root over the final NVM image. This suite holds the kernel to
 //! the whole-system behaviour the reference structures produced on the
 //! full paper matrix (six workloads × four schemes, 4 KB and 2 MB
@@ -18,10 +18,11 @@
 
 mod golden;
 
-use golden::{assert_workload_rows, huge_forkbench, small_suite, HUGE_PAGES, PAPER_SUITE};
+use golden::{assert_workload_rows, huge_forkbench, HUGE_PAGES, PAPER_SUITE};
 use lelantus::os::CowStrategy;
 use lelantus::sim::SimConfig;
 use lelantus::types::PageSize;
+use lelantus::workloads::small_suite;
 
 #[test]
 fn all_workloads_and_schemes_match_reference_structures() {

@@ -19,11 +19,11 @@ mod golden;
 
 use golden::{assert_workload_rows, METADATA};
 use lelantus::os::CowStrategy;
-use lelantus::sim::{RingProbe, SimConfig};
+use lelantus::sim::SimConfig;
 use lelantus::types::PageSize;
 use lelantus::workloads::{forkbench::Forkbench, rediswl::Redis, Workload};
 
-fn assert_pinned_under_every_scheme(workload: &dyn Workload<RingProbe>) {
+fn assert_pinned_under_every_scheme(workload: &dyn Workload) {
     let rows = CowStrategy::all()
         .into_iter()
         .map(|strategy| {

@@ -1,10 +1,10 @@
 //! Observability-layer invariants.
 //!
-//! Three properties keep the probe layer honest:
+//! Three properties keep the event view honest:
 //!
-//! 1. **Observer-effect freedom** — attaching a recording probe must
-//!    not change a single simulated number, and the default
-//!    `NullProbe` build must match it bit for bit.
+//! 1. **Observer-effect freedom** — turning the event view on must
+//!    not change a single simulated number: a run with it off must
+//!    match it bit for bit.
 //! 2. **Determinism** — two identical traced runs produce the same
 //!    event stream, cycle stamps included.
 //! 3. **Reconciliation** — per-event counts agree *exactly* with the
@@ -13,8 +13,7 @@
 
 use lelantus::os::CowStrategy;
 use lelantus::sim::{
-    CycleCategory, EpochSample, EventKind, FaultAction, HistKind, RingProbe, SimConfig, SimMetrics,
-    System,
+    CycleCategory, EpochSample, EventKind, FaultAction, HistKind, SimConfig, SimMetrics, System,
 };
 use lelantus::types::PageSize;
 use lelantus::workloads::forkbench::Forkbench;
@@ -31,7 +30,7 @@ fn config(strategy: CowStrategy) -> SimConfig {
 /// zero, fork, CoW faults in the child, reads through lazy-copy
 /// chains, reuse faults in the parent after the child exits, and a
 /// final flush.
-fn drive<P: lelantus::sim::Probe>(sys: &mut System<P>) -> SimMetrics {
+fn drive(sys: &mut System) -> SimMetrics {
     let init = sys.spawn_init();
     let va = sys.mmap(init, PAGES * PAGE).unwrap();
     for i in 0..PAGES {
@@ -58,18 +57,20 @@ fn hist_count(e: &EpochSample, kind: HistKind) -> u64 {
     e.hists.as_ref().map_or(0, |h| h.get(kind).count())
 }
 
-/// A ring big enough that nothing wraps, so event-level payloads (not
-/// just the per-kind counts) are complete.
-fn big_ring() -> RingProbe {
-    RingProbe::new(1 << 20)
+/// `cfg` with the event view on and a ring big enough that nothing
+/// wraps, so event-level payloads (not just the per-kind counts) are
+/// complete.
+fn big_ring(cfg: SimConfig) -> SimConfig {
+    cfg.with_events(1 << 20)
 }
 
 #[test]
 fn recording_probe_changes_nothing_for_any_strategy() {
     for strategy in CowStrategy::all() {
         let untraced = drive(&mut System::new(config(strategy)));
-        let ring = big_ring();
-        let traced = drive(&mut System::with_probe(config(strategy), ring.clone()));
+        let mut sys = System::new(big_ring(config(strategy)));
+        let traced = drive(&mut sys);
+        let ring = sys.events().unwrap();
         assert_eq!(untraced, traced, "{strategy}: attaching a probe perturbed the simulation");
         assert!(ring.total() > 0, "{strategy}: traced run emitted nothing");
     }
@@ -77,10 +78,11 @@ fn recording_probe_changes_nothing_for_any_strategy() {
 
 #[test]
 fn event_streams_are_deterministic() {
-    let a = big_ring();
-    let b = big_ring();
-    let ma = drive(&mut System::with_probe(config(CowStrategy::Lelantus), a.clone()));
-    let mb = drive(&mut System::with_probe(config(CowStrategy::Lelantus), b.clone()));
+    let mut sys_a = System::new(big_ring(config(CowStrategy::Lelantus)));
+    let mut sys_b = System::new(big_ring(config(CowStrategy::Lelantus)));
+    let ma = drive(&mut sys_a);
+    let mb = drive(&mut sys_b);
+    let (a, b) = (sys_a.events().unwrap(), sys_b.events().unwrap());
     assert_eq!(ma, mb);
     assert_eq!(a.counts(), b.counts());
     assert_eq!(a.events(), b.events(), "event streams must be replayable");
@@ -89,10 +91,10 @@ fn event_streams_are_deterministic() {
 #[test]
 fn event_counts_reconcile_with_aggregates() {
     for strategy in CowStrategy::all() {
-        let ring = big_ring();
-        let mut sys = System::with_probe(config(strategy), ring.clone());
+        let mut sys = System::new(big_ring(config(strategy)));
         drive(&mut sys);
         let m = sys.metrics();
+        let ring = sys.events().unwrap();
         let counts = ring.counts();
         assert_eq!(ring.dropped(), 0, "ring must hold the whole stream for this test");
 
@@ -258,12 +260,11 @@ fn epoch_ledgers_reconcile_with_run_ledger() {
 #[test]
 fn ledger_runs_are_bit_identical_to_unledgered_runs() {
     for strategy in CowStrategy::all() {
-        let ring_off = big_ring();
-        let mut off = System::with_probe(config(strategy), ring_off.clone());
+        let mut off = System::new(big_ring(config(strategy)));
         let m_off = drive(&mut off);
-        let ring_on = big_ring();
-        let mut on = System::with_probe(config(strategy).with_cycle_ledger(), ring_on.clone());
+        let mut on = System::new(big_ring(config(strategy).with_cycle_ledger()));
         let m_on = drive(&mut on);
+        let (ring_off, ring_on) = (off.events().unwrap(), on.events().unwrap());
         assert_eq!(m_off, m_on, "{strategy}: the ledger perturbed the simulation");
         assert_eq!(
             ring_off.events(),
@@ -300,10 +301,10 @@ fn ledger_runs_are_bit_identical_to_unledgered_runs() {
 #[test]
 fn cmd_service_histogram_reconciles_with_command_counts() {
     for strategy in CowStrategy::all() {
-        let ring = big_ring();
-        let mut sys = System::with_probe(config(strategy), ring.clone());
+        let mut sys = System::new(big_ring(config(strategy)));
         drive(&mut sys);
         let m = sys.metrics();
+        let ring = sys.events().unwrap();
         let commands = m.controller.cmd_page_copy
             + m.controller.cmd_page_phyc
             + m.controller.cmd_page_phyc_rejected
@@ -323,12 +324,11 @@ fn cmd_service_histogram_reconciles_with_command_counts() {
 #[test]
 fn tail_recorder_runs_are_bit_identical_to_unrecorded_runs() {
     for strategy in CowStrategy::all() {
-        let ring_off = big_ring();
-        let mut off = System::with_probe(config(strategy), ring_off.clone());
+        let mut off = System::new(big_ring(config(strategy)));
         let m_off = drive(&mut off);
-        let ring_on = big_ring();
-        let mut on = System::with_probe(config(strategy).with_tail_recorder(), ring_on.clone());
+        let mut on = System::new(big_ring(config(strategy).with_tail_recorder()));
         let m_on = drive(&mut on);
+        let (ring_off, ring_on) = (off.events().unwrap(), on.events().unwrap());
         assert_eq!(m_off, m_on, "{strategy}: the tail recorder perturbed the simulation");
         assert_eq!(
             ring_off.events(),
@@ -423,12 +423,11 @@ fn tail_percentiles_match_exact_span_oracle() {
 /// same closure property the metric and ledger series already have.
 #[test]
 fn epoch_hist_and_tail_series_sum_to_run_totals() {
-    let ring = big_ring();
-    let mut sys = System::with_probe(
+    let mut sys = System::new(big_ring(
         config(CowStrategy::Lelantus).with_epoch_interval(50_000).with_tail_recorder(),
-        ring.clone(),
-    );
+    ));
     drive(&mut sys);
+    let ring = sys.events().unwrap();
     let epochs = sys.epochs();
     assert!(epochs.len() > 1, "expected several epochs, got {}", epochs.len());
     let totals = ring.histograms();
@@ -450,15 +449,13 @@ fn epoch_hist_and_tail_series_sum_to_run_totals() {
 /// double-count the pre-crash interval.
 #[test]
 fn crash_re_baselines_hist_and_tail_series() {
-    let ring = big_ring();
-    let mut sys = System::with_probe(
+    let mut sys = System::new(big_ring(
         config(CowStrategy::Lelantus)
             .with_epoch_interval(50_000)
             .with_tail_recorder()
             .with_cycle_ledger()
             .with_heatmap(),
-        ring.clone(),
-    );
+    ));
     let init = sys.spawn_init();
     let va = sys.mmap(init, PAGES * PAGE).unwrap();
     for i in 0..PAGES {
@@ -475,6 +472,7 @@ fn crash_re_baselines_hist_and_tail_series() {
         sys.write_bytes(survivor, va2 + i * PAGE, &[0xBB; 64]).unwrap();
     }
     sys.finish();
+    let ring = sys.events().unwrap();
     let epochs = sys.epochs();
     assert!(epochs.len() > 1, "expected several epochs, got {}", epochs.len());
     // The interval between the last pre-crash epoch and the crash is

@@ -58,3 +58,55 @@ fn mid_epoch_snapshot_fork_carries_pending_parallel_work() {
         "epoch series diverged from an uninterrupted run"
     );
 }
+
+/// An observed snapshot crosses threads: a fork of an events-on (and
+/// heat-on) snapshot, measured on a scoped worker thread, records the
+/// same events, per-kind counts and histograms as a fresh run of the
+/// same workload on this thread.
+#[test]
+fn events_on_snapshot_forks_on_a_worker_thread() {
+    use lelantus::workloads::forkbench::Forkbench;
+    use lelantus::workloads::Workload;
+
+    let wl = Forkbench { total_bytes: 1 << 20, bytes_per_page: Some(8) };
+    let config = || {
+        SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K)
+            .with_phys_bytes(64 << 20)
+            .with_events(1 << 16)
+            .with_heatmap()
+    };
+
+    let mut fresh = System::new(config());
+    let fresh_run = wl.run(&mut fresh).unwrap();
+    let fresh_end = fresh.finish();
+
+    let mut warm = System::new(config());
+    let state = wl.setup(&mut warm).unwrap();
+    let snapshot = warm.snapshot();
+    let (forked_run, forked) = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let mut forked = snapshot.fork();
+                let run = wl.measure(&mut forked, &state).unwrap();
+                forked.finish();
+                (run, forked)
+            })
+            .join()
+            .unwrap()
+    });
+
+    assert_eq!(fresh_run.measured, forked_run.measured, "measured window diverged");
+    assert_eq!(fresh_end, forked.metrics(), "final metrics diverged");
+    let (a, b) = (fresh.events().unwrap(), forked.events().unwrap());
+    assert!(a.total() > 0, "the run must emit events to compare");
+    assert_eq!(a.counts(), b.counts(), "per-kind counts diverged across threads");
+    assert_eq!(a.dropped(), b.dropped());
+    assert_eq!(a.events(), b.events(), "event streams diverged across threads");
+    assert_eq!(a.histograms(), b.histograms(), "histograms diverged across threads");
+    assert_eq!(fresh.heatmap(), forked.heatmap(), "heat diverged across threads");
+    assert_eq!(
+        warm.events().unwrap().total(),
+        snapshot.fork().events().unwrap().total(),
+        "the worker's fork recorded into its own log, not the snapshot's"
+    );
+}
