@@ -1,18 +1,32 @@
 //! Micro-benchmarks for the simulator components: the buddy
-//! allocator, the set-associative cache, the counter cache, the NVM
+//! allocator, the set-associative cache, the cache hierarchy under a
+//! stream of dirty lines, the counter cache, the NVM
 //! device datapath (the frame-indexed line store), and the secure
 //! controller's read/write/command paths.
 
 use lelantus_bench::harness::bench;
 use lelantus_bench::results::{timed_emit, Record};
-use lelantus_cache::{CacheConfig, SetAssocCache};
+use lelantus_cache::{CacheConfig, CacheHierarchy, HierarchyConfig, LineBackend, SetAssocCache};
 use lelantus_core::{ControllerConfig, SchemeKind, SecureMemoryController};
 use lelantus_metadata::counter_block::{CounterBlock, CounterEncoding};
 use lelantus_metadata::{CounterCache, CounterCacheConfig};
 use lelantus_nvm::{LineStore, NvmConfig, NvmDevice};
 use lelantus_os::BuddyAllocator;
-use lelantus_types::{Cycles, PhysAddr};
+use lelantus_types::{Cycles, PhysAddr, LINE_BYTES};
 use std::hint::black_box;
+
+/// A backend whose reads and writes take no time.
+struct FreeBackend;
+
+impl LineBackend for FreeBackend {
+    fn read_line(&mut self, _: PhysAddr, now: Cycles) -> ([u8; LINE_BYTES], Cycles) {
+        ([0; LINE_BYTES], now)
+    }
+
+    fn write_line(&mut self, _: PhysAddr, _: [u8; LINE_BYTES], now: Cycles) -> Cycles {
+        now
+    }
+}
 
 fn main() {
     timed_emit("micro_components", || {
@@ -27,12 +41,26 @@ fn main() {
         let mut cache =
             SetAssocCache::new(CacheConfig { size_bytes: 64 << 10, ways: 8, latency: 2 });
         for i in 0..1024u64 {
-            cache.insert(PhysAddr::new(i * 64), [0; 64], false);
+            cache.insert(PhysAddr::new(i * 64), i as u32, false);
         }
         let mut i = 0u64;
         ms.push(bench("l1_lookup_hit", || {
             i = (i + 1) % 1024;
             cache.lookup(black_box(PhysAddr::new(i * 64)))
+        }));
+
+        // Dirty lines streaming through the paper hierarchy: every store
+        // misses, and every eviction from L1, L2 and L3 is dirty.
+        let mut caches = CacheHierarchy::new(HierarchyConfig::default());
+        let lines = 4 * HierarchyConfig::default().l3.size_bytes as u64 / 64;
+        // One lap first, so that every level is full of dirty lines.
+        for i in 0..lines {
+            caches.store(PhysAddr::new(i * 64), &[1; 8], Cycles::ZERO, &mut FreeBackend);
+        }
+        let mut i = 0u64;
+        ms.push(bench("hierarchy_dirty_stream", || {
+            i = (i + 1) % lines;
+            caches.store(black_box(PhysAddr::new(i * 64)), &[1; 8], Cycles::ZERO, &mut FreeBackend)
         }));
 
         let mut cc = CounterCache::new(CounterCacheConfig::default());

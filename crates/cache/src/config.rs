@@ -1,5 +1,6 @@
 //! Cache geometry and latency configuration.
 
+use crate::set_assoc::MAX_WAYS;
 use lelantus_types::LINE_BYTES;
 
 /// Geometry and latency of one cache level.
@@ -31,11 +32,20 @@ impl CacheConfig {
         if !self.size_bytes.is_multiple_of(self.ways * LINE_BYTES) {
             return Err("size must be a whole number of sets".into());
         }
+        if self.ways > MAX_WAYS {
+            return Err(format!("a set holds at most {MAX_WAYS} ways"));
+        }
         let sets = self.sets();
         if sets == 0 || !sets.is_power_of_two() {
             return Err("set count must be a nonzero power of two".into());
         }
         Ok(())
+    }
+
+    /// Size of the largest physical address space this level can tag:
+    /// a line's tag, its line number without the set bits, is 32 bits.
+    pub fn max_phys_bytes(&self) -> u64 {
+        ((self.sets() * LINE_BYTES) as u64).saturating_mul(1 << 32)
     }
 }
 
@@ -84,6 +94,16 @@ impl HierarchyConfig {
         self.l3.validate()
     }
 
+    /// Size of the largest physical address space every level can tag
+    /// (2^45 bytes for the paper's 128-set L1).
+    pub fn max_phys_bytes(&self) -> u64 {
+        [self.l1, self.l2, self.l3]
+            .iter()
+            .map(CacheConfig::max_phys_bytes)
+            .min()
+            .expect("three levels")
+    }
+
     /// A tiny hierarchy for fast unit tests (keeps miss paths hot).
     pub fn tiny() -> Self {
         Self {
@@ -116,6 +136,20 @@ mod tests {
         assert!(CacheConfig { size_bytes: 4096, ways: 0, latency: 1 }.validate().is_err());
         // 3 sets: not a power of two.
         assert!(CacheConfig { size_bytes: 3 * 64, ways: 1, latency: 1 }.validate().is_err());
+    }
+
+    #[test]
+    fn more_than_eight_ways_rejected() {
+        assert!(CacheConfig { size_bytes: 8 * 64, ways: 8, latency: 1 }.validate().is_ok());
+        let err = CacheConfig { size_bytes: 16 * 64, ways: 16, latency: 1 }.validate();
+        assert_eq!(err, Err("a set holds at most 8 ways".into()));
+    }
+
+    #[test]
+    fn tag_range_follows_the_smallest_level() {
+        assert_eq!(HierarchyConfig::default().max_phys_bytes(), 1 << 45);
+        // The tiny L1 has 8 sets.
+        assert_eq!(HierarchyConfig::tiny().max_phys_bytes(), 1 << 41);
     }
 
     #[test]

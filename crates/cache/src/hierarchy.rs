@@ -1,7 +1,7 @@
 //! The three-level cache hierarchy in front of a line backend.
 
 use crate::config::HierarchyConfig;
-use crate::set_assoc::SetAssocCache;
+use crate::set_assoc::{Evicted, Insert, SetAssocCache};
 use crate::stats::HierarchyStats;
 use lelantus_types::{Cycles, PhysAddr, LINE_BYTES};
 
@@ -16,17 +16,89 @@ pub trait LineBackend {
     fn write_line(&mut self, addr: PhysAddr, data: [u8; LINE_BYTES], now: Cycles) -> Cycles;
 }
 
+/// Slots per slab chunk: 64 KiB of line data.
+const CHUNK_SLOTS: usize = 1024;
+
+/// The shared line data: one 64-byte slot per distinct cached line,
+/// counted by the number of levels holding it.
+///
+/// The bytes live in fixed-size chunks that are allocated as the slab
+/// grows and never move. One growing vector would reach its size
+/// through a chain of multi-megabyte reallocations, and where the
+/// allocator placed each step made the process's resident high-water
+/// mark differ from run to run by up to 7 MiB on `oltp`; reserving
+/// room for every way up front steadied it but cost `storm` 9 MiB.
+#[derive(Debug, Clone, Default)]
+struct Slab {
+    chunks: Vec<Box<[[u8; LINE_BYTES]]>>,
+    refs: Vec<u8>,
+    free: Vec<u32>,
+}
+
+impl Slab {
+    /// A slot holding `data`, with no reference yet.
+    fn alloc(&mut self, data: [u8; LINE_BYTES]) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = u32::try_from(self.refs.len()).expect("slab slots fit in u32");
+                if self.refs.len() == self.chunks.len() * CHUNK_SLOTS {
+                    self.chunks.push(vec![[0; LINE_BYTES]; CHUNK_SLOTS].into_boxed_slice());
+                }
+                self.refs.push(0);
+                slot
+            }
+        };
+        *self.line_mut(slot) = data;
+        slot
+    }
+
+    fn retain(&mut self, slot: u32) {
+        self.refs[slot as usize] += 1;
+        debug_assert!(self.refs[slot as usize] <= 3, "one reference per level");
+    }
+
+    fn release(&mut self, slot: u32) {
+        let refs = &mut self.refs[slot as usize];
+        debug_assert!(*refs > 0, "released slot {slot} has no reference");
+        *refs -= 1;
+        if *refs == 0 {
+            self.free.push(slot);
+        }
+    }
+
+    fn line(&self, slot: u32) -> &[u8; LINE_BYTES] {
+        let slot = slot as usize;
+        &self.chunks[slot / CHUNK_SLOTS][slot % CHUNK_SLOTS]
+    }
+
+    fn line_mut(&mut self, slot: u32) -> &mut [u8; LINE_BYTES] {
+        let slot = slot as usize;
+        &mut self.chunks[slot / CHUNK_SLOTS][slot % CHUNK_SLOTS]
+    }
+
+    /// Frees every slot; the chunks stay allocated for reuse.
+    fn clear(&mut self) {
+        self.refs.clear();
+        self.free.clear();
+    }
+}
+
 /// The L1/L2/L3 write-back, write-allocate hierarchy.
 ///
 /// Misses allocate in every level on the fill path; dirty victims
 /// cascade downward (L1→L2→L3→backend). Explicit flush/invalidate
 /// ranges model the `clflush`-style maintenance the OS performs around
 /// Lelantus CoW commands (paper §IV-B).
+///
+/// The levels keep tags only. Each cached line's bytes are stored once,
+/// in a slab slot every level holding the line points at: a fill
+/// allocates a slot on an LLC miss, victims move between levels by
+/// slot, and the bytes are read only to hand them to the backend.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
-    l1: SetAssocCache,
-    l2: SetAssocCache,
-    l3: SetAssocCache,
+    levels: [SetAssocCache; 3],
+    slab: Slab,
     config: HierarchyConfig,
 }
 
@@ -39,9 +111,8 @@ impl CacheHierarchy {
     pub fn new(config: HierarchyConfig) -> Self {
         config.validate().expect("invalid hierarchy configuration");
         Self {
-            l1: SetAssocCache::new(config.l1),
-            l2: SetAssocCache::new(config.l2),
-            l3: SetAssocCache::new(config.l3),
+            levels: [config.l1, config.l2, config.l3].map(SetAssocCache::new),
+            slab: Slab::default(),
             config,
         }
     }
@@ -53,89 +124,92 @@ impl CacheHierarchy {
 
     /// Per-level counters.
     pub fn stats(&self) -> HierarchyStats {
-        HierarchyStats { l1: self.l1.stats(), l2: self.l2.stats(), l3: self.l3.stats() }
+        let [l1, l2, l3] = self.levels.each_ref().map(SetAssocCache::stats);
+        HierarchyStats { l1, l2, l3 }
     }
 
-    /// Handles a dirty victim evicted from `level` (1-based) by
-    /// inserting it into the next level down, cascading further
-    /// evictions until the backend absorbs the write.
-    fn absorb_victim(
+    /// Lines resident in L1, L2 and L3.
+    pub fn resident_lines(&self) -> [usize; 3] {
+        self.levels.each_ref().map(SetAssocCache::resident_lines)
+    }
+
+    /// Distinct lines resident in any level: the slab slots in use.
+    pub fn distinct_lines(&self) -> usize {
+        self.slab.refs.len() - self.slab.free.len()
+    }
+
+    /// Puts `line` into `levels[level]`, passing it the one slot
+    /// reference the caller holds for the line. A refill drops that
+    /// reference (the level already holds one); otherwise the level
+    /// keeps it. A clean victim vanishes (non-inclusive model) and a
+    /// dirty one moves down a level, its reference with it; past the
+    /// LLC the backend absorbs the write.
+    fn put(
         &mut self,
-        level: usize,
-        victim: crate::set_assoc::Evicted,
+        mut level: usize,
+        mut line: Evicted,
         now: Cycles,
         backend: &mut dyn LineBackend,
     ) {
-        if !victim.dirty {
-            return; // clean victims vanish silently (non-inclusive model)
-        }
-        match level {
-            1 => {
-                if let Some(v2) = self.l2.insert(victim.addr, victim.data, true) {
-                    self.absorb_victim(2, v2, now, backend);
-                }
-            }
-            2 => {
-                if let Some(v3) = self.l3.insert(victim.addr, victim.data, true) {
-                    self.absorb_victim(3, v3, now, backend);
-                }
-            }
-            _ => {
+        loop {
+            let Some(cache) = self.levels.get_mut(level) else {
                 // Evictions happen off the critical path; the backend is
                 // charged traffic but the requestor does not wait.
-                backend.write_line(victim.addr, victim.data, now);
+                backend.write_line(line.addr, *self.slab.line(line.slot), now);
+                break;
+            };
+            match cache.insert(line.addr, line.slot, line.dirty) {
+                Insert::Refilled => break,
+                Insert::Placed(None) => return,
+                Insert::Placed(Some(victim)) => {
+                    line = victim;
+                    if !victim.dirty {
+                        break;
+                    }
+                    level += 1;
+                }
             }
         }
+        self.slab.release(line.slot);
     }
 
     /// Fetches the line containing `addr` into L1, returning its data
-    /// and the fill completion time.
+    /// slot and the fill completion time. `write` marks the L1 copy
+    /// dirty: a store that missed in L1.
     fn fill(
         &mut self,
         addr: PhysAddr,
+        write: bool,
         now: Cycles,
         backend: &mut dyn LineBackend,
-    ) -> ([u8; LINE_BYTES], Cycles) {
+    ) -> (u32, Cycles) {
         let line = addr.line_align();
-        let l1_lat = Cycles::new(self.config.l1.latency);
-        let l2_lat = Cycles::new(self.config.l2.latency);
-        let l3_lat = Cycles::new(self.config.l3.latency);
-
-        if let Some(data) = self.l1.lookup(line) {
-            return (data, now + l1_lat);
-        }
-        if let Some(data) = self.l2.lookup(line) {
-            // Dirty ownership migrates upward with the line: exactly one
-            // level may hold a dirty copy, else a stale lower-level
-            // write-back could clobber fresher data later.
-            let dirty = self.l2.take_dirty(line);
-            if let Some(v) = self.l1.insert(line, data, dirty) {
-                self.absorb_victim(1, v, now, backend);
+        let mut done = now;
+        let mut hit = None;
+        for level in 0..self.levels.len() {
+            done += Cycles::new(self.levels[level].config().latency);
+            if let Some(slot) = self.levels[level].lookup(line) {
+                hit = Some((level, slot));
+                break;
             }
-            return (data, now + l1_lat + l2_lat);
         }
-        if let Some(data) = self.l3.lookup(line) {
-            let dirty = self.l3.take_dirty(line);
-            if let Some(v) = self.l2.insert(line, data, false) {
-                self.absorb_victim(2, v, now, backend);
+        let (found, slot, dirty) = match hit {
+            Some((0, slot)) => return (slot, done),
+            // Dirty ownership migrates upward with the line: a dirty
+            // copy never has a copy above it.
+            Some((level, slot)) => (level, slot, self.levels[level].take_dirty(line)),
+            None => {
+                let (data, mem_done) = backend.read_line(line, done);
+                done = mem_done;
+                (self.levels.len(), self.slab.alloc(data), false)
             }
-            if let Some(v) = self.l1.insert(line, data, dirty) {
-                self.absorb_victim(1, v, now, backend);
-            }
-            return (data, now + l1_lat + l2_lat + l3_lat);
+        };
+        for level in (0..found).rev() {
+            self.slab.retain(slot);
+            let copy = Evicted { addr: line, slot, dirty: level == 0 && (dirty || write) };
+            self.put(level, copy, now, backend);
         }
-        let lookup_time = now + l1_lat + l2_lat + l3_lat;
-        let (data, mem_done) = backend.read_line(line, lookup_time);
-        if let Some(v) = self.l3.insert(line, data, false) {
-            self.absorb_victim(3, v, now, backend);
-        }
-        if let Some(v) = self.l2.insert(line, data, false) {
-            self.absorb_victim(2, v, now, backend);
-        }
-        if let Some(v) = self.l1.insert(line, data, false) {
-            self.absorb_victim(1, v, now, backend);
-        }
-        (data, mem_done)
+        (slot, done)
     }
 
     /// Loads `len` bytes starting at `addr` (must not cross a line
@@ -153,8 +227,9 @@ impl CacheHierarchy {
     ) -> (Vec<u8>, Cycles) {
         let offset = addr.line_offset();
         assert!(offset + len <= LINE_BYTES, "load crosses line boundary");
-        let (data, done) = self.fill(addr, now, backend);
-        (data[offset..offset + len].to_vec(), done)
+        let (slot, done) = self.fill(addr, false, now, backend);
+        self.check_slots();
+        (self.slab.line(slot)[offset..offset + len].to_vec(), done)
     }
 
     /// Loads the full line containing `addr` without allocating: the
@@ -166,7 +241,9 @@ impl CacheHierarchy {
         now: Cycles,
         backend: &mut dyn LineBackend,
     ) -> ([u8; LINE_BYTES], Cycles) {
-        self.fill(addr, now, backend)
+        let (slot, done) = self.fill(addr, false, now, backend);
+        self.check_slots();
+        (*self.slab.line(slot), done)
     }
 
     /// Stores `bytes` at `addr` (write-allocate, write-back), returning
@@ -184,14 +261,17 @@ impl CacheHierarchy {
     ) -> Cycles {
         let offset = addr.line_offset();
         assert!(offset + bytes.len() <= LINE_BYTES, "store crosses line boundary");
-        if self.l1.write_hit(addr, bytes) {
-            self.l1.lookup(addr.line_align()); // LRU touch & hit accounting
-            return now + Cycles::new(self.config.l1.latency);
-        }
-        let (_, fill_done) = self.fill(addr, now, backend);
-        let ok = self.l1.write_hit(addr, bytes);
-        assert!(ok, "line was just filled");
-        fill_done + Cycles::new(self.config.l1.latency)
+        let l1_lat = Cycles::new(self.config.l1.latency);
+        let (slot, done) = match self.levels[0].write_hit(addr) {
+            Some(slot) => (slot, now + l1_lat),
+            None => {
+                let (slot, fill_done) = self.fill(addr, true, now, backend);
+                (slot, fill_done + l1_lat)
+            }
+        };
+        self.slab.line_mut(slot)[offset..offset + bytes.len()].copy_from_slice(bytes);
+        self.check_slots();
+        done
     }
 
     /// Writes back (if dirty) and invalidates every line of
@@ -209,15 +289,17 @@ impl CacheHierarchy {
         let mut offset = 0;
         while offset < len {
             let line = base + offset;
-            for cache in [&mut self.l1, &mut self.l2, &mut self.l3] {
+            for cache in &mut self.levels {
                 if let Some(e) = cache.invalidate(line) {
                     if e.dirty {
-                        done = done.max(backend.write_line(line, e.data, now));
+                        done = done.max(backend.write_line(line, *self.slab.line(e.slot), now));
                     }
+                    self.slab.release(e.slot);
                 }
             }
             offset += LINE_BYTES as u64;
         }
+        self.check_slots();
         done
     }
 
@@ -233,36 +315,31 @@ impl CacheHierarchy {
         let mut resident = 0;
         while offset < len {
             let line = base + offset;
-            resident += u64::from(self.l1.invalidate(line).is_some());
-            resident += u64::from(self.l2.invalidate(line).is_some());
-            resident += u64::from(self.l3.invalidate(line).is_some());
+            for cache in &mut self.levels {
+                if let Some(e) = cache.invalidate(line) {
+                    self.slab.release(e.slot);
+                    resident += 1;
+                }
+            }
             offset += LINE_BYTES as u64;
         }
+        self.check_slots();
         resident
     }
 
     /// Writes every dirty line back to the backend (end of simulation /
     /// full barrier), leaving the hierarchy clean but warm.
     ///
-    /// A dirty line may have older clean copies in the levels below it
-    /// (the fill path left them there). Once clean, the fresh copy
-    /// vanishes silently on eviction, so those copies are refreshed in
-    /// place with the written-back bytes: no recency, dirtiness or
-    /// counter changes.
+    /// The clean copies a fill left below a dirty line share its slot,
+    /// so they already hold the bytes written back here.
     pub fn writeback_all(&mut self, now: Cycles, backend: &mut dyn LineBackend) -> Cycles {
         let mut done = now;
-        for (addr, data) in self.l1.drain_dirty() {
-            self.l2.refresh(addr, &data);
-            self.l3.refresh(addr, &data);
-            done = done.max(backend.write_line(addr, data, now));
+        for cache in &mut self.levels {
+            cache.drain_dirty(|addr, slot| {
+                done = done.max(backend.write_line(addr, *self.slab.line(slot), now));
+            });
         }
-        for (addr, data) in self.l2.drain_dirty() {
-            self.l3.refresh(addr, &data);
-            done = done.max(backend.write_line(addr, data, now));
-        }
-        for (addr, data) in self.l3.drain_dirty() {
-            done = done.max(backend.write_line(addr, data, now));
-        }
+        self.check_slots();
         done
     }
 
@@ -270,16 +347,58 @@ impl CacheHierarchy {
     /// volatile caches across a power failure. Dirty data that never
     /// reached the backend is lost, exactly as on real hardware.
     pub fn clear_all(&mut self) {
-        self.l1.clear();
-        self.l2.clear();
-        self.l3.clear();
+        for cache in &mut self.levels {
+            cache.clear();
+        }
+        self.slab.clear();
     }
 
     /// True if the line containing `addr` is resident anywhere.
     pub fn probe(&self, addr: PhysAddr) -> bool {
         let line = addr.line_align();
-        self.l1.probe(line) || self.l2.probe(line) || self.l3.probe(line)
+        self.levels.iter().any(|cache| cache.probe(line))
     }
+
+    /// The slot invariants, checked after every operation in this
+    /// crate's tests: each slot's reference count is the number of
+    /// levels holding its line, all copies of a line share one slot,
+    /// and no level holds a dirty line that a level above it holds.
+    #[cfg(test)]
+    fn check_slots(&self) {
+        use std::collections::HashMap;
+        let mut holders: HashMap<u32, (PhysAddr, u8)> = HashMap::new();
+        let mut slot_of: HashMap<PhysAddr, u32> = HashMap::new();
+        for cache in &self.levels {
+            cache.for_each_line(|addr, slot| {
+                assert_eq!(*slot_of.entry(addr).or_insert(slot), slot, "{addr:?} has two slots");
+                let (holder, refs) = holders.entry(slot).or_insert((addr, 0));
+                assert_eq!(*holder, addr, "slot {slot} holds two lines");
+                *refs += 1;
+            });
+        }
+        for (slot, &refs) in self.slab.refs.iter().enumerate() {
+            let held = holders.get(&(slot as u32)).map_or(0, |&(_, n)| n);
+            assert_eq!(refs, held, "slot {slot}: reference count against levels holding it");
+        }
+        assert_eq!(self.distinct_lines(), holders.len());
+        let ways: usize = self.levels.iter().map(|c| c.config().sets() * c.config().ways).sum();
+        assert!(self.slab.refs.len() <= ways + 1, "more slots than ways plus the filling line");
+        let mut levels = self.levels.clone();
+        for lower in 1..levels.len() {
+            let (upper, below) = levels.split_at_mut(lower);
+            below[0].drain_dirty(|addr, _| {
+                assert!(
+                    !upper.iter().any(|c| c.probe(addr)),
+                    "dirty {addr:?} in L{} has a copy above it",
+                    lower + 1
+                );
+            });
+        }
+    }
+
+    #[cfg(not(test))]
+    #[inline(always)]
+    fn check_slots(&self) {}
 }
 
 #[cfg(test)]
@@ -403,6 +522,63 @@ mod tests {
         assert_eq!(s.l1.misses, 1);
         assert_eq!(s.l2.misses, 1);
         assert_eq!(s.l3.misses, 1);
+    }
+
+    /// Every operation ends in `check_slots`; a seeded soup over a
+    /// tiny and a one-set hierarchy drives each of them through full
+    /// sets, refills, cascades and flushes.
+    #[test]
+    fn slot_invariants_hold_over_a_random_soup() {
+        use crate::config::CacheConfig;
+        use rand::{Rng, SeedableRng};
+        let one_set = HierarchyConfig {
+            l1: CacheConfig { size_bytes: 2 * 64, ways: 2, latency: 2 },
+            l2: CacheConfig { size_bytes: 4 * 64, ways: 4, latency: 8 },
+            l3: CacheConfig { size_bytes: 8 * 64, ways: 8, latency: 25 },
+        };
+        for (config, lines) in [(HierarchyConfig::tiny(), 512u64), (one_set, 24)] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(lines);
+            let mut mem = Flat::default();
+            let mut c = CacheHierarchy::new(config);
+            for _ in 0..4000 {
+                let addr = PhysAddr::new(rng.gen_range(0..lines) * 64);
+                match rng.gen_range(0..100u32) {
+                    0..=39 => drop(c.load(addr, 1, Cycles::ZERO, &mut mem)),
+                    40..=89 => drop(c.store(addr, &[rng.gen()], Cycles::ZERO, &mut mem)),
+                    90..=94 => drop(c.flush_range(addr, 256, Cycles::ZERO, &mut mem)),
+                    95..=97 => drop(c.invalidate_range(addr, 128)),
+                    98 => drop(c.writeback_all(Cycles::ZERO, &mut mem)),
+                    _ => c.clear_all(),
+                }
+            }
+        }
+    }
+
+    /// A stream over four times the hierarchy's capacity, with stores
+    /// and flushes, fills no more chunks than the ways need and never
+    /// moves one.
+    #[test]
+    fn slab_chunks_never_move() {
+        let mut mem = Flat::default();
+        let mut c = h();
+        let ways: usize = c.levels.iter().map(|l| l.config().sets() * l.config().ways).sum();
+        let lines = 4 * ways as u64;
+        let mut seen: Vec<*const [u8; 64]> = Vec::new();
+        for i in 0..2 * lines {
+            let addr = PhysAddr::new(i % lines * 64);
+            if i % 3 == 0 {
+                c.store(addr, &[1], Cycles::ZERO, &mut mem);
+            } else {
+                c.load(addr, 1, Cycles::ZERO, &mut mem);
+            }
+            if i % 97 == 0 {
+                c.flush_range(addr, 512, Cycles::ZERO, &mut mem);
+            }
+            let chunks: Vec<_> = c.slab.chunks.iter().map(|k| k.as_ptr()).collect();
+            assert!(chunks.starts_with(&seen), "a chunk moved");
+            seen = chunks;
+        }
+        assert_eq!(c.slab.chunks.len(), (ways + 1).div_ceil(CHUNK_SLOTS));
     }
 
     #[test]

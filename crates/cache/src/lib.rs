@@ -10,7 +10,9 @@
 //! dirty evictions carry data down to the backend, and the
 //! flush/invalidate operations the OS performs around CoW commands
 //! (paper §IV-B: flush dirty source-page lines, invalidate
-//! destination-page lines) have their real semantics.
+//! destination-page lines) have their real semantics. The levels keep
+//! tags only; each cached line's bytes are stored once, in a slab slot
+//! shared by every level that holds the line.
 //!
 //! # Examples
 //!

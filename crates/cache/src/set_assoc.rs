@@ -1,50 +1,88 @@
-//! A generic set-associative, LRU, write-back cache of 64-byte lines.
+//! One level of a set-associative, LRU, write-back cache of 64-byte
+//! lines: tags only.
+//!
+//! A level keeps tags, exact LRU order, dirty bits and, per way, the
+//! index of the line's data slot. The bytes live once, in the
+//! hierarchy's shared slab (see [`crate::CacheHierarchy`]); every level
+//! holding a line points at the same slot.
 
 use crate::config::CacheConfig;
 use crate::stats::CacheStats;
 use lelantus_types::{PhysAddr, LINE_BYTES};
 
-/// A line evicted to make room for an insertion.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Most ways a set can hold: one set's tags and slots fill one 64-byte
+/// block.
+pub const MAX_WAYS: usize = 8;
+
+/// A line removed from a level: an insertion's victim or an
+/// invalidated line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
-    /// Line-aligned address of the victim.
+    /// Line-aligned address of the line.
     pub addr: PhysAddr,
-    /// The victim's data.
-    pub data: [u8; LINE_BYTES],
-    /// Whether the victim held unwritten-back modifications.
+    /// The line's data slot.
+    pub slot: u32,
+    /// Whether the line held unwritten-back modifications.
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone)]
-struct Way {
-    tag: u64,
-    data: [u8; LINE_BYTES],
-    dirty: bool,
-    lru_tick: u64,
+/// What [`SetAssocCache::insert`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Insert {
+    /// The line was already resident, in the same slot: its dirty bit
+    /// was merged and it became the most recently used way.
+    Refilled,
+    /// The line took a way, evicting the set's least recently used line
+    /// (`Some`) if the set was full.
+    Placed(Option<Evicted>),
+}
+
+/// One set's tags and data slots, ways `0..len` valid.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(64))]
+struct Ways {
+    tags: [u32; MAX_WAYS],
+    slots: [u32; MAX_WAYS],
+}
+
+/// One set's recency and dirtiness.
+#[derive(Debug, Clone, Copy, Default)]
+struct Order {
+    /// LRU rank of each valid way: 0 is the most recently used, `len - 1`
+    /// the victim. Ranks of the valid ways are a permutation of `0..len`.
+    /// Rank updates run over all lanes, so the lanes past `len` hold
+    /// values no lookup reads.
+    rank: [u8; MAX_WAYS],
+    /// Bit `i` set: way `i` is dirty. Bits at and above `len` are clear.
+    dirty: u8,
+    /// Number of valid ways.
+    len: u8,
 }
 
 /// One level of set-associative cache.
 ///
-/// Stores real line contents so that dirty evictions can carry data to
-/// the next level; replacement is strict LRU within a set.
+/// Replacement is strict LRU within a set. Ways are kept in the order a
+/// `Vec` would hold them under `swap_remove` and `push`, so
+/// [`SetAssocCache::drain_dirty`] reports lines in a fixed order.
 ///
 /// # Examples
 ///
 /// ```
+/// use lelantus_cache::set_assoc::Insert;
 /// use lelantus_cache::{CacheConfig, SetAssocCache};
 /// use lelantus_types::PhysAddr;
 ///
 /// let mut c = SetAssocCache::new(CacheConfig { size_bytes: 1024, ways: 2, latency: 1 });
 /// assert!(c.lookup(PhysAddr::new(0x40)).is_none());
-/// c.insert(PhysAddr::new(0x40), [5; 64], false);
-/// assert_eq!(c.lookup(PhysAddr::new(0x40)).unwrap()[0], 5);
+/// assert_eq!(c.insert(PhysAddr::new(0x40), 5, false), Insert::Placed(None));
+/// assert_eq!(c.lookup(PhysAddr::new(0x40)), Some(5));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
-    set_mask: u64,
-    tick: u64,
+    ways: Vec<Ways>,
+    order: Vec<Order>,
+    set_bits: u32,
     stats: CacheStats,
 }
 
@@ -59,9 +97,9 @@ impl SetAssocCache {
         let sets = config.sets();
         Self {
             config,
-            sets: (0..sets).map(|_| Vec::with_capacity(config.ways)).collect(),
-            set_mask: sets as u64 - 1,
-            tick: 0,
+            ways: vec![Ways::default(); sets],
+            order: vec![Order::default(); sets],
+            set_bits: sets.trailing_zeros(),
             stats: CacheStats::default(),
         }
     }
@@ -76,175 +114,206 @@ impl SetAssocCache {
         self.stats
     }
 
-    fn set_and_tag(&self, addr: PhysAddr) -> (usize, u64) {
-        let line = addr.line_align().as_u64() / LINE_BYTES as u64;
-        ((line & self.set_mask) as usize, line >> self.set_mask.count_ones())
+    /// The set and tag of the line containing `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tag does not fit in 32 bits (an address beyond
+    /// [`CacheConfig::max_phys_bytes`]).
+    fn locate(&self, addr: PhysAddr) -> (usize, u32) {
+        let line = addr.as_u64() / LINE_BYTES as u64;
+        let set = (line & ((1 << self.set_bits) - 1)) as usize;
+        let tag =
+            u32::try_from(line >> self.set_bits).expect("address beyond the cache's tag range");
+        (set, tag)
+    }
+
+    /// The way of `set` holding `tag`: all eight tags are compared at
+    /// once and the ways past the fill count masked off. An empty set
+    /// (the common case of a range invalidation) never reads its tags.
+    fn find(&self, set: usize, tag: u32) -> Option<usize> {
+        let len = self.order[set].len;
+        if len == 0 {
+            return None;
+        }
+        let mut hits = 0u32;
+        for (way, &t) in self.ways[set].tags.iter().enumerate() {
+            hits |= u32::from(t == tag) << way;
+        }
+        hits &= (1 << len) - 1;
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
+    }
+
+    /// Makes `way` the most recently used way of `set`.
+    fn touch(&mut self, set: usize, way: usize) {
+        let order = &mut self.order[set];
+        let rank = order.rank[way];
+        if rank == 0 {
+            return;
+        }
+        for r in &mut order.rank {
+            *r += u8::from(*r < rank);
+        }
+        order.rank[way] = 0;
+    }
+
+    fn reconstruct_addr(&self, set: usize, tag: u32) -> PhysAddr {
+        let line = (u64::from(tag) << self.set_bits) | set as u64;
+        PhysAddr::new(line * LINE_BYTES as u64)
     }
 
     /// Looks up the line containing `addr`; updates LRU and hit/miss
-    /// counters. Returns the line contents on a hit.
-    pub fn lookup(&mut self, addr: PhysAddr) -> Option<[u8; LINE_BYTES]> {
-        let (set, tag) = self.set_and_tag(addr);
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.tag == tag) {
-            way.lru_tick = tick;
-            self.stats.hits += 1;
-            Some(way.data)
-        } else {
-            self.stats.misses += 1;
-            None
+    /// counters. Returns the line's data slot on a hit.
+    pub fn lookup(&mut self, addr: PhysAddr) -> Option<u32> {
+        let (set, tag) = self.locate(addr);
+        match self.find(set, tag) {
+            Some(way) => {
+                self.touch(set, way);
+                self.stats.hits += 1;
+                Some(self.ways[set].slots[way])
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
         }
     }
 
     /// Checks for presence without disturbing LRU or counters.
     pub fn probe(&self, addr: PhysAddr) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].iter().any(|w| w.tag == tag)
+        let (set, tag) = self.locate(addr);
+        self.find(set, tag).is_some()
     }
 
-    /// Overwrites (part of) a cached line, marking it dirty. Returns
-    /// false if the line is not resident.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the byte range crosses the line boundary.
-    pub fn write_hit(&mut self, addr: PhysAddr, bytes: &[u8]) -> bool {
-        let offset = addr.line_offset();
-        assert!(offset + bytes.len() <= LINE_BYTES, "write crosses line boundary");
-        let (set, tag) = self.set_and_tag(addr);
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.tag == tag) {
-            way.data[offset..offset + bytes.len()].copy_from_slice(bytes);
-            way.dirty = true;
-            way.lru_tick = tick;
-            true
-        } else {
-            false
-        }
+    /// A store's hit: marks the resident line containing `addr` dirty,
+    /// makes it the most recently used way and counts a hit, returning
+    /// its data slot. A miss changes nothing and counts nothing; the
+    /// fill that follows counts it.
+    pub fn write_hit(&mut self, addr: PhysAddr) -> Option<u32> {
+        let (set, tag) = self.locate(addr);
+        let way = self.find(set, tag)?;
+        self.touch(set, way);
+        self.order[set].dirty |= 1 << way;
+        self.stats.hits += 1;
+        Some(self.ways[set].slots[way])
     }
 
-    /// Inserts a line (e.g. on fill), evicting the LRU way if the set
-    /// is full. The victim, if any, is returned so the caller can
-    /// propagate dirty data downward.
-    pub fn insert(
-        &mut self,
-        addr: PhysAddr,
-        data: [u8; LINE_BYTES],
-        dirty: bool,
-    ) -> Option<Evicted> {
-        let (set, tag) = self.set_and_tag(addr);
-        self.tick += 1;
-        let tick = self.tick;
-        // Refill of a resident line replaces its contents.
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.tag == tag) {
-            way.data = data;
-            way.dirty = way.dirty || dirty;
-            way.lru_tick = tick;
-            return None;
+    /// Inserts the line containing `addr`, whose data is in `slot`. A
+    /// full set evicts its least recently used way, which is returned
+    /// so the caller can move dirty data downward.
+    pub fn insert(&mut self, addr: PhysAddr, slot: u32, dirty: bool) -> Insert {
+        let (set, tag) = self.locate(addr);
+        if let Some(way) = self.find(set, tag) {
+            debug_assert_eq!(self.ways[set].slots[way], slot, "copies of a line share one slot");
+            self.order[set].dirty |= u8::from(dirty) << way;
+            self.touch(set, way);
+            return Insert::Refilled;
         }
-        let victim = if self.sets[set].len() >= self.config.ways {
-            let (idx, _) = self.sets[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.lru_tick)
-                .expect("set is full, victim exists");
-            let w = self.sets[set].swap_remove(idx);
-            if w.dirty {
+        let len = usize::from(self.order[set].len);
+        let victim = if len == self.config.ways {
+            let mut lru = 0u32;
+            for (way, &r) in self.order[set].rank.iter().enumerate() {
+                lru |= u32::from(usize::from(r) == len - 1) << way;
+            }
+            lru &= (1 << len) - 1;
+            debug_assert!(lru != 0, "a full set has a least recently used way");
+            let evicted = self.remove(set, lru.trailing_zeros() as usize);
+            if evicted.dirty {
                 self.stats.dirty_evictions += 1;
             }
-            Some(Evicted { addr: self.reconstruct_addr(set, w.tag), data: w.data, dirty: w.dirty })
+            Some(evicted)
         } else {
             None
         };
-        self.sets[set].push(Way { tag, data, dirty, lru_tick: tick });
-        victim
-    }
-
-    fn reconstruct_addr(&self, set: usize, tag: u64) -> PhysAddr {
-        let line = (tag << self.set_mask.count_ones()) | set as u64;
-        PhysAddr::new(line * LINE_BYTES as u64)
-    }
-
-    /// Overwrites the data of the resident line containing `addr`
-    /// without changing its recency, dirtiness or any counter — keeps
-    /// an older copy equal to data written back from a level above.
-    /// Returns false if the line is not resident.
-    pub fn refresh(&mut self, addr: PhysAddr, data: &[u8; LINE_BYTES]) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        match self.sets[set].iter_mut().find(|w| w.tag == tag) {
-            Some(way) => {
-                way.data = *data;
-                true
-            }
-            None => false,
+        let order = &mut self.order[set];
+        let way = usize::from(order.len);
+        for r in &mut order.rank {
+            *r = r.wrapping_add(1);
         }
+        order.rank[way] = 0;
+        order.dirty |= u8::from(dirty) << way;
+        order.len += 1;
+        self.ways[set].tags[way] = tag;
+        self.ways[set].slots[way] = slot;
+        Insert::Placed(victim)
+    }
+
+    /// Removes `way` from `set` as `Vec::swap_remove` would: the last
+    /// way moves into its place.
+    fn remove(&mut self, set: usize, way: usize) -> Evicted {
+        let ways = &mut self.ways[set];
+        let order = &mut self.order[set];
+        let last = usize::from(order.len) - 1;
+        let (tag, slot, rank) = (ways.tags[way], ways.slots[way], order.rank[way]);
+        let dirty = order.dirty & (1 << way) != 0;
+        ways.tags[way] = ways.tags[last];
+        ways.slots[way] = ways.slots[last];
+        order.rank[way] = order.rank[last];
+        let moved = (order.dirty >> last) & 1;
+        order.dirty = ((order.dirty & !(1 << way)) | (moved << way)) & !(1 << last);
+        order.len -= 1;
+        for r in &mut order.rank {
+            *r -= u8::from(*r > rank);
+        }
+        Evicted { addr: self.reconstruct_addr(set, tag), slot, dirty }
     }
 
     /// Removes the line containing `addr` without writing it back,
     /// returning it (dirty data is *discarded* by the caller's choice).
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<Evicted> {
-        let (set, tag) = self.set_and_tag(addr);
-        let idx = self.sets[set].iter().position(|w| w.tag == tag)?;
-        let w = self.sets[set].swap_remove(idx);
+        let (set, tag) = self.locate(addr);
+        let way = self.find(set, tag)?;
         self.stats.invalidations += 1;
-        Some(Evicted { addr: self.reconstruct_addr(set, w.tag), data: w.data, dirty: w.dirty })
-    }
-
-    /// Writes back the line containing `addr` if dirty (clearing the
-    /// dirty bit, keeping the line resident). Returns the data that
-    /// must be written downstream.
-    pub fn clean(&mut self, addr: PhysAddr) -> Option<[u8; LINE_BYTES]> {
-        let (set, tag) = self.set_and_tag(addr);
-        let way = self.sets[set].iter_mut().find(|w| w.tag == tag)?;
-        if way.dirty {
-            way.dirty = false;
-            self.stats.flush_writebacks += 1;
-            Some(way.data)
-        } else {
-            None
-        }
+        Some(self.remove(set, way))
     }
 
     /// Clears and returns the dirty bit of a resident line without
     /// counting it as a flush write-back — used when dirty ownership
     /// migrates to a higher cache level rather than to memory.
     pub fn take_dirty(&mut self, addr: PhysAddr) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        match self.sets[set].iter_mut().find(|w| w.tag == tag) {
-            Some(way) => std::mem::take(&mut way.dirty),
+        let (set, tag) = self.locate(addr);
+        match self.find(set, tag) {
+            Some(way) => {
+                let dirty = self.order[set].dirty & (1 << way) != 0;
+                self.order[set].dirty &= !(1 << way);
+                dirty
+            }
             None => false,
         }
     }
 
     /// Number of resident lines (for occupancy assertions).
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.order.iter().map(|o| usize::from(o.len)).sum()
+    }
+
+    /// Calls `f` with the address and data slot of every resident line.
+    #[cfg(test)]
+    pub(crate) fn for_each_line(&self, mut f: impl FnMut(PhysAddr, u32)) {
+        for (set, (ways, order)) in self.ways.iter().zip(&self.order).enumerate() {
+            for way in 0..usize::from(order.len) {
+                f(self.reconstruct_addr(set, ways.tags[way]), ways.slots[way]);
+            }
+        }
     }
 
     /// Drops every line without writing back (power loss).
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.order.fill(Order::default());
     }
 
-    /// Iterates over all resident dirty lines (used by whole-cache
+    /// Cleans every resident dirty line, calling `f` with its address
+    /// and data slot, set by set and way by way (used by whole-cache
     /// flushes at simulation end).
-    pub fn drain_dirty(&mut self) -> Vec<(PhysAddr, [u8; LINE_BYTES])> {
-        let set_bits = self.set_mask.count_ones();
-        let mut out = Vec::new();
-        for (set, ways) in self.sets.iter_mut().enumerate() {
-            for way in ways {
-                if way.dirty {
-                    way.dirty = false;
-                    let line = (way.tag << set_bits) | set as u64;
-                    out.push((PhysAddr::new(line * LINE_BYTES as u64), way.data));
-                }
+    pub fn drain_dirty(&mut self, mut f: impl FnMut(PhysAddr, u32)) {
+        for set in 0..self.order.len() {
+            let mut dirty = std::mem::take(&mut self.order[set].dirty);
+            while dirty != 0 {
+                let way = dirty.trailing_zeros() as usize;
+                dirty &= dirty - 1;
+                f(self.reconstruct_addr(set, self.ways[set].tags[way]), self.ways[set].slots[way]);
             }
         }
-        out
     }
 }
 
@@ -261,11 +330,17 @@ mod tests {
         PhysAddr::new(n * LINE_BYTES as u64)
     }
 
+    fn drained(c: &mut SetAssocCache) -> Vec<(PhysAddr, u32)> {
+        let mut out = Vec::new();
+        c.drain_dirty(|addr, slot| out.push((addr, slot)));
+        out
+    }
+
     #[test]
     fn insert_lookup_roundtrip() {
         let mut c = small();
-        c.insert(line(0), [1; 64], false);
-        assert_eq!(c.lookup(line(0)), Some([1; 64]));
+        c.insert(line(0), 1, false);
+        assert_eq!(c.lookup(line(0)), Some(1));
         assert_eq!(c.lookup(line(1)), None);
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
@@ -275,57 +350,55 @@ mod tests {
     fn lru_eviction_order() {
         let mut c = small();
         // Lines 0, 2, 4 map to set 0 (even line numbers).
-        c.insert(line(0), [0; 64], false);
-        c.insert(line(2), [2; 64], false);
+        c.insert(line(0), 0, false);
+        c.insert(line(2), 2, false);
         c.lookup(line(0)); // make line 0 MRU
-        let evicted = c.insert(line(4), [4; 64], false).expect("set full");
+        let Insert::Placed(Some(evicted)) = c.insert(line(4), 4, false) else { panic!("set full") };
         assert_eq!(evicted.addr, line(2), "LRU way evicted");
         assert!(c.probe(line(0)));
         assert!(c.probe(line(4)));
     }
 
     #[test]
-    fn dirty_eviction_reports_data() {
+    fn dirty_eviction_reports_slot() {
         let mut c = small();
-        c.insert(line(0), [7; 64], true);
-        c.insert(line(2), [2; 64], false);
-        let e = c.insert(line(4), [4; 64], false).unwrap();
-        assert_eq!(e.addr, line(0));
-        assert!(e.dirty);
-        assert_eq!(e.data, [7; 64]);
+        c.insert(line(0), 7, true);
+        c.insert(line(2), 2, false);
+        let e = c.insert(line(4), 4, false);
+        assert_eq!(e, Insert::Placed(Some(Evicted { addr: line(0), slot: 7, dirty: true })));
         assert_eq!(c.stats().dirty_evictions, 1);
     }
 
     #[test]
-    fn write_hit_updates_bytes_and_dirties() {
+    fn evicting_the_last_way_leaves_no_dirty_bit_behind() {
         let mut c = small();
-        c.insert(line(0), [0; 64], false);
-        assert!(c.write_hit(PhysAddr::new(4), &[9, 9]));
-        let data = c.lookup(line(0)).unwrap();
-        assert_eq!(&data[4..6], &[9, 9]);
-        assert_eq!(&data[..4], &[0; 4]);
-        // line(0)'s last touch was the write_hit; line(2)'s insert is
-        // newer, so filling the set evicts dirty line(0) first — and
-        // its eviction must carry the written bytes.
-        c.insert(line(2), [0; 64], false);
-        let e = c.insert(line(4), [0; 64], false).unwrap();
-        assert_eq!(e.addr, line(0));
-        assert!(e.dirty, "write_hit dirt must surface on eviction");
-        assert_eq!(&e.data[4..6], &[9, 9]);
+        c.insert(line(0), 0, false);
+        c.insert(line(2), 2, true);
+        c.lookup(line(0));
+        // Dirty line 2 sits in the last way; line 4 takes that way clean.
+        c.insert(line(4), 4, false);
+        assert!(drained(&mut c).is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "crosses line boundary")]
-    fn cross_line_write_panics() {
+    fn write_hit_dirties_and_counts_a_hit() {
         let mut c = small();
-        c.insert(line(0), [0; 64], false);
-        c.write_hit(PhysAddr::new(60), &[0; 8]);
+        assert_eq!(c.write_hit(line(0)), None);
+        assert_eq!(c.stats(), CacheStats::default(), "a store's miss counts nothing");
+        c.insert(line(0), 3, false);
+        assert_eq!(c.write_hit(PhysAddr::new(4)), Some(3));
+        assert_eq!(c.stats().hits, 1);
+        // line(0)'s last touch was the write_hit; line(2)'s insert is
+        // newer, so filling the set evicts dirty line(0) first.
+        c.insert(line(2), 2, false);
+        let Insert::Placed(Some(e)) = c.insert(line(4), 4, false) else { panic!("set full") };
+        assert_eq!(e, Evicted { addr: line(0), slot: 3, dirty: true });
     }
 
     #[test]
     fn invalidate_removes_without_stats_writeback() {
         let mut c = small();
-        c.insert(line(0), [3; 64], true);
+        c.insert(line(0), 3, true);
         let e = c.invalidate(line(0)).unwrap();
         assert!(e.dirty);
         assert!(!c.probe(line(0)));
@@ -334,53 +407,60 @@ mod tests {
     }
 
     #[test]
-    fn clean_clears_dirty_keeps_resident() {
-        let mut c = small();
-        c.insert(line(0), [3; 64], true);
-        assert_eq!(c.clean(line(0)), Some([3; 64]));
-        assert!(c.probe(line(0)));
-        assert_eq!(c.clean(line(0)), None, "already clean");
-        assert_eq!(c.stats().flush_writebacks, 1);
-    }
-
-    #[test]
     fn refill_merges_dirty_bit() {
         let mut c = small();
-        c.insert(line(0), [1; 64], true);
+        c.insert(line(0), 1, true);
         // A clean refill of a dirty resident line keeps the dirty bit
         // (the modification still has to reach memory eventually).
-        assert!(c.insert(line(0), [2; 64], false).is_none());
-        c.insert(line(2), [0; 64], false);
-        let evicted = c.insert(line(4), [0; 64], false).expect("set overflows");
+        assert_eq!(c.insert(line(0), 1, false), Insert::Refilled);
+        c.insert(line(2), 2, false);
+        let Insert::Placed(Some(evicted)) = c.insert(line(4), 4, false) else {
+            panic!("set overflows")
+        };
         assert_eq!(evicted.addr, line(0), "line 0 is LRU after line 2's insert");
         assert!(evicted.dirty, "dirty bit survived the clean refill");
-        assert_eq!(evicted.data, [2; 64], "refilled data is what gets written back");
     }
 
     #[test]
-    fn refresh_changes_data_only() {
-        let mut c = small();
-        c.insert(line(0), [1; 64], false);
-        c.insert(line(4), [2; 64], false);
-        let before = c.stats();
-        assert!(c.refresh(line(0), &[9; 64]));
-        assert!(!c.refresh(line(8), &[9; 64]), "not resident");
-        assert_eq!(c.stats(), before, "no counter moves");
-        assert!(c.drain_dirty().is_empty(), "refresh does not dirty");
-        // Line 0 is still the LRU way of its set.
-        let v = c.insert(line(8), [3; 64], false).expect("set full");
-        assert_eq!((v.addr, v.data), (line(0), [9; 64]));
+    fn ways_move_as_in_swap_remove_and_push() {
+        // One set of four ways.
+        let mut c =
+            SetAssocCache::new(CacheConfig { size_bytes: 4 * LINE_BYTES, ways: 4, latency: 1 });
+        for n in 0..4 {
+            c.insert(line(n), n as u32, true);
+        }
+        c.lookup(line(0));
+        // Line 1 is the LRU: line 3 moves into its way, line 9 is pushed.
+        c.insert(line(9), 9, true);
+        c.invalidate(line(0)); // line 9 moves into way 0
+        let order: Vec<u32> = drained(&mut c).iter().map(|&(_, slot)| slot).collect();
+        assert_eq!(order, [9, 3, 2]);
+    }
+
+    #[test]
+    fn invalidate_keeps_the_recency_of_the_rest() {
+        let mut c =
+            SetAssocCache::new(CacheConfig { size_bytes: 4 * LINE_BYTES, ways: 4, latency: 1 });
+        for n in 0..4 {
+            c.insert(line(n), n as u32, false);
+        }
+        c.lookup(line(0)); // recency, oldest first: 1, 2, 3, 0
+        c.invalidate(line(2));
+        c.insert(line(5), 5, false);
+        let Insert::Placed(Some(v)) = c.insert(line(6), 6, false) else { panic!("set full") };
+        assert_eq!(v.addr, line(1));
+        let Insert::Placed(Some(v)) = c.insert(line(7), 7, false) else { panic!("set full") };
+        assert_eq!(v.addr, line(3));
     }
 
     #[test]
     fn drain_dirty_cleans_everything() {
         let mut c = small();
-        c.insert(line(0), [1; 64], true);
-        c.insert(line(1), [2; 64], true);
-        c.insert(line(2), [3; 64], false);
-        let drained = c.drain_dirty();
-        assert_eq!(drained.len(), 2);
-        assert!(c.drain_dirty().is_empty());
+        c.insert(line(0), 1, true);
+        c.insert(line(1), 2, true);
+        c.insert(line(2), 3, false);
+        assert_eq!(drained(&mut c).len(), 2);
+        assert!(drained(&mut c).is_empty());
         assert_eq!(c.resident_lines(), 3);
     }
 
@@ -388,8 +468,14 @@ mod tests {
     fn address_reconstruction() {
         let mut c = small();
         let addr = PhysAddr::new(0x1234_5640);
-        c.insert(addr, [5; 64], true);
-        let drained = c.drain_dirty();
-        assert_eq!(drained[0].0, addr.line_align());
+        c.insert(addr, 5, true);
+        assert_eq!(drained(&mut c), [(addr.line_align(), 5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tag range")]
+    fn addresses_beyond_the_tag_range_panic() {
+        let mut c = small();
+        c.lookup(PhysAddr::new(c.config().max_phys_bytes()));
     }
 }

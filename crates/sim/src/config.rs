@@ -180,6 +180,13 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.kernel.validate()?;
         self.caches.validate()?;
+        if self.kernel.phys_bytes > self.caches.max_phys_bytes() {
+            return Err(format!(
+                "{} bytes of physical memory exceed the {} bytes the cache tags can address",
+                self.kernel.phys_bytes,
+                self.caches.max_phys_bytes()
+            ));
+        }
         self.controller.validate()?;
         if self.kernel.phys_bytes != self.controller.data_bytes {
             return Err("kernel and controller must agree on the data area".into());
@@ -227,6 +234,14 @@ mod tests {
         let mut cfg = SimConfig::new(CowStrategy::Baseline, PageSize::Regular4K);
         cfg.controller.scheme = SchemeKind::LelantusResized;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn memory_beyond_the_cache_tag_range_rejected() {
+        let cfg = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
+        assert!(cfg.clone().with_phys_bytes(1 << 45).validate().is_ok());
+        let err = cfg.with_phys_bytes((1 << 45) + (2 << 20)).validate().unwrap_err();
+        assert!(err.contains("cache tags"), "{err}");
     }
 
     #[test]

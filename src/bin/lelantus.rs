@@ -272,6 +272,18 @@ fn open_trace_or_exit(path: &str) -> Trace {
     })
 }
 
+/// Validates `cfg`, built from the header of the trace at `path`: a
+/// header describing a machine the simulator cannot build (say, more
+/// memory than the cache tags address) exits with the bad-header code.
+fn trace_config_or_exit(cfg: SimConfig, path: &str) -> SimConfig {
+    if let Err(e) = cfg.validate() {
+        eprintln!("error: trace {path} describes a machine the simulator cannot build: {e}");
+        let bad = TraceError::BadHeader { reason: "unsupported geometry" };
+        std::process::exit(trace_exit_code(&bad) as i32);
+    }
+    cfg
+}
+
 /// One replay of `trace` under `strategy` (geometry from the trace
 /// header), returning final metrics, replay stats, and the ingest
 /// wall-clock seconds. Exits with the per-error code on failure; a
@@ -288,7 +300,7 @@ fn replay_one(
     if heatmap {
         cfg = cfg.with_heatmap();
     }
-    let mut sys = System::new(cfg);
+    let mut sys = System::new(trace_config_or_exit(cfg, path));
     let start = std::time::Instant::now();
     let stats = match replay(&mut sys, trace) {
         Ok(s) => s,
@@ -908,8 +920,8 @@ fn report(flags: &HashMap<String, String>) -> ExitCode {
     // The event view: a bounded ring for the in-process summary, plus
     // every event streamed to the JSONL file when `--events` is set.
     let mut cfg = SimConfig::new(strategy, pages).with_epoch_interval(epoch).with_events(ring_cap);
-    if let Some((_, t)) = &replay_src {
-        cfg = cfg.with_phys_bytes(t.header().phys_bytes);
+    if let Some((path, t)) = &replay_src {
+        cfg = trace_config_or_exit(cfg.with_phys_bytes(t.header().phys_bytes), path);
     }
     if tail_enabled {
         // The ledger rides along so each worst-offender span carries a

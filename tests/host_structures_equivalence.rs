@@ -6,13 +6,18 @@
 //! (through a `BTreeMap` of ticks or a linear scan); the NVM write queue
 //! scanned its full 88-byte entries. The production types now sit on
 //! one slab LRU (`lelantus_types::lru::LruMap`) and an address-only
-//! scan behind a counting filter. Each model below is the former
-//! implementation, kept verbatim apart from dropping what no test
-//! calls. Every soup drives a model
+//! scan behind a counting filter. The CPU cache levels kept a copy of
+//! each line's bytes in every way; they now keep tags only, over one
+//! slab slot per line that all levels share. Each model below is the
+//! former implementation, kept verbatim apart from dropping what no
+//! test calls. Every soup drives a model
 //! and its production twin with at least 10k seeded random operations
 //! at small capacities and requires equal return values, victims,
 //! forwards, walk statistics and counters after every step.
 
+use lelantus::cache::{
+    CacheConfig, CacheHierarchy, CacheStats, HierarchyConfig, HierarchyStats, LineBackend,
+};
 use lelantus::crypto::merkle::WalkStats;
 use lelantus::crypto::{MerkleTree, SipHash24, TamperError};
 use lelantus::metadata::cow_meta::CowCacheStats;
@@ -941,4 +946,515 @@ fn write_queue_matches_the_entry_scan_model() {
         }
         assert_eq!(all_fields(fast.drain_all()), all_fields(model.drain_all()));
     }
+}
+
+// ---------------------------------------------------------------------
+// CPU cache hierarchy
+// ---------------------------------------------------------------------
+
+/// A cached way with its line data inline.
+#[derive(Debug, Clone)]
+struct Way {
+    tag: u64,
+    data: [u8; 64],
+    dirty: bool,
+    lru_tick: u64,
+}
+
+/// The level that kept a copy of each line's bytes in every way and
+/// evicted the minimum access tick.
+struct SetAssocModel {
+    config: CacheConfig,
+    sets: Vec<Vec<Way>>,
+    set_mask: u64,
+    tick: u64,
+    stats: CacheStats,
+}
+
+impl SetAssocModel {
+    fn new(config: CacheConfig) -> Self {
+        config.validate().expect("invalid cache geometry");
+        let sets = config.sets();
+        Self {
+            config,
+            sets: (0..sets).map(|_| Vec::with_capacity(config.ways)).collect(),
+            set_mask: sets as u64 - 1,
+            tick: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn set_and_tag(&self, addr: PhysAddr) -> (usize, u64) {
+        let line = addr.line_align().as_u64() / 64;
+        ((line & self.set_mask) as usize, line >> self.set_mask.count_ones())
+    }
+
+    fn lookup(&mut self, addr: PhysAddr) -> Option<[u8; 64]> {
+        let (set, tag) = self.set_and_tag(addr);
+        self.tick += 1;
+        let tick = self.tick;
+        if let Some(way) = self.sets[set].iter_mut().find(|w| w.tag == tag) {
+            way.lru_tick = tick;
+            self.stats.hits += 1;
+            Some(way.data)
+        } else {
+            self.stats.misses += 1;
+            None
+        }
+    }
+
+    fn probe(&self, addr: PhysAddr) -> bool {
+        let (set, tag) = self.set_and_tag(addr);
+        self.sets[set].iter().any(|w| w.tag == tag)
+    }
+
+    fn write_hit(&mut self, addr: PhysAddr, bytes: &[u8]) -> bool {
+        let offset = addr.line_offset();
+        assert!(offset + bytes.len() <= 64, "write crosses line boundary");
+        let (set, tag) = self.set_and_tag(addr);
+        self.tick += 1;
+        let tick = self.tick;
+        if let Some(way) = self.sets[set].iter_mut().find(|w| w.tag == tag) {
+            way.data[offset..offset + bytes.len()].copy_from_slice(bytes);
+            way.dirty = true;
+            way.lru_tick = tick;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn insert(&mut self, addr: PhysAddr, data: [u8; 64], dirty: bool) -> Option<ModelEvicted> {
+        let (set, tag) = self.set_and_tag(addr);
+        self.tick += 1;
+        let tick = self.tick;
+        // Refill of a resident line replaces its contents.
+        if let Some(way) = self.sets[set].iter_mut().find(|w| w.tag == tag) {
+            way.data = data;
+            way.dirty = way.dirty || dirty;
+            way.lru_tick = tick;
+            return None;
+        }
+        let victim = if self.sets[set].len() >= self.config.ways {
+            let (idx, _) = self.sets[set]
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, w)| w.lru_tick)
+                .expect("set is full, victim exists");
+            let w = self.sets[set].swap_remove(idx);
+            if w.dirty {
+                self.stats.dirty_evictions += 1;
+            }
+            Some(ModelEvicted {
+                addr: self.reconstruct_addr(set, w.tag),
+                data: w.data,
+                dirty: w.dirty,
+            })
+        } else {
+            None
+        };
+        self.sets[set].push(Way { tag, data, dirty, lru_tick: tick });
+        victim
+    }
+
+    fn reconstruct_addr(&self, set: usize, tag: u64) -> PhysAddr {
+        let line = (tag << self.set_mask.count_ones()) | set as u64;
+        PhysAddr::new(line * 64)
+    }
+
+    fn refresh(&mut self, addr: PhysAddr, data: &[u8; 64]) -> bool {
+        let (set, tag) = self.set_and_tag(addr);
+        match self.sets[set].iter_mut().find(|w| w.tag == tag) {
+            Some(way) => {
+                way.data = *data;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn invalidate(&mut self, addr: PhysAddr) -> Option<ModelEvicted> {
+        let (set, tag) = self.set_and_tag(addr);
+        let idx = self.sets[set].iter().position(|w| w.tag == tag)?;
+        let w = self.sets[set].swap_remove(idx);
+        self.stats.invalidations += 1;
+        Some(ModelEvicted { addr: self.reconstruct_addr(set, w.tag), data: w.data, dirty: w.dirty })
+    }
+
+    fn take_dirty(&mut self, addr: PhysAddr) -> bool {
+        let (set, tag) = self.set_and_tag(addr);
+        match self.sets[set].iter_mut().find(|w| w.tag == tag) {
+            Some(way) => std::mem::take(&mut way.dirty),
+            None => false,
+        }
+    }
+
+    fn clear(&mut self) {
+        for set in &mut self.sets {
+            set.clear();
+        }
+    }
+
+    fn drain_dirty(&mut self) -> Vec<(PhysAddr, [u8; 64])> {
+        let set_bits = self.set_mask.count_ones();
+        let mut out = Vec::new();
+        for (set, ways) in self.sets.iter_mut().enumerate() {
+            for way in ways {
+                if way.dirty {
+                    way.dirty = false;
+                    let line = (way.tag << set_bits) | set as u64;
+                    out.push((PhysAddr::new(line * 64), way.data));
+                }
+            }
+        }
+        out
+    }
+}
+
+/// A victim with its bytes.
+struct ModelEvicted {
+    addr: PhysAddr,
+    data: [u8; 64],
+    dirty: bool,
+}
+
+/// The hierarchy over levels that each held their own copy of a line.
+struct HierarchyModel {
+    l1: SetAssocModel,
+    l2: SetAssocModel,
+    l3: SetAssocModel,
+    config: HierarchyConfig,
+}
+
+impl HierarchyModel {
+    fn new(config: HierarchyConfig) -> Self {
+        Self {
+            l1: SetAssocModel::new(config.l1),
+            l2: SetAssocModel::new(config.l2),
+            l3: SetAssocModel::new(config.l3),
+            config,
+        }
+    }
+
+    fn stats(&self) -> HierarchyStats {
+        HierarchyStats { l1: self.l1.stats, l2: self.l2.stats, l3: self.l3.stats }
+    }
+
+    fn absorb_victim(
+        &mut self,
+        level: usize,
+        victim: ModelEvicted,
+        now: Cycles,
+        backend: &mut dyn LineBackend,
+    ) {
+        if !victim.dirty {
+            return; // clean victims vanish silently (non-inclusive model)
+        }
+        match level {
+            1 => {
+                if let Some(v2) = self.l2.insert(victim.addr, victim.data, true) {
+                    self.absorb_victim(2, v2, now, backend);
+                }
+            }
+            2 => {
+                if let Some(v3) = self.l3.insert(victim.addr, victim.data, true) {
+                    self.absorb_victim(3, v3, now, backend);
+                }
+            }
+            _ => {
+                backend.write_line(victim.addr, victim.data, now);
+            }
+        }
+    }
+
+    fn fill(
+        &mut self,
+        addr: PhysAddr,
+        now: Cycles,
+        backend: &mut dyn LineBackend,
+    ) -> ([u8; 64], Cycles) {
+        let line = addr.line_align();
+        let l1_lat = Cycles::new(self.config.l1.latency);
+        let l2_lat = Cycles::new(self.config.l2.latency);
+        let l3_lat = Cycles::new(self.config.l3.latency);
+
+        if let Some(data) = self.l1.lookup(line) {
+            return (data, now + l1_lat);
+        }
+        if let Some(data) = self.l2.lookup(line) {
+            let dirty = self.l2.take_dirty(line);
+            if let Some(v) = self.l1.insert(line, data, dirty) {
+                self.absorb_victim(1, v, now, backend);
+            }
+            return (data, now + l1_lat + l2_lat);
+        }
+        if let Some(data) = self.l3.lookup(line) {
+            let dirty = self.l3.take_dirty(line);
+            if let Some(v) = self.l2.insert(line, data, false) {
+                self.absorb_victim(2, v, now, backend);
+            }
+            if let Some(v) = self.l1.insert(line, data, dirty) {
+                self.absorb_victim(1, v, now, backend);
+            }
+            return (data, now + l1_lat + l2_lat + l3_lat);
+        }
+        let lookup_time = now + l1_lat + l2_lat + l3_lat;
+        let (data, mem_done) = backend.read_line(line, lookup_time);
+        if let Some(v) = self.l3.insert(line, data, false) {
+            self.absorb_victim(3, v, now, backend);
+        }
+        if let Some(v) = self.l2.insert(line, data, false) {
+            self.absorb_victim(2, v, now, backend);
+        }
+        if let Some(v) = self.l1.insert(line, data, false) {
+            self.absorb_victim(1, v, now, backend);
+        }
+        (data, mem_done)
+    }
+
+    fn load(
+        &mut self,
+        addr: PhysAddr,
+        len: usize,
+        now: Cycles,
+        backend: &mut dyn LineBackend,
+    ) -> (Vec<u8>, Cycles) {
+        let offset = addr.line_offset();
+        assert!(offset + len <= 64, "load crosses line boundary");
+        let (data, done) = self.fill(addr, now, backend);
+        (data[offset..offset + len].to_vec(), done)
+    }
+
+    fn load_line(
+        &mut self,
+        addr: PhysAddr,
+        now: Cycles,
+        backend: &mut dyn LineBackend,
+    ) -> ([u8; 64], Cycles) {
+        self.fill(addr, now, backend)
+    }
+
+    fn store(
+        &mut self,
+        addr: PhysAddr,
+        bytes: &[u8],
+        now: Cycles,
+        backend: &mut dyn LineBackend,
+    ) -> Cycles {
+        let offset = addr.line_offset();
+        assert!(offset + bytes.len() <= 64, "store crosses line boundary");
+        if self.l1.write_hit(addr, bytes) {
+            self.l1.lookup(addr.line_align()); // LRU touch & hit accounting
+            return now + Cycles::new(self.config.l1.latency);
+        }
+        let (_, fill_done) = self.fill(addr, now, backend);
+        let ok = self.l1.write_hit(addr, bytes);
+        assert!(ok, "line was just filled");
+        fill_done + Cycles::new(self.config.l1.latency)
+    }
+
+    fn flush_range(
+        &mut self,
+        start: PhysAddr,
+        len: u64,
+        now: Cycles,
+        backend: &mut dyn LineBackend,
+    ) -> Cycles {
+        let mut done = now;
+        let base = start.line_align();
+        let mut offset = 0;
+        while offset < len {
+            let line = base + offset;
+            for cache in [&mut self.l1, &mut self.l2, &mut self.l3] {
+                if let Some(e) = cache.invalidate(line) {
+                    if e.dirty {
+                        done = done.max(backend.write_line(line, e.data, now));
+                    }
+                }
+            }
+            offset += 64;
+        }
+        done
+    }
+
+    fn invalidate_range(&mut self, start: PhysAddr, len: u64) -> u64 {
+        let base = start.line_align();
+        let mut offset = 0;
+        let mut resident = 0;
+        while offset < len {
+            let line = base + offset;
+            resident += u64::from(self.l1.invalidate(line).is_some());
+            resident += u64::from(self.l2.invalidate(line).is_some());
+            resident += u64::from(self.l3.invalidate(line).is_some());
+            offset += 64;
+        }
+        resident
+    }
+
+    fn writeback_all(&mut self, now: Cycles, backend: &mut dyn LineBackend) -> Cycles {
+        let mut done = now;
+        for (addr, data) in self.l1.drain_dirty() {
+            self.l2.refresh(addr, &data);
+            self.l3.refresh(addr, &data);
+            done = done.max(backend.write_line(addr, data, now));
+        }
+        for (addr, data) in self.l2.drain_dirty() {
+            self.l3.refresh(addr, &data);
+            done = done.max(backend.write_line(addr, data, now));
+        }
+        for (addr, data) in self.l3.drain_dirty() {
+            done = done.max(backend.write_line(addr, data, now));
+        }
+        done
+    }
+
+    fn clear_all(&mut self) {
+        self.l1.clear();
+        self.l2.clear();
+        self.l3.clear();
+    }
+
+    fn probe(&self, addr: PhysAddr) -> bool {
+        let line = addr.line_align();
+        self.l1.probe(line) || self.l2.probe(line) || self.l3.probe(line)
+    }
+}
+
+/// One backend call, in the order the hierarchy made it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum BackendCall {
+    Read(PhysAddr, Cycles),
+    Write(PhysAddr, [u8; 64], Cycles),
+}
+
+/// A memory that logs every call and answers with address-dependent
+/// latencies, so a reordered or retimed call shows.
+#[derive(Default)]
+struct LoggingBackend {
+    mem: HashMap<u64, [u8; 64]>,
+    log: Vec<BackendCall>,
+}
+
+impl LineBackend for LoggingBackend {
+    fn read_line(&mut self, addr: PhysAddr, now: Cycles) -> ([u8; 64], Cycles) {
+        self.log.push(BackendCall::Read(addr, now));
+        let fresh = [(addr.as_u64() / 64) as u8; 64];
+        let data = self.mem.get(&addr.as_u64()).copied().unwrap_or(fresh);
+        (data, now + Cycles::new(60 + addr.as_u64() / 64 % 7))
+    }
+
+    fn write_line(&mut self, addr: PhysAddr, data: [u8; 64], now: Cycles) -> Cycles {
+        self.log.push(BackendCall::Write(addr, data, now));
+        self.mem.insert(addr.as_u64(), data);
+        now + Cycles::new(150 + addr.as_u64() / 64 % 5)
+    }
+}
+
+/// Drives the production hierarchy and the model with the same seeded
+/// operations over `lines` (line numbers), comparing returned bytes
+/// and times, the backend logs, per-level stats, per-level residency
+/// and the number of distinct lines held after every step.
+fn cache_soup(config: HierarchyConfig, lines: &[u64], seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut fast = CacheHierarchy::new(config);
+    let mut model = HierarchyModel::new(config);
+    let (mut fast_mem, mut model_mem) = (LoggingBackend::default(), LoggingBackend::default());
+    let mut now = Cycles::ZERO;
+    for step in 0..OPS {
+        now += Cycles::new(rng.gen_range(0..40u64));
+        let line = PhysAddr::new(lines[rng.gen_range(0..lines.len())] * 64);
+        let offset = rng.gen_range(0..64u64);
+        let addr = line + offset;
+        let len = rng.gen_range(1..=64 - offset as usize);
+        match rng.gen_range(0..100u32) {
+            0..=29 => assert_eq!(
+                fast.load(addr, len, now, &mut fast_mem),
+                model.load(addr, len, now, &mut model_mem),
+                "load, step {step}"
+            ),
+            30..=44 => assert_eq!(
+                fast.load_line(addr, now, &mut fast_mem),
+                model.load_line(addr, now, &mut model_mem),
+                "load_line, step {step}"
+            ),
+            45..=89 => {
+                let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                assert_eq!(
+                    fast.store(addr, &bytes, now, &mut fast_mem),
+                    model.store(addr, &bytes, now, &mut model_mem),
+                    "store, step {step}"
+                );
+            }
+            90..=93 => {
+                let bytes = rng.gen_range(1..=8u64) * 64;
+                assert_eq!(
+                    fast.flush_range(addr, bytes, now, &mut fast_mem),
+                    model.flush_range(addr, bytes, now, &mut model_mem),
+                    "flush_range, step {step}"
+                );
+            }
+            94..=96 => {
+                let bytes = rng.gen_range(1..=8u64) * 64;
+                assert_eq!(
+                    fast.invalidate_range(addr, bytes),
+                    model.invalidate_range(addr, bytes),
+                    "invalidate_range, step {step}"
+                );
+            }
+            97..=98 => assert_eq!(
+                fast.writeback_all(now, &mut fast_mem),
+                model.writeback_all(now, &mut model_mem),
+                "writeback_all, step {step}"
+            ),
+            _ => {
+                fast.clear_all();
+                model.clear_all();
+            }
+        }
+        assert_eq!(fast_mem.log, model_mem.log, "backend log, step {step}");
+        assert_eq!(fast.stats(), model.stats(), "stats, step {step}");
+        // Lines a level holds: a sum over its sets, or a probe of each
+        // line of the soup where that is shorter.
+        let held = |level: &SetAssocModel| {
+            if level.sets.len() <= lines.len() {
+                level.sets.iter().map(Vec::len).sum()
+            } else {
+                lines.iter().filter(|&&l| level.probe(PhysAddr::new(l * 64))).count()
+            }
+        };
+        let model_resident = [held(&model.l1), held(&model.l2), held(&model.l3)];
+        assert_eq!(fast.resident_lines(), model_resident, "resident lines, step {step}");
+        let distinct = lines.iter().filter(|&&l| model.probe(PhysAddr::new(l * 64))).count();
+        assert_eq!(fast.distinct_lines(), distinct, "distinct lines, step {step}");
+    }
+    // Every line the model would write back, with the bytes it holds.
+    assert_eq!(fast.writeback_all(now, &mut fast_mem), model.writeback_all(now, &mut model_mem));
+    assert_eq!(fast_mem.log, model_mem.log);
+}
+
+#[test]
+fn tiny_cache_hierarchy_matches_the_inline_data_model() {
+    // 8/32/64 sets; the footprint is twice the L3.
+    let lines: Vec<u64> = (0..512).collect();
+    cache_soup(HierarchyConfig::tiny(), &lines, 81);
+}
+
+#[test]
+fn paper_cache_hierarchy_matches_the_inline_data_model() {
+    // 24 tags in each of 4 sets of every level (lines 1 MiB apart
+    // share a set in L1, L2 and L3).
+    let lines: Vec<u64> = (0..4).flat_map(|set| (0..24).map(move |t| set + t * 16384)).collect();
+    cache_soup(HierarchyConfig::default(), &lines, 82);
+}
+
+#[test]
+fn one_set_cache_hierarchy_matches_the_inline_data_model() {
+    // One set per level, so every miss conflicts.
+    let one_set = HierarchyConfig {
+        l1: CacheConfig { size_bytes: 2 * 64, ways: 2, latency: 2 },
+        l2: CacheConfig { size_bytes: 4 * 64, ways: 4, latency: 8 },
+        l3: CacheConfig { size_bytes: 8 * 64, ways: 8, latency: 25 },
+    };
+    let lines: Vec<u64> = (0..24).collect();
+    cache_soup(one_set, &lines, 83);
 }

@@ -305,6 +305,28 @@ fn overflowing_mmap_length_is_an_os_error_not_a_panic() {
 }
 
 #[test]
+fn memory_beyond_the_cache_tag_range_is_a_bad_header_not_a_panic() {
+    // A well-formed trace recorded, by its header, on 2^46 bytes of
+    // memory: more than a 32-bit L1 tag addresses.
+    let header = TraceHeader { page_size: PageSize::Regular4K, phys_bytes: 1 << 46 };
+    let mut w = TraceWriter::new(Vec::new(), header).expect("vec sink");
+    w.spawn_init(1).expect("vec sink");
+    let (bytes, _) = w.into_parts().expect("vec sink");
+    let dir = std::env::temp_dir().join("lelantus-trace-roundtrip");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("{}-huge.ltr", std::process::id()));
+    std::fs::write(&path, &bytes).expect("temp write");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_lelantus"))
+        .args(["run", "--trace", path.to_str().unwrap()])
+        .output()
+        .expect("spawn lelantus");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(15), "a bad header exits 15: {stderr}");
+    assert!(stderr.contains("cache tags"), "{stderr}");
+}
+
+#[test]
 fn mmap_and_buffered_readers_agree() {
     let bytes = valid_image();
     let dir = std::env::temp_dir().join("lelantus-trace-roundtrip");
