@@ -27,12 +27,12 @@
 use crate::config::{ControllerConfig, SchemeKind};
 use crate::stats::ControllerStats;
 use lelantus_cache::LineBackend;
-use lelantus_crypto::ctr::{xor_line, CtrEngine, IvSpec};
+use lelantus_crypto::ctr::{CtrEngine, IvSpec};
 use lelantus_crypto::merkle::MerkleTree;
 use lelantus_crypto::siphash::{DataMacBatch, SipHash24, DATA_MAC_LANES};
 use lelantus_metadata::counter_block::{CounterBlock, CounterEncoding, MINORS};
 use lelantus_metadata::counter_cache::{CounterCache, WritePolicy};
-use lelantus_metadata::cow_meta::{CowCache, CowMetaTable};
+use lelantus_metadata::cow_meta::{decode_slot, encode_slot, CowCache};
 use lelantus_metadata::layout::MetadataLayout;
 use lelantus_metadata::mac::{decode_mac_line, encode_mac_line, MacCache};
 use lelantus_nvm::{NvmDevice, NvmStats};
@@ -40,7 +40,6 @@ use lelantus_obs::{
     selfprof, AccessDir, CycleCategory, Event, EventKind, HeatLane, HistKind, LayerRecorder,
 };
 use lelantus_types::{Cycles, PhysAddr, LINE_BYTES, REGION_BYTES};
-use std::collections::HashSet;
 
 /// Key of the Bonsai Merkle tree over counter blocks.
 pub const MERKLE_KEY: (u64, u64) = (0x6c65_6c61_6e74_7573, 0x6973_6361_3230_3230);
@@ -54,7 +53,10 @@ pub const DATA_MAC_KEY: (u64, u64) = (0x6d61_635f_6b65_7931, 0x6d61_635f_6b65_79
 pub struct RecoveryReport {
     /// Counter blocks re-read and re-verified from NVM.
     pub regions_verified: u64,
-    /// CoW mappings recovered from the persisted table (Lelantus-CoW).
+    /// Non-empty CoW-metadata slots found in NVM (Lelantus-CoW). The
+    /// slots are the mappings' only record, so nothing is rebuilt:
+    /// lookups after recovery read them from NVM through a cold CoW
+    /// cache.
     pub cow_mappings_recovered: u64,
 }
 
@@ -123,13 +125,11 @@ pub struct SecureMemoryController {
     merkle: MerkleTree,
     counter_cache: CounterCache,
     cow_cache: CowCache,
-    cow_table: CowMetaTable,
     mac_cache: MacCache,
     /// Data-MAC tags not yet computed (see [`MacQueue`]).
     mac_queue: MacQueue,
     mac_key: SipHash24,
     layout: MetadataLayout,
-    initialized_regions: HashSet<u64>,
     /// The Merkle root as persisted in the controller's small
     /// battery/NVM register domain — the trust anchor recovery
     /// verifies against.
@@ -174,12 +174,10 @@ impl SecureMemoryController {
             merkle,
             counter_cache: CounterCache::new(config.counter_cache),
             cow_cache: CowCache::new(config.cow_cache_entries),
-            cow_table: CowMetaTable::new(),
             mac_cache: MacCache::new(config.mac_cache_lines.max(1)),
             mac_queue: MacQueue::default(),
             mac_key: SipHash24::new(DATA_MAC_KEY.0, DATA_MAC_KEY.1),
             layout,
-            initialized_regions: HashSet::new(),
             persisted_root,
             stats: ControllerStats::default(),
             config,
@@ -271,11 +269,6 @@ impl SecureMemoryController {
         self.nvm.poke_line(line, bytes);
     }
 
-    /// Diagnostics: latest bank-busy instant and queued write count.
-    pub fn device_pressure(&self) -> (lelantus_types::Cycles, usize) {
-        (self.nvm.max_bank_busy(), self.nvm.queued_writes())
-    }
-
     /// Diagnostics: per-bank busy profile.
     pub fn bank_busy_profile(&self) -> Vec<u64> {
         self.nvm.bank_busy_profile()
@@ -352,9 +345,11 @@ impl SecureMemoryController {
     }
 
     /// Lazily materializes the boot-time counter block of `region`
-    /// (free of charge: this models factory/boot initialization).
+    /// (free of charge: this models factory/boot initialization). A
+    /// region is booted once its counter line exists in NVM.
     fn ensure_region_init(&mut self, region: u64) {
-        if !self.initialized_regions.insert(region) {
+        let caddr = self.layout.counter_addr_of_region(region);
+        if self.nvm.holds_line(caddr) {
             return;
         }
         let mut block = CounterBlock::fresh_regular(1);
@@ -362,7 +357,7 @@ impl SecureMemoryController {
             block.minors[line] = self.initial_minor(region, line);
         }
         let bytes = block.encode(self.encoding());
-        self.nvm.poke_line(self.layout.counter_addr_of_region(region), bytes);
+        self.nvm.poke_line(caddr, bytes);
         self.merkle.update_leaf(region as usize, &bytes);
         // Boot-time initialization is free of charge: its walk stats
         // are dropped above, so its touch log must be dropped too.
@@ -478,8 +473,8 @@ impl SecureMemoryController {
     }
 
     /// Looks up the CoW source of `region` given its (already fetched)
-    /// counter block. Charges a CoW-table read on a CoW-cache miss
-    /// (Lelantus-CoW only).
+    /// counter block. A CoW-cache miss reads the region's slot line
+    /// from NVM and decodes the mapping from it (Lelantus-CoW only).
     fn source_of(
         &mut self,
         region: u64,
@@ -496,10 +491,10 @@ impl SecureMemoryController {
                     if let Some(log) = self.nvm.recorder_mut().events_mut() {
                         log.emit(Event { cycle: now, kind: EventKind::CowMetaRead { region } });
                     }
-                    let (slot_line, _off) = self.layout.cow_meta_slot_of_region(region);
-                    let (_bytes, t) = self.nvm.read_line(slot_line, now);
+                    let (slot_line, off) = self.layout.cow_meta_slot_of_region(region);
+                    let (line, t) = self.nvm.read_line(slot_line, now);
                     self.seg(now, t, CycleCategory::CowRedirect);
-                    let mapping = self.cow_table.get(region);
+                    let mapping = decode_slot(&line, off);
                     self.cow_cache.fill(region, mapping);
                     (mapping, t)
                 }
@@ -511,7 +506,6 @@ impl SecureMemoryController {
     /// Writes `region`'s CoW-table slot (Lelantus-CoW), charging one
     /// metadata line write, and keeps the CoW cache coherent.
     fn write_cow_mapping(&mut self, region: u64, src: Option<u64>, now: Cycles) -> Cycles {
-        self.cow_table.set(region, src);
         self.cow_cache.fill(region, src);
         self.stats.cow_meta_writes += 1;
         if let Some(log) = self.nvm.recorder_mut().events_mut() {
@@ -520,7 +514,7 @@ impl SecureMemoryController {
         let (slot_line, off) = self.layout.cow_meta_slot_of_region(region);
         // Read-modify-write of the 64 B metadata line, functionally.
         let mut line = self.nvm.peek_line(slot_line);
-        line[off..off + 8].copy_from_slice(&self.cow_table.slot_bytes(region));
+        encode_slot(&mut line, off, src);
         let t = self.nvm.write_line(slot_line, line, now);
         self.seg(now, t, CycleCategory::CowRedirect);
         t
@@ -918,8 +912,8 @@ impl SecureMemoryController {
         }
         let mut done = t;
         // All 64 lines re-encrypt under (new major, minor = 1) at
-        // consecutive addresses: one batched pad sweep replaces 64
-        // per-line engine dispatches. Device call order is unchanged.
+        // consecutive addresses; `copy_page` pads them with one
+        // per-line `one_time_pad` call each.
         let base = self.line_addr(region, 0);
         let ciphers = self.engine.copy_page(&plains, base.as_u64(), newblock.major, 1);
         for (line, cipher) in ciphers.iter().enumerate() {
@@ -934,9 +928,13 @@ impl SecureMemoryController {
     }
 
     /// Whether `region` currently has a Lelantus-CoW table mapping
-    /// (functional check, no traffic).
+    /// (functional check of its NVM slot, no traffic).
     fn lelantus_cow_mapping(&self, region: u64) -> bool {
-        self.config.scheme == SchemeKind::LelantusCow && self.cow_table.get(region).is_some()
+        if self.config.scheme != SchemeKind::LelantusCow {
+            return false;
+        }
+        let (slot_line, off) = self.layout.cow_meta_slot_of_region(region);
+        decode_slot(&self.nvm.peek_line(slot_line), off).is_some()
     }
 
     // ------------------------------------------------------------------
@@ -1054,20 +1052,17 @@ impl SecureMemoryController {
         }
         let issue = t;
         let mut done = t;
-        // Every materialized line lands at (major, minor = 1) on a
-        // consecutive address, so generate the pads for the whole page
-        // in one sweep up front; the per-line loop below only resolves
-        // sources and XORs. Device call order is unchanged.
-        let base = self.line_addr(dst_region, 0);
-        let pads = self.engine.page_pads(base.as_u64(), block.major, 1, MINORS);
-        for (line, pad) in pads.iter().enumerate() {
+        // Only uncopied lines are materialized, each at (major, minor =
+        // 1), so only their pads are generated.
+        for line in 0..MINORS {
             if block.minors[line] != 0 {
                 continue;
             }
             let (plain, t3, _) = self.resolve_line_plain(dst_region, block, line, issue, issue);
             block.minors[line] = 1;
             let data_addr = self.line_addr(dst_region, line);
-            let cipher = xor_line(&plain, pad);
+            let iv = IvSpec { line_addr: data_addr.as_u64(), major: block.major, minor: 1 };
+            let cipher = self.engine.encrypt_line(&plain, iv);
             // Copies proceed in parallel, bounded by bank availability
             // (§III-E: "safely done in parallel to leverage row buffers").
             done = done.max(self.nvm.write_line(data_addr, cipher, t3));
@@ -1108,8 +1103,7 @@ impl SecureMemoryController {
         let dst_region = self.region_of(dst);
         let (mut block, mut t) = self.fetch_counter(dst_region, t);
         block.cow_src = None;
-        if self.config.scheme == SchemeKind::LelantusCow && self.cow_table.get(dst_region).is_some()
-        {
+        if self.lelantus_cow_mapping(dst_region) {
             t = self.write_cow_mapping(dst_region, None, t);
         }
         let done = self.update_counter(dst_region, block, t);
@@ -1222,10 +1216,12 @@ impl SecureMemoryController {
     /// * then **all volatile state is lost**: counter cache, CoW cache
     ///   and Merkle node caches come up cold.
     ///
-    /// Recovery re-reads every materialized counter block from NVM,
-    /// rebuilds the integrity tree, and verifies the recomputed root
-    /// against the persisted on-chip root; the CoW-metadata table
-    /// (Lelantus-CoW) is recovered from its persisted NVM slots.
+    /// Recovery re-reads every materialized counter block from NVM, in
+    /// ascending region order, rebuilds the integrity tree, and
+    /// verifies the recomputed root against the persisted on-chip root.
+    /// The CoW-metadata slots (Lelantus-CoW) need no rebuild: they are
+    /// NVM lines, read through the cold CoW cache on demand; recovery
+    /// only counts the non-empty ones.
     ///
     /// # Errors
     ///
@@ -1252,7 +1248,6 @@ impl SecureMemoryController {
         // --- volatile state is gone ---
         self.counter_cache = CounterCache::new(self.config.counter_cache);
         self.cow_cache = CowCache::new(self.config.cow_cache_entries);
-        self.cow_table = CowMetaTable::new();
         self.mac_cache.clear();
 
         // --- recovery: rebuild the tree from NVM ---
@@ -1263,22 +1258,14 @@ impl SecureMemoryController {
         )
         .with_deferred_maintenance();
         let mut report = RecoveryReport::default();
-        let mut regions: Vec<u64> = self.initialized_regions.iter().copied().collect();
-        regions.sort_unstable();
-        for region in regions {
-            let bytes = self.nvm.peek_line(self.layout.counter_addr_of_region(region));
-            rebuilt.update_leaf(region as usize, &bytes);
-            report.regions_verified += 1;
-            // Lelantus-CoW: recover the mapping from its NVM slot.
-            if self.config.scheme == SchemeKind::LelantusCow {
-                let (slot_line, off) = self.layout.cow_meta_slot_of_region(region);
-                let line = self.nvm.peek_line(slot_line);
-                let slot: [u8; 8] = line[off..off + 8].try_into().expect("8-byte slot");
-                if let Some(src) = CowMetaTable::decode_slot(slot) {
-                    self.cow_table.set(region, Some(src));
-                    report.cow_mappings_recovered += 1;
-                }
+        for region in 0..self.layout.regions() {
+            let caddr = self.layout.counter_addr_of_region(region);
+            if !self.nvm.holds_line(caddr) {
+                continue; // never booted
             }
+            rebuilt.update_leaf(region as usize, &self.nvm.peek_line(caddr));
+            report.regions_verified += 1;
+            report.cow_mappings_recovered += self.lelantus_cow_mapping(region) as u64;
         }
         rebuilt.flush();
         if rebuilt.root() != saved_root {

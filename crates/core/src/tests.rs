@@ -4,6 +4,7 @@
 use crate::config::{ControllerConfig, SchemeKind};
 use crate::controller::SecureMemoryController;
 use lelantus_metadata::counter_cache::WritePolicy;
+use lelantus_metadata::layout::MetadataLayout;
 use lelantus_obs::LayerRecorder;
 use lelantus_types::{Cycles, PhysAddr, LINE_BYTES};
 use proptest::prelude::*;
@@ -536,6 +537,75 @@ fn controller_composes_with_wear_leveling() {
     // And a crash/recovery cycle on a levelled device still verifies.
     c.crash_and_recover().expect("levelled device recovers");
     assert_eq!(c.read_data_line(line_of(page(1), 5), ZERO).0, fill(6));
+}
+
+#[test]
+fn lelantus_cow_slots_sharing_one_queued_line_stay_exact() {
+    // Eight destinations whose 8-byte slots share one 64 B slot line,
+    // behind a one-entry CoW cache, so lookups keep missing and decode
+    // the line from NVM. The queue never fills: every slot read finds
+    // the line still queued.
+    let mut cfg = small_config(SchemeKind::LelantusCow);
+    cfg.cow_cache_entries = 1;
+    cfg.nvm.write_queue_capacity = 4096;
+    let layout = MetadataLayout::for_data_bytes(cfg.data_bytes);
+    let dst = |s: u64| page(8 + s);
+    let slot_line = |s: u64| layout.cow_meta_slot_of_region(layout.region_of(dst(s))).0;
+    assert!((0..8).all(|s| slot_line(s) == slot_line(0)), "one shared slot line");
+    let src_bytes = |s: u64, l: u64| fill(0x10 + 2 * s as u8 + l as u8);
+    let mut c = SecureMemoryController::new(cfg);
+    for s in 0..8 {
+        for l in 0..2 {
+            c.write_data_line(line_of(page(s), l), src_bytes(s, l), ZERO);
+        }
+        c.cmd_page_copy(page(s), dst(s), ZERO);
+    }
+    // Every destination reads its own source's bytes, or zeros once
+    // freed, in an order that makes each lookup miss the cache.
+    let mut freed = [false; 8];
+    let check = |c: &mut SecureMemoryController, freed: &[bool; 8], when: &str| {
+        for l in 0..2 {
+            for s in [3, 0, 6, 1, 4, 7, 2, 5] {
+                let want = if freed[s as usize] { [0; LINE_BYTES] } else { src_bytes(s, l) };
+                let got = c.read_data_line(line_of(dst(s), l), ZERO).0;
+                assert_eq!(got, want, "destination {s}, line {l}, {when}");
+            }
+        }
+    };
+    check(&mut c, &freed, "after the copies");
+    let redirected = c.stats().redirected_reads;
+    assert_eq!(redirected, 16, "every destination line redirects");
+
+    // Clear five mappings in interleaved order, checking after each.
+    c.cmd_page_phyc(page(0), dst(0), ZERO);
+    check(&mut c, &freed, "after page_phyc 0");
+    c.cmd_page_free(dst(3), ZERO);
+    freed[3] = true;
+    check(&mut c, &freed, "after page_free 3");
+    for i in 0..130u64 {
+        c.write_data_line(line_of(dst(5), 2), fill(i as u8), ZERO);
+    }
+    assert_eq!(c.stats().minor_overflows, 1, "the hammered line overflows once");
+    assert_eq!(c.read_data_line(line_of(dst(5), 2), ZERO).0, fill(129));
+    check(&mut c, &freed, "after the overflow of 5");
+    c.cmd_page_phyc(page(6), dst(6), ZERO);
+    check(&mut c, &freed, "after page_phyc 6");
+    c.cmd_page_free(dst(1), ZERO);
+    freed[1] = true;
+    check(&mut c, &freed, "after page_free 1");
+    assert_eq!(c.stats().cmd_page_phyc, 2);
+    let misses = c.cow_cache_stats().misses;
+    assert!(misses >= 64, "lookups keep missing the cache: {misses}");
+    assert_eq!(c.stats().cow_meta_reads, misses, "each miss reads the slot line");
+    assert_eq!(c.nvm_stats().line_writes, 0, "nothing drained: the slot line stayed queued");
+    assert!(c.nvm_stats().forwarded_reads > 0);
+
+    // Destinations 2, 4 and 7 still redirect.
+    let live_redirects = c.stats().redirected_reads;
+    let report = c.crash_and_recover().expect("clean recovery");
+    assert_eq!(report.cow_mappings_recovered, 3, "one per live mapping");
+    check(&mut c, &freed, "after recovery");
+    assert_eq!(c.stats().redirected_reads - live_redirects, 6);
 }
 
 #[test]

@@ -6,93 +6,48 @@
 //! line; resolving it requires the source address, fetched through a
 //! small dedicated **CoW cache** carved out of counter-cache capacity
 //! (the paper reserves 32 KB of the 256 KB counter cache; each 64 B
-//! slot hosts eight 8 B mappings). Figure 10b reports this cache's
+//! slot line hosts eight 8 B mappings). Figure 10b reports this cache's
 //! miss rate.
 //!
-//! [`CowMetaTable`] is the *functional* table (what NVM holds);
-//! [`CowCache`] is the on-chip cache in front of it. The memory
-//! controller charges NVM traffic for table reads/writes that miss the
-//! cache. Both are keyed by region numbers the simulator computes, so
-//! they hash with the cheap [`lelantus_types::hash::IndexHasher`]; the
-//! cache is a [`LruMap`], so a lookup, fill or eviction is O(1).
+//! The slots themselves are NVM lines like any other: the memory
+//! controller reads and writes them through the device, whose line
+//! store is their only record, and [`crate::MetadataLayout`] places
+//! them. This module holds the slot codec ([`encode_slot`],
+//! [`decode_slot`]) and [`CowCache`], the on-chip cache in front of
+//! the slots. The cache is keyed by region numbers the simulator
+//! computes, so it hashes with the cheap
+//! [`lelantus_types::hash::IndexHasher`]; it is a [`LruMap`], so a
+//! lookup, fill or eviction is O(1).
 
-use lelantus_types::hash::{BuildIndexHasher, IndexMap};
+use lelantus_types::hash::BuildIndexHasher;
 use lelantus_types::lru::LruMap;
+use lelantus_types::LINE_BYTES;
 
-/// The in-NVM mapping `region → source region` for CoW pages.
-///
-/// A slot value of 0 means "no mapping"; stored values are
-/// `source_region + 1`. The table is sparse in the simulator but its
-/// NVM placement (and hence traffic) is governed by
-/// [`crate::MetadataLayout`].
+/// Writes the 8-byte slot at byte `off` of slot line `line`: `src + 1`
+/// little-endian for a mapping `region → src`, 0 for none.
 ///
 /// # Examples
 ///
 /// ```
-/// use lelantus_metadata::CowMetaTable;
+/// use lelantus_metadata::cow_meta::{decode_slot, encode_slot};
 ///
-/// let mut table = CowMetaTable::new();
-/// table.set(10, Some(3));
-/// assert_eq!(table.get(10), Some(3));
-/// table.set(10, None);
-/// assert_eq!(table.get(10), None);
+/// let mut line = [0u8; 64];
+/// encode_slot(&mut line, 16, Some(3));
+/// assert_eq!(decode_slot(&line, 16), Some(3));
+/// assert_eq!(decode_slot(&line, 8), None, "the neighbouring slot is empty");
+/// encode_slot(&mut line, 16, None);
+/// assert_eq!(line, [0; 64]);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct CowMetaTable {
-    slots: IndexMap<u64, u64>,
+pub fn encode_slot(line: &mut [u8; LINE_BYTES], off: usize, src: Option<u64>) {
+    let v = src.map_or(0, |s| s + 1);
+    line[off..off + 8].copy_from_slice(&v.to_le_bytes());
 }
 
-impl CowMetaTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Source region recorded for `region`, if any.
-    pub fn get(&self, region: u64) -> Option<u64> {
-        self.slots.get(&region).copied()
-    }
-
-    /// Sets or clears the mapping of `region`.
-    pub fn set(&mut self, region: u64, src: Option<u64>) {
-        match src {
-            Some(s) => {
-                self.slots.insert(region, s);
-            }
-            None => {
-                self.slots.remove(&region);
-            }
-        }
-    }
-
-    /// Number of live mappings.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when no mappings exist.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Serializes the 8-byte slot value for `region` (wire format used
-    /// when the slot's NVM line is written).
-    pub fn slot_bytes(&self, region: u64) -> [u8; 8] {
-        match self.get(region) {
-            Some(src) => (src + 1).to_le_bytes(),
-            None => [0; 8],
-        }
-    }
-
-    /// Decodes an 8-byte slot value.
-    pub fn decode_slot(bytes: [u8; 8]) -> Option<u64> {
-        let v = u64::from_le_bytes(bytes);
-        if v == 0 {
-            None
-        } else {
-            Some(v - 1)
-        }
-    }
+/// Reads the mapping stored in the 8-byte slot at byte `off` of slot
+/// line `line` (see [`encode_slot`]).
+pub fn decode_slot(line: &[u8; LINE_BYTES], off: usize) -> Option<u64> {
+    let v = u64::from_le_bytes(line[off..off + 8].try_into().expect("8-byte slot"));
+    v.checked_sub(1)
 }
 
 /// Statistics for the on-chip CoW cache (Fig 10b).
@@ -143,11 +98,6 @@ impl CowCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "CoW cache needs capacity");
         Self { entries: LruMap::default(), capacity, stats: CowCacheStats::default() }
-    }
-
-    /// The paper's default: 32 KB of the counter cache, 8 B per entry.
-    pub fn paper_default() -> Self {
-        Self::new(4096)
     }
 
     /// Accumulated counters.
@@ -201,15 +151,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_roundtrip_and_slot_encoding() {
-        let mut t = CowMetaTable::new();
-        t.set(1, Some(0));
-        assert_eq!(t.get(1), Some(0));
-        assert_eq!(t.slot_bytes(1), 1u64.to_le_bytes());
-        assert_eq!(CowMetaTable::decode_slot(t.slot_bytes(1)), Some(0));
-        assert_eq!(CowMetaTable::decode_slot(t.slot_bytes(2)), None);
-        t.set(1, None);
-        assert!(t.is_empty());
+    fn slots_of_one_line_are_independent() {
+        let mut line = [0u8; LINE_BYTES];
+        for (i, off) in (0..LINE_BYTES).step_by(8).enumerate() {
+            encode_slot(&mut line, off, Some(i as u64 * 3));
+        }
+        encode_slot(&mut line, 24, None);
+        for (i, off) in (0..LINE_BYTES).step_by(8).enumerate() {
+            let want = (off != 24).then_some(i as u64 * 3);
+            assert_eq!(decode_slot(&line, off), want, "slot {i}");
+        }
+        assert_eq!(line[..8], 1u64.to_le_bytes(), "region 0's source 0 is stored as 1");
     }
 
     #[test]

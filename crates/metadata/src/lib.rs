@@ -11,9 +11,9 @@
 //!   major + 64 × 6-bit minors + 64-bit source address),
 //! * [`counter_cache`] — the 256 KB, 16-way counter cache (Table III)
 //!   with write-back and write-through policies (Fig 12),
-//! * [`cow_meta`] — Solution 2's supplementary CoW-metadata table
-//!   (8 B per region in NVM) and its dedicated CoW cache carved out of
-//!   counter-cache capacity (paper §III-B),
+//! * [`cow_meta`] — the slot codec of Solution 2's supplementary
+//!   CoW-metadata table (8 B per region in NVM) and its dedicated CoW
+//!   cache carved out of counter-cache capacity (paper §III-B),
 //! * [`layout`] — where counter blocks and CoW metadata live in
 //!   physical NVM, so metadata traffic is charged like any other.
 //!
@@ -38,6 +38,6 @@ pub mod mac;
 
 pub use counter_block::{CounterBlock, CounterEncoding, MinorOverflow};
 pub use counter_cache::{CounterCache, CounterCacheConfig, WritePolicy};
-pub use cow_meta::{CowCache, CowMetaTable};
+pub use cow_meta::CowCache;
 pub use layout::MetadataLayout;
 pub use mac::{MacCache, MacCacheStats};

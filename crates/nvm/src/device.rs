@@ -211,20 +211,20 @@ impl NvmDevice {
     }
 
     /// Reads the 64-byte line containing `addr`, returning the data and
-    /// the completion instant. Pending queued writes are forwarded.
+    /// the completion instant. A line with a queued write is forwarded
+    /// from the queue at SRAM speed.
     pub fn read_line(&mut self, addr: PhysAddr, now: Cycles) -> ([u8; LINE_BYTES], Cycles) {
         let line = addr.line_align();
-        if let Some(data) = self.write_queue.forward(line) {
-            // Forwarded from the write queue: effectively SRAM speed.
-            return (data, now + Cycles::new(1));
-        }
-        self.stats.line_reads += 1;
-        self.heat(HeatLane::BankRead, line);
-        let done = self.array_access(line, now, false);
-        self.rec.seg(now, done, CycleCategory::BankService);
-        let device = self.map_addr(line);
-        let data = self.contents.get(device.as_u64()).unwrap_or([0; LINE_BYTES]);
-        (data, done)
+        let done = if self.write_queue.forward(line) {
+            now + Cycles::new(1)
+        } else {
+            self.stats.line_reads += 1;
+            self.heat(HeatLane::BankRead, line);
+            let done = self.array_access(line, now, false);
+            self.rec.seg(now, done, CycleCategory::BankService);
+            done
+        };
+        (self.peek_line(line), done)
     }
 
     /// Posts a 64-byte line write. Returns the acknowledgement instant:
@@ -234,10 +234,9 @@ impl NvmDevice {
         let line = addr.line_align();
         // Content becomes visible immediately (reads forward from the
         // queue until the array write drains).
-        let device = self.map_addr(line);
-        self.contents.insert(device.as_u64(), data);
+        self.poke_line(line, data);
         let pre_len = self.write_queue.len();
-        match self.write_queue.push(line, data, now) {
+        match self.write_queue.push(line, now) {
             None => {
                 if let Some(log) = self.rec.events_mut() {
                     let depth = self.write_queue.len();
@@ -345,18 +344,26 @@ impl NvmDevice {
     }
 
     /// Functional (un-timed, un-charged) line write. Models boot-time
-    /// initialization (e.g. factory counter state) and test setup; the
-    /// datapath must use [`NvmDevice::write_line`].
+    /// initialization (e.g. factory counter state), test setup and
+    /// tampering; datapath writes go through [`NvmDevice::write_line`]
+    /// or [`NvmDevice::write_line_durable`], which charge the access.
     pub fn poke_line(&mut self, addr: PhysAddr, data: [u8; LINE_BYTES]) {
         let device = self.map_addr(addr.line_align());
         self.contents.insert(device.as_u64(), data);
     }
 
-    /// Functional (un-timed) view of a line's current contents.
-    /// Intended for assertions and debugging, not the datapath.
+    /// Functional (un-timed) view of a line's current contents, queued
+    /// writes included: the line store is the one record of what NVM
+    /// holds, and the timed reads return the same bytes.
     pub fn peek_line(&self, addr: PhysAddr) -> [u8; LINE_BYTES] {
         let device = self.map_addr(addr.line_align());
         self.contents.get(device.as_u64()).unwrap_or([0; LINE_BYTES])
+    }
+
+    /// Whether the line containing `addr` was ever written, by any path
+    /// (un-timed; a line never written reads as zero).
+    pub fn holds_line(&self, addr: PhysAddr) -> bool {
+        self.contents.get(self.map_addr(addr.line_align()).as_u64()).is_some()
     }
 
     /// Device (post-leveling) address a logical line currently maps to
@@ -368,11 +375,6 @@ impl NvmDevice {
     /// Start-Gap leveling moves so far (0 when disabled).
     pub fn leveling_moves(&self) -> u64 {
         self.stats.leveling_moves
-    }
-
-    /// Latest instant any bank is busy until (diagnostics).
-    pub fn max_bank_busy(&self) -> Cycles {
-        self.banks.iter().map(|b| b.busy_until()).max().unwrap_or(Cycles::ZERO)
     }
 
     /// Pending writes in the queue (diagnostics).
@@ -561,6 +563,59 @@ mod leveling_tests {
         let moves = d.leveling_moves();
         // ψ=100 ⇒ ~1 move per 100 writes.
         assert!((40..=60).contains(&moves), "moves {moves} out of expected band");
+    }
+
+    #[test]
+    fn queued_lines_read_back_their_last_bytes_across_relocations() {
+        use rand::{Rng, SeedableRng};
+        // 256 lines leveled at ψ = 1 and a 4-entry queue: the gap
+        // relocates lines, queued ones included, every few writes.
+        let mut d = NvmDevice::new(NvmConfig {
+            capacity_bytes: 16 << 10,
+            wear_leveling: Some(StartGapConfig { gap_write_interval: 1 }),
+            write_queue_capacity: 4,
+            ..NvmConfig::default()
+        });
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x51ab);
+        let mut last = [[0u8; LINE_BYTES]; 12];
+        // Device slot of each line at its latest write.
+        let mut written_at = [PhysAddr::new(0); 12];
+        let mut moved_forwards = 0;
+        for step in 0..6000u64 {
+            let line = rng.gen_range(0..last.len());
+            let addr = PhysAddr::new(line as u64 * 64 + rng.gen_range(0..64));
+            let now = Cycles::new(step * 10);
+            let mut data = [rng.gen::<u8>(); LINE_BYTES];
+            data[..8].copy_from_slice(&step.to_le_bytes());
+            match rng.gen_range(0..10) {
+                0..=3 => {
+                    d.write_line(addr, data, now);
+                }
+                4..=5 => {
+                    d.write_line_durable(addr, data, now);
+                }
+                _ => {
+                    let forwarded = d.stats().forwarded_reads;
+                    let (got, done) = d.read_line(addr, now);
+                    assert_eq!(got, last[line], "line {line}, step {step}");
+                    if d.stats().forwarded_reads > forwarded {
+                        assert_eq!(done, now + Cycles::new(1), "forwarded at queue speed");
+                        moved_forwards += (d.device_addr_of(addr) != written_at[line]) as u32;
+                    }
+                    continue;
+                }
+            }
+            last[line] = data;
+            written_at[line] = d.device_addr_of(addr);
+        }
+        let stats = d.stats();
+        assert!(stats.merged_writes > 0 && stats.forwarded_reads > 0);
+        assert!(moved_forwards > 0, "some forwarded line moved after its write");
+        assert!(d.queued_writes() > 0);
+        d.flush(Cycles::ZERO);
+        for (line, want) in last.iter().enumerate() {
+            assert_eq!(d.peek_line(PhysAddr::new(line as u64 * 64)), *want, "line {line}");
+        }
     }
 
     #[test]

@@ -143,12 +143,6 @@ impl StartGap {
         self.writes_since_move = 0;
         self.moves += 1;
     }
-
-    /// Physical byte address of a physical slot, given the arena base
-    /// and block size.
-    pub fn slot_addr(base: u64, slot: u64, block_bytes: u64) -> u64 {
-        base + slot * block_bytes
-    }
 }
 
 #[cfg(test)]

@@ -8,27 +8,25 @@
 //! same-line merge; when full, the oldest entry is drained to the
 //! array synchronously (write-induced stall).
 //!
-//! The queue is kept as two parallel `VecDeque`s in queue order: the
-//! line addresses, and each line's data and enqueue time. Merge,
-//! forward and discard look a line up by scanning the addresses
-//! alone, eight bytes per entry instead of the 88-byte
-//! [`PendingWrite`], so a full 64-entry scan reads 512 bytes;
-//! [`PendingWrite`]s are built only when entries leave the queue. A
-//! counting filter in front of the scan (queued lines per line number
-//! modulo 1024) answers most misses, such as a read of a line with no
-//! pending write, without scanning at all.
+//! The queue holds timing state only: each pending line's address and
+//! enqueue time, oldest first. A line's bytes live in one place, the
+//! device's line store, which a write updates before it is queued; so
+//! [`WriteQueue::forward`] only answers whether a read can be served at
+//! queue speed, and the device reads the bytes from its store. Merge,
+//! forward and discard look a line up by a linear scan, and a counting
+//! filter in front of the scan (queued lines per line number modulo
+//! 1024) answers most misses, such as a read of a line with no pending
+//! write, without scanning at all.
 
 use lelantus_types::{Cycles, PhysAddr, LINE_BYTES};
 use std::collections::VecDeque;
 
 /// One pending line write.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingWrite {
     /// Line-aligned target address.
     pub addr: PhysAddr,
-    /// Data to be written.
-    pub data: [u8; 64],
-    /// Time the write entered the queue.
+    /// Time the write entered the queue (its latest merge).
     pub enqueued_at: Cycles,
 }
 
@@ -39,7 +37,7 @@ pub struct WriteQueueStats {
     pub enqueued: u64,
     /// Writes merged into an existing same-line entry.
     pub merged: u64,
-    /// Reads serviced by forwarding queued data.
+    /// Reads of a queued line (served at queue speed).
     pub forwarded_reads: u64,
     /// Entries evicted because the queue was full.
     pub capacity_drains: u64,
@@ -54,17 +52,16 @@ pub struct WriteQueueStats {
 /// use lelantus_types::{Cycles, PhysAddr};
 ///
 /// let mut q = WriteQueue::new(4);
-/// q.push(PhysAddr::new(0x40), [1; 64], Cycles::ZERO);
-/// q.push(PhysAddr::new(0x40), [2; 64], Cycles::ZERO); // merges
+/// q.push(PhysAddr::new(0x40), Cycles::ZERO);
+/// q.push(PhysAddr::new(0x40), Cycles::new(3)); // merges
 /// assert_eq!(q.len(), 1);
-/// assert_eq!(q.forward(PhysAddr::new(0x40)), Some([2; 64]));
+/// assert!(q.forward(PhysAddr::new(0x40)));
+/// assert_eq!(q.pop().unwrap().enqueued_at, Cycles::new(3));
 /// ```
 #[derive(Debug, Clone)]
 pub struct WriteQueue {
-    /// Queued line addresses, oldest first.
-    addrs: VecDeque<u64>,
-    /// Data and enqueue time of `addrs[i]`, for every `i`.
-    payloads: VecDeque<([u8; 64], Cycles)>,
+    /// Pending writes, oldest first.
+    entries: VecDeque<PendingWrite>,
     /// Queued lines per filter bucket (see [`bucket`]). A zero count
     /// proves a line is not queued, so most lookups that miss skip the
     /// scan.
@@ -82,8 +79,7 @@ impl WriteQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "write queue needs capacity");
         Self {
-            addrs: VecDeque::with_capacity(capacity),
-            payloads: VecDeque::with_capacity(capacity),
+            entries: VecDeque::with_capacity(capacity),
             filter: vec![0; FILTER_BUCKETS],
             capacity,
             stats: WriteQueueStats::default(),
@@ -92,17 +88,17 @@ impl WriteQueue {
 
     /// Number of distinct pending line writes.
     pub fn len(&self) -> usize {
-        self.addrs.len()
+        self.entries.len()
     }
 
     /// True when no writes are pending.
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.entries.is_empty()
     }
 
     /// True when the next push of a *new* line must drain an entry.
     pub fn is_full(&self) -> bool {
-        self.addrs.len() >= self.capacity
+        self.entries.len() >= self.capacity
     }
 
     /// Queue statistics.
@@ -112,21 +108,21 @@ impl WriteQueue {
 
     /// Queue position of the pending write to line `addr`.
     fn position(&self, addr: PhysAddr) -> Option<usize> {
-        let addr = addr.as_u64();
-        if self.filter[bucket(addr)] == 0 {
+        if self.filter[bucket(addr.as_u64())] == 0 {
             return None;
         }
-        self.addrs.iter().position(|&a| a == addr)
+        self.entries.iter().position(|e| e.addr == addr)
     }
 
-    /// Enqueues a write; merging into an existing entry for the same
-    /// line if present. Returns the entry that must be drained first
+    /// Enqueues a write to the line containing `addr`, merging into an
+    /// existing entry for the same line if present (which takes the
+    /// new enqueue time). Returns the entry that must be drained first
     /// when the queue overflows.
-    pub fn push(&mut self, addr: PhysAddr, data: [u8; 64], now: Cycles) -> Option<PendingWrite> {
+    pub fn push(&mut self, addr: PhysAddr, now: Cycles) -> Option<PendingWrite> {
         let addr = addr.line_align();
         self.stats.enqueued += 1;
         if let Some(i) = self.position(addr) {
-            self.payloads[i] = (data, now);
+            self.entries[i].enqueued_at = now;
             self.stats.merged += 1;
             return None;
         }
@@ -136,26 +132,24 @@ impl WriteQueue {
         } else {
             None
         };
-        self.addrs.push_back(addr.as_u64());
-        self.payloads.push_back((data, now));
+        self.entries.push_back(PendingWrite { addr, enqueued_at: now });
         self.filter[bucket(addr.as_u64())] += 1;
         drained
     }
 
-    /// Returns the queued data for `addr` if a write is pending
-    /// (read forwarding).
-    pub fn forward(&mut self, addr: PhysAddr) -> Option<[u8; 64]> {
-        let i = self.position(addr.line_align())?;
-        self.stats.forwarded_reads += 1;
-        Some(self.payloads[i].0)
+    /// Whether a write to the line containing `addr` is pending, so a
+    /// read of it is forwarded from the queue (counted when it is).
+    pub fn forward(&mut self, addr: PhysAddr) -> bool {
+        let queued = self.position(addr.line_align()).is_some();
+        self.stats.forwarded_reads += queued as u64;
+        queued
     }
 
     /// Removes and returns the oldest pending write.
     pub fn pop(&mut self) -> Option<PendingWrite> {
-        let addr = self.addrs.pop_front()?;
-        self.filter[bucket(addr)] -= 1;
-        let (data, enqueued_at) = self.payloads.pop_front()?;
-        Some(PendingWrite { addr: PhysAddr::new(addr), data, enqueued_at })
+        let w = self.entries.pop_front()?;
+        self.filter[bucket(w.addr.as_u64())] -= 1;
+        Some(w)
     }
 
     /// Drops any pending write to `addr` (superseded by a durable
@@ -164,23 +158,15 @@ impl WriteQueue {
     pub fn discard(&mut self, addr: PhysAddr) -> bool {
         let Some(i) = self.position(addr.line_align()) else { return false };
         self.filter[bucket(addr.as_u64())] -= 1;
-        self.addrs.remove(i);
-        self.payloads.remove(i);
+        self.entries.remove(i);
         true
     }
 
-    /// Drains all pending writes (e.g. at a persist barrier).
+    /// Drains all pending writes, oldest first (e.g. at a persist
+    /// barrier).
     pub fn drain_all(&mut self) -> Vec<PendingWrite> {
         self.filter.fill(0);
-        self.addrs
-            .drain(..)
-            .zip(self.payloads.drain(..))
-            .map(|(addr, (data, enqueued_at))| PendingWrite {
-                addr: PhysAddr::new(addr),
-                data,
-                enqueued_at,
-            })
-            .collect()
+        self.entries.drain(..).collect()
     }
 }
 
@@ -204,19 +190,19 @@ mod tests {
     #[test]
     fn merge_same_line() {
         let mut q = WriteQueue::new(8);
-        q.push(line(1), [1; 64], Cycles::ZERO);
-        q.push(line(1), [2; 64], Cycles::new(5));
+        q.push(line(1), Cycles::ZERO);
+        q.push(line(1), Cycles::new(5));
         assert_eq!(q.len(), 1);
         assert_eq!(q.stats().merged, 1);
-        assert_eq!(q.pop().unwrap().data, [2; 64]);
+        assert_eq!(q.pop(), Some(PendingWrite { addr: line(1), enqueued_at: Cycles::new(5) }));
     }
 
     #[test]
     fn overflow_drains_oldest() {
         let mut q = WriteQueue::new(2);
-        assert!(q.push(line(1), [1; 64], Cycles::ZERO).is_none());
-        assert!(q.push(line(2), [2; 64], Cycles::ZERO).is_none());
-        let drained = q.push(line(3), [3; 64], Cycles::ZERO).expect("must drain");
+        assert!(q.push(line(1), Cycles::ZERO).is_none());
+        assert!(q.push(line(2), Cycles::ZERO).is_none());
+        let drained = q.push(line(3), Cycles::ZERO).expect("must drain");
         assert_eq!(drained.addr, line(1));
         assert_eq!(q.len(), 2);
         assert_eq!(q.stats().capacity_drains, 1);
@@ -225,24 +211,24 @@ mod tests {
     #[test]
     fn forwarding() {
         let mut q = WriteQueue::new(4);
-        q.push(line(7), [9; 64], Cycles::ZERO);
-        assert_eq!(q.forward(line(7)), Some([9; 64]));
-        assert_eq!(q.forward(line(8)), None);
+        q.push(line(7), Cycles::ZERO);
+        assert!(q.forward(line(7)));
+        assert!(!q.forward(line(8)));
         assert_eq!(q.stats().forwarded_reads, 1);
     }
 
     #[test]
     fn forward_uses_line_alignment() {
         let mut q = WriteQueue::new(4);
-        q.push(PhysAddr::new(0x1008), [3; 64], Cycles::ZERO);
-        assert_eq!(q.forward(PhysAddr::new(0x1030)), Some([3; 64]));
+        q.push(PhysAddr::new(0x1008), Cycles::ZERO);
+        assert!(q.forward(PhysAddr::new(0x1030)));
     }
 
     #[test]
     fn drain_all_empties() {
         let mut q = WriteQueue::new(4);
-        q.push(line(1), [1; 64], Cycles::ZERO);
-        q.push(line(2), [2; 64], Cycles::ZERO);
+        q.push(line(1), Cycles::ZERO);
+        q.push(line(2), Cycles::ZERO);
         assert_eq!(q.drain_all().len(), 2);
         assert!(q.is_empty());
     }
@@ -253,16 +239,16 @@ mod tests {
         let (a, b) = (line(3), line(3 + FILTER_BUCKETS as u64));
         assert_eq!(bucket(a.as_u64()), bucket(b.as_u64()));
         let mut q = WriteQueue::new(4);
-        q.push(a, [1; 64], Cycles::ZERO);
-        assert_eq!(q.forward(b), None);
-        q.push(b, [2; 64], Cycles::ZERO);
+        q.push(a, Cycles::ZERO);
+        assert!(!q.forward(b));
+        q.push(b, Cycles::ZERO);
         assert_eq!(q.len(), 2, "no false merge");
         assert_eq!(q.pop().unwrap().addr, a);
-        assert_eq!(q.forward(b), Some([2; 64]));
-        assert_eq!(q.forward(a), None);
+        assert!(q.forward(b));
+        assert!(!q.forward(a));
         assert!(q.discard(b));
         assert!(!q.discard(b));
-        assert_eq!(q.forward(b), None);
+        assert!(!q.forward(b));
         assert!(q.filter.iter().all(|&n| n == 0), "filter counts drain to zero");
     }
 

@@ -66,20 +66,8 @@ pub trait Workload {
     fn run(&self, sys: &mut System) -> Result<WorkloadRun, OsError>;
 }
 
-/// All six paper workloads at benchmark scale, boxed for iteration
-/// (Fig 9's x-axis order).
-pub fn paper_suite() -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(bootwl::Boot::default()),
-        Box::new(compilewl::Compile::default()),
-        Box::new(forkbench::Forkbench::default()),
-        Box::new(rediswl::Redis::default()),
-        Box::new(mariadbwl::Mariadb::default()),
-        Box::new(shellwl::Shell::default()),
-    ]
-}
-
-/// The same suite at reduced scale for fast runs/tests.
+/// All six paper workloads at reduced scale, boxed for iteration
+/// (Fig 9's x-axis order), for fast runs and tests.
 pub fn small_suite() -> Vec<Box<dyn Workload>> {
     vec![
         Box::new(bootwl::Boot::small()),
