@@ -17,7 +17,7 @@
 //! their independent simulations across cores via `run_cells`.
 
 use lelantus_bench::results::{timed_emit, Record};
-use lelantus_bench::{fmt_x, print_table, run_cells, Scale};
+use lelantus_bench::{fmt_x, print_table, run_cells, scale_from_env};
 use lelantus_os::CowStrategy;
 use lelantus_sim::{SimConfig, System};
 use lelantus_types::{Cycles, PageSize};
@@ -57,7 +57,7 @@ fn fork_chain_cycles(config: SimConfig, generations: usize) -> Cycles {
 const SWEEP_POINTS: [u64; 3] = [1, 32, 256];
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     let page = PageSize::Regular4K;
     timed_emit("ablation_design", || {
         let mut records = Vec::new();

@@ -10,13 +10,13 @@
 //! parallel via `run_cells`.
 
 use lelantus_bench::results::{timed_emit, Record};
-use lelantus_bench::{fmt_x, print_table, run_cells, run_workload, Scale};
+use lelantus_bench::{fmt_x, print_table, run_cells, run_workload, scale_from_env};
 use lelantus_os::CowStrategy;
 use lelantus_types::PageSize;
 use lelantus_workloads::forkbench::Forkbench;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     timed_emit("fig02_write_amplification", || {
         let cases: [(&str, PageSize, Option<u64>); 4] = [
             ("4KB (1B per page)", PageSize::Regular4K, Some(1)),

@@ -10,12 +10,12 @@
 //! `LELANTUS_THREADS=1` to force the serial order (same numbers).
 
 use lelantus_bench::results::{timed_emit, Record};
-use lelantus_bench::{fig9_workloads, fmt_pct, fmt_x, print_table, run_matrix, Scale};
+use lelantus_bench::{fig9_workloads, fmt_pct, fmt_x, print_table, run_matrix, scale_from_env};
 use lelantus_os::CowStrategy;
 use lelantus_types::PageSize;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     timed_emit("fig09_applications", || {
         let strategies = [
             CowStrategy::Baseline,

@@ -7,14 +7,14 @@
 //!     touches every line of the page before use; Lelantus touches
 //!     only the lines the application writes.
 
-use lelantus_bench::{fig9_workloads, fmt_pct, print_table, run_workload, Scale};
+use lelantus_bench::{fig9_workloads, fmt_pct, print_table, run_workload, scale_from_env};
 use lelantus_os::CowStrategy;
 use lelantus_sim::{SimConfig, System};
 use lelantus_types::PageSize;
 use lelantus_workloads::hotspot::Hotspot;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     let page = PageSize::Regular4K;
 
     // (a) + (b): overflow and CoW-cache miss rates per workload.

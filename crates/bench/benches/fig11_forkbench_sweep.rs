@@ -15,7 +15,7 @@
 //! scheduled across cores via `run_cells`.
 
 use lelantus_bench::results::{timed_emit, Record};
-use lelantus_bench::{fmt_pct, fmt_x, print_table, run_cells, Scale};
+use lelantus_bench::{fmt_pct, fmt_x, print_table, run_cells, scale_from_env};
 use lelantus_os::CowStrategy;
 use lelantus_sim::{SimConfig, System};
 use lelantus_types::PageSize;
@@ -31,7 +31,7 @@ fn sweep_points(page: PageSize) -> Vec<u64> {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     timed_emit("fig11_forkbench_sweep", || {
         let mut records = Vec::new();
         let strategies = [CowStrategy::Baseline, CowStrategy::Lelantus, CowStrategy::LelantusCow];

@@ -6,7 +6,7 @@
 //! measured execution time and the Lelantus speedup within each write
 //! strategy (the paper's bars + lines).
 
-use lelantus_bench::{fmt_x, print_table, run_workload_with, Scale};
+use lelantus_bench::{fmt_x, print_table, run_workload_with, scale_from_env, Scale};
 use lelantus_metadata::counter_cache::WritePolicy;
 use lelantus_os::CowStrategy;
 use lelantus_sim::SimConfig;
@@ -14,7 +14,7 @@ use lelantus_types::PageSize;
 use lelantus_workloads::rediswl::Redis;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     let wl = match scale {
         Scale::Small => Redis::small(),
         Scale::Medium => Redis { pairs: 20_000, operations: 4_000, ..Redis::default() },

@@ -10,7 +10,7 @@
 //! `tests/access_fastpath.rs`).
 
 use lelantus_bench::results::{timed_emit, Record};
-use lelantus_bench::Scale;
+use lelantus_bench::scale_from_env;
 use lelantus_os::CowStrategy;
 use lelantus_sim::{SimConfig, System};
 use lelantus_types::{PageSize, LINE_BYTES};
@@ -39,7 +39,7 @@ fn config() -> SimConfig {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     timed_emit("micro_access", || {
         let mut records = Vec::new();
         let wl = Forkbench { total_bytes: scale.alloc_bytes(), bytes_per_page: None };

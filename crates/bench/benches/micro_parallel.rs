@@ -12,7 +12,7 @@
 //! 4x).
 
 use lelantus_bench::results::{timed_emit, Record};
-use lelantus_bench::{run_cells, Scale};
+use lelantus_bench::{run_cells, scale_from_env};
 use lelantus_os::CowStrategy;
 use lelantus_sim::{SimConfig, System};
 use lelantus_types::PageSize;
@@ -37,7 +37,7 @@ fn run_sweep(total_bytes: u64) -> Vec<lelantus_sim::SimMetrics> {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     timed_emit("micro_parallel", || {
         let mut records = Vec::new();

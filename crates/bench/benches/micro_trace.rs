@@ -14,7 +14,7 @@
 //! proper is `tests/trace_replay_equivalence.rs`).
 
 use lelantus_bench::results::{timed_emit, Record};
-use lelantus_bench::Scale;
+use lelantus_bench::{scale_from_env, Scale};
 use lelantus_os::CowStrategy;
 use lelantus_sim::{replay_checked, SimConfig, System, Trace, TraceHeader, TraceRecorder};
 use lelantus_trace::reader::Record as TraceRecord;
@@ -138,7 +138,7 @@ fn decode_all(trace: &Trace, scratch: &mut Vec<(VirtAddr, u32, u8)>) -> (u64, u6
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     timed_emit("micro_trace", || {
         let mut records = Vec::new();
         // Enough ops that the decode timing is milliseconds even at

@@ -12,7 +12,7 @@
 //!   a share of all NVM traffic (none for the resized layout — the
 //!   source address rides inside the counter block).
 
-use lelantus_bench::{print_table, run_workload, Scale};
+use lelantus_bench::{print_table, run_workload, scale_from_env};
 use lelantus_metadata::MetadataLayout;
 use lelantus_os::CowStrategy;
 use lelantus_types::PageSize;
@@ -20,7 +20,7 @@ use lelantus_workloads::forkbench::Forkbench;
 use lelantus_workloads::hotspot::Hotspot;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     let wl = Forkbench { total_bytes: scale.alloc_bytes(), bytes_per_page: Some(4096) };
 
     // Overflow rates under a hotspot accumulator (non-temporal stores

@@ -8,12 +8,14 @@
 //! `run_cells`.
 
 use lelantus_bench::results::{timed_emit, Record};
-use lelantus_bench::{fig9_workloads, fmt_pct, print_table, run_cells, run_workload, Scale};
+use lelantus_bench::{
+    fig9_workloads, fmt_pct, print_table, run_cells, run_workload, scale_from_env,
+};
 use lelantus_os::CowStrategy;
 use lelantus_types::PageSize;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     timed_emit("table5_copy_traffic", || {
         let names: Vec<String> = fig9_workloads(scale)
             .iter()

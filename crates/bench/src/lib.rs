@@ -32,84 +32,20 @@ pub use matrix::{run_cells, run_matrix, Matrix, MatrixCell};
 use lelantus_os::CowStrategy;
 use lelantus_sim::{SimConfig, System};
 use lelantus_types::PageSize;
-use lelantus_workloads::{
-    bootwl::Boot, compilewl::Compile, forkbench::Forkbench, mariadbwl::Mariadb, noncopy::NonCopy,
-    rediswl::Redis, shellwl::Shell, Workload, WorkloadRun,
-};
+use lelantus_workloads::{workload, Workload, WorkloadRun, NAMES};
 
-/// Experiment size, selected via `LELANTUS_SCALE`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Seconds-long sanity run.
-    Small,
-    /// Default: shape-faithful, minutes-long.
-    Medium,
-    /// The paper's workload sizes.
-    Paper,
-}
+pub use lelantus_workloads::Scale;
 
-impl Scale {
-    /// Reads `LELANTUS_SCALE` (default [`Scale::Medium`]).
-    pub fn from_env() -> Scale {
-        match std::env::var("LELANTUS_SCALE").as_deref() {
-            Ok("small") => Scale::Small,
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Medium,
-        }
-    }
-
-    /// Forkbench / non-copy allocation size at this scale.
-    pub fn alloc_bytes(self) -> u64 {
-        match self {
-            Scale::Small => 2 << 20,
-            Scale::Medium => 4 << 20,
-            Scale::Paper => 16 << 20,
-        }
-    }
+/// The experiment scale `LELANTUS_SCALE` selects (`small`, `medium`
+/// or `paper`; default and anything else: [`Scale::Medium`]).
+pub fn scale_from_env() -> Scale {
+    std::env::var("LELANTUS_SCALE").ok().and_then(|s| Scale::parse(&s)).unwrap_or(Scale::Medium)
 }
 
 /// Builds the Fig 9 workload list (six applications + non-copy) at
 /// `scale`.
 pub fn fig9_workloads(scale: Scale) -> Vec<Box<dyn Workload>> {
-    match scale {
-        Scale::Small => vec![
-            Box::new(Boot::small()),
-            Box::new(Compile::small()),
-            Box::new(Forkbench { total_bytes: scale.alloc_bytes(), bytes_per_page: None }),
-            Box::new(Redis::small()),
-            Box::new(Mariadb::small()),
-            Box::new(Shell::small()),
-            Box::new(NonCopy { total_bytes: scale.alloc_bytes() }),
-        ],
-        Scale::Medium => vec![
-            Box::new(Boot {
-                services: 16,
-                shared_bytes: 1 << 20,
-                service_heap_bytes: 128 << 10,
-                ..Boot::default()
-            }),
-            Box::new(Compile { heap_bytes: 6 << 20, rewrite_ops: 12_000, ..Compile::default() }),
-            Box::new(Forkbench { total_bytes: scale.alloc_bytes(), bytes_per_page: None }),
-            Box::new(Redis { pairs: 20_000, operations: 4_000, ..Redis::default() }),
-            Box::new(Mariadb {
-                buffer_pool_bytes: 4 << 20,
-                index_bytes: 1 << 20,
-                rows: 24_000,
-                ..Mariadb::default()
-            }),
-            Box::new(Shell { directories: 24, ..Shell::default() }),
-            Box::new(NonCopy { total_bytes: scale.alloc_bytes() }),
-        ],
-        Scale::Paper => vec![
-            Box::new(Boot::default()),
-            Box::new(Compile::default()),
-            Box::new(Forkbench::default()),
-            Box::new(Redis::default()),
-            Box::new(Mariadb::default()),
-            Box::new(Shell::default()),
-            Box::new(NonCopy { total_bytes: scale.alloc_bytes() }),
-        ],
-    }
+    NAMES[..7].iter().map(|name| workload(name, scale).expect("a table name")).collect()
 }
 
 /// Runs `workload` on a fresh system with the given scheme and page
@@ -168,7 +104,7 @@ mod tests {
     fn scale_from_env_default_is_medium() {
         // (Environment not set in the test harness.)
         if std::env::var("LELANTUS_SCALE").is_err() {
-            assert_eq!(Scale::from_env(), Scale::Medium);
+            assert_eq!(scale_from_env(), Scale::Medium);
         }
     }
 

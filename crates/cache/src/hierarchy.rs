@@ -212,29 +212,9 @@ impl CacheHierarchy {
         (slot, done)
     }
 
-    /// Loads `len` bytes starting at `addr` (must not cross a line
-    /// boundary), returning the bytes and the completion time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access crosses a 64-byte boundary.
-    pub fn load(
-        &mut self,
-        addr: PhysAddr,
-        len: usize,
-        now: Cycles,
-        backend: &mut dyn LineBackend,
-    ) -> (Vec<u8>, Cycles) {
-        let offset = addr.line_offset();
-        assert!(offset + len <= LINE_BYTES, "load crosses line boundary");
-        let (slot, done) = self.fill(addr, false, now, backend);
-        self.check_slots();
-        (self.slab.line(slot)[offset..offset + len].to_vec(), done)
-    }
-
-    /// Loads the full line containing `addr` without allocating: the
-    /// batched access driver's read primitive. Timing, stats, and
-    /// residency effects are exactly those of [`CacheHierarchy::load`].
+    /// Loads the full line containing `addr`, returning its bytes and
+    /// the completion time: the access driver's read primitive (a
+    /// read of part of the line takes its bytes from the copy).
     pub fn load_line(
         &mut self,
         addr: PhysAddr,
@@ -438,8 +418,8 @@ mod tests {
         let mut mem = Flat::default();
         let mut c = h();
         let t = c.store(PhysAddr::new(0x100), &[1, 2, 3], Cycles::ZERO, &mut mem);
-        let (bytes, _) = c.load(PhysAddr::new(0x100), 3, t, &mut mem);
-        assert_eq!(bytes, vec![1, 2, 3]);
+        let (line, _) = c.load_line(PhysAddr::new(0x100), t, &mut mem);
+        assert_eq!(line[..3], [1, 2, 3]);
         assert_eq!(mem.reads, 1, "one fill for write-allocate");
         assert_eq!(mem.writes, 0, "write-back: nothing reaches memory yet");
     }
@@ -448,8 +428,8 @@ mod tests {
     fn l1_hit_is_fast() {
         let mut mem = Flat::default();
         let mut c = h();
-        c.load(PhysAddr::new(0x0), 8, Cycles::ZERO, &mut mem);
-        let (_, t) = c.load(PhysAddr::new(0x0), 8, Cycles::ZERO, &mut mem);
+        c.load_line(PhysAddr::new(0x0), Cycles::ZERO, &mut mem);
+        let (_, t) = c.load_line(PhysAddr::new(0x0), Cycles::ZERO, &mut mem);
         assert_eq!(t, Cycles::new(2), "L1 latency");
     }
 
@@ -457,7 +437,7 @@ mod tests {
     fn miss_latency_includes_all_levels() {
         let mut mem = Flat::default();
         let mut c = h();
-        let (_, t) = c.load(PhysAddr::new(0x0), 8, Cycles::ZERO, &mut mem);
+        let (_, t) = c.load_line(PhysAddr::new(0x0), Cycles::ZERO, &mut mem);
         assert_eq!(t, Cycles::new(2 + 8 + 25 + 60));
     }
 
@@ -468,7 +448,7 @@ mod tests {
         c.store(PhysAddr::new(0x40), &[0xAB], Cycles::ZERO, &mut mem);
         // Touch far more lines than the tiny hierarchy holds.
         for i in 0..2048u64 {
-            c.load(PhysAddr::new(0x10000 + i * 64), 1, Cycles::ZERO, &mut mem);
+            c.load_line(PhysAddr::new(0x10000 + i * 64), Cycles::ZERO, &mut mem);
         }
         c.writeback_all(Cycles::ZERO, &mut mem);
         assert_eq!(mem.mem.get(&0x40).map(|d| d[0]), Some(0xAB));
@@ -494,8 +474,8 @@ mod tests {
         c.store(PhysAddr::new(0x2000), &[9; 8], Cycles::ZERO, &mut mem);
         c.invalidate_range(PhysAddr::new(0x2000), 4096);
         assert_eq!(mem.writes, 0, "invalidate must not write back");
-        let (bytes, _) = c.load(PhysAddr::new(0x2000), 1, Cycles::ZERO, &mut mem);
-        assert_eq!(bytes, vec![0], "stale dirty data discarded");
+        let (line, _) = c.load_line(PhysAddr::new(0x2000), Cycles::ZERO, &mut mem);
+        assert_eq!(line[0], 0, "stale dirty data discarded");
     }
 
     #[test]
@@ -515,8 +495,8 @@ mod tests {
     fn stats_accumulate() {
         let mut mem = Flat::default();
         let mut c = h();
-        c.load(PhysAddr::new(0x0), 1, Cycles::ZERO, &mut mem);
-        c.load(PhysAddr::new(0x0), 1, Cycles::ZERO, &mut mem);
+        c.load_line(PhysAddr::new(0x0), Cycles::ZERO, &mut mem);
+        c.load_line(PhysAddr::new(0x0), Cycles::ZERO, &mut mem);
         let s = c.stats();
         assert_eq!(s.l1.hits, 1);
         assert_eq!(s.l1.misses, 1);
@@ -543,7 +523,7 @@ mod tests {
             for _ in 0..4000 {
                 let addr = PhysAddr::new(rng.gen_range(0..lines) * 64);
                 match rng.gen_range(0..100u32) {
-                    0..=39 => drop(c.load(addr, 1, Cycles::ZERO, &mut mem)),
+                    0..=39 => drop(c.load_line(addr, Cycles::ZERO, &mut mem)),
                     40..=89 => drop(c.store(addr, &[rng.gen()], Cycles::ZERO, &mut mem)),
                     90..=94 => drop(c.flush_range(addr, 256, Cycles::ZERO, &mut mem)),
                     95..=97 => drop(c.invalidate_range(addr, 128)),
@@ -569,7 +549,7 @@ mod tests {
             if i % 3 == 0 {
                 c.store(addr, &[1], Cycles::ZERO, &mut mem);
             } else {
-                c.load(addr, 1, Cycles::ZERO, &mut mem);
+                c.load_line(addr, Cycles::ZERO, &mut mem);
             }
             if i % 97 == 0 {
                 c.flush_range(addr, 512, Cycles::ZERO, &mut mem);
@@ -583,10 +563,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "crosses line boundary")]
-    fn cross_line_load_panics() {
+    fn cross_line_store_panics() {
         let mut mem = Flat::default();
         let mut c = h();
-        c.load(PhysAddr::new(0x3C), 8, Cycles::ZERO, &mut mem);
+        c.store(PhysAddr::new(0x3C), &[0; 8], Cycles::ZERO, &mut mem);
     }
 }
 
@@ -619,7 +599,7 @@ mod dirty_ownership_tests {
         c.store(hot, &[1], Cycles::ZERO, &mut mem);
         // Evict it from the tiny L1 into L2 (dirty).
         for i in 0..64u64 {
-            c.load(PhysAddr::new(0x10000 + i * 64), 1, Cycles::ZERO, &mut mem);
+            c.load_line(PhysAddr::new(0x10000 + i * 64), Cycles::ZERO, &mut mem);
         }
         // Re-fetch (dirty ownership must come back up) and rewrite.
         c.store(hot, &[2], Cycles::ZERO, &mut mem);
@@ -628,7 +608,7 @@ mod dirty_ownership_tests {
         // Flush-range path too.
         c.store(hot, &[3], Cycles::ZERO, &mut mem);
         for i in 0..64u64 {
-            c.load(PhysAddr::new(0x20000 + i * 64), 1, Cycles::ZERO, &mut mem);
+            c.load_line(PhysAddr::new(0x20000 + i * 64), Cycles::ZERO, &mut mem);
         }
         c.store(hot, &[4], Cycles::ZERO, &mut mem);
         c.flush_range(PhysAddr::new(0), 4096, Cycles::ZERO, &mut mem);
@@ -645,16 +625,16 @@ mod dirty_ownership_tests {
         let hot = PhysAddr::new(0x40);
         c.store(hot, &[1], Cycles::ZERO, &mut mem);
         for i in 0..64u64 {
-            c.load(PhysAddr::new(0x10000 + i * 64), 1, Cycles::ZERO, &mut mem);
+            c.load_line(PhysAddr::new(0x10000 + i * 64), Cycles::ZERO, &mut mem);
         }
         c.store(hot, &[2], Cycles::ZERO, &mut mem);
         c.writeback_all(Cycles::ZERO, &mut mem);
         assert_eq!(mem.0.get(&0x40).map(|l| l[0]), Some(2));
         for i in 0..64u64 {
-            c.load(PhysAddr::new(0x30000 + i * 64), 1, Cycles::ZERO, &mut mem);
+            c.load_line(PhysAddr::new(0x30000 + i * 64), Cycles::ZERO, &mut mem);
         }
         assert!(c.probe(hot), "a lower level still holds the line");
-        let (bytes, _) = c.load(hot, 1, Cycles::ZERO, &mut mem);
-        assert_eq!(bytes, vec![2], "a lower level served its first-fill copy");
+        let (line, _) = c.load_line(hot, Cycles::ZERO, &mut mem);
+        assert_eq!(line[0], 2, "a lower level served its first-fill copy");
     }
 }

@@ -35,8 +35,8 @@
 //! let mut mem = Flat(Default::default());
 //! let mut caches = CacheHierarchy::new(HierarchyConfig::default());
 //! let done = caches.store(PhysAddr::new(0x100), &[1, 2, 3], Cycles::ZERO, &mut mem);
-//! let (bytes, _) = caches.load(PhysAddr::new(0x100), 3, done, &mut mem);
-//! assert_eq!(bytes, vec![1, 2, 3]);
+//! let (line, _) = caches.load_line(PhysAddr::new(0x100), done, &mut mem);
+//! assert_eq!(line[..3], [1, 2, 3]);
 //! ```
 
 pub mod config;

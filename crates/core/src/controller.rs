@@ -269,11 +269,6 @@ impl SecureMemoryController {
         self.nvm.poke_line(line, bytes);
     }
 
-    /// Diagnostics: per-bank busy profile.
-    pub fn bank_busy_profile(&self) -> Vec<u64> {
-        self.nvm.bank_busy_profile()
-    }
-
     /// Drains every buffered write (CPU-side counter state and the
     /// device write queue) to the NVM array; returns the completion
     /// instant. Call at simulation end so write counts are exact.
@@ -870,13 +865,27 @@ impl SecureMemoryController {
             block.increment_minor(line, encoding).expect("fresh epoch cannot overflow");
         }
 
-        let iv =
-            IvSpec { line_addr: line_addr.as_u64(), major: block.major, minor: block.minors[line] };
-        let cipher = self.engine.encrypt_line(&data, iv);
-        let t_write = self.nvm.write_line(line_addr, cipher, t);
-        self.update_data_mac(line_addr, &cipher, block.major, block.minors[line], t);
+        let t_write = self.store_line(line_addr, &data, block.major, block.minors[line], t);
         let t_meta = self.update_counter(region, block, t);
         t_write.max(t_meta)
+    }
+
+    /// The one line-store step: encrypts `plain` for `line_addr` under
+    /// `(major, minor)`, writes the ciphertext to NVM and installs its
+    /// MAC, both issued at `now`. Returns the write's completion.
+    fn store_line(
+        &mut self,
+        line_addr: PhysAddr,
+        plain: &[u8; LINE_BYTES],
+        major: u64,
+        minor: u8,
+        now: Cycles,
+    ) -> Cycles {
+        let iv = IvSpec { line_addr: line_addr.as_u64(), major, minor };
+        let cipher = self.engine.encrypt_line(plain, iv);
+        let done = self.nvm.write_line(line_addr, cipher, now);
+        self.update_data_mac(line_addr, &cipher, major, minor, now);
+        done
     }
 
     /// Handles a minor-counter overflow: re-encrypts every line of the
@@ -894,11 +903,11 @@ impl SecureMemoryController {
             log.emit(Event { cycle: now, kind: EventKind::CounterOverflow { region } });
         }
         // Gather all plaintexts under the old epoch first.
-        let mut plains = Vec::with_capacity(MINORS);
+        let mut plains = [[0u8; LINE_BYTES]; MINORS];
         let mut t = now;
-        for line in 0..MINORS {
+        for (line, plain) in plains.iter_mut().enumerate() {
             let (data, t2, _) = self.resolve_line_plain(region, block, line, t, t);
-            plains.push(data);
+            *plain = data;
             t = t2;
         }
         let mut newblock = block;
@@ -911,15 +920,10 @@ impl SecureMemoryController {
             newblock.reencrypt_epoch();
         }
         let mut done = t;
-        // All 64 lines re-encrypt under (new major, minor = 1) at
-        // consecutive addresses; `copy_page` pads them with one
-        // per-line `one_time_pad` call each.
-        let base = self.line_addr(region, 0);
-        let ciphers = self.engine.copy_page(&plains, base.as_u64(), newblock.major, 1);
-        for (line, cipher) in ciphers.iter().enumerate() {
+        // All 64 lines re-encrypt under (new major, minor = 1).
+        for (line, plain) in plains.iter().enumerate() {
             let data_addr = self.line_addr(region, line);
-            done = done.max(self.nvm.write_line(data_addr, *cipher, t));
-            self.update_data_mac(data_addr, cipher, newblock.major, 1, t);
+            done = done.max(self.store_line(data_addr, plain, newblock.major, 1, t));
             self.stats.reencrypted_lines += 1;
         }
         // Re-encryption sweeps are a Merkle flush point too.
@@ -1061,12 +1065,9 @@ impl SecureMemoryController {
             let (plain, t3, _) = self.resolve_line_plain(dst_region, block, line, issue, issue);
             block.minors[line] = 1;
             let data_addr = self.line_addr(dst_region, line);
-            let iv = IvSpec { line_addr: data_addr.as_u64(), major: block.major, minor: 1 };
-            let cipher = self.engine.encrypt_line(&plain, iv);
             // Copies proceed in parallel, bounded by bank availability
             // (§III-E: "safely done in parallel to leverage row buffers").
-            done = done.max(self.nvm.write_line(data_addr, cipher, t3));
-            self.update_data_mac(data_addr, &cipher, block.major, 1, t3);
+            done = done.max(self.store_line(data_addr, &plain, block.major, 1, t3));
             self.stats.materialized_lines += 1;
         }
         // Detach from the chain, keeping major/minors valid.

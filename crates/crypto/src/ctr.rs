@@ -184,25 +184,6 @@ impl CtrEngine {
             })
             .collect()
     }
-
-    /// Encrypts the lines of a page copy: line `i` of `plains` is
-    /// encrypted for address `base_addr + i·64` under the shared
-    /// `(major, minor)` pair, exactly as per-line
-    /// [`encrypt_line`](Self::encrypt_line) calls would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base_addr` is not 64-byte aligned.
-    pub fn copy_page(
-        &self,
-        plains: &[[u8; LINE_BYTES]],
-        base_addr: u64,
-        major: u64,
-        minor: u8,
-    ) -> Vec<[u8; LINE_BYTES]> {
-        let pads = self.page_pads(base_addr, major, minor, plains.len());
-        plains.iter().zip(&pads).map(|(p, pad)| xor_line(p, pad)).collect()
-    }
 }
 
 /// XORs a 64-byte line with a one-time pad.
@@ -284,20 +265,6 @@ mod tests {
         for (i, pad) in pads.iter().enumerate() {
             let iv = IvSpec { line_addr: base + (i * LINE_BYTES) as u64, major: 17, minor: 3 };
             assert_eq!(*pad, e.one_time_pad(iv), "pad {i} diverges from the per-line path");
-        }
-    }
-
-    #[test]
-    fn copy_page_matches_per_line_encrypt() {
-        let e = engine();
-        let base = 0x4000u64;
-        let plains: Vec<[u8; LINE_BYTES]> =
-            (0..64u8).map(|i| [i.wrapping_mul(37); LINE_BYTES]).collect();
-        let ciphers = e.copy_page(&plains, base, 9, 1);
-        for (i, (plain, cipher)) in plains.iter().zip(&ciphers).enumerate() {
-            let iv = IvSpec { line_addr: base + (i * LINE_BYTES) as u64, major: 9, minor: 1 };
-            assert_eq!(*cipher, e.encrypt_line(plain, iv));
-            assert_eq!(e.decrypt_line(cipher, iv), *plain);
         }
     }
 

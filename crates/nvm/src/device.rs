@@ -382,11 +382,6 @@ impl NvmDevice {
         self.write_queue.len()
     }
 
-    /// Per-bank busy-until instants (diagnostics).
-    pub fn bank_busy_profile(&self) -> Vec<u64> {
-        self.banks.iter().map(|b| b.busy_until().as_u64()).collect()
-    }
-
     /// Number of distinct lines ever written (content-store footprint).
     pub fn resident_lines(&self) -> usize {
         self.contents.len()

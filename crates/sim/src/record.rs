@@ -2,9 +2,8 @@
 //! a [`System`] serves into a `.ltr` file.
 //!
 //! Attach with [`System::record_into`]; every subsequent mutating
-//! call — batched runs, per-line accesses (captured as single-op
-//! batch records, which PR 4's batched/per-line equivalence proof
-//! makes safe to replay through `run_batch`), syscalls, KSM passes,
+//! call — batched runs, per-line accesses (one-op batches, since the
+//! per-line calls run through the batch driver), syscalls, KSM passes,
 //! core switches, flush points — appends one record, including the
 //! *results* of allocation decisions (pids, mmap bases, fork
 //! children) so [`crate::replay`] can prove a replay stayed on the
@@ -24,9 +23,8 @@
 //! [`System::record_into`]: crate::System::record_into
 //! [`System::stop_recording`]: crate::System::stop_recording
 
-use crate::batch::{BatchOp, OpKind};
 use lelantus_os::kernel::ProcessId;
-use lelantus_trace::{TraceHeader, TraceOp, TraceOpKind, TraceTotals, TraceWriter};
+use lelantus_trace::{TraceHeader, TraceOp, TraceTotals, TraceWriter};
 use lelantus_types::{PageSize, VirtAddr};
 use std::fs::File;
 use std::io::{self, BufWriter};
@@ -97,37 +95,11 @@ impl TraceRecorder {
         state.writer.as_ref().map(|w| w.totals()).unwrap_or_default()
     }
 
-    pub(crate) fn batch(&self, pid: ProcessId, ops: &[BatchOp], data: &[u8]) {
+    pub(crate) fn batch(&self, pid: ProcessId, ops: &[TraceOp], data: &[u8]) {
         if ops.is_empty() {
             return; // an empty batch has no observable effect
         }
-        self.with(|w| {
-            w.batch(
-                pid,
-                data,
-                ops.iter().map(|op| TraceOp {
-                    va: op.va.as_u64(),
-                    len: op.len,
-                    kind: match op.kind {
-                        OpKind::Read => TraceOpKind::Read,
-                        OpKind::Write { data_off } => TraceOpKind::Write { data_off },
-                        OpKind::Pattern { tag } => TraceOpKind::Pattern { tag },
-                    },
-                }),
-            )
-        });
-    }
-
-    pub(crate) fn read(&self, pid: ProcessId, va: VirtAddr, len: usize) {
-        self.with(|w| w.batch(pid, &[], [TraceOp::read(va.as_u64(), len as u32)]));
-    }
-
-    pub(crate) fn write(&self, pid: ProcessId, va: VirtAddr, bytes: &[u8]) {
-        self.with(|w| w.batch(pid, bytes, [TraceOp::write(va.as_u64(), bytes.len() as u32, 0)]));
-    }
-
-    pub(crate) fn pattern(&self, pid: ProcessId, va: VirtAddr, len: usize, tag: u8) {
-        self.with(|w| w.batch(pid, &[], [TraceOp::pattern(va.as_u64(), len as u32, tag)]));
+        self.with(|w| w.batch(pid, data, ops.iter().copied()));
     }
 
     pub(crate) fn spawn_init(&self, pid: ProcessId) {

@@ -18,12 +18,11 @@
 //! scheme-dependent state, so root checks are skipped unless the
 //! caller opts in with [`replay_checked`] against a same-config run.
 
-use crate::batch::{BatchOp, OpKind};
 use crate::system::System;
 use lelantus_obs::HeatLane;
 use lelantus_os::OsError;
 use lelantus_trace::reader::Record;
-use lelantus_trace::{Trace, TraceError, TraceOpKind};
+use lelantus_trace::{Trace, TraceError, TraceOp};
 use lelantus_types::{VirtAddr, REGION_BYTES};
 use std::fmt;
 
@@ -373,7 +372,7 @@ fn run(sys: &mut System, trace: &Trace, check_roots: bool) -> Result<ReplayStats
     let mut stats = ReplayStats::default();
     // Scratch op list reused across batch records: the only per-batch
     // host work is decoding the packed stream into it.
-    let mut ops: Vec<BatchOp> = Vec::new();
+    let mut ops: Vec<TraceOp> = Vec::new();
     let mut pairs: Vec<(u64, VirtAddr)> = Vec::new();
     let check = |record: u64, what: &'static str, expected: u64, got: u64| {
         if expected == got {
@@ -390,18 +389,9 @@ fn run(sys: &mut System, trace: &Trace, check_roots: bool) -> Result<ReplayStats
             Record::Batch(b) => {
                 ops.clear();
                 for op in b.ops() {
-                    let op = op?;
-                    ops.push(BatchOp {
-                        va: VirtAddr::new(op.va),
-                        len: op.len,
-                        kind: match op.kind {
-                            TraceOpKind::Read => OpKind::Read,
-                            TraceOpKind::Write { data_off } => OpKind::Write { data_off },
-                            TraceOpKind::Pattern { tag } => OpKind::Pattern { tag },
-                        },
-                    });
+                    ops.push(op?);
                 }
-                sys.run_batch_parts(b.pid, &ops, b.data)?;
+                sys.run_batch_parts(b.pid, &ops, b.data, None)?;
                 stats.batches += 1;
                 stats.ops += ops.len() as u64;
                 stats.payload_bytes += b.data.len() as u64;

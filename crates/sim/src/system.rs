@@ -1,6 +1,6 @@
 //! The [`System`]: one simulated machine.
 
-use crate::batch::{AccessBatch, BatchOp, OpKind};
+use crate::batch::{access_ops, write_at, AccessBatch};
 use crate::config::SimConfig;
 use crate::metrics::{EpochSample, SimMetrics};
 use crate::record::TraceRecorder;
@@ -15,6 +15,7 @@ use lelantus_obs::{
 use lelantus_os::kernel::{AccessKind, FaultKind, HwAction, Kernel, ProcessId};
 use lelantus_os::ksm::{merge_pass, KsmCandidate};
 use lelantus_os::OsError;
+use lelantus_trace::{TraceOp, TraceOpKind};
 use lelantus_types::{Cycles, PageSize, PhysAddr, VirtAddr, LINE_BYTES, REGION_BYTES};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -681,40 +682,8 @@ impl System {
         self.tail.as_mut().expect("ctx captured only when recording").record(span);
     }
 
-    /// One CPU memory access covering at most one cacheline.
-    fn access_chunk(
-        &mut self,
-        pid: ProcessId,
-        va: VirtAddr,
-        data: Option<&[u8]>,
-        len: usize,
-    ) -> Result<Vec<u8>, OsError> {
-        self.bump(CycleCategory::CpuOp, self.config.op_cost);
-        let kind = if data.is_some() { AccessKind::Write } else { AccessKind::Read };
-        let pa = self.translate_timed(pid, va, kind)?;
-        let result = match data {
-            Some(bytes) => {
-                let now = self.clocks[self.active];
-                let tail_ctx = self.tail_store_ctx();
-                let done = self.caches.store(pa, bytes, now, &mut self.ctrl);
-                self.advance_to(done, CycleCategory::CacheSram);
-                if let Some(ctx) = tail_ctx {
-                    self.tail_store_span(pid, va, pa, ctx);
-                }
-                Ok(Vec::new())
-            }
-            None => {
-                let now = self.clocks[self.active];
-                let (bytes, done) = self.caches.load(pa, len, now, &mut self.ctrl);
-                self.advance_to(done, CycleCategory::CacheSram);
-                Ok(bytes)
-            }
-        };
-        self.epoch_tick();
-        result
-    }
-
-    /// Writes `bytes` at `va`, splitting at cacheline boundaries.
+    /// Writes `bytes` at `va`: one batched write whose payload arena
+    /// is `bytes` itself.
     ///
     /// # Errors
     ///
@@ -725,18 +694,7 @@ impl System {
         va: VirtAddr,
         bytes: &[u8],
     ) -> Result<(), OsError> {
-        let mut offset = 0usize;
-        while offset < bytes.len() {
-            let cur = va + offset as u64;
-            let room = LINE_BYTES - cur.line_offset();
-            let take = room.min(bytes.len() - offset);
-            self.access_chunk(pid, cur, Some(&bytes[offset..offset + take]), take)?;
-            offset += take;
-        }
-        if let Some(rec) = &self.rec {
-            rec.write(pid, va, bytes);
-        }
-        Ok(())
+        self.run_batch_parts(pid, &access_ops(va, bytes.len(), write_at), bytes, None)
     }
 
     /// Writes `bytes` at `va` with *non-temporal* (streaming) store
@@ -787,7 +745,8 @@ impl System {
         Ok(())
     }
 
-    /// Reads `len` bytes at `va`.
+    /// Reads `len` bytes at `va`: one batched read whose line bytes
+    /// the driver collects.
     ///
     /// # Errors
     ///
@@ -799,22 +758,14 @@ impl System {
         len: usize,
     ) -> Result<Vec<u8>, OsError> {
         let mut out = Vec::with_capacity(len);
-        let mut offset = 0usize;
-        while offset < len {
-            let cur = va + offset as u64;
-            let room = LINE_BYTES - cur.line_offset();
-            let take = room.min(len - offset);
-            out.extend(self.access_chunk(pid, cur, None, take)?);
-            offset += take;
-        }
-        if let Some(rec) = &self.rec {
-            rec.read(pid, va, len);
-        }
+        let ops = access_ops(va, len, |_| TraceOpKind::Read);
+        self.run_batch_parts(pid, &ops, &[], Some(&mut out))?;
         Ok(out)
     }
 
     /// Convenience: writes `len` bytes of a deterministic pattern
-    /// (cheaper than materializing big buffers in workloads).
+    /// (cheaper than materializing big buffers in workloads): one
+    /// batched pattern write.
     ///
     /// # Errors
     ///
@@ -826,19 +777,8 @@ impl System {
         len: usize,
         tag: u8,
     ) -> Result<(), OsError> {
-        let mut offset = 0usize;
-        let chunk = [tag; LINE_BYTES];
-        while offset < len {
-            let cur = va + offset as u64;
-            let room = LINE_BYTES - cur.line_offset();
-            let take = room.min(len - offset);
-            self.access_chunk(pid, cur, Some(&chunk[..take]), take)?;
-            offset += take;
-        }
-        if let Some(rec) = &self.rec {
-            rec.pattern(pid, va, len, tag);
-        }
-        Ok(())
+        let ops = access_ops(va, len, |_| TraceOpKind::Pattern { tag });
+        self.run_batch_parts(pid, &ops, &[], None)
     }
 
     /// Executes a queued [`AccessBatch`] in program order.
@@ -851,28 +791,29 @@ impl System {
     /// via [`Tlb::record_front_hit`], so TLB rates stay honest). Any
     /// access the run cache cannot serve — first touch of a page, or a
     /// write to a page cached read-only (a fault boundary) — splits the
-    /// run and falls back to the exact per-line path, then resumes
-    /// batching. The per-line cycle sequence, fault handling, probe
-    /// events, and all statistics are identical to issuing the same
-    /// ops through `read_bytes`/`write_bytes`/`write_pattern`;
-    /// `tests/access_fastpath.rs` checks it against pinned runs of
-    /// the workloads on which the two were shown equal.
+    /// run and takes the full translation path, then resumes batching.
+    /// This is the only access driver: `read_bytes`, `write_bytes` and
+    /// `write_pattern` are one-op batches, and replay feeds it decoded
+    /// trace records.
     ///
     /// # Errors
     ///
     /// Propagates kernel errors (unmapped address, OOM...).
     pub fn run_batch(&mut self, pid: ProcessId, batch: &AccessBatch) -> Result<(), OsError> {
-        self.run_batch_parts(pid, &batch.ops, &batch.data)
+        self.run_batch_parts(pid, &batch.ops, &batch.data, None)
     }
 
-    /// [`System::run_batch`] over borrowed parts, so the trace replay
-    /// loop can feed ops decoded straight out of a mapped `.ltr` file
-    /// without materializing an [`AccessBatch`].
+    /// [`System::run_batch`] over borrowed parts: `ops` whose writes
+    /// take their payload from `data`, with the bytes every read op
+    /// loads appended to `out` when it is given. The per-line calls
+    /// pass their own buffers here, and the trace replay loop feeds
+    /// ops decoded straight out of a mapped `.ltr` file.
     pub(crate) fn run_batch_parts(
         &mut self,
         pid: ProcessId,
-        ops: &[BatchOp],
+        ops: &[TraceOp],
         data: &[u8],
+        mut out: Option<&mut Vec<u8>>,
     ) -> Result<(), OsError> {
         let _prof = selfprof::scope("sim::run_batch");
         // The current run's translation: `(page va base, pa base,
@@ -890,10 +831,25 @@ impl System {
             let len = op.len as usize;
             let mut offset = 0usize;
             while offset < len {
-                let cur = op.va + offset as u64;
+                let cur = VirtAddr::new(op.va) + offset as u64;
                 let room = LINE_BYTES - cur.line_offset();
                 let take = room.min(len - offset);
-                let is_write = !matches!(op.kind, OpKind::Read);
+                // The bytes a write op stores into this line.
+                let store: Option<&[u8]> = match op.kind {
+                    TraceOpKind::Read => None,
+                    TraceOpKind::Write { data_off } => {
+                        let start = data_off as usize + offset;
+                        Some(&data[start..start + take])
+                    }
+                    TraceOpKind::Pattern { tag } => {
+                        if tag != tag_cur {
+                            tag_line = [tag; LINE_BYTES];
+                            tag_cur = tag;
+                        }
+                        Some(&tag_line[..take])
+                    }
+                };
+                let is_write = store.is_some();
                 self.bump(CycleCategory::CpuOp, self.config.op_cost);
                 let pa = match run {
                     Some((va_base, pa_base, page_bytes, writable))
@@ -907,7 +863,7 @@ impl System {
                     _ => {
                         // Run boundary: first touch, page change, or
                         // write-permission upgrade (fault). Take the
-                        // exact per-line translation path.
+                        // full translation path.
                         let kind = if is_write { AccessKind::Write } else { AccessKind::Read };
                         let pa = self.translate_timed(pid, cur, kind)?;
                         run = self.kernel.pte_info(pid, cur).map(|(pa_base, size, writable)| {
@@ -918,28 +874,18 @@ impl System {
                     }
                 };
                 let now = self.clocks[self.active];
-                match op.kind {
-                    OpKind::Read => {
-                        let (_, done) = self.caches.load_line(pa, now, &mut self.ctrl);
+                match store {
+                    None => {
+                        let (line, done) = self.caches.load_line(pa, now, &mut self.ctrl);
                         self.advance_to(done, CycleCategory::CacheSram);
+                        if let Some(out) = out.as_deref_mut() {
+                            let at = cur.line_offset();
+                            out.extend_from_slice(&line[at..at + take]);
+                        }
                     }
-                    OpKind::Write { data_off } => {
-                        let start = data_off as usize + offset;
-                        let bytes = &data[start..start + take];
+                    Some(bytes) => {
                         let tail_ctx = self.tail_store_ctx();
                         let done = self.caches.store(pa, bytes, now, &mut self.ctrl);
-                        self.advance_to(done, CycleCategory::CacheSram);
-                        if let Some(ctx) = tail_ctx {
-                            self.tail_store_span(pid, cur, pa, ctx);
-                        }
-                    }
-                    OpKind::Pattern { tag } => {
-                        if tag != tag_cur {
-                            tag_line = [tag; LINE_BYTES];
-                            tag_cur = tag;
-                        }
-                        let tail_ctx = self.tail_store_ctx();
-                        let done = self.caches.store(pa, &tag_line[..take], now, &mut self.ctrl);
                         self.advance_to(done, CycleCategory::CacheSram);
                         if let Some(ctx) = tail_ctx {
                             self.tail_store_span(pid, cur, pa, ctx);
@@ -1331,6 +1277,42 @@ mod tests {
         s.finish();
         sweep(&mut s, 2);
         assert_eq!(s.read_bytes(pid, va, 1).unwrap(), vec![2]);
+    }
+
+    #[test]
+    fn read_bytes_across_lines_and_pages_matches_byte_reads() {
+        let mut s = sys(CowStrategy::Lelantus, PageSize::Regular4K);
+        let pid = s.spawn_init();
+        let va = s.mmap(pid, 2 * 4096).unwrap();
+        let data: Vec<u8> = (0..2 * 4096).map(|i| (i * 7 % 251) as u8).collect();
+        s.write_bytes(pid, va, &data).unwrap();
+        let start = va + (4096 - 100);
+        let read = s.read_bytes(pid, start, 300).unwrap();
+        let bytewise: Vec<u8> =
+            (0..300).map(|i| s.read_bytes(pid, start + i, 1).unwrap()[0]).collect();
+        assert_eq!(read, bytewise);
+        assert_eq!(read, data[4096 - 100..4096 + 200]);
+    }
+
+    #[test]
+    fn a_read_into_an_unmapped_page_fails_and_records_nothing() {
+        let mut s = sys(CowStrategy::Lelantus, PageSize::Regular4K);
+        let path = std::env::temp_dir()
+            .join(format!("lelantus-sim-unmapped-read-{}.ltr", std::process::id()));
+        let header = lelantus_trace::TraceHeader {
+            page_size: PageSize::Regular4K,
+            phys_bytes: s.config().kernel.phys_bytes,
+        };
+        let rec = TraceRecorder::create(&path, header).unwrap();
+        s.record_into(rec.clone());
+        let pid = s.spawn_init();
+        let va = s.mmap(pid, 4096).unwrap();
+        let before = rec.totals();
+        assert!(s.read_bytes(pid, va + 4000, 200).is_err());
+        assert_eq!(rec.totals(), before, "a failed read leaves no record");
+        s.stop_recording();
+        drop(rec);
+        let _ = std::fs::remove_file(&path);
     }
 }
 

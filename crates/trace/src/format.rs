@@ -91,8 +91,9 @@ pub struct TraceTotals {
     pub records: u64,
 }
 
-/// One access op, mirroring `lelantus-sim`'s `BatchOp` across the
-/// crate boundary (the sim's op type is crate-private by design).
+/// One access op: what a trace records and what `lelantus-sim`'s one
+/// access driver runs, whether it comes from an `AccessBatch`, a
+/// per-line call or a replayed record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceOp {
     /// Start virtual address.
@@ -103,7 +104,7 @@ pub struct TraceOp {
     pub kind: TraceOpKind,
 }
 
-/// What a [`TraceOp`] does (mirror of the sim's `OpKind`).
+/// What a [`TraceOp`] does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceOpKind {
     /// Load `len` bytes (timing and residency only).

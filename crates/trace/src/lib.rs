@@ -1,8 +1,8 @@
 //! The `.ltr` binary access-trace format.
 //!
 //! A trace is a byte-exact transcript of every state-changing call a
-//! simulated machine served: batched line accesses (mirroring
-//! `AccessBatch`/`BatchOp` in `lelantus-sim`), syscall-level kernel
+//! simulated machine served: batched line accesses ([`TraceOp`]s,
+//! the op type `lelantus-sim`'s access driver runs), syscall-level kernel
 //! operations (`mmap`, `fork`, `exit`, KSM merges...), and the
 //! expected results of allocation decisions (`spawn_init` pids,
 //! `mmap` bases, `fork` children) so a replay can prove it stayed on

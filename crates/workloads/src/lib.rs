@@ -41,6 +41,15 @@ pub mod stormwl;
 use lelantus_os::OsError;
 use lelantus_sim::{SimMetrics, System};
 
+use bootwl::Boot;
+use compilewl::Compile;
+use forkbench::Forkbench;
+use hotspot::Hotspot;
+use mariadbwl::Mariadb;
+use noncopy::NonCopy;
+use rediswl::Redis;
+use shellwl::Shell;
+
 /// Result of one measured workload phase.
 #[derive(Debug, Clone, Default)]
 pub struct WorkloadRun {
@@ -77,4 +86,104 @@ pub fn small_suite() -> Vec<Box<dyn Workload>> {
         Box::new(mariadbwl::Mariadb::small()),
         Box::new(shellwl::Shell::small()),
     ]
+}
+
+/// Workload size: [`workload`] sizes every named workload at each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// Seconds-long sanity run.
+    Small,
+    /// Shape-faithful at a fraction of the cost.
+    Medium,
+    /// The paper's workload sizes.
+    Paper,
+}
+
+impl Scale {
+    /// Parses `small`, `medium` or `paper`.
+    pub fn parse(name: &str) -> Option<Scale> {
+        match name {
+            "small" => Some(Scale::Small),
+            "medium" => Some(Scale::Medium),
+            "paper" => Some(Scale::Paper),
+            _ => None,
+        }
+    }
+
+    /// Forkbench / non-copy allocation size at this scale.
+    pub fn alloc_bytes(self) -> u64 {
+        match self {
+            Scale::Small => 2 << 20,
+            Scale::Medium => 4 << 20,
+            Scale::Paper => 16 << 20,
+        }
+    }
+}
+
+/// The names [`workload`] knows: Fig 9's seven in x-axis order, then
+/// `hotspot`.
+pub const NAMES: [&str; 8] =
+    ["boot", "compile", "forkbench", "redis", "mariadb", "shell", "non-copy", "hotspot"];
+
+/// The workload `name` (one of [`NAMES`], or `noncopy`) at `scale`,
+/// or `None` for an unknown name: the one (workload, scale) table the
+/// CLI and the Fig 9 benches share.
+pub fn workload(name: &str, scale: Scale) -> Option<Box<dyn Workload>> {
+    use Scale::{Medium, Paper, Small};
+    Some(match (name, scale) {
+        ("boot", Small) => Box::new(Boot::small()),
+        ("boot", Medium) => Box::new(Boot {
+            services: 16,
+            shared_bytes: 1 << 20,
+            service_heap_bytes: 128 << 10,
+            ..Boot::default()
+        }),
+        ("boot", Paper) => Box::new(Boot::default()),
+        ("compile", Small) => Box::new(Compile::small()),
+        ("compile", Medium) => {
+            Box::new(Compile { heap_bytes: 6 << 20, rewrite_ops: 12_000, ..Compile::default() })
+        }
+        ("compile", Paper) => Box::new(Compile::default()),
+        ("forkbench", _) => {
+            Box::new(Forkbench { total_bytes: scale.alloc_bytes(), bytes_per_page: None })
+        }
+        ("redis", Small) => Box::new(Redis::small()),
+        ("redis", Medium) => {
+            Box::new(Redis { pairs: 20_000, operations: 4_000, ..Redis::default() })
+        }
+        ("redis", Paper) => Box::new(Redis::default()),
+        ("mariadb", Small) => Box::new(Mariadb::small()),
+        ("mariadb", Medium) => Box::new(Mariadb {
+            buffer_pool_bytes: 4 << 20,
+            index_bytes: 1 << 20,
+            rows: 24_000,
+            ..Mariadb::default()
+        }),
+        ("mariadb", Paper) => Box::new(Mariadb::default()),
+        ("shell", Small) => Box::new(Shell::small()),
+        ("shell", Medium) => Box::new(Shell { directories: 24, ..Shell::default() }),
+        ("shell", Paper) => Box::new(Shell::default()),
+        ("non-copy" | "noncopy", _) => Box::new(NonCopy { total_bytes: scale.alloc_bytes() }),
+        ("hotspot", Small) => Box::new(Hotspot::small()),
+        ("hotspot", _) => Box::new(Hotspot::default()),
+        _ => return None,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_name_resolves_to_itself_at_every_scale() {
+        for scale in [Scale::Small, Scale::Medium, Scale::Paper] {
+            for name in NAMES {
+                assert_eq!(workload(name, scale).expect(name).name(), name, "{scale:?}");
+            }
+            assert_eq!(workload("noncopy", scale).unwrap().name(), "non-copy");
+            assert!(workload("storm", scale).is_none());
+        }
+        assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
+        assert_eq!(Scale::parse("huge"), None);
+    }
 }

@@ -31,15 +31,10 @@ use lelantus::sim::{
     TailRecorder, TailSummary, Trace, TraceError, TraceHeader, TraceRecorder,
 };
 use lelantus::types::PageSize;
-use lelantus::workloads::{
-    bootwl::Boot, compilewl::Compile, forkbench::Forkbench, hotspot::Hotspot, mariadbwl::Mariadb,
-    noncopy::NonCopy, rediswl::Redis, shellwl::Shell, stormwl::Storm, Workload, WorkloadRun,
-};
+use lelantus::workloads::{self, stormwl::Storm, Scale, Workload, WorkloadRun};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-const WORKLOADS: &[&str] =
-    &["boot", "compile", "forkbench", "redis", "mariadb", "shell", "non-copy", "hotspot"];
 const SCHEMES: &[&str] = &["baseline", "silent-shredder", "lelantus", "lelantus-cow"];
 
 // The `--flags` each subcommand accepts; anything else is a usage error.
@@ -107,7 +102,7 @@ replay exit codes: 17 os error, 18 geometry mismatch, 19 divergence,
 
 workloads: {}
 schemes:   {} (default: lelantus)",
-        WORKLOADS.join(", "),
+        workloads::NAMES.join(", "),
         SCHEMES.join(", ")
     );
     ExitCode::from(2)
@@ -164,71 +159,10 @@ fn pages_of(name: &str) -> Option<PageSize> {
     }
 }
 
+/// The workload `name` at the `--scale` value `scale` (anything but
+/// `small` or `paper` is medium).
 fn workload_of(name: &str, scale: &str) -> Option<Box<dyn Workload>> {
-    let small = scale == "small";
-    let paper = scale == "paper";
-    Some(match name {
-        "boot" => {
-            if small {
-                Box::new(Boot::small())
-            } else if paper {
-                Box::new(Boot::default())
-            } else {
-                Box::new(Boot { services: 16, shared_bytes: 1 << 20, ..Boot::default() })
-            }
-        }
-        "compile" => {
-            if small {
-                Box::new(Compile::small())
-            } else if paper {
-                Box::new(Compile::default())
-            } else {
-                Box::new(Compile { heap_bytes: 6 << 20, rewrite_ops: 12_000, ..Compile::default() })
-            }
-        }
-        "forkbench" => {
-            let total = if small {
-                2 << 20
-            } else if paper {
-                16 << 20
-            } else {
-                4 << 20
-            };
-            Box::new(Forkbench { total_bytes: total, bytes_per_page: None })
-        }
-        "redis" => {
-            if small {
-                Box::new(Redis::small())
-            } else if paper {
-                Box::new(Redis::default())
-            } else {
-                Box::new(Redis { pairs: 20_000, operations: 4_000, ..Redis::default() })
-            }
-        }
-        "mariadb" => {
-            if small {
-                Box::new(Mariadb::small())
-            } else if paper {
-                Box::new(Mariadb::default())
-            } else {
-                Box::new(Mariadb { buffer_pool_bytes: 4 << 20, rows: 24_000, ..Mariadb::default() })
-            }
-        }
-        "shell" => {
-            if small {
-                Box::new(Shell::small())
-            } else if paper {
-                Box::new(Shell::default())
-            } else {
-                Box::new(Shell { directories: 24, ..Shell::default() })
-            }
-        }
-        "non-copy" | "noncopy" => {
-            Box::new(NonCopy { total_bytes: if small { 1 << 20 } else { 4 << 20 } })
-        }
-        "hotspot" => Box::new(if small { Hotspot::small() } else { Hotspot::default() }),
-        _ => return None,
-    })
+    workloads::workload(name, Scale::parse(scale).unwrap_or(Scale::Medium))
 }
 
 fn run_one(workload: &dyn Workload, strategy: CowStrategy, pages: PageSize) -> WorkloadRun {
@@ -1972,7 +1906,7 @@ fn main() -> ExitCode {
     let Some(command) = args.first() else { return usage() };
     match command.as_str() {
         "list" => {
-            println!("workloads: {}", WORKLOADS.join(", "));
+            println!("workloads: {}", workloads::NAMES.join(", "));
             println!("schemes:   {}", SCHEMES.join(", "));
             println!("pages:     4k, 2m");
             println!("scales:    small, medium, paper");

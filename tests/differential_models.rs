@@ -50,7 +50,8 @@ fn check_cache_hierarchy_matches_flat_memory(ops: &[(u64, u8, u8, usize)]) {
                 }
             }
             2 => {
-                let (got, _) = caches.load(addr, len, Cycles::ZERO, &mut backend);
+                let (line, _) = caches.load_line(addr, Cycles::ZERO, &mut backend);
+                let got = line[addr.line_offset()..][..len].to_vec();
                 let want: Vec<u8> = (0..len as u64)
                     .map(|i| reference.get(&(addr.as_u64() + i)).copied().unwrap_or(0))
                     .collect();

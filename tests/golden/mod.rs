@@ -44,13 +44,17 @@ impl Digest {
     pub fn new() -> Self {
         Self(0xcbf2_9ce4_8422_2325)
     }
+
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
 }
 
 impl std::fmt::Write for Digest {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.bytes(s.as_bytes());
         Ok(())
     }
 }

@@ -1,6 +1,7 @@
 //! Golden matrix: the fork-scenario ciphertexts and kernel syscall
 //! soups that used to be compared against a slower reference
-//! implementation, pinned.
+//! implementation, pinned, plus the bytes of `.ltr` traces recorded
+//! from per-line calls.
 //!
 //! The byte-oriented AES and the map-based kernel structures are now
 //! unit-test models next to the structures they check. Each case here
@@ -14,23 +15,42 @@
 //! plain text plus a digest of the final metrics and the raw
 //! ciphertext of the first 2 MB of NVM; a kernel soup pins a digest of
 //! its per-step transcript of syscall results, kernel stats and free
-//! bytes. On a mismatch the test prints every fresh row in pin syntax.
+//! bytes; a recorded-trace row pins the file's length, its access-op
+//! count and a digest of its bytes. On a mismatch the test prints
+//! every fresh row in pin syntax.
 
 mod golden;
 
 use golden::{assert_pinned, metrics_row, pin_rows, pin_syntax, Digest, Pin, Row};
 use lelantus::os::kernel::AccessKind;
 use lelantus::os::{CowStrategy, Kernel, KernelConfig};
-use lelantus::sim::{SimConfig, System};
+use lelantus::sim::{SimConfig, System, TraceHeader, TraceRecorder};
 use lelantus::types::{PageSize, PhysAddr, VirtAddr};
+use lelantus::workloads::{rediswl::Redis, shellwl::Shell, Workload};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 
 /// `(case, scheme, ops, transcript digest)`.
 type SoupPin = (u32, &'static str, usize, u64);
 
+/// `(row, file bytes, access ops, digest of the file bytes)`.
+type TracePin = (&'static str, u64, u64, u64);
+
 fn fork_scenario_row(config: SimConfig) -> Row {
     let mut sys = System::new(config);
+    fork_scenario(&mut sys);
+    let end = sys.finish();
+    let mut d = Digest::new();
+    write!(d, "{end:?}").unwrap();
+    for i in 0..(2 << 20) / 64u64 {
+        write!(d, "|{:?}", sys.controller().peek_raw_line(PhysAddr::new(i * 64))).unwrap();
+    }
+    metrics_row(&end, d)
+}
+
+/// The fork scenario's calls: per-line writes, pattern fills and reads
+/// around one fork.
+fn fork_scenario(sys: &mut System) {
     let pid = sys.spawn_init();
     let len = 4096 * 8;
     let va = sys.mmap(pid, len).unwrap();
@@ -42,13 +62,28 @@ fn fork_scenario_row(config: SimConfig) -> Row {
     let parent_view = sys.read_bytes(pid, va, 4096).unwrap();
     let child_view = sys.read_bytes(child, va, 4096).unwrap();
     assert_ne!(parent_view[64..81], child_view[64..81]);
-    let end = sys.finish();
+}
+
+/// Records `run` on a fresh Lelantus system and returns the sealed
+/// `.ltr` file in pin syntax.
+fn recorded_trace_row(name: &str, run: impl FnOnce(&mut System)) -> String {
+    let config =
+        SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K).with_phys_bytes(64 << 20);
+    let dir = std::env::temp_dir().join("lelantus-golden-traces");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("{}-{}.ltr", std::process::id(), name.replace(' ', "-")));
+    let header = TraceHeader { page_size: config.page_size, phys_bytes: config.kernel.phys_bytes };
+    let rec = TraceRecorder::create(&path, header).expect("create trace");
+    let mut sys = System::new(config);
+    sys.record_into(rec.clone());
+    run(&mut sys);
+    sys.stop_recording();
+    let totals = rec.finish().expect("seal trace");
+    let bytes = std::fs::read(&path).expect("read trace");
+    let _ = std::fs::remove_file(&path);
     let mut d = Digest::new();
-    write!(d, "{end:?}").unwrap();
-    for i in 0..(2 << 20) / 64u64 {
-        write!(d, "|{:?}", sys.controller().peek_raw_line(PhysAddr::new(i * 64))).unwrap();
-    }
-    metrics_row(&end, d)
+    d.bytes(&bytes);
+    format!("({name:?}, {}, {}, {:#018x})", bytes.len(), totals.ops, d.0)
 }
 
 fn kernel_soup_digest(config: KernelConfig, ops: &[(u8, u64, u64)]) -> u64 {
@@ -162,6 +197,26 @@ fn fork_scenario_ciphertexts_match_pins() {
     assert_pinned("fork scenario", pin_rows(FORK_SCENARIO), fresh);
 }
 
+/// The `.ltr` files recorded from runs that make per-line calls
+/// (`read_bytes`, `write_bytes`, `write_pattern`), each recorded as a
+/// one-op batch record, pinned byte for byte.
+#[test]
+fn recorded_per_line_traces_match_pins() {
+    let workload = |wl: &dyn Workload, sys: &mut System| {
+        wl.run(sys).expect("workload runs");
+    };
+    let fresh = vec![
+        recorded_trace_row("fork scenario", fork_scenario),
+        recorded_trace_row("redis", |sys| workload(&Redis::small(), sys)),
+        recorded_trace_row("shell", |sys| workload(&Shell::small(), sys)),
+    ];
+    let pins = RECORDED_TRACES
+        .iter()
+        .map(|&(name, bytes, ops, digest)| format!("({name:?}, {bytes}, {ops}, {digest:#018x})"))
+        .collect();
+    assert_pinned("recorded trace", pins, fresh);
+}
+
 /// 32 random syscall/fault soups driven straight through the kernel.
 /// The cases are drawn from the seed of the former property test that
 /// ran them against the map-based kernel structures, so they are the
@@ -190,6 +245,12 @@ const FORK_SCENARIO: &[Pin] = &[
     ("SilentShredder", 52461, 805, 0x43b700490df0e2f8),
     ("Lelantus", 44063, 596, 0x208ea2067b6ea897),
     ("Lelantus-CoW", 44797, 598, 0x15ce84a1fa9154b4),
+];
+
+const RECORDED_TRACES: &[TracePin] = &[
+    ("fork scenario", 457, 6, 0x5a082965d869ecdc),
+    ("redis", 27080, 2001, 0x9bcd07a6fcb57305),
+    ("shell", 1143, 131, 0xed1c3c13460f4f54),
 ];
 
 const KERNEL_SOUPS: &[SoupPin] = &[
