@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the simulator components: the buddy
 //! allocator, the set-associative cache, the cache hierarchy under a
-//! stream of dirty lines, the counter cache, the NVM
-//! device datapath (the frame-indexed line store), and the secure
-//! controller's read/write/command paths.
+//! stream of dirty lines, the TLB's L2 hit path, the counter cache,
+//! the NVM device datapath (the frame-indexed line store), and the
+//! secure controller's read/write/command paths.
 
 use lelantus_bench::harness::bench;
 use lelantus_bench::results::{timed_emit, Record};
@@ -12,7 +12,8 @@ use lelantus_metadata::counter_block::{CounterBlock, CounterEncoding};
 use lelantus_metadata::{CounterCache, CounterCacheConfig};
 use lelantus_nvm::{LineStore, NvmConfig, NvmDevice};
 use lelantus_os::BuddyAllocator;
-use lelantus_types::{Cycles, PhysAddr, LINE_BYTES};
+use lelantus_sim::tlb::{Tlb, TlbConfig, TlbEntry};
+use lelantus_types::{Cycles, PageSize, PhysAddr, VirtAddr, LINE_BYTES};
 use std::hint::black_box;
 
 /// A backend whose reads and writes take no time.
@@ -62,6 +63,27 @@ fn main() {
             i = (i + 1) % lines;
             caches.store(black_box(PhysAddr::new(i * 64)), &[1; 8], Cycles::ZERO, &mut FreeBackend)
         }));
+
+        // A 1024-page working set at the paper geometry (64-entry L1,
+        // 1536-entry L2), cycled in order: every lookup misses the
+        // front cache and L1, hits L2 and promotes into L1.
+        let mut tlb = Tlb::new(TlbConfig::default());
+        let page = |i: u64| VirtAddr::new(0x7f00_0000_0000 + i * 4096);
+        for i in 0..1024u64 {
+            let entry = TlbEntry {
+                pa_base: PhysAddr::new(i * 4096),
+                size: PageSize::Regular4K,
+                writable: true,
+            };
+            tlb.fill(1, page(i), entry);
+        }
+        let mut i = 0u64;
+        ms.push(bench("tlb_l2_hit", || {
+            i = (i + 1) % 1024;
+            tlb.lookup(1, black_box(page(i)))
+        }));
+        assert_eq!(tlb.stats().walks, 0, "the working set fits in L2");
+        assert_eq!(tlb.stats().l1_hits, 0, "the cycle defeats L1");
 
         let mut cc = CounterCache::new(CounterCacheConfig::default());
         for region in 0..4096u64 {

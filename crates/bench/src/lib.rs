@@ -37,9 +37,23 @@ use lelantus_workloads::{workload, Workload, WorkloadRun, NAMES};
 pub use lelantus_workloads::Scale;
 
 /// The experiment scale `LELANTUS_SCALE` selects (`small`, `medium`
-/// or `paper`; default and anything else: [`Scale::Medium`]).
+/// or `paper`; unset: [`Scale::Medium`]).
+///
+/// # Panics
+///
+/// Panics, naming the value, if the variable holds anything else.
 pub fn scale_from_env() -> Scale {
-    std::env::var("LELANTUS_SCALE").ok().and_then(|s| Scale::parse(&s)).unwrap_or(Scale::Medium)
+    scale_from_var(std::env::var("LELANTUS_SCALE").ok().as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`scale_from_env`] over the variable's value (`None`: unset).
+fn scale_from_var(value: Option<&str>) -> Result<Scale, String> {
+    match value {
+        None => Ok(Scale::Medium),
+        Some(v) => Scale::parse(v)
+            .ok_or_else(|| format!("LELANTUS_SCALE={v:?}: expected small, medium or paper")),
+    }
 }
 
 /// Builds the Fig 9 workload list (six applications + non-copy) at
@@ -106,6 +120,14 @@ mod tests {
         if std::env::var("LELANTUS_SCALE").is_err() {
             assert_eq!(scale_from_env(), Scale::Medium);
         }
+    }
+
+    #[test]
+    fn an_unknown_scale_is_an_error_that_names_it() {
+        assert_eq!(scale_from_var(None), Ok(Scale::Medium));
+        assert_eq!(scale_from_var(Some("paper")), Ok(Scale::Paper));
+        let err = scale_from_var(Some("foo")).unwrap_err();
+        assert!(err.contains("LELANTUS_SCALE=\"foo\""), "{err}");
     }
 
     #[test]

@@ -420,13 +420,30 @@ impl Kernel {
         va: VirtAddr,
         kind: AccessKind,
     ) -> Result<AccessOutcome, OsError> {
+        self.access_pte(pid, va, kind).map(|(outcome, _)| outcome)
+    }
+
+    /// [`Kernel::access`], also returning the PTE that maps the access
+    /// as it stands after any fault: what the hardware walk hands the
+    /// TLB, so the caller need not walk the table again.
+    ///
+    /// # Errors
+    ///
+    /// As [`Kernel::access`].
+    pub fn access_pte(
+        &mut self,
+        pid: ProcessId,
+        va: VirtAddr,
+        kind: AccessKind,
+    ) -> Result<(AccessOutcome, Pte), OsError> {
         let translation = self
             .process(pid)?
             .page_table
             .translate(va)
             .ok_or(OsError::UnmappedAddress { pid, va })?;
         if kind == AccessKind::Read || translation.pte.writable {
-            return Ok(AccessOutcome { pa: translation.pa, fault: None, actions: Vec::new() });
+            let outcome = AccessOutcome { pa: translation.pa, fault: None, actions: Vec::new() };
+            return Ok((outcome, translation.pte));
         }
         // Write fault.
         let vma = *Self::vma_containing(&self.process(pid)?.vmas, va)
@@ -447,7 +464,8 @@ impl Kernel {
 
         if map_count > 1 {
             let (new_pa, actions, fault) = self.cow_copy(pid, &vma, va_base, old_pa, size)?;
-            Ok(AccessOutcome { pa: new_pa + offset, fault: Some(fault), actions })
+            let outcome = AccessOutcome { pa: new_pa + offset, fault: Some(fault), actions };
+            Ok((outcome, Pte { pa: new_pa, size, writable: true }))
         } else {
             // Sole owner: wp_page_reuse, possibly with early reclamation.
             let actions = self.wp_reuse(pid, &vma, va_base, old_pa);
@@ -459,7 +477,8 @@ impl Kernel {
             } else {
                 FaultKind::WpReuse
             };
-            Ok(AccessOutcome { pa: translation.pa, fault: Some(fault), actions })
+            let outcome = AccessOutcome { pa: translation.pa, fault: Some(fault), actions };
+            Ok((outcome, Pte { writable: true, ..translation.pte }))
         }
     }
 
@@ -891,6 +910,32 @@ mod tests {
         // Second write: no fault.
         let out2 = k.access(pid, va + 16, AccessKind::Write).unwrap();
         assert!(out2.fault.is_none());
+    }
+
+    #[test]
+    fn access_pte_is_the_pte_after_the_fault() {
+        let mut k = kernel(CowStrategy::Lelantus);
+        let parent = k.spawn_init();
+        let va = k.mmap_anon(parent, 2 << 20, PageSize::Huge2M).unwrap();
+        let info = |k: &Kernel, pid, pte: Pte| {
+            assert_eq!(k.pte_info(pid, va), Some((pte.pa, pte.size, pte.writable)));
+        };
+        // Read of the zero page, demand-zero CoW break, no-fault write.
+        let (_, pte) = k.access_pte(parent, va, AccessKind::Read).unwrap();
+        info(&k, parent, pte);
+        assert!(!pte.writable);
+        for _ in 0..2 {
+            let (_, pte) = k.access_pte(parent, va + 64, AccessKind::Write).unwrap();
+            info(&k, parent, pte);
+        }
+        // After a fork: a CoW copy in the child, then reuse in the parent.
+        let (child, _) = k.fork(parent).unwrap();
+        let (out, pte) = k.access_pte(child, va, AccessKind::Write).unwrap();
+        assert!(matches!(out.fault, Some(FaultKind::CowCopy { from_zero: false, .. })));
+        info(&k, child, pte);
+        let (out, pte) = k.access_pte(parent, va, AccessKind::Write).unwrap();
+        assert!(out.fault.is_some());
+        info(&k, parent, pte);
     }
 
     #[test]

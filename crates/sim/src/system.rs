@@ -571,20 +571,22 @@ impl System {
     }
 
     /// Translates one access through the TLB, walking and faulting via
-    /// the kernel as needed. Returns the physical address.
+    /// the kernel as needed. Returns the physical address and the TLB
+    /// entry that served it (on a walk, the one filled from the PTE the
+    /// kernel resolved).
     fn translate_timed(
         &mut self,
         pid: ProcessId,
         va: VirtAddr,
         kind: AccessKind,
-    ) -> Result<PhysAddr, OsError> {
+    ) -> Result<(PhysAddr, TlbEntry), OsError> {
         let outcome = self.tlb.lookup(pid, va);
         if let TlbOutcome::HitL1(e) | TlbOutcome::HitL2(e) = outcome {
             if kind == AccessKind::Read || e.writable {
                 let charge = self.tlb.charge(&outcome);
                 self.bump(CycleCategory::Translation, charge);
                 let offset = va.as_u64() % e.size.bytes();
-                return Ok(e.pa_base + offset);
+                return Ok((e.pa_base + offset, e));
             }
             // Permission upgrade needed: the kernel will fault; drop the
             // stale entry now (the CoW break changes the PTE).
@@ -594,7 +596,7 @@ impl System {
             let charge = self.tlb.charge(&outcome);
             self.bump(CycleCategory::Translation, charge);
         }
-        let outcome = self.kernel.access(pid, va, kind)?;
+        let (outcome, pte) = self.kernel.access_pte(pid, va, kind)?;
         if let Some(fault) = &outcome.fault {
             let fault_start = self.clocks[self.active];
             // Ledger prefix at fault entry: the span's breakdown is the
@@ -641,10 +643,9 @@ impl System {
                 self.tail.as_mut().expect("prefix captured only when recording").record(span);
             }
         }
-        if let Some((pa_base, size, writable)) = self.kernel.pte_info(pid, va) {
-            self.tlb.fill(pid, va, TlbEntry { pa_base, size, writable });
-        }
-        Ok(outcome.pa)
+        let entry = TlbEntry { pa_base: pte.pa, size: pte.size, writable: pte.writable };
+        self.tlb.fill(pid, va, entry);
+        Ok((outcome.pa, entry))
     }
 
     /// Snapshot taken before a store when the tail recorder is on:
@@ -718,7 +719,7 @@ impl System {
             let room = LINE_BYTES - cur.line_offset();
             let take = room.min(bytes.len() - offset);
             self.bump(CycleCategory::CpuOp, self.config.op_cost);
-            let pa = self.translate_timed(pid, cur, AccessKind::Write)?;
+            let (pa, _) = self.translate_timed(pid, cur, AccessKind::Write)?;
             let tail_ctx = self.tail_store_ctx();
             // Coherence: drop any cached copy of the target line.
             self.caches.invalidate_range(pa.line_align(), LINE_BYTES as u64);
@@ -816,14 +817,14 @@ impl System {
         mut out: Option<&mut Vec<u8>>,
     ) -> Result<(), OsError> {
         let _prof = selfprof::scope("sim::run_batch");
-        // The current run's translation: `(page va base, pa base,
-        // page bytes, writable)`. Invariant: when `Some`, it equals the
-        // TLB front cache entry (both are "the most recent successful
-        // translation"), so serving from it is exactly a front-cache
-        // hit. Batches contain no syscalls, so no fork/munmap/exit can
-        // invalidate it mid-batch; faults replace it through
-        // `translate_timed` just like they replace the front cache.
-        let mut run: Option<(u64, PhysAddr, u64, bool)> = None;
+        // The current run's translation: `(page va base, entry)`.
+        // Invariant: when `Some`, it equals the TLB front cache entry
+        // (both are "the most recent successful translation"), so
+        // serving from it is exactly a front-cache hit. Batches contain
+        // no syscalls, so no fork/munmap/exit can invalidate it
+        // mid-batch; faults replace it through `translate_timed` just
+        // like they replace the front cache.
+        let mut run: Option<(u64, TlbEntry)> = None;
         // Scratch line for pattern stores, refilled only on tag change.
         let mut tag_line = [0u8; LINE_BYTES];
         let mut tag_cur = 0u8;
@@ -852,24 +853,27 @@ impl System {
                 let is_write = store.is_some();
                 self.bump(CycleCategory::CpuOp, self.config.op_cost);
                 let pa = match run {
-                    Some((va_base, pa_base, page_bytes, writable))
-                        if cur.as_u64().wrapping_sub(va_base) < page_bytes
-                            && (!is_write || writable) =>
+                    Some((va_base, e))
+                        if cur.as_u64().wrapping_sub(va_base) < e.size.bytes()
+                            && (!is_write || e.writable) =>
                     {
                         // Front-cache hit (charge 0), answered locally.
                         self.tlb.record_front_hit();
-                        pa_base + (cur.as_u64() - va_base)
+                        e.pa_base + (cur.as_u64() - va_base)
                     }
                     _ => {
                         // Run boundary: first touch, page change, or
                         // write-permission upgrade (fault). Take the
-                        // full translation path.
+                        // full translation path; the entry it returns
+                        // is the page's PTE, so the run needs no walk.
                         let kind = if is_write { AccessKind::Write } else { AccessKind::Read };
-                        let pa = self.translate_timed(pid, cur, kind)?;
-                        run = self.kernel.pte_info(pid, cur).map(|(pa_base, size, writable)| {
-                            let bytes = size.bytes();
-                            (cur.as_u64() & !(bytes - 1), pa_base, bytes, writable)
-                        });
+                        let (pa, e) = self.translate_timed(pid, cur, kind)?;
+                        debug_assert_eq!(
+                            Some((e.pa_base, e.size, e.writable)),
+                            self.kernel.pte_info(pid, cur),
+                            "TLB entry and PTE disagree at {cur:?} (pid {pid})"
+                        );
+                        run = Some((cur.as_u64() & !(e.size.bytes() - 1), e));
                         pa
                     }
                 };

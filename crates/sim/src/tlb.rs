@@ -15,9 +15,14 @@
 //! Each level is a fully-associative [`LruMap`]: a hit or a fill moves
 //! the entry to the recency head and a fill into a full level evicts
 //! the recency tail, all in O(1). Its keys hold virtual page numbers
-//! taken from the workload or a trace, so the levels keep `std`'s
-//! randomly keyed hasher.
+//! taken from the workload or a trace, so the levels hash them with the
+//! multiply-fold [`SeededIndexHasher`] under a random state drawn once
+//! per [`Tlb`]. Every level is bounded by its entry count, so keys
+//! chosen to collide can at worst turn one probe into a scan of one
+//! level. The state changes no simulated result: the levels never
+//! iterate their index, only their recency list.
 
+use lelantus_types::hash::SeededIndexHasher;
 use lelantus_types::lru::LruMap;
 use lelantus_types::{PageSize, PhysAddr, VirtAddr};
 
@@ -125,11 +130,24 @@ pub enum TlbOutcome {
     Miss,
 }
 
+/// A level's key: the owning process and `vpn << 1 | size_2m`, two
+/// words to hash. A virtual page number has at most 52 bits, so the
+/// shift loses nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     pid: u64,
-    vpn: u64,
-    size_2m: bool,
+    page: u64,
+}
+
+impl Key {
+    fn new(pid: u64, va: VirtAddr, size: PageSize) -> Self {
+        let size_2m = size == PageSize::Huge2M;
+        Key { pid, page: (va.as_u64() / size.bytes()) << 1 | u64::from(size_2m) }
+    }
+
+    fn size_2m(self) -> bool {
+        self.page & 1 == 1
+    }
 }
 
 /// One fully-associative LRU level (TLB levels are small enough that
@@ -137,13 +155,13 @@ struct Key {
 /// capacity).
 #[derive(Debug, Clone)]
 struct Level {
-    entries: LruMap<Key, TlbEntry>,
+    entries: LruMap<Key, TlbEntry, SeededIndexHasher>,
     capacity: usize,
 }
 
 impl Level {
-    fn new(capacity: usize) -> Self {
-        Self { entries: LruMap::default(), capacity }
+    fn new(capacity: usize, hasher: SeededIndexHasher) -> Self {
+        Self { entries: LruMap::with_hasher(hasher), capacity }
     }
 
     fn get(&mut self, key: Key) -> Option<TlbEntry> {
@@ -205,10 +223,11 @@ impl Tlb {
     /// Panics if the configuration is invalid.
     pub fn new(config: TlbConfig) -> Self {
         config.validate().expect("invalid TLB config");
+        let hasher = SeededIndexHasher::random();
         Self {
-            l1_4k: Level::new(config.l1_entries_4k),
-            l1_2m: Level::new(config.l1_entries_2m),
-            l2: Level::new(config.l2_entries),
+            l1_4k: Level::new(config.l1_entries_4k, hasher),
+            l1_2m: Level::new(config.l1_entries_2m, hasher),
+            l2: Level::new(config.l2_entries, hasher),
             config,
             front: None,
             stats: TlbStats::default(),
@@ -223,14 +242,6 @@ impl Tlb {
     /// Accumulated counters.
     pub fn stats(&self) -> TlbStats {
         self.stats
-    }
-
-    fn key_4k(pid: u64, va: VirtAddr) -> Key {
-        Key { pid, vpn: va.as_u64() / PageSize::Regular4K.bytes(), size_2m: false }
-    }
-
-    fn key_2m(pid: u64, va: VirtAddr) -> Key {
-        Key { pid, vpn: va.as_u64() / PageSize::Huge2M.bytes(), size_2m: true }
     }
 
     fn remember(&mut self, pid: u64, va: VirtAddr, entry: TlbEntry) {
@@ -249,13 +260,13 @@ impl Tlb {
                 return TlbOutcome::HitL1(e);
             }
         }
-        let k4 = Self::key_4k(pid, va);
+        let k4 = Key::new(pid, va, PageSize::Regular4K);
         if let Some(e) = self.l1_4k.get(k4) {
             self.stats.l1_hits += 1;
             self.remember(pid, va, e);
             return TlbOutcome::HitL1(e);
         }
-        let k2 = Self::key_2m(pid, va);
+        let k2 = Key::new(pid, va, PageSize::Huge2M);
         if let Some(e) = self.l1_2m.get(k2) {
             self.stats.l1_hits += 1;
             self.remember(pid, va, e);
@@ -265,7 +276,7 @@ impl Tlb {
             if let Some(e) = self.l2.get(key) {
                 self.stats.l2_hits += 1;
                 // Promote to the right L1.
-                if key.size_2m {
+                if key.size_2m() {
                     self.l1_2m.insert(key, e);
                 } else {
                     self.l1_4k.insert(key, e);
@@ -289,11 +300,7 @@ impl Tlb {
 
     /// Installs the result of a page walk.
     pub fn fill(&mut self, pid: u64, va: VirtAddr, entry: TlbEntry) {
-        let key = Key {
-            pid,
-            vpn: va.as_u64() / entry.size.bytes(),
-            size_2m: entry.size == PageSize::Huge2M,
-        };
+        let key = Key::new(pid, va, entry.size);
         match entry.size {
             PageSize::Regular4K => self.l1_4k.insert(key, entry),
             PageSize::Huge2M => self.l1_2m.insert(key, entry),
@@ -310,9 +317,9 @@ impl Tlb {
                 self.front = None;
             }
         }
-        for key in [Self::key_4k(pid, va), Self::key_2m(pid, va)] {
+        for key in [Key::new(pid, va, PageSize::Regular4K), Key::new(pid, va, PageSize::Huge2M)] {
             let mut removed = false;
-            removed |= if key.size_2m { self.l1_2m.remove(key) } else { self.l1_4k.remove(key) };
+            removed |= if key.size_2m() { self.l1_2m.remove(key) } else { self.l1_4k.remove(key) };
             removed |= self.l2.remove(key);
             if removed {
                 self.stats.shootdowns += 1;

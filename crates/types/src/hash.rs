@@ -8,7 +8,11 @@
 //! folds each key with one 64×64→128-bit multiply instead.
 //!
 //! Keys that come from the outside world (virtual page numbers read
-//! from a trace, for instance) keep `std`'s `RandomState`.
+//! from a trace, for instance) get the same fold under a random
+//! initial state, [`SeededIndexHasher`], but only in maps whose size
+//! is bounded (the TLB levels): there, keys chosen to collide can at
+//! worst turn one probe into a scan of one small map. Unbounded maps
+//! over such keys keep `std`'s `RandomState`.
 //!
 //! # Examples
 //!
@@ -20,8 +24,9 @@
 //! assert_eq!(writes[&7], 1);
 //! ```
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// Odd 64-bit constant (the golden ratio's fractional bits).
 const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -75,6 +80,28 @@ pub type BuildIndexHasher = BuildHasherDefault<IndexHasher>;
 /// A `HashMap` keyed by simulator-computed indices.
 pub type IndexMap<K, V> = HashMap<K, V, BuildIndexHasher>;
 
+/// `BuildHasher` for [`IndexHasher`] starting from a random state, for
+/// bounded maps over trace-derived keys (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct SeededIndexHasher(u64);
+
+impl SeededIndexHasher {
+    /// A builder whose initial state is drawn from `std`'s per-process
+    /// random keys.
+    pub fn random() -> Self {
+        Self(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl BuildHasher for SeededIndexHasher {
+    type Hasher = IndexHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> IndexHasher {
+        IndexHasher(self.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,6 +132,13 @@ mod tests {
         // The table's control tag is the top seven bits.
         let tags: std::collections::HashSet<u64> = (0..1024u64).map(|i| hash(i) >> 57).collect();
         assert!(tags.len() > 100, "only {} distinct tags", tags.len());
+    }
+
+    #[test]
+    fn seeded_builders_differ_but_each_is_stable() {
+        let (a, b) = (SeededIndexHasher::random(), SeededIndexHasher::random());
+        assert_eq!(a.hash_one(7u64), a.hash_one(7u64));
+        assert_ne!(a.hash_one(7u64), b.hash_one(7u64));
     }
 
     #[test]

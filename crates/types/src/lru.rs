@@ -63,7 +63,20 @@ pub struct LruMap<K, V, S = RandomState> {
 
 impl<K, V, S: Default> Default for LruMap<K, V, S> {
     fn default() -> Self {
-        Self { index: HashMap::default(), slots: Vec::new(), head: NIL, tail: NIL, free: NIL }
+        Self::with_hasher(S::default())
+    }
+}
+
+impl<K, V, S> LruMap<K, V, S> {
+    /// An empty map whose index hashes with `hasher`.
+    pub fn with_hasher(hasher: S) -> Self {
+        Self {
+            index: HashMap::with_hasher(hasher),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+        }
     }
 }
 

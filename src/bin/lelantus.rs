@@ -136,6 +136,9 @@ fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String
         let Some(value) = it.next() else {
             return Err(format!("--{key} needs a value"));
         };
+        if key == "scale" && Scale::parse(value).is_none() {
+            return Err(format!("unknown --scale `{value}` (valid: small, medium, paper)"));
+        }
         flags.insert(key.to_string(), value.clone());
     }
     Ok(flags)
@@ -159,10 +162,10 @@ fn pages_of(name: &str) -> Option<PageSize> {
     }
 }
 
-/// The workload `name` at the `--scale` value `scale` (anything but
-/// `small` or `paper` is medium).
+/// The workload `name` at the `--scale` value `scale`, which
+/// [`parse_flags`] has already checked.
 fn workload_of(name: &str, scale: &str) -> Option<Box<dyn Workload>> {
-    workloads::workload(name, Scale::parse(scale).unwrap_or(Scale::Medium))
+    workloads::workload(name, Scale::parse(scale).expect("parse_flags checks --scale"))
 }
 
 fn run_one(workload: &dyn Workload, strategy: CowStrategy, pages: PageSize) -> WorkloadRun {
@@ -2027,5 +2030,24 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn an_unknown_scale_is_a_usage_error() {
+        let err = parse_flags(&args(&["--scale", "foo"]), RUN_FLAGS).unwrap_err();
+        assert!(err.contains("`foo`") && err.contains("small, medium, paper"), "{err}");
+        for scale in ["small", "medium", "paper"] {
+            let flags = parse_flags(&args(&["--scale", scale]), RUN_FLAGS).unwrap();
+            assert_eq!(flags["scale"], scale);
+        }
     }
 }

@@ -772,16 +772,31 @@ impl TlbModel {
 }
 
 fn tlb_soup(config: TlbConfig, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut fast = Tlb::new(config);
-    let mut model = TlbModel::new(config);
-    for step in 0..OPS {
+    tlb_soup_over(config, seed, |rng| {
         let pid = rng.gen_range(1..=3u64);
         // Addresses span 64 4K pages in each of 3 huge-page frames, so
         // every level sees both capacity evictions and re-hits.
         let huge = rng.gen_range(0..3u64) * PageSize::Huge2M.bytes();
         let va = VirtAddr::new(huge + rng.gen_range(0..64u64) * 4096 + rng.gen_range(0..4096u64));
-        match rng.gen_range(0..100u32) {
+        (pid, va, rng.gen_range(0..100u32))
+    });
+}
+
+/// Drives the production TLB and the model with one op per step:
+/// `draw` picks the `(pid, va)` and an op roll in `0..100` (below 50 a
+/// lookup, then a fill, a page shootdown, a pid shootdown and, at 99,
+/// a full flush). Returns the final statistics.
+fn tlb_soup_over(
+    config: TlbConfig,
+    seed: u64,
+    mut draw: impl FnMut(&mut StdRng) -> (u64, VirtAddr, u32),
+) -> TlbStats {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut fast = Tlb::new(config);
+    let mut model = TlbModel::new(config);
+    for step in 0..OPS {
+        let (pid, va, roll) = draw(&mut rng);
+        match roll {
             0..=49 => {
                 assert_eq!(fast.lookup(pid, va), model.lookup(pid, va), "lookup, step {step}")
             }
@@ -810,6 +825,7 @@ fn tlb_soup(config: TlbConfig, seed: u64) {
         }
         assert_eq!(fast.stats(), model.stats, "stats, step {step}");
     }
+    fast.stats()
 }
 
 #[test]
@@ -823,6 +839,43 @@ fn tlb_matches_the_scan_model() {
     let wide =
         TlbConfig { l1_entries_4k: 16, l1_entries_2m: 4, l2_entries: 48, ..Default::default() };
     tlb_soup(wide, 63);
+}
+
+/// The TLB levels hash trace-derived keys with a seeded multiply-fold
+/// hasher. At the paper geometry (64/32/1536), keys built to stress it
+/// must still give the model's answers: pids up to `u64::MAX`, VPNs
+/// across the full 52-bit range, and VPN sets that differ only in
+/// their high bits. A small hot set keeps L1 and front-cache hits in
+/// the mix; the 6,144 cold keys overflow L2, and pid or whole-TLB
+/// shootdowns are rare enough (one op in 5,000) that it fills between
+/// them.
+#[test]
+fn tlb_matches_the_scan_model_on_hostile_keys() {
+    const PIDS: [u64; 6] = [0, 1, 1 << 32, 1 << 63, u64::MAX - 1, u64::MAX];
+    const VPN_MAX: u64 = (1 << 52) - 1;
+    let mut pool_rng = StdRng::seed_from_u64(64);
+    let vpns: Vec<u64> = (0..256u64)
+        .map(|i| i << 40)
+        .chain((0..256u64).map(|i| 1 << 51 | i << 43))
+        .chain((0..256u64).map(|i| VPN_MAX - i))
+        .chain((0..256).map(|_| pool_rng.gen::<u64>() & VPN_MAX))
+        .collect();
+    let stats = tlb_soup_over(TlbConfig::default(), 65, |rng| {
+        let (pid, vpn) = if rng.gen_bool(0.5) {
+            (PIDS[rng.gen_range(0..2)], vpns[rng.gen_range(0..48)])
+        } else {
+            (PIDS[rng.gen_range(0..PIDS.len())], vpns[rng.gen_range(0..vpns.len())])
+        };
+        let roll = match rng.gen_range(0..10_000u32) {
+            0..=4_999 => 0,
+            5_000..=8_999 => 50,
+            9_000..=9_997 => 85,
+            9_998 => 96,
+            _ => 99,
+        };
+        (pid, VirtAddr::new(vpn * 4096 + rng.gen_range(0..4096u64)), roll)
+    });
+    assert!(stats.l1_hits > stats.front_hits && stats.l2_hits > 0, "{stats:?}");
 }
 
 // ---------------------------------------------------------------------
