@@ -1,11 +1,16 @@
 //! Micro-benchmarks for the cryptographic substrate: T-table AES,
 //! 64-byte line CTR encryption (default and forced T-table engine),
-//! the 64-line page-pad sweep, SipHash tags (one 81-byte data-MAC
-//! input at a time and eight per kernel call), and Merkle-tree walks.
+//! the pads of one page (one batch call versus 64 per-line calls),
+//! SipHash tags (one 81-byte data-MAC input at a time and eight per
+//! kernel call), and Merkle-tree walks.
 //!
-//! Gate: where the CPU has AVX-512, eight data MACs per kernel call
-//! must cost at most 1/2.5 of eight scalar tags; elsewhere both paths
-//! are the scalar hash and the gate is skipped.
+//! Gates, each skipped where the CPU lacks the wide path (both sides
+//! are then the same code):
+//!
+//! * with `vaes` and `avx512f`, one page's pads from the batch kernel
+//!   must cost at most 1/2 of 64 per-line pads;
+//! * with AVX-512, eight data MACs per kernel call must cost at most
+//!   1/2.5 of eight scalar tags.
 
 use lelantus_bench::harness::bench;
 use lelantus_bench::results::{timed_emit, Record};
@@ -38,8 +43,23 @@ fn main() {
         let fast_dec =
             bench("ctr_decrypt_line_64B", || engine.decrypt_line(black_box(&line), black_box(iv)));
 
-        // --- the pads of one page (64 per-line pads) -------------------
+        // --- the pads of one page: one batch call vs 64 per-line pads ---
         let page_pads = bench("page_pads_64_lines", || engine.page_pads(0x4000, 11, 1, 64));
+        let page_ivs: Vec<IvSpec> =
+            (0..64).map(|i| IvSpec { line_addr: 0x4000 + 64 * i, major: 11, minor: 1 }).collect();
+        let pads_per_line = bench("page_pads_64_lines_per_line", || {
+            page_ivs.iter().map(|&iv| engine.one_time_pad(black_box(iv))).collect::<Vec<_>>()
+        });
+        let pad_speedup = pads_per_line.ns_per_iter / page_pads.ns_per_iter;
+        println!("\none page's pads, batch kernel vs 64 per-line pads: {pad_speedup:.2}x");
+        if engine.pads_vaes(&page_ivs, &mut [[0; 64]; 64]) {
+            assert!(
+                pad_speedup >= 2.0,
+                "VAES page-pad kernel only {pad_speedup:.2}x over per-line pads (gate: >=2x)"
+            );
+        } else {
+            println!("skip: no vaes+avx512f on this CPU; the batch call is the per-line pads");
+        }
 
         // --- integrity substrate ---------------------------------------
         let mac = SipHash24::new(1, 2);
@@ -97,6 +117,7 @@ fn main() {
             &table_enc,
             &fast_dec,
             &page_pads,
+            &pads_per_line,
             &sip,
             &mac_line,
             &macs8,
@@ -105,6 +126,7 @@ fn main() {
         ] {
             records.push(Record::new(&m.name, m.ns_per_iter, "ns/iter").timed(m.elapsed_s));
         }
+        records.push(Record::new("speedup/page_pads_batch", pad_speedup, "x"));
         records.push(Record::new("speedup/data_mac_batch", mac_speedup, "x"));
         records
     });

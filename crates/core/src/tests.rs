@@ -780,3 +780,107 @@ fn pending_tags_land_before_their_mac_line_is_evicted() {
         assert_eq!(c.read_data_line(line_of(page(0), l), ZERO).0, fill(l as u8 + 1));
     }
 }
+
+/// A controller with counters starting at 1 and the given counter-cache
+/// write policy.
+fn with_policy(scheme: SchemeKind, policy: WritePolicy) -> SecureMemoryController {
+    let mut config = ControllerConfig { randomize_counters: false, ..small_config(scheme) };
+    config.counter_cache.policy = policy;
+    SecureMemoryController::new(config)
+}
+
+/// Writes `line` until the next write overflows its minor counter,
+/// which starts at 1.
+fn raise_to_ceiling(c: &mut SecureMemoryController, line: PhysAddr) {
+    let max = c.config().scheme.encoding().minor_max(false);
+    for i in 1..max {
+        c.write_data_line(line, fill(i), ZERO);
+    }
+}
+
+#[test]
+fn bulk_copy_and_zero_stay_exact_when_a_minor_overflows_mid_page() {
+    // The write pads a bulk path makes ahead stop at the overflowing
+    // line; the re-encryption and the rest of the page run on pads made
+    // on the spot.
+    for policy in [WritePolicy::WriteBack, WritePolicy::WriteThrough] {
+        for hot in [0u64, 31, 63] {
+            let mut c = with_policy(SchemeKind::Baseline, policy);
+            for l in 0..64u64 {
+                c.write_data_line(line_of(page(0), l), fill(l as u8 + 1), ZERO);
+            }
+            raise_to_ceiling(&mut c, line_of(page(1), hot));
+            let overflows = c.stats().minor_overflows;
+            c.copy_page_bulk(page(0), page(1), 4096, ZERO);
+            assert_eq!(c.stats().minor_overflows, overflows + 1, "{policy:?} line {hot}");
+            for l in 0..64u64 {
+                let want = fill(l as u8 + 1);
+                assert_eq!(c.read_data_line(line_of(page(1), l), ZERO).0, want, "copy {l}");
+                assert_eq!(c.read_data_line(line_of(page(0), l), ZERO).0, want, "source {l}");
+            }
+
+            let mut c = with_policy(SchemeKind::Baseline, policy);
+            for l in (0..64u64).filter(|&l| l != hot) {
+                c.write_data_line(line_of(page(1), l), fill(0x5A), ZERO);
+            }
+            raise_to_ceiling(&mut c, line_of(page(1), hot));
+            let overflows = c.stats().minor_overflows;
+            c.zero_page_bulk(page(1), 4096, ZERO);
+            assert_eq!(c.stats().minor_overflows, overflows + 1, "{policy:?} line {hot}");
+            for l in 0..64u64 {
+                assert_eq!(c.read_data_line(line_of(page(1), l), ZERO).0, [0; 64], "zero {l}");
+            }
+        }
+    }
+}
+
+#[test]
+fn page_phyc_stays_exact_past_a_two_hop_line_and_an_overflowed_source() {
+    // Page 2 is a lazy copy of page 1, itself a copy of page 0 with
+    // every line but `hot` rewritten. Without an overflow, `hot` of
+    // page 2 resolves two hops deep, past what the pad window predicts;
+    // with one, page 1 re-encrypts under a new major before the phyc
+    // reads it.
+    for scheme in [SchemeKind::LelantusResized, SchemeKind::LelantusCow] {
+        for policy in [WritePolicy::WriteBack, WritePolicy::WriteThrough] {
+            for hot in [0u64, 31, 63] {
+                for overflow in [false, true] {
+                    let mut c = with_policy(scheme, policy);
+                    for l in 0..64u64 {
+                        c.write_data_line(line_of(page(0), l), fill(l as u8 + 1), ZERO);
+                    }
+                    c.cmd_page_copy(page(0), page(1), ZERO);
+                    for l in (0..64u64).filter(|&l| l != hot) {
+                        c.write_data_line(line_of(page(1), l), fill(0x80 | l as u8), ZERO);
+                    }
+                    c.cmd_page_copy(page(1), page(2), ZERO);
+                    let marker = (hot + 1) % 64;
+                    c.write_data_line(line_of(page(2), marker), fill(0xEE), ZERO);
+                    if overflow {
+                        let overflows = c.stats().minor_overflows;
+                        for i in 0..200u8 {
+                            c.write_data_line(line_of(page(1), hot), fill(i), ZERO);
+                            if c.stats().minor_overflows > overflows {
+                                break;
+                            }
+                        }
+                        assert_eq!(c.stats().minor_overflows, overflows + 1, "{scheme}");
+                    }
+                    let want: Vec<_> =
+                        (0..64).map(|l| c.read_data_line(line_of(page(2), l), ZERO).0).collect();
+                    assert_eq!(want[marker as usize], fill(0xEE));
+                    if !overflow {
+                        assert_eq!(want[hot as usize], fill(hot as u8 + 1), "two hops to page 0");
+                    }
+                    let materialized = c.stats().materialized_lines;
+                    c.cmd_page_phyc(page(1), page(2), ZERO);
+                    assert_eq!(c.stats().materialized_lines, materialized + 63, "{scheme}");
+                    for (l, want) in want.iter().enumerate() {
+                        let got = c.read_data_line(line_of(page(2), l as u64), ZERO).0;
+                        assert_eq!(got, *want, "{scheme} {policy:?} hot {hot} line {l}");
+                    }
+                }
+            }
+        }
+    }
+}

@@ -370,6 +370,11 @@ pub mod ni {
             available().then(|| Self { rk: expand_key_bytes(key) })
         }
 
+        /// The expanded key schedule, in FIPS-197 byte order.
+        pub(crate) fn round_keys(&self) -> &[[u8; 16]; 11] {
+            &self.rk
+        }
+
         /// Encrypts one 16-byte block.
         #[inline]
         pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {

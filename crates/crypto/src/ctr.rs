@@ -13,6 +13,11 @@
 //!
 //! A 64-byte line needs four 16-byte pads; a 2-bit block index inside
 //! the padding differentiates them.
+//!
+//! A pad depends only on its [`IvSpec`], so a caller that knows the IVs
+//! of many lines ahead of their data (a bulk page operation) makes all
+//! their pads in one [`CtrEngine::pads`] call: eight lines per pass on
+//! CPUs with `vaes` and `avx512f`, one line at a time elsewhere.
 
 #[cfg(target_arch = "x86_64")]
 use crate::aes::ni;
@@ -59,6 +64,10 @@ pub struct IvSpec {
 #[derive(Debug, Clone)]
 pub struct CtrEngine {
     aes: AesBackend,
+    /// Whether [`CtrEngine::pads`] runs the VAES kernel: the backend is
+    /// hardware AES and the CPU has `vaes` and `avx512f`.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    vaes: bool,
 }
 
 /// Which AES implementation a [`CtrEngine`] runs on.
@@ -90,7 +99,7 @@ impl CtrEngine {
     pub fn new(key: [u8; 16]) -> Self {
         #[cfg(target_arch = "x86_64")]
         if let Some(aes) = ni::Aes128Ni::try_new(key) {
-            return Self { aes: AesBackend::Ni(aes) };
+            return Self { aes: AesBackend::Ni(aes), vaes: vaes::available() };
         }
         Self::new_table(key)
     }
@@ -99,7 +108,7 @@ impl CtrEngine {
     /// hardware AES is available. Used by the micro-benchmarks to
     /// attribute the software-path speedup.
     pub fn new_table(key: [u8; 16]) -> Self {
-        Self { aes: AesBackend::Table(Aes128::new(key)) }
+        Self { aes: AesBackend::Table(Aes128::new(key)), vaes: false }
     }
 
     /// Builds the 16-byte IV for pad block `block_idx` (0..4) of a line.
@@ -159,9 +168,9 @@ impl CtrEngine {
     /// Materializing or re-encrypting a 4 KB region stamps every
     /// destination line with `minor = 1` under one major counter (paper
     /// §III-D/§III-E). Pad `i` is `one_time_pad` of
-    /// `IvSpec { line_addr: base_addr + i·64, major, minor }`: on
-    /// hardware AES a batched sweep measured no faster than these
-    /// per-line calls, so there is only the one pad path.
+    /// `IvSpec { line_addr: base_addr + i·64, major, minor }`, made by
+    /// one [`CtrEngine::pads`] call, so a page costs what the batch
+    /// kernel costs.
     ///
     /// # Panics
     ///
@@ -174,15 +183,156 @@ impl CtrEngine {
         count: usize,
     ) -> Vec<[u8; LINE_BYTES]> {
         assert_eq!(base_addr % LINE_BYTES as u64, 0, "page_pads needs a line-aligned base");
-        (0..count as u64)
-            .map(|i| {
-                self.one_time_pad(IvSpec {
-                    line_addr: base_addr + i * LINE_BYTES as u64,
-                    major,
-                    minor,
-                })
-            })
-            .collect()
+        let ivs: Vec<IvSpec> = (0..count as u64)
+            .map(|i| IvSpec { line_addr: base_addr + i * LINE_BYTES as u64, major, minor })
+            .collect();
+        let mut pads = vec![[0; LINE_BYTES]; count];
+        self.pads(&ivs, &mut pads);
+        pads
+    }
+
+    /// Generates the one-time pad of every IV in `ivs` into `out`: pad
+    /// `i` equals [`one_time_pad`](Self::one_time_pad)`(ivs[i])`.
+    ///
+    /// Runs the VAES kernel where the engine has hardware AES and the
+    /// CPU has `vaes` and `avx512f`, the per-line pads otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ivs` and `out` differ in length.
+    pub fn pads(&self, ivs: &[IvSpec], out: &mut [[u8; LINE_BYTES]]) {
+        if !self.pads_vaes(ivs, out) {
+            self.pads_per_line(ivs, out);
+        }
+    }
+
+    /// The portable path of [`CtrEngine::pads`]: one
+    /// [`one_time_pad`](Self::one_time_pad) per IV.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ivs` and `out` differ in length.
+    pub fn pads_per_line(&self, ivs: &[IvSpec], out: &mut [[u8; LINE_BYTES]]) {
+        assert_eq!(ivs.len(), out.len(), "one pad per IV");
+        for (pad, &iv) in out.iter_mut().zip(ivs) {
+            *pad = self.one_time_pad(iv);
+        }
+    }
+
+    /// The VAES path of [`CtrEngine::pads`]: eight lines per pass, the
+    /// four pad blocks of one line in one 512-bit register. Returns
+    /// false, writing nothing, when the engine is on the T-table
+    /// cipher or the CPU lacks `vaes` or `avx512f`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ivs` and `out` differ in length.
+    pub fn pads_vaes(&self, ivs: &[IvSpec], out: &mut [[u8; LINE_BYTES]]) -> bool {
+        assert_eq!(ivs.len(), out.len(), "one pad per IV");
+        match &self.aes {
+            #[cfg(target_arch = "x86_64")]
+            AesBackend::Ni(aes) if self.vaes => {
+                // SAFETY: `vaes` is set only when the running CPU
+                // reports `vaes` and `avx512f` (see `vaes::available`).
+                unsafe { vaes::pads(aes.round_keys(), ivs, out) };
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The multi-line pad kernel: each 512-bit register holds the four
+/// 16-byte IV blocks of one line, and `vaesenc` runs a round on all
+/// four at once.
+#[cfg(target_arch = "x86_64")]
+mod vaes {
+    use super::{IvSpec, LINE_BYTES};
+    use std::arch::x86_64::{
+        __m512i, _mm512_aesenc_epi128, _mm512_aesenclast_epi128, _mm512_broadcast_i32x4,
+        _mm512_set_epi64, _mm512_setzero_si512, _mm512_storeu_si512, _mm512_xor_si512,
+        _mm_loadu_si128,
+    };
+
+    /// Whether the running CPU supports the 512-bit AES instructions.
+    pub(super) fn available() -> bool {
+        std::arch::is_x86_feature_detected!("vaes")
+            && std::arch::is_x86_feature_detected!("avx512f")
+    }
+
+    /// The IV of `iv`'s pad block 0 as two little-endian words, the
+    /// byte layout of `CtrEngine::iv_bytes`: domain tag, block index 0
+    /// and the line address's low six bytes in the low word; the
+    /// address's top two bytes, the major's low five bytes and the
+    /// minor in the high word. Block `b` adds `b << 8` to the low word.
+    #[inline]
+    fn iv_words(iv: IvSpec) -> (i64, i64) {
+        let lo = 0x4C | iv.line_addr << 16;
+        let hi = iv.line_addr >> 48 | (iv.major & 0xff_ffff_ffff) << 16 | (iv.minor as u64) << 56;
+        (lo as i64, hi as i64)
+    }
+
+    /// Encrypts the pads of `N` lines, rounds interleaved across lines.
+    #[inline]
+    #[target_feature(enable = "avx512f,vaes")]
+    fn pass<const N: usize>(rk: &[__m512i; 11], ivs: &[IvSpec], out: &mut [[u8; LINE_BYTES]]) {
+        let mut s = [rk[0]; N];
+        for (s, &iv) in s.iter_mut().zip(ivs) {
+            let (lo, hi) = iv_words(iv);
+            let blocks =
+                _mm512_set_epi64(hi, lo | 3 << 8, hi, lo | 2 << 8, hi, lo | 1 << 8, hi, lo);
+            *s = _mm512_xor_si512(blocks, rk[0]);
+        }
+        for &k in &rk[1..10] {
+            for s in &mut s {
+                *s = _mm512_aesenc_epi128(*s, k);
+            }
+        }
+        for (pad, s) in out.iter_mut().zip(s) {
+            // SAFETY: `pad` is 64 writable bytes; storeu needs no
+            // alignment.
+            unsafe {
+                _mm512_storeu_si512(pad.as_mut_ptr().cast(), _mm512_aesenclast_epi128(s, rk[10]))
+            };
+        }
+    }
+
+    /// Writes the pad of `ivs[i]` to `out[i]` under the expanded key
+    /// `round_keys`, eight lines per pass and the tail in passes of
+    /// four, two and one.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the `avx512f` and `vaes` target features.
+    #[target_feature(enable = "avx512f,vaes")]
+    pub(super) unsafe fn pads(
+        round_keys: &[[u8; 16]; 11],
+        ivs: &[IvSpec],
+        out: &mut [[u8; LINE_BYTES]],
+    ) {
+        let mut rk = [_mm512_setzero_si512(); 11];
+        for (k, bytes) in rk.iter_mut().zip(round_keys) {
+            // SAFETY: `bytes` is 16 readable bytes; loadu needs no
+            // alignment.
+            *k = _mm512_broadcast_i32x4(unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) });
+        }
+        let mut done = 0;
+        while done < ivs.len() {
+            let n = match ivs.len() - done {
+                8.. => 8,
+                4.. => 4,
+                2.. => 2,
+                _ => 1,
+            };
+            let (ivs, out) = (&ivs[done..done + n], &mut out[done..done + n]);
+            match n {
+                8 => pass::<8>(&rk, ivs, out),
+                4 => pass::<4>(&rk, ivs, out),
+                2 => pass::<2>(&rk, ivs, out),
+                _ => pass::<1>(&rk, ivs, out),
+            }
+            done += n;
+        }
     }
 }
 
@@ -307,7 +457,82 @@ mod tests {
         }
     }
 
+    /// Checks every path of [`CtrEngine::pads`] on `engine` against the
+    /// byte model of each IV. The VAES path is called directly, so it is
+    /// checked whenever the CPU has it, and the per-line path always is.
+    fn assert_pads_match_model(engine: &CtrEngine, key: [u8; 16], ivs: &[IvSpec]) {
+        let want: Vec<_> = ivs.iter().map(|&iv| model_pad(key, iv)).collect();
+        let mut got = vec![[0u8; LINE_BYTES]; ivs.len()];
+        engine.pads_per_line(ivs, &mut got);
+        assert_eq!(got, want, "per-line path, {} lines", ivs.len());
+        let mut got = vec![[0u8; LINE_BYTES]; ivs.len()];
+        if engine.pads_vaes(ivs, &mut got) {
+            assert_eq!(got, want, "VAES path, {} lines", ivs.len());
+        } else {
+            assert_eq!(got, vec![[0u8; LINE_BYTES]; ivs.len()], "a declined call writes nothing");
+        }
+        let mut got = vec![[0u8; LINE_BYTES]; ivs.len()];
+        engine.pads(ivs, &mut got);
+        assert_eq!(got, want, "dispatching path, {} lines", ivs.len());
+    }
+
+    #[test]
+    fn batched_pads_match_the_per_line_path_and_the_byte_model() {
+        // Every length of a partial eight-line pass up to two passes and
+        // a spare, and a whole page; majors past the 40 bits that enter
+        // the IV, addresses past 2^48, and minors at each edge.
+        let key = [0x3C; 16];
+        let majors = [0, 1, (1 << 40) - 1, 1 << 40, (1 << 40) + 7, u64::MAX];
+        let addrs = [0x40, 0xdead_bec0, (1 << 48) - 64, 1 << 48, 0xabcd_ef01_2345_6780, !0x3f];
+        let minors = [0u8, 63, 127, 255];
+        let ivs: Vec<IvSpec> = (0..64)
+            .map(|i| IvSpec {
+                line_addr: addrs[i % addrs.len()] ^ ((i as u64) << 6),
+                major: majors[i % majors.len()],
+                minor: minors[i % minors.len()],
+            })
+            .collect();
+        for engine in [CtrEngine::new(key), CtrEngine::new_table(key)] {
+            for len in (1..=17).chain([64]) {
+                assert_pads_match_model(&engine, key, &ivs[..len]);
+                assert_pads_match_model(&engine, key, &ivs[64 - len..]);
+            }
+        }
+    }
+
+    #[test]
+    fn the_table_engine_never_takes_the_vaes_path() {
+        let engine = CtrEngine::new_table([1; 16]);
+        let iv = IvSpec { line_addr: 0, major: 1, minor: 1 };
+        assert!(!engine.pads_vaes(&[iv], &mut [[0; LINE_BYTES]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "one pad per IV")]
+    fn pads_reject_mismatched_lengths() {
+        engine().pads(&[IvSpec { line_addr: 0, major: 1, minor: 1 }], &mut []);
+    }
+
     proptest! {
+        // Random batches on both paths equal the per-line pads.
+        #[test]
+        fn prop_batched_pads_match_per_line_pads(key in prop::array::uniform16(any::<u8>()),
+                                                 seeds in prop::collection::vec(
+                                                     (any::<u64>(), any::<u64>(), any::<u8>()),
+                                                     1..25)) {
+            let ivs: Vec<IvSpec> = seeds
+                .iter()
+                .map(|&(addr, major, minor)| IvSpec { line_addr: addr & !0x3f, major, minor })
+                .collect();
+            for engine in [CtrEngine::new(key), CtrEngine::new_table(key)] {
+                let mut got = vec![[0u8; LINE_BYTES]; ivs.len()];
+                engine.pads(&ivs, &mut got);
+                for (pad, &iv) in got.iter().zip(&ivs) {
+                    prop_assert_eq!(*pad, engine.one_time_pad(iv));
+                }
+            }
+        }
+
         // The page sweep produces exactly the per-line pads.
         #[test]
         fn prop_page_pads_match_per_line_pads(key in prop::array::uniform16(any::<u8>()),

@@ -180,6 +180,13 @@ impl KernelStats {
     }
 }
 
+/// How many times the pages physical memory holds one
+/// [`Kernel::mmap_anon`] may map. Every page of a mapping gets its
+/// zero-page PTE up front, so the bound keeps one call's work and host
+/// memory proportional to the simulated machine: a 2^40-byte mapping
+/// would otherwise build 2^28 PTEs.
+pub const MAX_OVERCOMMIT: u64 = 16;
+
 #[derive(Debug, Clone)]
 struct Process {
     page_table: PageTable,
@@ -296,8 +303,10 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Fails if the process does not exist, `len` is zero, or the
-    /// page-rounded mapping does not fit in the address space.
+    /// Fails if the process does not exist, `len` is zero, the
+    /// page-rounded mapping does not fit in the address space, or it has
+    /// more than [`MAX_OVERCOMMIT`] times as many pages as physical
+    /// memory holds.
     pub fn mmap_anon(
         &mut self,
         pid: ProcessId,
@@ -312,6 +321,13 @@ impl Kernel {
             || OsError::BadMapping(format!("mmap of {len} bytes overflows the address space"));
         let page_bytes = page_size.bytes();
         let len = len.div_ceil(page_bytes).checked_mul(page_bytes).ok_or_else(overflow)?;
+        if len / page_bytes > (self.config.phys_bytes / page_bytes).saturating_mul(MAX_OVERCOMMIT) {
+            return Err(OsError::BadMapping(format!(
+                "mmap of {len} bytes maps over {MAX_OVERCOMMIT}x the pages {} bytes of physical \
+                 memory hold",
+                self.config.phys_bytes
+            )));
+        }
         // Reserve VA space with a guard gap, always huge-aligned.
         let next_mmap = len
             .div_ceil(2 << 20)
@@ -892,6 +908,23 @@ mod tests {
         // The failed calls reserved nothing: the kernel still maps.
         let va = k.mmap_anon(pid, 4096, PageSize::Regular4K).unwrap();
         assert!(k.translate(pid, va).is_some());
+    }
+
+    #[test]
+    fn an_mmap_larger_than_physical_memory_is_refused_before_any_pte() {
+        let mut k = kernel(CowStrategy::Baseline);
+        let pid = k.spawn_init();
+        // 2^40 bytes would be 2^28 zero-page PTEs for 4 KB pages.
+        for size in PageSize::all() {
+            let err = k.mmap_anon(pid, 1 << 40, size).unwrap_err();
+            assert!(matches!(err, OsError::BadMapping(_)), "{size}: got {err:?}");
+        }
+        let proc = &k.processes[&pid];
+        assert!(proc.vmas.is_empty() && proc.page_table.is_empty(), "a refused mmap maps nothing");
+        // All of physical memory is still one mapping.
+        let va = k.mmap_anon(pid, 64 << 20, PageSize::Regular4K).unwrap();
+        assert_eq!(k.processes[&pid].page_table.len(), (64 << 20) / 4096);
+        assert!(k.translate(pid, va + ((64 << 20) - 4096)).is_some());
     }
 
     #[test]
