@@ -107,12 +107,12 @@ fn main() {
         // The raw content store (the HashMap replacement), datapath-free.
         let mut store = LineStore::new();
         for i in 0..4096u64 {
-            store.insert(i * 64, [1; 64]);
+            store.put(i * 64, [1; 64]);
         }
         let mut i = 0u64;
         ms.push(bench("line_store_insert_get", || {
             i = (i + 1) % 4096;
-            store.insert(i * 64, [2; 64]);
+            store.put(i * 64, [2; 64]);
             store.get(black_box(i * 64))
         }));
 

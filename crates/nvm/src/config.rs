@@ -96,6 +96,12 @@ impl NvmConfig {
         if self.row_hit_latency > self.read_latency {
             return Err("row hit cannot be slower than an array read".into());
         }
+        if self.write_queue_capacity == 0 {
+            return Err("write queue needs capacity".into());
+        }
+        if self.wear_leveling.is_some_and(|sg| sg.gap_write_interval == 0) {
+            return Err("Start-Gap needs a positive gap write interval".into());
+        }
         Ok(())
     }
 }
@@ -121,5 +127,8 @@ mod tests {
         assert!(NvmConfig { row_buffer_bytes: 100, ..NvmConfig::default() }.validate().is_err());
         assert!(NvmConfig { capacity_bytes: 0, ..NvmConfig::default() }.validate().is_err());
         assert!(NvmConfig { row_hit_latency: 1000, ..NvmConfig::default() }.validate().is_err());
+        assert!(NvmConfig { write_queue_capacity: 0, ..NvmConfig::default() }.validate().is_err());
+        let psi0 = Some(StartGapConfig { gap_write_interval: 0 });
+        assert!(NvmConfig { wear_leveling: psi0, ..NvmConfig::default() }.validate().is_err());
     }
 }

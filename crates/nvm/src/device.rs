@@ -32,6 +32,11 @@ use lelantus_types::{Cycles, PhysAddr, LINE_BYTES, REGION_BYTES};
 pub struct NvmDevice {
     config: NvmConfig,
     banks: Vec<Bank>,
+    /// Rank of each bank.
+    bank_rank: Vec<usize>,
+    /// `log2(row_buffer_bytes)`: a device address shifted right by it
+    /// is its row id.
+    row_shift: u32,
     /// Per-rank data-bus availability.
     bus_busy: Vec<Cycles>,
     write_queue: WriteQueue,
@@ -57,14 +62,17 @@ impl NvmDevice {
     pub fn new(config: NvmConfig) -> Self {
         config.validate().expect("invalid NVM configuration");
         let banks = (0..config.total_banks()).map(|_| Bank::new()).collect();
+        let bank_rank = (0..config.total_banks()).map(|b| b / config.banks_per_rank).collect();
         let write_queue = WriteQueue::new(config.write_queue_capacity);
         let leveler = config
             .wear_leveling
             .map(|sg| StartGap::new(config.capacity_bytes / LINE_BYTES as u64, sg));
         Self {
             bus_busy: vec![Cycles::ZERO; config.ranks],
+            row_shift: config.row_buffer_bytes.trailing_zeros(),
             config,
             banks,
+            bank_rank,
             write_queue,
             contents: LineStore::new(),
             wear: WearTracker::new(),
@@ -95,7 +103,8 @@ impl NvmDevice {
         &mut self.rec
     }
 
-    /// Device (post-leveling) line address of a logical line address.
+    /// Device (post-leveling) line address of a logical address.
+    #[inline]
     fn map_addr(&self, addr: PhysAddr) -> PhysAddr {
         let line = addr.line_align();
         match &self.leveler {
@@ -115,15 +124,15 @@ impl NvmDevice {
             let from_addr = PhysAddr::new(from * LINE_BYTES as u64);
             let to_addr = PhysAddr::new(to * LINE_BYTES as u64);
             if let Some(data) = self.contents.remove(from_addr.as_u64()) {
-                self.contents.insert(to_addr.as_u64(), data);
+                self.contents.put(to_addr.as_u64(), data);
             } else {
                 self.contents.remove(to_addr.as_u64());
             }
             self.leveler.as_mut().expect("leveler present").complete_move();
             self.stats.leveling_moves += 1;
             // Charge the relocation: one array read + one array write.
-            self.array_access_device(from_addr, now, false);
-            self.array_access_device(to_addr, now, true);
+            self.array_access(from_addr, now, false);
+            self.array_access(to_addr, now, true);
             self.stats.line_reads += 1;
             self.stats.line_writes += 1;
             // Relocations have no logical requester; attribute them to
@@ -150,33 +159,29 @@ impl NvmDevice {
         &self.wear
     }
 
+    /// Bank of a device line address: its line number, or with lines
+    /// not interleaved its row id, modulo the bank count (which need
+    /// not be a power of two).
+    #[inline]
     fn bank_index(&self, addr: PhysAddr) -> usize {
-        let a = addr.line_align().as_u64();
-        if self.config.line_interleave {
-            ((a / LINE_BYTES as u64) % self.config.total_banks() as u64) as usize
-        } else {
-            ((a / self.config.row_buffer_bytes) % self.config.total_banks() as u64) as usize
-        }
+        let a = addr.as_u64();
+        let unit =
+            if self.config.line_interleave { a / LINE_BYTES as u64 } else { a >> self.row_shift };
+        (unit % self.banks.len() as u64) as usize
     }
 
-    fn row_id(&self, addr: PhysAddr) -> u64 {
-        addr.line_align().as_u64() / self.config.row_buffer_bytes
-    }
-
-    /// Array access for a *logical* address (applies wear leveling).
-    fn array_access(&mut self, addr: PhysAddr, now: Cycles, is_write: bool) -> Cycles {
-        let device = self.map_addr(addr);
-        let done = self.array_access_device(device, now, is_write);
-        if is_write {
-            self.leveling_tick(now);
-        }
+    /// Array write at a *device* address, then the wear-leveling tick
+    /// it counts towards.
+    fn array_write(&mut self, addr: PhysAddr, now: Cycles) -> Cycles {
+        let done = self.array_access(addr, now, true);
+        self.leveling_tick(now);
         done
     }
 
-    /// Array access at a *device* (post-leveling) address.
-    fn array_access_device(&mut self, addr: PhysAddr, now: Cycles, is_write: bool) -> Cycles {
+    /// Array access at a *device* (post-leveling) line address.
+    fn array_access(&mut self, addr: PhysAddr, now: Cycles, is_write: bool) -> Cycles {
         let bank_idx = self.bank_index(addr);
-        let row = self.row_id(addr);
+        let row = addr.as_u64() >> self.row_shift;
         let miss_latency = Cycles::new(if is_write {
             self.config.write_latency
         } else {
@@ -203,7 +208,7 @@ impl NvmDevice {
         self.stats.energy_pj +=
             if is_write { self.config.write_energy_pj } else { self.config.read_energy_pj };
         // The 64-byte transfer serializes on the rank's shared data bus.
-        let rank = bank_idx / self.config.banks_per_rank;
+        let rank = self.bank_rank[bank_idx];
         let start = access.done_at.max(self.bus_busy[rank]);
         let done = start + Cycles::new(self.config.bus_cycles);
         self.bus_busy[rank] = done;
@@ -215,16 +220,17 @@ impl NvmDevice {
     /// from the queue at SRAM speed.
     pub fn read_line(&mut self, addr: PhysAddr, now: Cycles) -> ([u8; LINE_BYTES], Cycles) {
         let line = addr.line_align();
+        let device = self.map_addr(line);
         let done = if self.write_queue.forward(line) {
             now + Cycles::new(1)
         } else {
             self.stats.line_reads += 1;
             self.heat(HeatLane::BankRead, line);
-            let done = self.array_access(line, now, false);
+            let done = self.array_access(device, now, false);
             self.rec.seg(now, done, CycleCategory::BankService);
             done
         };
-        (self.peek_line(line), done)
+        (self.contents.get(device.as_u64()).unwrap_or([0; LINE_BYTES]), done)
     }
 
     /// Posts a 64-byte line write. Returns the acknowledgement instant:
@@ -259,7 +265,7 @@ impl NvmDevice {
                 // enqueue time and bank availability — not at the
                 // pushing request's (possibly far later) time.
                 let device = self.map_addr(drained.addr);
-                let done = self.array_access(drained.addr, drained.enqueued_at, true);
+                let done = self.array_write(device, drained.enqueued_at);
                 self.stats.line_writes += 1;
                 self.heat(HeatLane::BankWrite, drained.addr);
                 self.wear.record_line_write(device);
@@ -305,10 +311,10 @@ impl NvmDevice {
     ) -> Cycles {
         let line = addr.line_align();
         let device = self.map_addr(line);
-        self.contents.insert(device.as_u64(), data);
+        self.contents.put(device.as_u64(), data);
         // Remove a stale queued write so it cannot clobber this one.
         self.write_queue.discard(line);
-        let done = self.array_access(line, now, true);
+        let done = self.array_write(device, now);
         self.rec.seg(now, done, CycleCategory::BankService);
         self.stats.line_writes += 1;
         self.heat(HeatLane::BankWrite, line);
@@ -324,7 +330,7 @@ impl NvmDevice {
         let mut remaining = drained.len();
         for w in drained {
             let device = self.map_addr(w.addr);
-            let t = self.array_access(w.addr, w.enqueued_at, true);
+            let t = self.array_write(device, w.enqueued_at);
             // Only the tail of a drain that outlives the barrier's
             // issue time is attributable wait at the barrier.
             self.rec.seg(now, t, CycleCategory::BankService);
@@ -348,28 +354,28 @@ impl NvmDevice {
     /// tampering; datapath writes go through [`NvmDevice::write_line`]
     /// or [`NvmDevice::write_line_durable`], which charge the access.
     pub fn poke_line(&mut self, addr: PhysAddr, data: [u8; LINE_BYTES]) {
-        let device = self.map_addr(addr.line_align());
-        self.contents.insert(device.as_u64(), data);
+        let device = self.map_addr(addr);
+        self.contents.put(device.as_u64(), data);
     }
 
     /// Functional (un-timed) view of a line's current contents, queued
     /// writes included: the line store is the one record of what NVM
     /// holds, and the timed reads return the same bytes.
     pub fn peek_line(&self, addr: PhysAddr) -> [u8; LINE_BYTES] {
-        let device = self.map_addr(addr.line_align());
+        let device = self.map_addr(addr);
         self.contents.get(device.as_u64()).unwrap_or([0; LINE_BYTES])
     }
 
     /// Whether the line containing `addr` was ever written, by any path
     /// (un-timed; a line never written reads as zero).
     pub fn holds_line(&self, addr: PhysAddr) -> bool {
-        self.contents.get(self.map_addr(addr.line_align()).as_u64()).is_some()
+        self.contents.get(self.map_addr(addr).as_u64()).is_some()
     }
 
     /// Device (post-leveling) address a logical line currently maps to
     /// (diagnostics; identity when leveling is off).
     pub fn device_addr_of(&self, addr: PhysAddr) -> PhysAddr {
-        self.map_addr(addr.line_align())
+        self.map_addr(addr)
     }
 
     /// Start-Gap leveling moves so far (0 when disabled).
@@ -472,6 +478,30 @@ mod tests {
         let (_, t2) = d.read_line(PhysAddr::new(0x40), Cycles::ZERO);
         assert_eq!(t1, Cycles::new(64));
         assert_eq!(t2, Cycles::new(68), "second transfer queues behind the first");
+    }
+
+    #[test]
+    fn bank_row_and_rank_match_the_division_formula() {
+        // 3 ranks of 5 banks: the bank count is not a power of two.
+        for line_interleave in [true, false] {
+            let config = NvmConfig {
+                ranks: 3,
+                banks_per_rank: 5,
+                row_buffer_bytes: 2048,
+                line_interleave,
+                ..NvmConfig::default()
+            };
+            let d = NvmDevice::new(config.clone());
+            let lines = (0..40_000u64).chain((0..64).map(|i| (1 << 34) - 1 - i));
+            for addr in lines.map(|l| PhysAddr::new(l * 64)) {
+                let a = addr.as_u64();
+                let unit = if line_interleave { a / 64 } else { a / config.row_buffer_bytes };
+                let bank = (unit % config.total_banks() as u64) as usize;
+                assert_eq!(d.bank_index(addr), bank, "{addr:?}");
+                assert_eq!(a >> d.row_shift, a / config.row_buffer_bytes, "{addr:?}");
+                assert_eq!(d.bank_rank[bank], bank / config.banks_per_rank, "{addr:?}");
+            }
+        }
     }
 
     #[test]

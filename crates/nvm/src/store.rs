@@ -74,20 +74,30 @@ impl LineStore {
         }
     }
 
-    /// Stores `data` at `addr`, returning the previous contents if any.
-    pub fn insert(&mut self, addr: u64, data: [u8; LINE_BYTES]) -> Option<[u8; LINE_BYTES]> {
+    /// Stores `data` at `addr`, without copying out the line it
+    /// replaces.
+    #[inline]
+    pub fn put(&mut self, addr: u64, data: [u8; LINE_BYTES]) {
         let (frame, line, bit) = Self::split(addr);
-        if frame >= self.frames.len() {
-            self.frames.resize_with(frame + 1, || None);
-        }
-        let f = self.frames[frame].get_or_insert_with(Frame::empty);
-        let old = (f.present & bit != 0).then_some(f.data[line]);
-        if old.is_none() {
-            self.resident += 1;
+        let f = match self.frames.get_mut(frame) {
+            Some(Some(f)) => f,
+            _ => Self::alloc_frame(&mut self.frames, frame),
+        };
+        if f.present & bit == 0 {
             f.present |= bit;
+            self.resident += 1;
         }
         f.data[line] = data;
-        old
+    }
+
+    /// Allocates frame `frame`, growing the top level to reach it.
+    #[cold]
+    #[inline(never)]
+    fn alloc_frame(frames: &mut Vec<Option<Box<Frame>>>, frame: usize) -> &mut Frame {
+        if frame >= frames.len() {
+            frames.resize_with(frame + 1, || None);
+        }
+        frames[frame].get_or_insert_with(Frame::empty)
     }
 
     /// Removes the line at `addr`, returning its contents if present.
@@ -127,14 +137,15 @@ mod tests {
     use std::collections::HashMap;
 
     #[test]
-    fn basic_insert_get_remove() {
+    fn basic_put_get_remove() {
         let mut s = LineStore::new();
         assert!(s.is_empty());
         assert_eq!(s.get(0x40), None);
-        assert_eq!(s.insert(0x40, [1; 64]), None);
+        s.put(0x40, [1; 64]);
         assert_eq!(s.get(0x40), Some([1; 64]));
         assert_eq!(s.len(), 1);
-        assert_eq!(s.insert(0x40, [2; 64]), Some([1; 64]));
+        s.put(0x40, [2; 64]);
+        assert_eq!(s.get(0x40), Some([2; 64]));
         assert_eq!(s.len(), 1, "overwrite does not change residency");
         assert_eq!(s.remove(0x40), Some([2; 64]));
         assert_eq!(s.remove(0x40), None);
@@ -145,7 +156,7 @@ mod tests {
     fn lines_in_one_frame_are_independent() {
         let mut s = LineStore::new();
         for i in 0..64u64 {
-            s.insert(i * 64, [i as u8; 64]);
+            s.put(i * 64, [i as u8; 64]);
         }
         assert_eq!(s.len(), 64);
         for i in 0..64u64 {
@@ -160,7 +171,7 @@ mod tests {
     fn sparse_high_addresses_work() {
         let mut s = LineStore::new();
         let high = 1u64 << 30; // 1 GiB
-        s.insert(high, [9; 64]);
+        s.put(high, [9; 64]);
         assert_eq!(s.get(high), Some([9; 64]));
         assert_eq!(s.get(high + 64), None);
         assert_eq!(s.len(), 1);
@@ -169,7 +180,7 @@ mod tests {
     #[test]
     fn empty_frames_are_reclaimed() {
         let mut s = LineStore::new();
-        s.insert(0x1000, [1; 64]);
+        s.put(0x1000, [1; 64]);
         s.remove(0x1000);
         assert!(s.frames[1].is_none(), "fully-vacated frame must be freed");
     }
@@ -186,7 +197,9 @@ mod tests {
             match rng.gen_range(0u32..4) {
                 0 => {
                     let data = [rng.gen::<u8>(); 64];
-                    assert_eq!(store.insert(addr, data), model.insert(addr, data), "step {step}");
+                    let old = model.insert(addr, data);
+                    assert_eq!(store.get(addr), old, "step {step}");
+                    store.put(addr, data);
                 }
                 1 => {
                     assert_eq!(store.remove(addr), model.remove(&addr), "step {step}");

@@ -12,11 +12,17 @@
 //! enqueue time, oldest first. A line's bytes live in one place, the
 //! device's line store, which a write updates before it is queued; so
 //! [`WriteQueue::forward`] only answers whether a read can be served at
-//! queue speed, and the device reads the bytes from its store. Merge,
-//! forward and discard look a line up by a linear scan, and a counting
-//! filter in front of the scan (queued lines per line number modulo
-//! 1024) answers most misses, such as a read of a line with no pending
-//! write, without scanning at all.
+//! queue speed, and the device reads the bytes from its store.
+//!
+//! Merge, forward and discard find a line through an exact index of
+//! 1024 buckets (line number modulo 1024). Each bucket counts its
+//! queued lines and records the sequence number of the newest entry
+//! pushed into it; the queue numbers its entries in push order, so an
+//! entry's position is its sequence number minus the head's. An empty
+//! bucket proves a miss, and a bucket holding one line names that
+//! line's entry, so both cost one check. Only lines that share a
+//! bucket with another queued line — lines a multiple of 64 KiB apart
+//! — are found by scanning the queue.
 
 use lelantus_types::{Cycles, PhysAddr, LINE_BYTES};
 use std::collections::VecDeque;
@@ -60,14 +66,26 @@ pub struct WriteQueueStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct WriteQueue {
-    /// Pending writes, oldest first.
+    /// Pending writes, oldest first. The entry at position `i` has
+    /// sequence number `head_seq + i`.
     entries: VecDeque<PendingWrite>,
-    /// Queued lines per filter bucket (see [`bucket`]). A zero count
-    /// proves a line is not queued, so most lookups that miss skip the
-    /// scan.
-    filter: Vec<u32>,
+    /// Index buckets (see [`bucket`]).
+    buckets: Vec<Bucket>,
+    /// Sequence number of the oldest entry. Sequence numbers wrap: only
+    /// differences below the queue's length are ever taken.
+    head_seq: u32,
     capacity: usize,
     stats: WriteQueueStats,
+}
+
+/// One index bucket: the queued lines that fall into it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Bucket {
+    /// Queued lines in this bucket.
+    queued: u32,
+    /// Sequence number of the newest of them (meaningless when
+    /// `queued` is zero).
+    newest: u32,
 }
 
 impl WriteQueue {
@@ -80,7 +98,8 @@ impl WriteQueue {
         assert!(capacity > 0, "write queue needs capacity");
         Self {
             entries: VecDeque::with_capacity(capacity),
-            filter: vec![0; FILTER_BUCKETS],
+            buckets: vec![Bucket::default(); BUCKETS],
+            head_seq: 0,
             capacity,
             stats: WriteQueueStats::default(),
         }
@@ -107,11 +126,17 @@ impl WriteQueue {
     }
 
     /// Queue position of the pending write to line `addr`.
+    #[inline]
     fn position(&self, addr: PhysAddr) -> Option<usize> {
-        if self.filter[bucket(addr.as_u64())] == 0 {
-            return None;
+        let b = self.buckets[bucket(addr)];
+        match b.queued {
+            0 => None,
+            1 => {
+                let i = b.newest.wrapping_sub(self.head_seq) as usize;
+                (self.entries[i].addr == addr).then_some(i)
+            }
+            _ => self.entries.iter().position(|e| e.addr == addr),
         }
-        self.entries.iter().position(|e| e.addr == addr)
     }
 
     /// Enqueues a write to the line containing `addr`, merging into an
@@ -132,8 +157,10 @@ impl WriteQueue {
         } else {
             None
         };
+        let b = &mut self.buckets[bucket(addr)];
+        b.queued += 1;
+        b.newest = self.head_seq.wrapping_add(self.entries.len() as u32);
         self.entries.push_back(PendingWrite { addr, enqueued_at: now });
-        self.filter[bucket(addr.as_u64())] += 1;
         drained
     }
 
@@ -148,35 +175,46 @@ impl WriteQueue {
     /// Removes and returns the oldest pending write.
     pub fn pop(&mut self) -> Option<PendingWrite> {
         let w = self.entries.pop_front()?;
-        self.filter[bucket(w.addr.as_u64())] -= 1;
+        self.buckets[bucket(w.addr)].queued -= 1;
+        self.head_seq = self.head_seq.wrapping_add(1);
         Some(w)
     }
 
     /// Drops any pending write to `addr` (superseded by a durable
     /// write). Returns true if an entry was discarded. Merging keeps
     /// at most one entry per line, so there is at most one to drop.
+    ///
+    /// Removing an entry moves every later one a position forward, so
+    /// the buckets' newest sequence numbers are recomputed from the
+    /// entries that remain (only durable writes discard).
     pub fn discard(&mut self, addr: PhysAddr) -> bool {
-        let Some(i) = self.position(addr.line_align()) else { return false };
-        self.filter[bucket(addr.as_u64())] -= 1;
+        let addr = addr.line_align();
+        let Some(i) = self.position(addr) else { return false };
+        self.buckets[bucket(addr)].queued -= 1;
         self.entries.remove(i);
+        for (i, e) in self.entries.iter().enumerate() {
+            self.buckets[bucket(e.addr)].newest = self.head_seq.wrapping_add(i as u32);
+        }
         true
     }
 
     /// Drains all pending writes, oldest first (e.g. at a persist
     /// barrier).
     pub fn drain_all(&mut self) -> Vec<PendingWrite> {
-        self.filter.fill(0);
+        self.buckets.fill(Bucket::default());
+        self.head_seq = 0;
         self.entries.drain(..).collect()
     }
 }
 
-/// Number of lookup-filter buckets.
-const FILTER_BUCKETS: usize = 1024;
+/// Number of index buckets.
+const BUCKETS: usize = 1024;
 
-/// Filter bucket of line address `addr`: its line number modulo
-/// [`FILTER_BUCKETS`], so up to 1024 consecutive lines never share one.
-fn bucket(addr: u64) -> usize {
-    (addr / LINE_BYTES as u64) as usize % FILTER_BUCKETS
+/// Index bucket of line address `addr`: its line number modulo
+/// [`BUCKETS`], so up to 1024 consecutive lines never share one.
+#[inline]
+fn bucket(addr: PhysAddr) -> usize {
+    (addr.as_u64() / LINE_BYTES as u64) as usize % BUCKETS
 }
 
 #[cfg(test)]
@@ -234,10 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn lines_sharing_a_filter_bucket_stay_distinct() {
-        // Lines 1024 apart share a filter bucket.
-        let (a, b) = (line(3), line(3 + FILTER_BUCKETS as u64));
-        assert_eq!(bucket(a.as_u64()), bucket(b.as_u64()));
+    fn lines_sharing_a_bucket_stay_distinct() {
+        // Lines 1024 apart share a bucket.
+        let (a, b) = (line(3), line(3 + BUCKETS as u64));
+        assert_eq!(bucket(a), bucket(b));
         let mut q = WriteQueue::new(4);
         q.push(a, Cycles::ZERO);
         assert!(!q.forward(b));
@@ -249,7 +287,51 @@ mod tests {
         assert!(q.discard(b));
         assert!(!q.discard(b));
         assert!(!q.forward(b));
-        assert!(q.filter.iter().all(|&n| n == 0), "filter counts drain to zero");
+        assert!(q.buckets.iter().all(|b| b.queued == 0), "bucket counts drain to zero");
+    }
+
+    #[test]
+    fn bucket_index_follows_pops_merges_and_discards() {
+        // `old` and `new` are 64 KiB apart, so they share a bucket;
+        // lines 1 and 2 sit in other buckets and shift the positions.
+        let (old, new) = (line(5), line(5 + BUCKETS as u64));
+        let fill = |q: &mut WriteQueue| {
+            q.push(line(1), Cycles::ZERO);
+            q.push(old, Cycles::new(1));
+            q.push(line(2), Cycles::ZERO);
+            q.push(new, Cycles::new(2));
+        };
+        let mut q = WriteQueue::new(8);
+        fill(&mut q);
+        assert_eq!(q.pop().unwrap().addr, line(1));
+        assert_eq!(q.pop().unwrap().addr, old);
+        // The bucket now holds `new` alone.
+        assert!(q.push(new, Cycles::new(3)).is_none());
+        assert_eq!((q.len(), q.stats().merged), (2, 1));
+        assert!(q.forward(new) && !q.forward(old));
+
+        q.drain_all();
+        fill(&mut q);
+        assert!(q.discard(new));
+        assert!(q.forward(old) && !q.forward(new) && q.forward(line(2)));
+
+        q.drain_all();
+        fill(&mut q);
+        assert!(q.discard(old));
+        assert!(q.forward(new) && !q.forward(old));
+        assert!(q.discard(line(1)));
+        assert!(q.forward(new) && q.forward(line(2)));
+        assert_eq!(q.pop(), Some(PendingWrite { addr: line(2), enqueued_at: Cycles::ZERO }));
+        assert_eq!(q.pop(), Some(PendingWrite { addr: new, enqueued_at: Cycles::new(2) }));
+        assert!(q.is_empty() && !q.forward(new));
+
+        // Reuse after a drain.
+        fill(&mut q);
+        assert_eq!(q.drain_all().len(), 4);
+        q.push(new, Cycles::new(4));
+        assert!(q.forward(new) && !q.forward(old));
+        assert!(q.push(new, Cycles::new(5)).is_none());
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -208,6 +208,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lelantus_nvm::StartGapConfig;
 
     #[test]
     fn defaults_are_consistent() {
@@ -234,6 +235,24 @@ mod tests {
         let mut cfg = SimConfig::new(CowStrategy::Baseline, PageSize::Regular4K);
         cfg.controller.scheme = SchemeKind::LelantusResized;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn an_empty_write_queue_is_rejected() {
+        let mut cfg = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
+        cfg.controller.nvm.write_queue_capacity = 0;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("write queue"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_start_gap_interval_is_rejected() {
+        let mut cfg = SimConfig::new(CowStrategy::Lelantus, PageSize::Regular4K);
+        cfg.controller.nvm.wear_leveling = Some(StartGapConfig { gap_write_interval: 0 });
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("Start-Gap"), "{err}");
+        cfg.controller.nvm.wear_leveling = Some(StartGapConfig::default());
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -212,6 +212,9 @@ pub struct Tlb {
     /// Run-shaped access streams (a batch sweeping one page) hit here
     /// without touching the LRU levels; charged like an L1 hit.
     front: Option<(u64, u64, TlbEntry)>,
+    /// Whether a 2 MB entry was filled since the last full flush. Until
+    /// one is, the 2 MB probes of a lookup cannot hit and are skipped.
+    any_2m: bool,
     stats: TlbStats,
 }
 
@@ -230,6 +233,7 @@ impl Tlb {
             l2: Level::new(config.l2_entries, hasher),
             config,
             front: None,
+            any_2m: false,
             stats: TlbStats::default(),
         }
     }
@@ -251,7 +255,9 @@ impl Tlb {
 
     /// Looks up the translation of `(pid, va)`. The one-entry
     /// last-translation cache is probed first; each level's key is
-    /// built only when the previous probe missed.
+    /// built only when the previous probe missed, and the 2 MB probes
+    /// are made only once a 2 MB entry exists (a miss changes no
+    /// recency, so skipping one changes nothing).
     pub fn lookup(&mut self, pid: u64, va: VirtAddr) -> TlbOutcome {
         if let Some((fpid, fbase, e)) = self.front {
             if fpid == pid && va.as_u64().wrapping_sub(fbase) < e.size.bytes() {
@@ -267,12 +273,15 @@ impl Tlb {
             return TlbOutcome::HitL1(e);
         }
         let k2 = Key::new(pid, va, PageSize::Huge2M);
-        if let Some(e) = self.l1_2m.get(k2) {
-            self.stats.l1_hits += 1;
-            self.remember(pid, va, e);
-            return TlbOutcome::HitL1(e);
+        if self.any_2m {
+            if let Some(e) = self.l1_2m.get(k2) {
+                self.stats.l1_hits += 1;
+                self.remember(pid, va, e);
+                return TlbOutcome::HitL1(e);
+            }
         }
-        for key in [k4, k2] {
+        let l2_keys = [k4, k2];
+        for &key in &l2_keys[..1 + usize::from(self.any_2m)] {
             if let Some(e) = self.l2.get(key) {
                 self.stats.l2_hits += 1;
                 // Promote to the right L1.
@@ -303,7 +312,10 @@ impl Tlb {
         let key = Key::new(pid, va, entry.size);
         match entry.size {
             PageSize::Regular4K => self.l1_4k.insert(key, entry),
-            PageSize::Huge2M => self.l1_2m.insert(key, entry),
+            PageSize::Huge2M => {
+                self.any_2m = true;
+                self.l1_2m.insert(key, entry);
+            }
         }
         self.l2.insert(key, entry);
         self.remember(pid, va, entry);
@@ -342,6 +354,7 @@ impl Tlb {
     /// Full flush (fork-time write-protection changes every PTE).
     pub fn flush_all(&mut self) {
         self.front = None;
+        self.any_2m = false;
         let mut n = 0;
         n += self.l1_4k.retain(|_| false);
         n += self.l1_2m.retain(|_| false);

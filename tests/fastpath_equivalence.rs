@@ -26,7 +26,8 @@ fn line_store_matches_hashmap_semantics() {
         match step % 4 {
             0 | 1 => {
                 let data = [(step % 251) as u8; LINE_BYTES];
-                assert_eq!(store.insert(addr, data), map.insert(addr, data));
+                assert_eq!(store.get(addr), map.insert(addr, data));
+                store.put(addr, data);
             }
             2 => assert_eq!(store.get(addr), map.get(&addr).copied()),
             _ => assert_eq!(store.remove(addr), map.remove(&addr)),

@@ -6,7 +6,7 @@
 //! (through a `BTreeMap` of ticks or a linear scan); the NVM write queue
 //! scanned its full 88-byte entries. The production types now sit on
 //! one slab LRU (`lelantus_types::lru::LruMap`) and an address-only
-//! scan behind a counting filter. The CPU cache levels kept a copy of
+//! queue found through an index of buckets. The CPU cache levels kept a copy of
 //! each line's bytes in every way; they now keep tags only, over one
 //! slab slot per line that all levels share. Each model below is the
 //! former implementation, kept verbatim apart from dropping what no
@@ -772,36 +772,45 @@ impl TlbModel {
 }
 
 fn tlb_soup(config: TlbConfig, seed: u64) {
-    tlb_soup_over(config, seed, |rng| {
-        let pid = rng.gen_range(1..=3u64);
-        // Addresses span 64 4K pages in each of 3 huge-page frames, so
-        // every level sees both capacity evictions and re-hits.
-        let huge = rng.gen_range(0..3u64) * PageSize::Huge2M.bytes();
-        let va = VirtAddr::new(huge + rng.gen_range(0..64u64) * 4096 + rng.gen_range(0..4096u64));
-        (pid, va, rng.gen_range(0..100u32))
-    });
+    tlb_soup_over(
+        config,
+        seed,
+        |_| 0.2,
+        |rng, _| {
+            let pid = rng.gen_range(1..=3u64);
+            // Addresses span 64 4K pages in each of 3 huge-page frames, so
+            // every level sees both capacity evictions and re-hits.
+            let huge = rng.gen_range(0..3u64) * PageSize::Huge2M.bytes();
+            let va =
+                VirtAddr::new(huge + rng.gen_range(0..64u64) * 4096 + rng.gen_range(0..4096u64));
+            (pid, va, rng.gen_range(0..100u32))
+        },
+    );
 }
 
 /// Drives the production TLB and the model with one op per step:
 /// `draw` picks the `(pid, va)` and an op roll in `0..100` (below 50 a
 /// lookup, then a fill, a page shootdown, a pid shootdown and, at 99,
-/// a full flush). Returns the final statistics.
+/// a full flush), and `huge_share(step)` is the chance that a fill
+/// maps a 2 MB page. Returns the final statistics.
 fn tlb_soup_over(
     config: TlbConfig,
     seed: u64,
-    mut draw: impl FnMut(&mut StdRng) -> (u64, VirtAddr, u32),
+    huge_share: impl Fn(usize) -> f64,
+    mut draw: impl FnMut(&mut StdRng, usize) -> (u64, VirtAddr, u32),
 ) -> TlbStats {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fast = Tlb::new(config);
     let mut model = TlbModel::new(config);
     for step in 0..OPS {
-        let (pid, va, roll) = draw(&mut rng);
+        let (pid, va, roll) = draw(&mut rng, step);
         match roll {
             0..=49 => {
                 assert_eq!(fast.lookup(pid, va), model.lookup(pid, va), "lookup, step {step}")
             }
             50..=84 => {
-                let size = if rng.gen_bool(0.2) { PageSize::Huge2M } else { PageSize::Regular4K };
+                let huge = rng.gen_bool(huge_share(step));
+                let size = if huge { PageSize::Huge2M } else { PageSize::Regular4K };
                 let entry = TlbEntry {
                     pa_base: PhysAddr::new(rng.gen_range(0..1024u64) * size.bytes()),
                     size,
@@ -860,22 +869,60 @@ fn tlb_matches_the_scan_model_on_hostile_keys() {
         .chain((0..256u64).map(|i| VPN_MAX - i))
         .chain((0..256).map(|_| pool_rng.gen::<u64>() & VPN_MAX))
         .collect();
-    let stats = tlb_soup_over(TlbConfig::default(), 65, |rng| {
-        let (pid, vpn) = if rng.gen_bool(0.5) {
-            (PIDS[rng.gen_range(0..2)], vpns[rng.gen_range(0..48)])
-        } else {
-            (PIDS[rng.gen_range(0..PIDS.len())], vpns[rng.gen_range(0..vpns.len())])
-        };
-        let roll = match rng.gen_range(0..10_000u32) {
-            0..=4_999 => 0,
-            5_000..=8_999 => 50,
-            9_000..=9_997 => 85,
-            9_998 => 96,
-            _ => 99,
-        };
-        (pid, VirtAddr::new(vpn * 4096 + rng.gen_range(0..4096u64)), roll)
-    });
+    let stats = tlb_soup_over(
+        TlbConfig::default(),
+        65,
+        |_| 0.2,
+        |rng, _| {
+            let (pid, vpn) = if rng.gen_bool(0.5) {
+                (PIDS[rng.gen_range(0..2)], vpns[rng.gen_range(0..48)])
+            } else {
+                (PIDS[rng.gen_range(0..PIDS.len())], vpns[rng.gen_range(0..vpns.len())])
+            };
+            let roll = match rng.gen_range(0..10_000u32) {
+                0..=4_999 => 0,
+                5_000..=8_999 => 50,
+                9_000..=9_997 => 85,
+                9_998 => 96,
+                _ => 99,
+            };
+            (pid, VirtAddr::new(vpn * 4096 + rng.gen_range(0..4096u64)), roll)
+        },
+    );
     assert!(stats.l1_hits > stats.front_hits && stats.l2_hits > 0, "{stats:?}");
+}
+
+/// The TLB skips its 2 MB probes until a 2 MB entry is filled and
+/// again after a full flush. The soup runs in quarters: 4 KB fills
+/// only, then one fill in five mapping 2 MB, a full flush, 4 KB fills
+/// only again, and a mixed quarter. The 4 KB-only quarters draw no
+/// flush, so their lookups see a TLB that has never held (or no longer
+/// holds) a 2 MB entry, with both L2 hits and walks.
+#[test]
+fn tlb_matches_the_scan_model_around_the_first_2m_fill() {
+    let quarter = OPS / 4;
+    let four_k_only = |step: usize| step < quarter || (2 * quarter..3 * quarter).contains(&step);
+    let config =
+        TlbConfig { l1_entries_4k: 4, l1_entries_2m: 2, l2_entries: 12, ..Default::default() };
+    let stats = tlb_soup_over(
+        config,
+        66,
+        |step| if four_k_only(step) { 0.0 } else { 0.2 },
+        |rng, step| {
+            let pid = rng.gen_range(1..=3u64);
+            let huge = rng.gen_range(0..3u64) * PageSize::Huge2M.bytes();
+            let va =
+                VirtAddr::new(huge + rng.gen_range(0..64u64) * 4096 + rng.gen_range(0..4096u64));
+            let roll = rng.gen_range(0..100u32);
+            let roll = match step {
+                _ if step == 2 * quarter => 99,
+                _ if four_k_only(step) => roll.min(98),
+                _ => roll,
+            };
+            (pid, va, roll)
+        },
+    );
+    assert!(stats.l2_hits > 0 && stats.walks > 0 && stats.l1_hits > stats.front_hits, "{stats:?}");
 }
 
 // ---------------------------------------------------------------------
@@ -950,15 +997,19 @@ impl WriteQueueModel {
 
 #[test]
 fn write_queue_matches_the_entry_scan_model() {
-    for (capacity, seed) in [(1usize, 71u64), (4, 72), (16, 73), (64, 74)] {
+    // Lines 64 KiB apart share one of the queue's index buckets. At the
+    // paper's 64 entries, eight alias classes of lines put three or
+    // more queued lines in one bucket.
+    let cases = [(1usize, 71u64, 3), (4, 72, 3), (16, 73, 3), (64, 74, 3), (64, 75, 8)];
+    for (capacity, seed, aliases) in cases {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut fast = WriteQueue::new(capacity);
         let mut model = WriteQueueModel::new(capacity);
         let lines = capacity as u64 * 2 + 3;
+        let mut most_sharing_a_bucket = 0;
         for step in 0..OPS {
-            // Unaligned addresses exercise the line alignment too, and
-            // lines 64 KiB apart share a lookup-filter bucket.
-            let alias = rng.gen_range(0..3u64) << 16;
+            // Unaligned addresses exercise the line alignment too.
+            let alias = rng.gen_range(0..aliases) << 16;
             let addr =
                 PhysAddr::new(alias + rng.gen_range(0..lines) * 64 + rng.gen_range(0..64u64));
             let now = Cycles::new(step as u64);
@@ -978,8 +1029,19 @@ fn write_queue_matches_the_entry_scan_model() {
             assert_eq!(fast.len(), model.entries.len(), "len, step {step}");
             assert_eq!(fast.is_full(), model.is_full(), "is_full, step {step}");
             assert_eq!(fast.stats(), model.stats, "stats, step {step}");
+            let mut per_bucket = HashMap::new();
+            for e in &model.entries {
+                *per_bucket.entry(e.addr.as_u64() >> 6 & 1023).or_insert(0) += 1;
+            }
+            most_sharing_a_bucket = per_bucket.into_values().fold(most_sharing_a_bucket, u32::max);
         }
         assert_eq!(fast.drain_all(), model.drain_all());
+        if aliases == 8 {
+            assert!(
+                most_sharing_a_bucket >= 3,
+                "{most_sharing_a_bucket} lines at most in a bucket"
+            );
+        }
     }
 }
 
