@@ -19,11 +19,14 @@
 //!   embarrassingly parallel and bit-identical to the serial order.
 //! * [`results`] — appends measured values to `BENCH_RESULTS.json` at
 //!   the repository root so `EXPERIMENTS.md` claims are reproducible.
+//! * [`json`] — the one JSON writer: the results records and every
+//!   `lelantus --json` document, strings escaped.
 //! * [`diff`] — compares two `BENCH_RESULTS.json` snapshots and flags
 //!   regressions (the `lelantus bench-diff` CLI and the CI gate).
 
 pub mod diff;
 pub mod harness;
+pub mod json;
 pub mod matrix;
 pub mod results;
 

@@ -3,10 +3,10 @@
 //! Every bench target finishes by calling [`emit`], which merges its
 //! records into the shared file (replacing that bench's previous
 //! records, keeping everyone else's). The file is a JSON array with
-//! one record object per line; the writer is hand-rolled because the
-//! build environment has no serde, and the merge is line-based so it
-//! needs no JSON parser either.
+//! one record object per line, written by [`crate::json`]; the merge is
+//! line-based so it needs no JSON parser.
 
+use crate::json::{or_null, string, Obj};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -136,29 +136,21 @@ fn results_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_RESULTS.json")
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn render(bench: &str, wall_clock_s: f64, r: &Record) -> String {
-    let scheme = match &r.scheme {
-        Some(s) => format!("\"{}\"", escape(s)),
-        None => "null".into(),
-    };
     let (nproc, cpu) = host();
-    format!(
-        "{{\"schema\":{},\"git\":\"{}\",\"bench\":\"{}\",\"name\":\"{}\",\"scheme\":{},\"value\":{},\"unit\":\"{}\",\"wall_clock_s\":{:.3},\"nproc\":{},\"cpu\":\"{}\"}}",
-        RESULTS_SCHEMA_VERSION,
-        escape(git_commit()),
-        escape(bench),
-        escape(&r.name),
-        scheme,
-        if r.value.is_finite() { format!("{}", r.value) } else { "null".into() },
-        escape(&r.unit),
-        r.wall_clock_s.unwrap_or(wall_clock_s),
-        nproc,
-        escape(cpu),
-    )
+    let value = if r.value.is_finite() { r.value.to_string() } else { "null".into() };
+    Obj::new()
+        .field("schema", RESULTS_SCHEMA_VERSION)
+        .str("git", git_commit())
+        .str("bench", bench)
+        .str("name", &r.name)
+        .field("scheme", or_null(r.scheme.as_deref().map(string)))
+        .field("value", value)
+        .str("unit", &r.unit)
+        .float("wall_clock_s", r.wall_clock_s.unwrap_or(wall_clock_s), 3)
+        .field("nproc", nproc)
+        .str("cpu", cpu)
+        .to_string()
 }
 
 /// Merges `records` for `bench` into the results file: existing
@@ -168,7 +160,7 @@ fn render(bench: &str, wall_clock_s: f64, r: &Record) -> String {
 /// [`Record::timed`]).
 pub fn emit(bench: &str, wall_clock_s: f64, records: &[Record]) {
     let path = results_path();
-    let marker = format!("\"bench\":\"{}\"", escape(bench));
+    let marker = format!("\"bench\":{}", string(bench));
     let mut lines: Vec<String> = match fs::read_to_string(&path) {
         Ok(text) => text
             .lines()
@@ -276,7 +268,7 @@ mod tests {
         assert!(*nproc >= 1);
         assert!(!cpu.is_empty());
         let line = render("b", 0.5, &Record::new("m", 1.0, "x"));
-        assert!(line.ends_with(&format!(",\"nproc\":{nproc},\"cpu\":\"{}\"}}", escape(cpu))));
+        assert!(line.ends_with(&format!(",\"nproc\":{nproc},\"cpu\":{}}}", string(cpu))));
     }
 
     #[test]

@@ -95,9 +95,20 @@ impl Storm {
     /// Physical-memory size this instance needs: every tenant's region
     /// resident plus headroom for transient parent/child divergence
     /// and the zero/metadata area, rounded up to a 2 MB boundary.
+    ///
+    /// # Panics
+    ///
+    /// If that size does not fit in a `u64`; see
+    /// [`Storm::checked_phys_bytes`].
     pub fn phys_bytes(&self) -> u64 {
-        let resident = self.tenants * self.region_bytes;
-        (resident + resident / 2 + (64 << 20)).next_multiple_of(2 << 20)
+        self.checked_phys_bytes().expect("storm size overflows u64")
+    }
+
+    /// [`Storm::phys_bytes`], or `None` when it does not fit in a `u64`
+    /// (a command line can ask for any tenant count and region size).
+    pub fn checked_phys_bytes(&self) -> Option<u64> {
+        let resident = self.tenants.checked_mul(self.region_bytes)?;
+        resident.checked_add(resident / 2)?.checked_add(64 << 20)?.checked_next_multiple_of(2 << 20)
     }
 
     /// Runs the unmeasured setup: spawns every tenant's root process
@@ -310,5 +321,14 @@ mod tests {
         );
         assert_eq!(full.phys_bytes() % (2 << 20), 0);
         assert!(full.phys_bytes() > full.tenants * full.region_bytes);
+    }
+
+    #[test]
+    fn checked_phys_bytes_catches_overflow() {
+        let huge = Storm { tenants: u64::MAX, region_bytes: 2048, ..Storm::small() };
+        assert_eq!(huge.checked_phys_bytes(), None);
+        // The product fits; the 1.5x margin on top of it does not.
+        let near = Storm { tenants: 1, region_bytes: u64::MAX / 4 * 3, ..Storm::small() };
+        assert_eq!(near.checked_phys_bytes(), None);
     }
 }
