@@ -118,9 +118,19 @@ impl MacQueue {
     }
 }
 
-/// Pads one bulk page operation may fill ahead: a copy's read and
-/// write pad for each of a region's lines.
-const PAD_WINDOW: usize = 2 * MINORS;
+/// Pads one page operation may fill ahead: a read and a write pad for
+/// each of a region's lines, and the pad of the write whose minor
+/// overflow re-encrypts the region.
+const PAD_WINDOW: usize = 2 * MINORS + 1;
+
+/// The lines of `block` whose minor is nonzero, one bit per line.
+fn copied_lines(block: &CounterBlock) -> u64 {
+    block
+        .minors
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (line, &minor)| mask | u64::from(minor != 0) << line)
+}
 
 /// One-time pads made ahead of a bulk page operation, in the order the
 /// operation will ask for them.
@@ -129,8 +139,8 @@ const PAD_WINDOW: usize = 2 * MINORS;
 /// lines will use; [`SecureMemoryController::pad`] serves the next pad
 /// only if its IV is exactly the one asked for, and otherwise drops the
 /// window and computes the pad on the spot. A pad is a function of its
-/// IV alone, so a wrong prediction (a minor overflow in mid-page, a CoW
-/// chain, an overlapping copy) costs time, never correctness.
+/// IV alone, so a wrong prediction (a minor overflow in mid-page, an
+/// overlapping copy) costs time, never correctness.
 #[derive(Clone)]
 struct PadWindow {
     ivs: [IvSpec; PAD_WINDOW],
@@ -139,6 +149,12 @@ struct PadWindow {
     len: usize,
     /// Index of the next pad to serve.
     next: usize,
+    /// Pads served from the window, and pads asked for that it did not
+    /// hold (each then made on the spot).
+    #[cfg(test)]
+    served: u64,
+    #[cfg(test)]
+    missed: u64,
 }
 
 impl std::fmt::Debug for PadWindow {
@@ -155,6 +171,10 @@ impl PadWindow {
             pads: [[0; LINE_BYTES]; PAD_WINDOW],
             len: 0,
             next: 0,
+            #[cfg(test)]
+            served: 0,
+            #[cfg(test)]
+            missed: 0,
         })
     }
 
@@ -179,10 +199,13 @@ impl PadWindow {
 
     /// The next pad if its IV is `iv`; any other IV drops the window.
     fn take(&mut self, iv: IvSpec) -> Option<[u8; LINE_BYTES]> {
-        if self.next == self.len {
-            return None;
+        let hit = self.next < self.len && self.ivs[self.next] == iv;
+        #[cfg(test)]
+        {
+            self.served += hit as u64;
+            self.missed += !hit as u64;
         }
-        if self.ivs[self.next] != iv {
+        if !hit {
             self.clear();
             return None;
         }
@@ -826,6 +849,7 @@ impl SecureMemoryController {
                     return ([0; LINE_BYTES], t + Cycles::new(1), hops);
                 };
                 hops += 1;
+                self.check_chain_length(region, hops);
                 if self.is_zero_region(src) {
                     self.stats.zero_reads += 1;
                     self.seg(counters_ready, t, CycleCategory::CowRedirect);
@@ -884,48 +908,75 @@ impl SecureMemoryController {
         }
     }
 
-    /// The region, and its counter block, that a read of an uncopied
-    /// line of `region` redirects to; `None` when it reads zeros or the
-    /// scheme has no lazy copies.
-    fn predict_source(&self, region: u64, block: &CounterBlock) -> Option<(u64, CounterBlock)> {
-        let src = match self.config.scheme {
-            SchemeKind::LelantusResized => block.cow_source(),
-            SchemeKind::LelantusCow => self.cow_slot(region),
-            _ => None,
-        };
-        src.filter(|&src| !self.is_zero_region(src)).map(|src| (src, self.peek_counter(src)))
+    /// Panics when a redirect walk from `region` has followed more hops
+    /// than there are regions: no acyclic chain is that long, so the
+    /// CoW metadata names a cycle.
+    #[inline]
+    fn check_chain_length(&self, region: u64, hops: u32) {
+        let regions = self.layout.regions();
+        assert!(
+            u64::from(hops) <= regions,
+            "CoW-chain integrity violation at region {region}: more than {regions} redirect hops \
+             (the chain is a cycle)"
+        );
     }
 
-    /// Queues the pad that `resolve_line_plain(region, block, line, ..)`
-    /// will ask for, if any, given the read's redirect `source` (see
-    /// [`Self::predict_source`]). Follows at most that one CoW hop;
-    /// returns false when the read cannot be predicted.
-    fn predict_read(
-        &mut self,
+    /// The IV of the pad `resolve_line_plain(region, block, line, ..)`
+    /// will ask for, for each line of `region` whose bit is set in
+    /// `lines`; `None` for a line that reads zeros or is not asked for.
+    ///
+    /// Walks the region's whole redirect chain once, as the resolution
+    /// does but without traffic: each hop's source comes from
+    /// `cow_source()` or the NVM slot, its counters from
+    /// [`Self::peek_counter`], and a line resolves at the first hop
+    /// whose minor for it is nonzero. The walk ends when every asked
+    /// line has resolved, so it goes no deeper than their resolutions.
+    fn predict_reads(
+        &self,
         region: u64,
         block: &CounterBlock,
-        source: Option<&(u64, CounterBlock)>,
-        line: usize,
-    ) -> bool {
-        let (region, block) = match block.minors[line] {
-            0 if self.config.scheme == SchemeKind::SilentShredder => return true,
-            0 if self.config.scheme.supports_lazy_copy() => match source {
-                None => return true,
-                Some((_, src_block)) if src_block.minors[line] == 0 => return false,
-                Some((src, src_block)) => (*src, src_block),
-            },
-            _ => (region, block),
-        };
-        let line_addr = self.line_addr(region, line).as_u64();
-        self.pads.push(IvSpec { line_addr, major: block.major, minor: block.minors[line] })
+        mut lines: u64,
+    ) -> [Option<IvSpec>; MINORS] {
+        let mut ivs = [None; MINORS];
+        let scheme = self.config.scheme;
+        let (mut cur, mut cur_block) = (region, *block);
+        let mut hops = 0;
+        loop {
+            let mut resolved = lines;
+            if scheme == SchemeKind::SilentShredder || scheme.supports_lazy_copy() {
+                resolved &= copied_lines(&cur_block);
+            }
+            lines &= !resolved;
+            while resolved != 0 {
+                let line = resolved.trailing_zeros() as usize;
+                resolved &= resolved - 1;
+                let line_addr = self.line_addr(cur, line).as_u64();
+                let minor = cur_block.minors[line];
+                ivs[line] = Some(IvSpec { line_addr, major: cur_block.major, minor });
+            }
+            if lines == 0 {
+                return ivs;
+            }
+            let src = match scheme {
+                SchemeKind::LelantusResized => cur_block.cow_source(),
+                SchemeKind::LelantusCow => self.cow_slot(cur),
+                _ => None,
+            };
+            // No source, or the zero area: the rest read zeros.
+            let Some(src) = src.filter(|&src| !self.is_zero_region(src)) else { return ivs };
+            hops += 1;
+            self.check_chain_length(region, hops);
+            cur = src;
+            cur_block = self.peek_counter(src);
+        }
     }
 
     /// Fills the pad window for the `lines` lines of a bulk copy from
     /// `src` (a zeroing when `None`) to `dst`, one region's worth at
-    /// most: each line's read pad, then its write pad under the counter
-    /// the write will leave. Stops at the first line it cannot predict
-    /// (a minor overflow, a CoW chain), and predicts nothing for a span
-    /// that crosses a region or copies within one.
+    /// most: each line's read pad, if it has one, then its write pad
+    /// under the counter the write will leave. Stops at the first write
+    /// whose minor would overflow, and predicts nothing for a span that
+    /// crosses a region or copies within one.
     fn prefill_bulk(&mut self, src: Option<PhysAddr>, dst: PhysAddr, lines: u64) {
         self.pads.clear();
         let last = (lines - 1) * LINE_BYTES as u64;
@@ -933,7 +984,7 @@ impl SecureMemoryController {
         if self.region_of(dst + last) != dst_region {
             return;
         }
-        let mut read = None;
+        let (mut reads, mut first) = ([None; MINORS], 0);
         if let Some(src) = src {
             let src_region = self.region_of(src);
             if self.region_of(src + last) != src_region || src_region == dst_region {
@@ -941,24 +992,21 @@ impl SecureMemoryController {
             }
             if !self.is_zero_region(src_region) {
                 let block = self.peek_counter(src_region);
-                let source = self.predict_source(src_region, &block);
-                read = Some((src_region, src.line_in_region(), block, source));
+                first = src.line_in_region();
+                let span = (u64::MAX >> (MINORS as u64 - lines)) << first;
+                reads = self.predict_reads(src_region, &block, span);
             }
         }
         let encoding = self.encoding();
         let mut block = self.peek_counter(dst_region);
-        for i in 0..lines as usize {
-            if let Some((region, first, src_block, source)) = &read {
-                if !self.predict_read(*region, src_block, source.as_ref(), first + i) {
-                    break;
-                }
+        for (i, read) in reads[first..first + lines as usize].iter().enumerate() {
+            if let Some(iv) = *read {
+                self.pads.push(iv);
             }
             let line = dst.line_in_region() + i;
             let Ok(minor) = block.increment_minor(line, encoding) else { break };
             let line_addr = (dst + (i * LINE_BYTES) as u64).as_u64();
-            if !self.pads.push(IvSpec { line_addr, major: block.major, minor }) {
-                break;
-            }
+            self.pads.push(IvSpec { line_addr, major: block.major, minor });
         }
         self.pads.fill(&self.engine);
     }
@@ -1057,12 +1105,8 @@ impl SecureMemoryController {
         }
 
         self.stats.minor_increments += 1;
-        let encoding = self.encoding();
-        if block.increment_minor(line, encoding).is_err() {
-            let (newblock, t2) = self.reencrypt_region(region, block, t);
-            block = newblock;
-            t = t2;
-            block.increment_minor(line, encoding).expect("fresh epoch cannot overflow");
+        if block.increment_minor(line, self.encoding()).is_err() {
+            (block, t) = self.reencrypt_region(region, block, line, t);
         }
 
         let t_write = self.store_line(line_addr, &data, block.major, block.minors[line], t);
@@ -1088,13 +1132,17 @@ impl SecureMemoryController {
         done
     }
 
-    /// Handles a minor-counter overflow: re-encrypts every line of the
-    /// region under a bumped major counter, materializing any pending
-    /// lazy copies first (a CoW region becomes a regular one).
+    /// Handles the minor-counter overflow of a write to `line`:
+    /// re-encrypts every line of the region under a bumped major
+    /// counter, materializing any pending lazy copies first (a CoW
+    /// region becomes a regular one). Returns the new block with
+    /// `line`'s minor incremented for the write, whose pad it leaves
+    /// last in the window.
     fn reencrypt_region(
         &mut self,
         region: u64,
         block: CounterBlock,
+        line: usize,
         now: Cycles,
     ) -> (CounterBlock, Cycles) {
         self.stats.minor_overflows += 1;
@@ -1109,21 +1157,26 @@ impl SecureMemoryController {
         } else {
             newblock.reencrypt_epoch();
         }
-        // The old pads of every line, then the new ones.
+        // The old pads of every line, the new ones, then the write's.
         self.pads.clear();
-        let source = self.predict_source(region, &block);
-        if (0..MINORS).all(|line| self.predict_read(region, &block, source.as_ref(), line)) {
-            for line in 0..MINORS {
-                let line_addr = self.line_addr(region, line).as_u64();
-                self.pads.push(IvSpec { line_addr, major: newblock.major, minor: 1 });
-            }
+        for iv in self.predict_reads(region, &block, u64::MAX).into_iter().flatten() {
+            self.pads.push(iv);
         }
+        for l in 0..MINORS {
+            let line_addr = self.line_addr(region, l).as_u64();
+            self.pads.push(IvSpec { line_addr, major: newblock.major, minor: 1 });
+        }
+        let mut written = newblock;
+        let minor =
+            written.increment_minor(line, self.encoding()).expect("fresh epoch cannot overflow");
+        let line_addr = self.line_addr(region, line).as_u64();
+        self.pads.push(IvSpec { line_addr, major: written.major, minor });
         self.pads.fill(&self.engine);
         // Gather all plaintexts under the old epoch first.
         let mut plains = [[0u8; LINE_BYTES]; MINORS];
         let mut t = now;
-        for (line, plain) in plains.iter_mut().enumerate() {
-            let (data, t2, _) = self.resolve_line_plain(region, block, line, t, t);
+        for (l, plain) in plains.iter_mut().enumerate() {
+            let (data, t2, _) = self.resolve_line_plain(region, block, l, t, t);
             *plain = data;
             t = t2;
         }
@@ -1132,14 +1185,14 @@ impl SecureMemoryController {
         }
         let mut done = t;
         // All 64 lines re-encrypt under (new major, minor = 1).
-        for (line, plain) in plains.iter().enumerate() {
-            let data_addr = self.line_addr(region, line);
+        for (l, plain) in plains.iter().enumerate() {
+            let data_addr = self.line_addr(region, l);
             done = done.max(self.store_line(data_addr, plain, newblock.major, 1, t));
             self.stats.reencrypted_lines += 1;
         }
         // Re-encryption sweeps are a Merkle flush point too.
         self.merkle.flush();
-        (newblock, done)
+        (written, done)
     }
 
     /// Whether `region` currently has a Lelantus-CoW table mapping
@@ -1153,6 +1206,24 @@ impl SecureMemoryController {
     fn cow_slot(&self, region: u64) -> Option<u64> {
         let (slot_line, off) = self.layout.cow_meta_slot_of_region(region);
         decode_slot(&self.nvm.peek_line(slot_line), off)
+    }
+
+    /// Test hook: rewrites `region`'s Lelantus-CoW slot in NVM to name
+    /// `src`, behind the CoW cache's back (an attacker writing the
+    /// table).
+    #[cfg(test)]
+    pub(crate) fn tamper_cow_slot_for_test(&mut self, region: u64, src: Option<u64>) {
+        let (slot_line, off) = self.layout.cow_meta_slot_of_region(region);
+        let mut line = self.nvm.peek_line(slot_line);
+        encode_slot(&mut line, off, src);
+        self.nvm.poke_line(slot_line, line);
+    }
+
+    /// Pads served from the pad window and pads made on the spot, over
+    /// the controller's life.
+    #[cfg(test)]
+    pub(crate) fn pad_counts(&self) -> (u64, u64) {
+        (self.pads.served, self.pads.missed)
     }
 
     // ------------------------------------------------------------------
@@ -1182,20 +1253,30 @@ impl SecureMemoryController {
 
         // Chain shortening: copying a fully-unmodified CoW page records
         // its source instead (§III-E).
-        let effective_src = if self.is_zero_region(src_region) || !self.config.chain_shortening {
-            src_region
-        } else {
-            let (src_block, t2) = self.fetch_counter(src_region, t);
-            let unmodified = src_block.uncopied_lines() == MINORS
-                || (self.config.scheme == SchemeKind::LelantusCow
-                    && src_block.minors.iter().all(|&m| m == 0));
-            if unmodified {
-                let (grand, _t3) = self.source_of(src_region, &src_block, t2);
-                grand.unwrap_or(src_region)
+        let (effective_src, t_src) =
+            if self.is_zero_region(src_region) || !self.config.chain_shortening {
+                (src_region, t)
             } else {
-                src_region
+                let (src_block, t2) = self.fetch_counter(src_region, t);
+                let unmodified = src_block.uncopied_lines() == MINORS
+                    || (self.config.scheme == SchemeKind::LelantusCow
+                        && src_block.minors.iter().all(|&m| m == 0));
+                if unmodified {
+                    let (grand, t3) = self.source_of(src_region, &src_block, t2);
+                    (grand.unwrap_or(src_region), t3)
+                } else {
+                    (src_region, t2)
+                }
+            };
+        if effective_src == dst_region {
+            // The destination already holds the bytes (a copy back onto
+            // its own source): recording it would make it its own
+            // source, a cycle no read could resolve.
+            if let Some(log) = self.nvm.recorder_mut().events_mut() {
+                log.record(HistKind::CmdServiceCycles, (t_src - now).as_u64());
             }
-        };
+            return t_src;
+        }
 
         let (old, t4) = self.fetch_counter(dst_region, t);
         let mut t = t4;
@@ -1271,16 +1352,16 @@ impl SecureMemoryController {
         let issue = t;
         let mut done = t;
         // Only uncopied lines are materialized, each at (major, minor =
-        // 1), so only their pads are generated: each one's source pad,
-        // then its own.
+        // 1), so only their pads are generated: each one's source pad
+        // (none when it reads zeros), then its own.
         self.pads.clear();
-        let source = self.predict_source(dst_region, &block);
-        for line in 0..MINORS {
+        let reads = self.predict_reads(dst_region, &block, !copied_lines(&block));
+        for (line, read) in reads.iter().enumerate() {
             if block.minors[line] != 0 {
                 continue;
             }
-            if !self.predict_read(dst_region, &block, source.as_ref(), line) {
-                break;
+            if let Some(iv) = *read {
+                self.pads.push(iv);
             }
             let line_addr = self.line_addr(dst_region, line).as_u64();
             self.pads.push(IvSpec { line_addr, major: block.major, minor: 1 });

@@ -838,9 +838,9 @@ fn bulk_copy_and_zero_stay_exact_when_a_minor_overflows_mid_page() {
 fn page_phyc_stays_exact_past_a_two_hop_line_and_an_overflowed_source() {
     // Page 2 is a lazy copy of page 1, itself a copy of page 0 with
     // every line but `hot` rewritten. Without an overflow, `hot` of
-    // page 2 resolves two hops deep, past what the pad window predicts;
-    // with one, page 1 re-encrypts under a new major before the phyc
-    // reads it.
+    // page 2 resolves two hops deep; with one, page 1 re-encrypts under
+    // a new major before the phyc reads it. The chain walk predicts
+    // both, so every pad of the phyc comes from the window.
     for scheme in [SchemeKind::LelantusResized, SchemeKind::LelantusCow] {
         for policy in [WritePolicy::WriteBack, WritePolicy::WriteThrough] {
             for hot in [0u64, 31, 63] {
@@ -873,8 +873,10 @@ fn page_phyc_stays_exact_past_a_two_hop_line_and_an_overflowed_source() {
                         assert_eq!(want[hot as usize], fill(hot as u8 + 1), "two hops to page 0");
                     }
                     let materialized = c.stats().materialized_lines;
+                    let (served, missed) = c.pad_counts();
                     c.cmd_page_phyc(page(1), page(2), ZERO);
                     assert_eq!(c.stats().materialized_lines, materialized + 63, "{scheme}");
+                    assert_eq!(c.pad_counts(), (served + 2 * 63, missed), "{scheme} hot {hot}");
                     for (l, want) in want.iter().enumerate() {
                         let got = c.read_data_line(line_of(page(2), l as u64), ZERO).0;
                         assert_eq!(got, *want, "{scheme} {policy:?} hot {hot} line {l}");
@@ -883,4 +885,180 @@ fn page_phyc_stays_exact_past_a_two_hop_line_and_an_overflowed_source() {
             }
         }
     }
+}
+
+/// The bytes page `k` of a [`chain`] writes at line `l`.
+fn chain_bytes(k: u64, l: u64) -> [u8; LINE_BYTES] {
+    fill(0x10 * (k as u8 + 1) + l as u8)
+}
+
+/// A redirect chain `depth` hops deep: page 0 is a lazy copy of the zero
+/// page and each page `k` in `1..=depth` a lazy copy of page `k - 1`.
+/// Page `k` writes the lines `l` with `l % (depth + 2) == k`, so a line
+/// of page `depth` resolves `depth - k` hops deep, and the lines with
+/// `l % (depth + 2) == depth + 1` read zeros through the whole chain.
+fn chain(scheme: SchemeKind, depth: u64) -> SecureMemoryController {
+    let mut c = with_policy(scheme, WritePolicy::WriteBack);
+    c.cmd_page_copy(PhysAddr::new(0), page(0), ZERO);
+    for k in 0..=depth {
+        if k > 0 {
+            c.cmd_page_copy(page(k - 1), page(k), ZERO);
+        }
+        for l in (0..64).filter(|l| l % (depth + 2) == k) {
+            c.write_data_line(line_of(page(k), l), chain_bytes(k, l), ZERO);
+        }
+    }
+    c
+}
+
+/// What line `l` of the top page of a [`chain`] `depth` hops deep reads.
+fn chain_line(depth: u64, l: u64) -> [u8; LINE_BYTES] {
+    let k = l % (depth + 2);
+    if k > depth {
+        [0; LINE_BYTES]
+    } else {
+        chain_bytes(k, l)
+    }
+}
+
+/// Lines of a [`chain`]'s top page, in `lines`, that read zeros.
+fn zero_lines(depth: u64, lines: std::ops::Range<u64>) -> u64 {
+    lines.filter(|l| l % (depth + 2) == depth + 1).count() as u64
+}
+
+#[test]
+fn page_phyc_serves_every_pad_from_the_window_at_each_chain_depth() {
+    for scheme in [SchemeKind::LelantusResized, SchemeKind::LelantusCow] {
+        for depth in 2..=4 {
+            let mut c = chain(scheme, depth);
+            let top = page(depth);
+            for l in 0..64 {
+                assert_eq!(c.read_data_line(line_of(top, l), ZERO).0, chain_line(depth, l));
+            }
+            let uncopied = (0..64).filter(|l| l % (depth + 2) != depth).count() as u64;
+            let (served, missed) = c.pad_counts();
+            c.cmd_page_phyc(page(depth - 1), top, ZERO);
+            assert_eq!(c.stats().materialized_lines, uncopied, "{scheme} depth {depth}");
+            // A read pad for each uncopied line that does not read zeros,
+            // and a write pad for each.
+            let want = served + 2 * uncopied - zero_lines(depth, 0..64);
+            assert_eq!(c.pad_counts(), (want, missed), "{scheme} depth {depth}");
+            for l in 0..64 {
+                let got = c.read_data_line(line_of(top, l), ZERO).0;
+                assert_eq!(got, chain_line(depth, l), "{scheme} depth {depth} line {l}");
+            }
+        }
+    }
+}
+
+#[test]
+fn an_overflow_in_a_cow_region_serves_every_pad_from_the_window() {
+    for scheme in [SchemeKind::LelantusResized, SchemeKind::LelantusCow] {
+        for depth in 2..=4 {
+            let mut c = chain(scheme, depth);
+            let hot = line_of(page(depth), depth);
+            let mut last = 0;
+            loop {
+                let overflows = c.stats().minor_overflows;
+                let (served, missed) = c.pad_counts();
+                last += 1;
+                c.write_data_line(hot, fill(last), ZERO);
+                if c.stats().minor_overflows > overflows {
+                    // The old pad of every line that does not read zeros,
+                    // the 64 new ones and the overflowing write's own.
+                    let want = served + 64 - zero_lines(depth, 0..64) + 64 + 1;
+                    assert_eq!(c.pad_counts(), (want, missed), "{scheme} depth {depth}");
+                    break;
+                }
+                assert!(last < 255, "{scheme}: no overflow");
+            }
+            for l in 0..64 {
+                let got = c.read_data_line(line_of(page(depth), l), ZERO).0;
+                let want = if l == depth { fill(last) } else { chain_line(depth, l) };
+                assert_eq!(got, want, "{scheme} depth {depth} line {l}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_bulk_copy_from_a_lazy_copy_serves_every_pad_from_the_window() {
+    for scheme in [SchemeKind::LelantusResized, SchemeKind::LelantusCow] {
+        for depth in 2..=4 {
+            let mut c = chain(scheme, depth);
+            let top = page(depth);
+            // The whole page, then ten lines at an offset.
+            for (from, to, lines) in [(0, 0, 0..64), (5, 20, 5..15)] {
+                let dst = line_of(page(8 + from), to);
+                let n = lines.end - lines.start;
+                let (served, missed) = c.pad_counts();
+                c.copy_page_bulk(line_of(top, from), dst, n * LINE_BYTES as u64, ZERO);
+                let want = served + 2 * n - zero_lines(depth, lines.clone());
+                assert_eq!(c.pad_counts(), (want, missed), "{scheme} depth {depth} {lines:?}");
+                for (i, l) in lines.enumerate() {
+                    let got = c.read_data_line(dst + (i * LINE_BYTES) as u64, ZERO).0;
+                    assert_eq!(got, chain_line(depth, l), "{scheme} depth {depth} line {l}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_copy_back_onto_its_source_leaves_the_source_alone() {
+    // B is an unmodified lazy copy of A, so chain shortening makes A the
+    // effective source of a copy B -> A. A keeps its counters and
+    // mapping: its copied lines, and the uncopied ones it reads as
+    // zeros from the zero page, read back unchanged.
+    for scheme in [SchemeKind::LelantusResized, SchemeKind::LelantusCow] {
+        let mut c = ctrl(scheme);
+        let (a, b) = (page(0), page(1));
+        c.cmd_page_copy(PhysAddr::new(0), a, ZERO);
+        for l in (0..64).step_by(2) {
+            c.write_data_line(line_of(a, l), fill(l as u8 + 1), ZERO);
+        }
+        let want = |l: u64| if l.is_multiple_of(2) { fill(l as u8 + 1) } else { [0; LINE_BYTES] };
+        c.cmd_page_copy(a, b, ZERO);
+        c.cmd_page_copy(b, a, ZERO);
+        assert_eq!(c.stats().cmd_page_copy, 3, "{scheme}");
+        for l in 0..64 {
+            assert_eq!(c.read_data_line(line_of(a, l), ZERO).0, want(l), "{scheme} A line {l}");
+            assert_eq!(c.read_data_line(line_of(b, l), ZERO).0, want(l), "{scheme} B line {l}");
+        }
+        // A copy straight onto itself is the same no-op.
+        c.cmd_page_copy(a, a, ZERO);
+        for l in 0..64 {
+            assert_eq!(c.read_data_line(line_of(a, l), ZERO).0, want(l), "{scheme} A line {l}");
+        }
+    }
+}
+
+/// A Lelantus-CoW controller whose page 2 (region 514) is a lazy copy of
+/// page 0 with its NVM slot then rewritten to name region 514 itself,
+/// behind a one-entry CoW cache that no longer holds the old mapping.
+fn cyclic_slot() -> SecureMemoryController {
+    let mut cfg = small_config(SchemeKind::LelantusCow);
+    cfg.cow_cache_entries = 1;
+    let layout = MetadataLayout::for_data_bytes(cfg.data_bytes);
+    let mut c = SecureMemoryController::new(cfg);
+    c.write_data_line(line_of(page(0), 1), fill(1), ZERO);
+    c.cmd_page_copy(page(0), page(2), ZERO);
+    c.flush_all(ZERO);
+    let region = layout.region_of(page(2));
+    assert_eq!(region, 514);
+    c.tamper_cow_slot_for_test(region, Some(region));
+    c.cmd_page_copy(page(0), page(3), ZERO);
+    c
+}
+
+#[test]
+#[should_panic(expected = "CoW-chain integrity violation at region 514")]
+fn a_read_through_a_cyclic_cow_slot_panics_naming_the_region() {
+    let _ = cyclic_slot().read_data_line(line_of(page(2), 1), ZERO);
+}
+
+#[test]
+#[should_panic(expected = "CoW-chain integrity violation at region 514")]
+fn a_page_phyc_over_a_cyclic_cow_slot_panics_naming_the_region() {
+    cyclic_slot().cmd_page_phyc(page(2), page(2), ZERO);
 }
